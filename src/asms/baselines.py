@@ -2,9 +2,8 @@
 
 Two deliberately simplified rule-based congestion controllers stand in for
 full delay-based and bandwidth-probing stacks at the simulator's 1-second
-decision granularity, plus the independent-training mode that disables
-federation. Outputs from the rule controllers are labeled "simplified"
-wherever they surface in reports.
+decision granularity, plus a uniformly random reference. Outputs from the
+rule controllers are labeled "simplified" wherever they surface in reports.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (ActionDelta, DEFAULT_DELTA_TABLE, HyperParams, Observation,
-                   RngStream)
+from .core import ActionDelta, DEFAULT_DELTA_TABLE, Observation, RngStream
 
 LATENCY_EMA = 0.3
 RISE_TREND_MS = 2.0       # per-step latency growth that triggers backoff
@@ -152,12 +150,6 @@ def random_action(rng: RngStream, table: Sequence[float] = DEFAULT_DELTA_TABLE) 
     return ActionDelta(idx, float(table[idx]))
 
 
-def ippo_mode(hp: HyperParams) -> HyperParams:
-    """Training configuration identical to the federated setup except that
-    aggregation never happens; agents keep independent parameters."""
-    return dataclasses.replace(hp, fedavg_freq=0)
-
-
 CONTROLLER_NAMES = ("delay", "probe")
 
 
@@ -173,6 +165,6 @@ def controller_step(name: str, state: ControllerState, obs: Observation,
 
 __all__ = [
     "CONTROLLER_NAMES", "ControllerState", "bandwidth_probe_controller",
-    "controller_step", "delay_gradient_controller", "ippo_mode",
+    "controller_step", "delay_gradient_controller",
     "new_controller_state", "random_action",
 ]

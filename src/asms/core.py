@@ -70,10 +70,6 @@ class ActionDelta:
     delta_mbps: float
 
 
-def delta_table_actions(table: Sequence[float] = DEFAULT_DELTA_TABLE) -> tuple[ActionDelta, ...]:
-    return tuple(ActionDelta(i, float(d)) for i, d in enumerate(table))
-
-
 def validate_delta_table(table: Sequence[float]) -> None:
     vals = [float(v) for v in table]
     if vals.count(0.0) != 1:
@@ -566,7 +562,7 @@ __all__ = [
     "ActionDelta", "Channel", "ConfigError", "DEFAULT_DELTA_TABLE", "HyperParams",
     "OBS_DIM", "Observation", "QoECoefficients", "RngStream", "ScenarioSpec",
     "SimConfig", "Span", "builtin_scenarios", "default_hyperparams",
-    "default_qoe_coefficients", "default_sim_config", "delta_table_actions",
+    "default_qoe_coefficients", "default_sim_config",
     "load_config", "parse_config_text", "scenario_by_name", "serialize_config",
     "validate_delta_table",
 ]

@@ -122,18 +122,17 @@ def make_local_update(agent_id: int, actor: nn.ModelParams, critic: nn.ModelPara
     else:
         up_actor = actor.with_theta(actor.theta.copy())
         up_critic = critic.with_theta(critic.theta.copy())
-    size = len(nn.params_to_bytes(up_actor)) + len(nn.params_to_bytes(up_critic))
     return LocalUpdate(agent_id=agent_id, actor=up_actor, critic=up_critic,
-                       sample_count=sample_count, bytes_up=size)
+                       sample_count=sample_count,
+                       bytes_up=update_upload_bytes(up_actor, up_critic))
 
 
 def broadcast(model: GlobalModel, agents: Sequence) -> int:
     """Copy the global parameters into every agent; returns bytes sent down."""
-    size = len(nn.params_to_bytes(model.actor)) + len(nn.params_to_bytes(model.critic))
     for agent in agents:
         agent.actor = model.actor.with_theta(model.actor.theta.copy())
         agent.critic = model.critic.with_theta(model.critic.theta.copy())
-    return size * len(agents)
+    return update_upload_bytes(model.actor, model.critic) * len(agents)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
 
 def update_upload_bytes(actor: nn.ModelParams, critic: nn.ModelParams) -> int:
     """Serialized size of one device's per-round upload."""
-    return len(nn.params_to_bytes(actor)) + len(nn.params_to_bytes(critic))
+    return nn.serialized_size(actor) + nn.serialized_size(critic)
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import Observation, RngStream, ScenarioSpec, SimConfig
+from .core import RngStream, ScenarioSpec, SimConfig
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,19 @@ def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
 
     Fixed channels sample uniformly from their range; ramp channels first
     interpolate the range endpoints linearly from the start range at t=0 to
-    the end range at t=episode_len-1.
+    the end range at t=episode_len-1. The five channels and the burst coin
+    come from one block of six uniforms.
     """
     if not (0 <= t < episode_len):
         raise ValueError(f"step {t} outside [0, {episode_len})")
-
-    def draw(channel) -> float:
-        span = channel.at(t, episode_len)
-        return rng.uniform(span.lo, span.hi)
-
-    capacity = draw(spec.bandwidth)
-    latency = draw(spec.latency)
-    jitter = draw(spec.jitter)
-    loss = draw(spec.loss_rate)
-    burst_level = draw(spec.burst_loss)
-    burst_active = rng.uniform() < burst_level
+    spans = [channel.at(t, episode_len) for channel in
+             (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)]
+    lo = np.array([span.lo for span in spans] + [0.0])
+    hi = np.array([span.hi for span in spans] + [1.0])
+    capacity, latency, jitter, loss, burst_level, coin = rng.uniform(lo, hi, size=6).tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
-                     burst_active=burst_active, burst_level=burst_level,
+                     burst_active=coin < burst_level, burst_level=burst_level,
                      user_count=users)
 
 
@@ -105,7 +100,7 @@ def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
 
 
 def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
-            rng: RngStream) -> tuple[LinkOutcome, list[Observation]]:
+            rng: RngStream) -> LinkOutcome:
     """Apply one step's joint targets to the link.
 
     Latency rises with utilization as base * (1 + coef * U^2) with
@@ -138,16 +133,9 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
         lost[i] = rng.binomial(sent, eff_loss)
         frame_rate[i] = cfg.f_target * min(1.0, y[i] / max(x[i], 1e-12))
 
-    outcome = LinkOutcome(received_mbps=y, latency_ms=latency_arr,
-                          jitter_ms=jitter_arr, lost_packets=lost,
-                          nacks=lost.copy(), frame_rate=frame_rate)
-    observations = [
-        Observation(target_mbps=float(x[i]), received_mbps=float(y[i]),
-                    latency_ms=float(latency_arr[i]), jitter_ms=float(jitter_arr[i]),
-                    lost_packets=float(lost[i]), nack_count=float(lost[i]))
-        for i in range(n)
-    ]
-    return outcome, observations
+    return LinkOutcome(received_mbps=y, latency_ms=latency_arr,
+                       jitter_ms=jitter_arr, lost_packets=lost,
+                       nacks=lost.copy(), frame_rate=frame_rate)
 
 
 class BottleneckSim:
@@ -168,9 +156,9 @@ class BottleneckSim:
         self.last_state: LinkState | None = None
         self.episode_x_init = cfg.x_init
 
-    def reset(self) -> list[Observation]:
+    def reset(self) -> LinkOutcome:
         """Start an episode: a warmup step at t=0 with the initial targets
-        produces the first observations.
+        produces the first outcome.
 
         With x_init_spread > 0 each episode draws its starting bitrate
         log-uniformly around x_init (exploring starts); all senders share it.
@@ -185,23 +173,23 @@ class BottleneckSim:
         state = sample_link_state(self.spec, 0, self.episode_len, self.rng,
                                   users=self.cfg.users_at(0))
         targets = [x0] * self.cfg.n_agents
-        _, obs = advance(state, targets, self.cfg, self.rng)
+        outcome = advance(state, targets, self.cfg, self.rng)
         self.last_state = state
-        return obs
+        return outcome
 
-    def step(self, targets: Sequence[float]) -> tuple[LinkState, LinkOutcome, list[Observation]]:
+    def step(self, targets: Sequence[float]) -> tuple[LinkState, LinkOutcome]:
         if len(targets) != self.cfg.n_agents:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
         state = sample_link_state(self.spec, self.t, self.episode_len, self.rng,
                                   users=self.cfg.users_at(self.t))
-        outcome, obs = advance(state, targets, self.cfg, self.rng)
+        outcome = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
             self.trace.record(state, targets, outcome)
         self.last_state = state
         self.t += 1
-        return state, outcome, obs
+        return state, outcome
 
 
 class TraceWriter:

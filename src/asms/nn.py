@@ -168,13 +168,6 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
 
-def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
-    if norm > max_norm > 0:
-        return grad * (max_norm / norm)
-    return grad
-
-
 def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float,
               grad_clip: float = 0.5) -> tuple[ModelParams, AdamState]:
     """One Adam update after global-norm clipping the gradient.
@@ -273,6 +266,13 @@ def params_to_bytes(params: ModelParams) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def serialized_size(params: ModelParams) -> int:
+    """len(params_to_bytes(params)), computed from the shapes alone."""
+    return (len(CHECKPOINT_MAGIC) + struct.calcsize("<HBBH")
+            + struct.calcsize("<II") * len(params.shapes) + struct.calcsize("<Q")
+            + 8 * params.theta.size + struct.calcsize("<I"))
+
+
 def params_from_bytes(data: bytes) -> ModelParams:
     if len(data) < 4 + 2 + 2 + 2 + 8 + 4:
         raise CheckpointError("truncated checkpoint")
@@ -322,6 +322,6 @@ __all__ = [
     "ACTIVATIONS", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "AdamState",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError", "HEADS",
     "ModelParams", "adam_step", "backward", "categorical_head",
-    "clip_global_norm", "flat_size", "forward", "grad_check", "init_mlp",
-    "load_params", "params_from_bytes", "params_to_bytes", "save_params",
+    "flat_size", "forward", "grad_check", "init_mlp", "load_params",
+    "params_from_bytes", "params_to_bytes", "save_params", "serialized_size",
 ]

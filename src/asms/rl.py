@@ -8,13 +8,13 @@ their own observations and parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nn
-from .core import HyperParams, Observation, QoECoefficients, RngStream, SimConfig
-from .netsim import BottleneckSim
+from .core import HyperParams, Observation, QoECoefficients, RngStream
+from .netsim import BottleneckSim, LinkOutcome
 from .qoe import compute_qoe, global_reward
 
 # Fixed feature scaling of the 6 observation fields: bitrates by y_max,
@@ -29,17 +29,12 @@ class NonFiniteLossError(RuntimeError):
     """Raised when a training loss stops being finite; the update is aborted."""
 
 
-def normalize_obs(obs: Observation, y_max: float = 200.0) -> np.ndarray:
-    """Affine-scale an observation into a bounded 6-dim feature vector."""
-    vec = np.array([
-        obs.target_mbps / y_max,
-        obs.received_mbps / y_max,
-        obs.latency_ms / LATENCY_SCALE_MS,
-        obs.jitter_ms / JITTER_SCALE_MS,
-        obs.lost_packets / PACKET_SCALE,
-        obs.nack_count / PACKET_SCALE,
-    ])
-    return np.clip(vec, 0.0, OBS_CLIP)
+def normalize_obs(rows: np.ndarray, y_max: float = 200.0) -> np.ndarray:
+    """Affine-scale (..., 6) observation rows, in ``Observation`` field order,
+    into bounded features."""
+    scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS,
+                      PACKET_SCALE, PACKET_SCALE])
+    return np.clip(np.asarray(rows, dtype=np.float64) / scale, 0.0, OBS_CLIP)
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,12 @@ def select_action(policy: nn.ModelParams, obs_vec: np.ndarray,
     return idx, float(logp[idx]), entropy
 
 
-def greedy_action(policy: nn.ModelParams, obs_vec: np.ndarray) -> int:
+def greedy_action(policy: nn.ModelParams, obs_vec: np.ndarray) -> tuple[int, float]:
+    """Argmax of the categorical head; returns (index, log-prob)."""
     logits, _ = nn.forward(policy, obs_vec)
-    return int(np.argmax(logits))
+    _, logp, _ = nn.categorical_head(logits)
+    idx = int(np.argmax(logits))
+    return idx, float(logp[idx])
 
 
 def compute_gae(traj: Trajectory, gamma: float, lam: float) -> np.ndarray:
@@ -302,26 +300,66 @@ class EpisodeStats:
         return float(self.rewards.mean())
 
 
-def score_episode(step_obs: Sequence[Sequence[Observation]], received: np.ndarray,
-                  frame_rate: np.ndarray, step_users: np.ndarray,
+def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarray,
                   coeffs: QoECoefficients, mode: str = "mean",
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step experience scores and pooled rewards for a finished episode.
 
-    The fluctuation term needs each step's successor bitrate, so scoring
-    happens after the rollout; the final step compares against itself.
+    ``rows`` is (T, N, 6) in ``Observation`` field order; each agent-step is
+    validated as an ``Observation`` when it is scored. The fluctuation term
+    needs each step's successor bitrate, so scoring happens after the
+    rollout; the final step compares against itself.
     """
-    t_len, n = received.shape
+    t_len, n, _ = rows.shape
+    steps = rows.tolist()
+    rates = frame_rate.tolist()
     agent_qoe = np.zeros((t_len, n))
     rewards = np.zeros(t_len)
     for t in range(t_len):
-        next_received = received[t + 1] if t + 1 < t_len else received[t]
+        successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
-            agent_qoe[t, i] = compute_qoe(step_obs[t][i], float(frame_rate[t, i]),
-                                          float(next_received[i]), int(step_users[t]),
-                                          coeffs)
+            agent_qoe[t, i] = compute_qoe(Observation(*steps[t][i]), rates[t][i],
+                                          successor[i][1], int(step_users[t]), coeffs)
         rewards[t] = global_reward(agent_qoe[t], mode=mode)
     return rewards, agent_qoe
+
+
+def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
+            choose: Callable[[int, np.ndarray], np.ndarray],
+            ) -> tuple[np.ndarray, EpisodeStats]:
+    """Roll and score one episode of ``hp.episode_len`` steps.
+
+    Each step, ``choose(t, rows)`` maps the agents' (N, 6) observation rows
+    to N target deltas; the targets are clamped to [y_min, y_max] and applied
+    jointly to the link. Returns the (T+1, N, 6) rows, the warm-up
+    observation first, and the episode's statistics.
+    """
+    cfg = sim.cfg
+    t_len = hp.episode_len
+    rows = np.zeros((t_len + 1, cfg.n_agents, 6))
+    frame_rate = np.zeros((t_len, cfg.n_agents))
+    step_users = np.zeros(t_len, dtype=np.int64)
+    outcome = sim.reset()
+    targets = np.full(cfg.n_agents, sim.episode_x_init)
+    rows[0] = _observation_rows(targets, outcome)
+    for t in range(t_len):
+        targets = np.clip(targets + choose(t, rows[t]), cfg.y_min, cfg.y_max)
+        state, outcome = sim.step(targets)
+        rows[t + 1] = _observation_rows(targets, outcome)
+        frame_rate[t] = outcome.frame_rate
+        step_users[t] = state.user_count
+    rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs,
+                                       cfg.reward_mode)
+    stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe,
+                         received_mbps=rows[1:, :, 1].copy(),
+                         latency_ms=rows[1:, :, 2].copy(),
+                         lost_packets=rows[1:, :, 4].copy(), frame_rate=frame_rate)
+    return rows, stats
+
+
+def _observation_rows(targets: np.ndarray, outcome: LinkOutcome) -> np.ndarray:
+    return np.column_stack((targets, outcome.received_mbps, outcome.latency_ms,
+                            outcome.jitter_ms, outcome.lost_packets, outcome.nacks))
 
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
@@ -339,59 +377,34 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
     if len(agents) != n:
         raise ValueError(f"need {n} agents, got {len(agents)}")
     t_len = hp.episode_len
-
-    obs_list = sim.reset()
-    targets = np.full(n, sim.episode_x_init)
-    obs_feat = np.zeros((t_len, n, 6))
+    table = np.asarray(cfg.delta_table, dtype=np.float64)
+    features = np.zeros((t_len, n, 6))
     actions = np.zeros((t_len, n), dtype=np.int64)
     log_probs = np.zeros((t_len, n))
     values = np.zeros((t_len, n))
-    step_obs: list[list[Observation]] = []
-    step_users = np.zeros(t_len, dtype=np.int64)
-    received = np.zeros((t_len, n))
-    latency = np.zeros((t_len, n))
-    lost = np.zeros((t_len, n))
-    frame_rate = np.zeros((t_len, n))
 
-    for t in range(t_len):
+    def choose(t: int, rows: np.ndarray) -> np.ndarray:
+        features[t] = normalize_obs(rows, cfg.y_max)
         for i, agent in enumerate(agents):
-            vec = normalize_obs(obs_list[i], cfg.y_max)
-            obs_feat[t, i] = vec
+            vec = features[t, i]
             if greedy:
-                idx = greedy_action(agent.actor, vec)
-                _, logp, _ = nn.categorical_head(nn.forward(agent.actor, vec)[0])
-                log_probs[t, i] = float(logp[idx])
+                actions[t, i], log_probs[t, i] = greedy_action(agent.actor, vec)
             else:
-                idx, lp, _ = select_action(agent.actor, vec, rng)
-                log_probs[t, i] = lp
-            actions[t, i] = idx
+                actions[t, i], log_probs[t, i], _ = select_action(agent.actor, vec, rng)
             values[t, i] = critic_value(agent.critic, vec, hp.value_scale)
-            targets[i] = min(cfg.y_max, max(cfg.y_min, targets[i] + cfg.delta_table[idx]))
-        state, outcome, obs_list = sim.step(targets)
-        step_obs.append(obs_list)
-        step_users[t] = state.user_count
-        received[t] = outcome.received_mbps
-        latency[t] = outcome.latency_ms
-        lost[t] = outcome.lost_packets
-        frame_rate[t] = outcome.frame_rate
+        return table[actions[t]]
 
-    bootstrap = np.array([
-        critic_value(agent.critic, normalize_obs(obs_list[i], cfg.y_max), hp.value_scale)
-        for i, agent in enumerate(agents)])
-
-    rewards, agent_qoe = score_episode(step_obs, received, frame_rate,
-                                       step_users, coeffs, cfg.reward_mode)
-
+    rows, stats = rollout(sim, hp, coeffs, choose)
+    last = normalize_obs(rows[-1], cfg.y_max)
     trajectories = [
-        Trajectory(observations=obs_feat[:, i], actions=actions[:, i],
+        Trajectory(observations=features[:, i], actions=actions[:, i],
                    log_probs=log_probs[:, i], values=values[:, i],
-                   rewards=rewards.copy(), bootstrap_value=float(bootstrap[i]))
-        for i in range(n)
+                   rewards=stats.rewards.copy(),
+                   bootstrap_value=critic_value(agent.critic, last[i], hp.value_scale))
+        for i, agent in enumerate(agents)
     ]
     for agent in agents:
         agent.sample_count += t_len
-    stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe, received_mbps=received,
-                         latency_ms=latency, lost_packets=lost, frame_rate=frame_rate)
     return trajectories, stats
 
 
@@ -399,6 +412,6 @@ __all__ = [
     "EpisodeStats", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
     "UpdateDiagnostics", "build_batch", "clipped_objective", "compute_gae",
     "compute_returns", "critic_value", "greedy_action", "normalize_obs",
-    "policy_loss_and_grad", "ppo_update", "run_episode", "score_episode",
+    "policy_loss_and_grad", "ppo_update", "rollout", "run_episode", "score_episode",
     "select_action", "value_loss_and_grad", "whiten",
 ]

@@ -20,12 +20,10 @@ import numpy as np
 
 from . import __version__, fed, nn, svgplot
 from .baselines import controller_step, new_controller_state, random_action
-from .core import (HyperParams, QoECoefficients, RngStream, ScenarioSpec,
-                   SimConfig, scenario_by_name, serialize_config)
+from .core import (HyperParams, Observation, QoECoefficients, RngStream,
+                   ScenarioSpec, SimConfig, scenario_by_name, serialize_config)
 from .netsim import BottleneckSim
-from .qoe import compute_qoe
-from .rl import (EpisodeStats, PPOAgent, build_batch, greedy_action,
-                 normalize_obs, run_episode, score_episode, select_action)
+from .rl import EpisodeStats, PPOAgent, build_batch, rollout, run_episode
 
 METHODS = ("fmappo", "ippo")
 
@@ -295,33 +293,12 @@ def evaluate_agents(agents: Sequence[PPOAgent], scenario: ScenarioSpec | str,
 
 def run_controller_episode(sim: BottleneckSim, decide: Callable, hp: HyperParams,
                            coeffs: QoECoefficients) -> EpisodeStats:
-    """Roll one episode driven by per-agent callables obs -> target delta."""
-    cfg = sim.cfg
-    n = cfg.n_agents
-    t_len = hp.episode_len
-    obs_list = sim.reset()
-    targets = np.full(n, sim.episode_x_init)
-    step_obs = []
-    step_users = np.zeros(t_len, dtype=np.int64)
-    received = np.zeros((t_len, n))
-    latency = np.zeros((t_len, n))
-    lost = np.zeros((t_len, n))
-    frame_rate = np.zeros((t_len, n))
-    for t in range(t_len):
-        for i in range(n):
-            delta = decide(i, obs_list[i])
-            targets[i] = min(cfg.y_max, max(cfg.y_min, targets[i] + delta))
-        state, outcome, obs_list = sim.step(targets)
-        step_obs.append(obs_list)
-        step_users[t] = state.user_count
-        received[t] = outcome.received_mbps
-        latency[t] = outcome.latency_ms
-        lost[t] = outcome.lost_packets
-        frame_rate[t] = outcome.frame_rate
-    rewards, agent_qoe = score_episode(step_obs, received, frame_rate, step_users,
-                                       coeffs, cfg.reward_mode)
-    return EpisodeStats(rewards=rewards, agent_qoe=agent_qoe, received_mbps=received,
-                        latency_ms=latency, lost_packets=lost, frame_rate=frame_rate)
+    """Roll one episode driven by per-agent callables (i, obs) -> target delta."""
+    def choose(t: int, rows: np.ndarray) -> np.ndarray:
+        return np.array([decide(i, Observation(*row))
+                         for i, row in enumerate(rows.tolist())])
+
+    return rollout(sim, hp, coeffs, choose)[1]
 
 
 def evaluate_controller(name: str, scenario: ScenarioSpec | str, episodes: int,

@@ -70,7 +70,12 @@ def check_gradient_actor(seed: int) -> CheckResult:
 
 
 def check_gradient_critic(seed: int) -> CheckResult:
-    """Analytic value-loss gradient vs central finite differences."""
+    """Analytic value-loss gradient vs central finite differences.
+
+    A finite difference that bumps a ReLU across its kink measures a
+    different branch than the analytic gradient, so a net's inputs are
+    redrawn while any hidden pre-activation lies within 1e-3 of zero.
+    """
     rng = RngStream(seed, "verify/grad-critic")
     corrupt = _corruption_factor()
     worst = 0.0
@@ -80,6 +85,8 @@ def check_gradient_critic(seed: int) -> CheckResult:
         critic = nn.init_mlp(6, hidden, 1, "relu", rng.spawn(f"net{k}"))
         n = 6
         obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
+        while _relu_margin(critic, obs) < 1e-3:
+            obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         rets = rng.uniform(-3, 3, size=n)
 
         def loss(p):
@@ -90,6 +97,12 @@ def check_gradient_critic(seed: int) -> CheckResult:
     dt = time.time() - t0
     return CheckResult("gradient-critic", worst < 1e-4 and dt < 30,
                        f"max rel err {worst:.3e} (limit 1e-4), {dt:.1f}s over 20 nets")
+
+
+def _relu_margin(params: nn.ModelParams, obs: np.ndarray) -> float:
+    """Smallest |pre-activation| over both hidden layers."""
+    _, (_, z1, _, z2, _, _) = nn.forward(params, obs)
+    return float(min(np.abs(z1).min(), np.abs(z2).min()))
 
 
 def _traj_from(rewards: np.ndarray, values: np.ndarray, bootstrap: float) -> rl.Trajectory:
@@ -433,7 +446,7 @@ def check_netsim_invariants(seed: int) -> CheckResult:
         spec = specs[k % len(specs)]
         state = netsim.sample_link_state(spec, k % 40, 40, rng, users=4)
         targets = rng.uniform(1, 200, size=4)
-        outcome, obs = netsim.advance(state, targets, cfg, rng)
+        outcome = netsim.advance(state, targets, cfg, rng)
         worst_excess = max(worst_excess,
                            float(outcome.received_mbps.sum()) - state.capacity_mbps)
         if np.any(outcome.received_mbps > targets + 1e-12):
@@ -445,7 +458,7 @@ def check_netsim_invariants(seed: int) -> CheckResult:
     clean = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                          Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
     state = netsim.sample_link_state(clean, 0, 40, rng)
-    outcome, _ = netsim.advance(state, [10.0, 20.0], SimConfig(n_agents=2), rng)
+    outcome = netsim.advance(state, [10.0, 20.0], SimConfig(n_agents=2), rng)
     lossless = outcome.lost_packets.sum() == 0 and np.allclose(
         outcome.received_mbps, [10.0, 20.0])
     # raising one agent's target never lowers its own share (same seed)

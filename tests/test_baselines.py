@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from asms import baselines
 from asms.core import (Channel, DEFAULT_DELTA_TABLE, Observation, RngStream,
-                       ScenarioSpec, SimConfig, default_hyperparams)
+                       ScenarioSpec, SimConfig)
 from asms.netsim import BottleneckSim
 
 
@@ -128,14 +126,6 @@ class TestControllerContracts:
     def test_unknown_controller(self):
         with pytest.raises(ValueError):
             baselines.controller_step("bogus", baselines.new_controller_state(), obs())
-
-
-class TestIppoMode:
-    def test_disables_aggregation_only(self):
-        hp = default_hyperparams()
-        ippo = baselines.ippo_mode(hp)
-        assert ippo.fedavg_freq == 0
-        assert dataclasses.replace(ippo, fedavg_freq=hp.fedavg_freq) == hp
 
 
 class TestRandomAction:

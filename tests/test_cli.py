@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from asms import cli, qoe
+from asms import cli, qoe, verify
 from asms.core import QoECoefficients, RngStream
 
 
@@ -189,6 +189,13 @@ class TestVerify:
         code = run_cli("verify", "--only", "gradient_actor", "--seed", "0")
         assert code == 3
         assert "[FAIL] gradient-actor" in capsys.readouterr().out
+
+    # Seeds at which finite differences once crossed a ReLU kink.
+    @pytest.mark.parametrize("seed", [29, 57, 59, 86, 99, 309])
+    def test_gradient_critic_near_kink_seeds(self, seed, monkeypatch):
+        assert verify.check_gradient_critic(seed).passed
+        monkeypatch.setenv("ASMS_VERIFY_CORRUPT_GRADIENT", "1")
+        assert not verify.check_gradient_critic(seed).passed
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from asms.core import (ConfigError, Channel, HyperParams, Observation,
                        QoECoefficients, RngStream, SimConfig, Span,
                        builtin_scenarios, default_hyperparams,
                        default_qoe_coefficients, default_sim_config,
-                       delta_table_actions, load_config, parse_config_text,
+                       load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
 
 
@@ -30,11 +30,6 @@ class TestObservation:
 
 
 class TestDeltaTable:
-    def test_default_table(self):
-        actions = delta_table_actions()
-        assert [a.delta_mbps for a in actions] == [-5.0, -1.0, 0.0, 1.0, 5.0]
-        assert [a.index for a in actions] == [0, 1, 2, 3, 4]
-
     def test_must_have_single_zero(self):
         with pytest.raises(ConfigError):
             validate_delta_table((-1.0, 1.0))

@@ -55,6 +55,28 @@ class TestSampleLinkState:
         end = sample_link_state(s6, 39, 40, rng)
         assert end.base_latency_ms == pytest.approx(20.0)
 
+    def test_block_draw_matches_scalar_draws(self):
+        s5 = scenario_by_name("s5")
+        for t in (0, 17, 39):
+            rng = RngStream(3, "env")
+
+            def draw(channel):
+                span = channel.at(t, 40)
+                return rng.uniform(span.lo, span.hi)
+
+            capacity = draw(s5.bandwidth)
+            latency = draw(s5.latency)
+            jitter = draw(s5.jitter)
+            loss = draw(s5.loss_rate)
+            burst_level = draw(s5.burst_loss)
+            burst_active = rng.uniform() < burst_level
+            block = RngStream(3, "env")
+            state = sample_link_state(s5, t, 40, block, users=2)
+            assert state == LinkState(t, capacity, latency, jitter, loss,
+                                      burst_active, burst_level, 2)
+            assert type(state.capacity_mbps) is float
+            assert block.uniform() == rng.uniform()
+
     def test_determinism(self):
         s3 = scenario_by_name("s3")
         a = sample_link_state(s3, 5, 40, RngStream(9, "env"))
@@ -109,26 +131,25 @@ class TestAdvance:
     def test_uncongested_lossless(self):
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
-        outcome, obs = advance(state, [10.0], cfg, RngStream(0, "e2"))
+        outcome = advance(state, [10.0], cfg, RngStream(0, "e2"))
         assert outcome.received_mbps[0] == pytest.approx(10.0)
         assert outcome.lost_packets[0] == 0
         assert outcome.frame_rate[0] == pytest.approx(cfg.f_target)
-        assert obs[0].target_mbps == 10.0
 
     def test_congested_frame_rate(self):
         spec = ScenarioSpec("tight", Channel.fixed(60), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=2)
         state = sample_link_state(spec, 0, 40, RngStream(0, "e"))
-        outcome, _ = advance(state, [50.0, 50.0], cfg, RngStream(0, "e2"))
+        outcome = advance(state, [50.0, 50.0], cfg, RngStream(0, "e2"))
         np.testing.assert_allclose(outcome.received_mbps, [30.0, 30.0])
         np.testing.assert_allclose(outcome.frame_rate, 0.6 * cfg.f_target)
 
     def test_latency_grows_with_utilization(self):
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
-        low, _ = advance(state, [10.0], cfg, RngStream(0, "a"))
-        high, _ = advance(state, [100.0], cfg, RngStream(0, "b"))
+        low = advance(state, [10.0], cfg, RngStream(0, "a"))
+        high = advance(state, [100.0], cfg, RngStream(0, "b"))
         assert high.latency_ms[0] > low.latency_ms[0]
         assert high.latency_ms[0] == pytest.approx(state.base_latency_ms * 2.0)
 
@@ -139,22 +160,21 @@ class TestAdvance:
             spec = scenario_by_name(f"s{1 + k % 6}")
             state = sample_link_state(spec, k % 40, 40, rng, users=5)
             targets = rng.uniform(1, 200, size=5)
-            outcome, obs = advance(state, targets, cfg, rng)
+            outcome = advance(state, targets, cfg, rng)
             assert outcome.received_mbps.sum() <= state.capacity_mbps + 1e-9
-            for i, o in enumerate(obs):
-                assert o.received_mbps <= o.target_mbps + 1e-9
-                assert o.nack_count == o.lost_packets
+            assert np.all(outcome.received_mbps <= targets + 1e-9)
+            np.testing.assert_array_equal(outcome.nacks, outcome.lost_packets)
 
     def test_burst_and_congestion_raise_losses(self):
         spec = ScenarioSpec("lossy", Channel.fixed(50), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.01), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(spec, 0, 40, RngStream(1, "e"))
-        calm, _ = advance(state, [40.0], cfg, RngStream(5, "x"))
+        calm = advance(state, [40.0], cfg, RngStream(5, "x"))
         bursty_state = LinkState(state.t, state.capacity_mbps, state.base_latency_ms,
                                  state.base_jitter_ms, state.loss_rate, True, 0.2,
                                  state.user_count)
-        bursty, _ = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
+        bursty = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
         assert bursty.lost_packets[0] > calm.lost_packets[0]
 
     def test_dimension_mismatch(self):
@@ -168,13 +188,17 @@ class TestBottleneckSim:
         cfg = SimConfig(n_agents=3)
         spec = scenario_by_name("s2")
 
+        def as_rows(outcome):
+            return [outcome.received_mbps.tolist(), outcome.latency_ms.tolist(),
+                    outcome.jitter_ms.tolist(), outcome.lost_packets.tolist(),
+                    outcome.nacks.tolist(), outcome.frame_rate.tolist()]
+
         def run(seed):
             sim = BottleneckSim(spec, cfg, 40, RngStream(seed, "env"))
-            obs = sim.reset()
-            rows = [tuple(o.as_tuple() for o in obs)]
+            rows = [as_rows(sim.reset())]
             for t in range(40):
-                _, _, obs = sim.step([10.0 + t, 20.0, 30.0])
-                rows.append(tuple(o.as_tuple() for o in obs))
+                _, outcome = sim.step([10.0 + t, 20.0, 30.0])
+                rows.append(as_rows(outcome))
             return rows
 
         assert run(11) == run(11)
@@ -194,7 +218,7 @@ class TestBottleneckSim:
         sim.reset()
         counts = []
         for _ in range(5):
-            state, _, _ = sim.step([10.0, 10.0])
+            state, _ = sim.step([10.0, 10.0])
             counts.append(state.user_count)
         assert counts == [5, 4, 3, 3, 3]
 

@@ -152,13 +152,6 @@ class TestAdam:
             params, state = nn.adam_step(params, state, grad, lr=0.1)
         assert abs(params.theta[0]) < 1e-2
 
-    def test_global_norm_clip(self):
-        grad = np.array([3.0, 4.0])
-        clipped = nn.clip_global_norm(grad, 0.5)
-        assert np.linalg.norm(clipped) == pytest.approx(0.5)
-        small = np.array([0.1, 0.1])
-        assert np.array_equal(nn.clip_global_norm(small, 0.5), small)
-
     def test_non_finite_gradient_skips_step(self, caplog):
         params = tiny_net(seed=6)
         state = nn.AdamState.zeros(params.theta.size)
@@ -262,3 +255,5 @@ class TestSerialization:
         # header 10 + shapes 24 + length 8 + payload 8n + crc 4
         params = nn.init_mlp(6, 128, 5, "tanh", RngStream(0, "z"))
         assert len(nn.params_to_bytes(params)) == 10 + 24 + 8 + 8 * 18053 + 4
+        for net in (params, tiny_net()):
+            assert nn.serialized_size(net) == len(nn.params_to_bytes(net))

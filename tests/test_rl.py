@@ -25,23 +25,23 @@ def make_traj(rewards, values, bootstrap):
 class TestNormalizeObs:
     def test_zero_observation(self):
         obs = Observation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.array_equal(rl.normalize_obs(obs), np.zeros(6))
+        assert np.array_equal(rl.normalize_obs(obs.as_tuple()), np.zeros(6))
 
     def test_scale_anchor(self):
         obs = Observation(200.0, 100.0, 0.0, 0.0, 0.0, 0.0)
-        vec = rl.normalize_obs(obs, y_max=200.0)
+        vec = rl.normalize_obs(obs.as_tuple(), y_max=200.0)
         assert vec[0] == pytest.approx(1.0)
         assert vec[1] == pytest.approx(0.5)
 
     def test_documented_scaling_constants(self):
         obs = Observation(100.0, 50.0, 100.0, 25.0, 50.0, 40.0)
-        vec = rl.normalize_obs(obs, y_max=200.0)
+        vec = rl.normalize_obs(obs.as_tuple(), y_max=200.0)
         np.testing.assert_allclose(
             vec, [100 / 200, 50 / 200, 100 / 200, 25 / 50, 50 / 100, 40 / 100])
 
     def test_clipped_at_five(self):
         obs = Observation(100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0)
-        vec = rl.normalize_obs(obs)
+        vec = rl.normalize_obs(obs.as_tuple())
         assert vec.max() == 5.0
 
 

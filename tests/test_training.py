@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from asms import training
-from asms.core import HyperParams, QoECoefficients, SimConfig
+from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig,
+                       scenario_by_name)
+from asms.netsim import BottleneckSim
 
 CFG = SimConfig(n_agents=2)
 HP = HyperParams(hidden_width=8, episodes=8, fedavg_freq=2, ldp_enabled=False)
@@ -140,6 +142,31 @@ class TestEvaluation:
         fresh = training.evaluate_agents(agents, "s1", 4, 11, CFG, HP, COEFFS,
                                          greedy=False)
         assert abs(fresh.qoe_episode_mean - rng_result.qoe_episode_mean) < 3.0
+
+
+class TestControllerEpisode:
+    def test_replayed_greedy_deltas_match_run_episode(self):
+        cfg = SimConfig(n_agents=3, x_init=20.0)
+        spec = scenario_by_name("s5")
+        agents, _ = training.make_agents(cfg, HP, RngStream(0, "init"))
+        sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
+        trajs, want = training.run_episode(sim, agents, HP, COEFFS,
+                                           RngStream(4, "act"), greedy=True)
+        deltas = np.array(cfg.delta_table)[np.stack([t.actions for t in trajs], axis=1)]
+        replay = iter(deltas.ravel().tolist())
+        seen = []
+
+        def decide(i, obs):
+            seen.append(i)
+            return next(replay)
+
+        sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
+        got = training.run_controller_episode(sim, decide, HP, COEFFS)
+        assert seen == [0, 1, 2] * HP.episode_len
+        for name in ("rewards", "agent_qoe", "received_mbps", "latency_ms",
+                     "lost_packets", "frame_rate"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=name)
 
 
 class TestFederationIdentity:
