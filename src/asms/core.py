@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class Observation:
         if self.nack_count > self.lost_packets + 1e-9:
             raise ValueError(
                 f"nack count {self.nack_count} exceeds lost packets {self.lost_packets}")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.target_mbps, self.received_mbps, self.latency_ms,
-                self.jitter_ms, self.lost_packets, self.nack_count)
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,6 @@ class Channel:
     @classmethod
     def ramp(cls, start: float, end: float) -> "Channel":
         return cls(Span(start, start), Span(end, end))
-
-    @property
-    def is_ramp(self) -> bool:
-        return self.start != self.end
 
     def at(self, t: int, episode_len: int) -> Span:
         """Interpolated range at step t of an episode_len-step episode."""
@@ -224,8 +216,9 @@ def default_qoe_coefficients() -> QoECoefficients:
 @dataclass(frozen=True)
 class HyperParams:
     """Training constants. Defaults are the reference experiment settings;
-    the ldp_* and entropy_coef knobs are artifact choices (documented in the
-    README), not experiment-pinned values."""
+    the ldp_* and entropy_coef knobs are artifact choices, not
+    experiment-pinned values (``verify.learning_config`` shows the values the
+    learning checks use; CHANGES.md records why)."""
 
     gamma_discount: float = 0.95
     gae_lambda: float = 0.95
@@ -267,8 +260,10 @@ class HyperParams:
             raise ValueError("fedavg_freq must be >= 0 (0 disables aggregation)")
         if self.lr <= 0 or self.grad_clip <= 0:
             raise ValueError("lr and grad_clip must be > 0")
-        if self.ldp_eps <= 0 or self.ldp_clip < 0:
-            raise ValueError("ldp_eps must be > 0 and ldp_clip >= 0")
+        if self.ldp_eps <= 0:
+            raise ValueError("ldp_eps must be > 0")
+        if self.ldp_clip <= 0:   # LDP's one off switch is ldp_enabled
+            raise ValueError("ldp_clip must be > 0")
         if self.entropy_coef < 0:
             raise ValueError("entropy_coef must be >= 0")
         if self.value_scale <= 0:

@@ -112,7 +112,7 @@ def make_local_update(agent_id: int, actor: nn.ModelParams, critic: nn.ModelPara
                       sample_count: int) -> LocalUpdate:
     """Clip the agent's drift from the reference model and perturb it for
     upload; with LDP disabled the raw parameters ship unchanged."""
-    if hp.ldp_enabled and hp.ldp_clip > 0:
+    if hp.ldp_enabled:
         actor_theta = clip_update(actor.theta, reference.actor.theta, hp.ldp_clip)
         critic_theta = clip_update(critic.theta, reference.critic.theta, hp.ldp_clip)
         actor_theta = ldp_perturb(actor_theta, hp.ldp_clip, hp.ldp_eps, rng)

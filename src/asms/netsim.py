@@ -153,7 +153,6 @@ class BottleneckSim:
         self.rng = rng
         self.trace = trace
         self.t = 0
-        self.last_state: LinkState | None = None
         self.episode_x_init = cfg.x_init
 
     def reset(self) -> LinkOutcome:
@@ -173,9 +172,7 @@ class BottleneckSim:
         state = sample_link_state(self.spec, 0, self.episode_len, self.rng,
                                   users=self.cfg.users_at(0))
         targets = [x0] * self.cfg.n_agents
-        outcome = advance(state, targets, self.cfg, self.rng)
-        self.last_state = state
-        return outcome
+        return advance(state, targets, self.cfg, self.rng)
 
     def step(self, targets: Sequence[float]) -> tuple[LinkState, LinkOutcome]:
         if len(targets) != self.cfg.n_agents:
@@ -187,7 +184,6 @@ class BottleneckSim:
         outcome = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
             self.trace.record(state, targets, outcome)
-        self.last_state = state
         self.t += 1
         return state, outcome
 

@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,11 +25,6 @@ _clamp_count = 0
 
 def quality_clamp_count() -> int:
     return _clamp_count
-
-
-def reset_quality_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
 
 
 def quality(received_mbps: float, y_min: float) -> float:
@@ -310,22 +305,6 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
     return records
 
 
-def write_ratings_csv(path: str, records: Iterable[RatingsRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RATINGS_HEADER)
-        for rec in records:
-            for t, step in enumerate(rec.steps):
-                o = step.obs
-                writer.writerow([
-                    rec.scenario, t,
-                    f"{o.target_mbps:.6g}", f"{o.received_mbps:.6g}",
-                    f"{o.latency_ms:.6g}", f"{o.jitter_ms:.6g}",
-                    f"{o.lost_packets:.6g}", f"{o.nack_count:.6g}",
-                    f"{step.frame_rate:.6g}", step.users, f"{rec.mos:.6g}",
-                ])
-
-
 def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 96,
                       trace_len: int = 20, noise_sigma: float = 0.0,
                       raters: int = 8, mos_lo: float = 1.3,
@@ -387,5 +366,5 @@ __all__ = [
     "SensitivityResult", "TraceStep", "coefficient_sensitivity", "compute_qoe",
     "disruption_penalty", "fit_coefficients", "global_reward", "load_ratings_csv",
     "qoe_features", "quality", "quality_clamp_count", "record_features",
-    "reset_quality_clamp_count", "synthetic_ratings", "write_ratings_csv",
+    "synthetic_ratings",
 ]

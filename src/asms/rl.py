@@ -39,25 +39,27 @@ def normalize_obs(rows: np.ndarray, y_max: float = 200.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One agent's episode: everything the update step needs."""
+    """One episode of all N agents: everything the per-agent updates need."""
 
-    observations: np.ndarray    # (T, 6) normalized features
-    actions: np.ndarray         # (T,) int indices into the delta table
-    log_probs: np.ndarray       # (T,) behavior log-probs
-    values: np.ndarray          # (T,) critic estimates V(s_t)
+    observations: np.ndarray    # (T+1, N, 6) normalized features; row T is s_T
+    actions: np.ndarray         # (T, N) int indices into the delta table
+    log_probs: np.ndarray       # (T, N) behavior log-probs
     rewards: np.ndarray         # (T,) shared global rewards
-    bootstrap_value: float      # V(s_T)
 
     def __post_init__(self) -> None:
-        t = self.observations.shape[0]
-        for name in ("actions", "log_probs", "values", "rewards"):
-            if getattr(self, name).shape != (t,):
-                raise ValueError(f"{name} must have length {t}")
+        if self.observations.ndim != 3 or self.observations.shape[2] != 6:
+            raise ValueError("observations must have shape (T+1, N, 6)")
+        t, n = len(self), self.observations.shape[1]
+        for name in ("actions", "log_probs"):
+            if getattr(self, name).shape != (t, n):
+                raise ValueError(f"{name} must have shape {(t, n)}")
+        if self.rewards.shape != (t,):
+            raise ValueError(f"rewards must have length {t}")
         if np.any(self.log_probs > 1e-9):
             raise ValueError("log-probs must be <= 0")
 
     def __len__(self) -> int:
-        return self.observations.shape[0]
+        return self.observations.shape[0] - 1
 
 
 def select_action(policy: nn.ModelParams, obs_vec: np.ndarray,
@@ -79,27 +81,26 @@ def greedy_action(policy: nn.ModelParams, obs_vec: np.ndarray) -> tuple[int, flo
     return idx, float(logp[idx])
 
 
-def compute_gae(traj: Trajectory, gamma: float, lam: float) -> np.ndarray:
+def compute_gae(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
+                gamma: float, lam: float) -> np.ndarray:
     """Advantages by the backward recursion adv_t = delta_t + gamma*lam*adv_{t+1},
     with delta_t = r_t + gamma*V(s_{t+1}) - V(s_t) bootstrapped at the end."""
-    t_len = len(traj)
-    values_ext = np.append(traj.values, traj.bootstrap_value)
-    deltas = traj.rewards + gamma * values_ext[1:] - values_ext[:-1]
-    adv = np.zeros(t_len)
+    values_ext = np.append(values, bootstrap)
+    deltas = rewards + gamma * values_ext[1:] - values_ext[:-1]
+    adv = np.zeros(rewards.size)
     running = 0.0
-    for t in range(t_len - 1, -1, -1):
+    for t in range(rewards.size - 1, -1, -1):
         running = deltas[t] + gamma * lam * running
         adv[t] = running
     return adv
 
 
-def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
+def compute_returns(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
     """Discounted reward-to-go with a gamma^(T-t)-weighted terminal bootstrap."""
-    t_len = len(traj)
-    returns = np.zeros(t_len)
-    running = float(traj.bootstrap_value)
-    for t in range(t_len - 1, -1, -1):
-        running = traj.rewards[t] + gamma * running
+    returns = np.zeros(rewards.size)
+    running = float(bootstrap)
+    for t in range(rewards.size - 1, -1, -1):
+        running = rewards[t] + gamma * running
         returns[t] = running
     return returns
 
@@ -138,19 +139,24 @@ class TrainBatch:
         return self.observations.shape[0]
 
 
-def build_batch(trajectories: Sequence[Trajectory], hp: HyperParams) -> TrainBatch:
-    """Flatten trajectories into one update batch with whitened advantages."""
-    if len(trajectories) == 0:
-        raise ValueError("no trajectories")
-    adv = np.concatenate([compute_gae(t, hp.gamma_discount, hp.gae_lambda)
-                          for t in trajectories])
-    rets = np.concatenate([compute_returns(t, hp.gamma_discount) for t in trajectories])
+def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams,
+                hp: HyperParams) -> TrainBatch:
+    """Agent i's update batch, with whitened advantages from its critic.
+
+    The critic values its T+1 states one batch-1 forward at a time: a single
+    batched forward differs from them in the last bits. Advantages and
+    returns are per-agent 1-D recursions for the same reason.
+    """
+    obs = traj.observations[:, i]
+    values = np.array([critic_value(critic, row, hp.value_scale) for row in obs])
+    adv = compute_gae(traj.rewards, values[:-1], values[-1], hp.gamma_discount,
+                      hp.gae_lambda)
     return TrainBatch(
-        observations=np.concatenate([t.observations for t in trajectories]),
-        actions=np.concatenate([t.actions for t in trajectories]),
-        old_log_probs=np.concatenate([t.log_probs for t in trajectories]),
+        observations=obs[:-1],
+        actions=traj.actions[:, i],
+        old_log_probs=traj.log_probs[:, i],
         advantages=whiten(adv),
-        returns=rets,
+        returns=compute_returns(traj.rewards, values[-1], hp.gamma_discount),
     )
 
 
@@ -364,11 +370,12 @@ def _observation_rows(targets: np.ndarray, outcome: LinkOutcome) -> np.ndarray:
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
                 coeffs: QoECoefficients, rng: RngStream, greedy: bool = False,
-                ) -> tuple[list[Trajectory], EpisodeStats]:
+                ) -> tuple[Trajectory, EpisodeStats]:
     """Roll one episode: every agent picks a bitrate delta from its own
     observation, the link applies the joint targets, and all agents log the
     identical pooled reward.
 
+    Only the actors run; ``build_batch`` values the states at update time.
     The fluctuation term of the final step's score reuses that step's own
     bitrate (no look-ahead exists past the episode).
     """
@@ -378,10 +385,9 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
         raise ValueError(f"need {n} agents, got {len(agents)}")
     t_len = hp.episode_len
     table = np.asarray(cfg.delta_table, dtype=np.float64)
-    features = np.zeros((t_len, n, 6))
+    features = np.zeros((t_len + 1, n, 6))
     actions = np.zeros((t_len, n), dtype=np.int64)
     log_probs = np.zeros((t_len, n))
-    values = np.zeros((t_len, n))
 
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
         features[t] = normalize_obs(rows, cfg.y_max)
@@ -391,21 +397,13 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
                 actions[t, i], log_probs[t, i] = greedy_action(agent.actor, vec)
             else:
                 actions[t, i], log_probs[t, i], _ = select_action(agent.actor, vec, rng)
-            values[t, i] = critic_value(agent.critic, vec, hp.value_scale)
         return table[actions[t]]
 
     rows, stats = rollout(sim, hp, coeffs, choose)
-    last = normalize_obs(rows[-1], cfg.y_max)
-    trajectories = [
-        Trajectory(observations=features[:, i], actions=actions[:, i],
-                   log_probs=log_probs[:, i], values=values[:, i],
-                   rewards=stats.rewards.copy(),
-                   bootstrap_value=critic_value(agent.critic, last[i], hp.value_scale))
-        for i, agent in enumerate(agents)
-    ]
+    features[t_len] = normalize_obs(rows[t_len], cfg.y_max)
     for agent in agents:
         agent.sample_count += t_len
-    return trajectories, stats
+    return Trajectory(features, actions, log_probs, stats.rewards), stats
 
 
 __all__ = [

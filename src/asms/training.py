@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -106,7 +105,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     for ep in range(n_episodes):
         spec = specs[ep % len(specs)]
         sim = BottleneckSim(spec, cfg, hp.episode_len, rng_env)
-        trajectories, stats = run_episode(sim, agents, hp, coeffs, rng_act)
+        trajectory, stats = run_episode(sim, agents, hp, coeffs, rng_act)
         row = {"episode": ep, "scenario": spec.name,
                "mean_reward": float(stats.rewards.mean())}
         for i in range(cfg.n_agents):
@@ -116,8 +115,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
         ep_hp = dataclasses.replace(
             hp, entropy_coef=hp.entropy_coef_at(ep, n_episodes))
         for i, agent in enumerate(agents):
-            batch = build_batch([trajectories[i]], hp)
-            diag = agent.update(batch, ep_hp, rng_upd)
+            diag = agent.update(build_batch(trajectory, i, agent.critic, hp),
+                                ep_hp, rng_upd)
             diagnostics.append({
                 "episode": ep, "agent": i, "policy_loss": diag.policy_loss,
                 "value_loss": diag.value_loss, "entropy": diag.entropy,

@@ -10,7 +10,6 @@ by 1.01) so the suite's own failure path can be exercised.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import tempfile
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import baselines, fed, netsim, nn, qoe, rl, training
+from . import fed, netsim, nn, qoe, rl, training
 from .core import (Channel, HyperParams, Observation, QoECoefficients,
                    RngStream, ScenarioSpec, SimConfig, builtin_scenarios,
                    default_hyperparams)
@@ -105,13 +104,6 @@ def _relu_margin(params: nn.ModelParams, obs: np.ndarray) -> float:
     return float(min(np.abs(z1).min(), np.abs(z2).min()))
 
 
-def _traj_from(rewards: np.ndarray, values: np.ndarray, bootstrap: float) -> rl.Trajectory:
-    t = rewards.size
-    return rl.Trajectory(observations=np.zeros((t, 6)), actions=np.zeros(t, dtype=np.int64),
-                         log_probs=np.full(t, -1.0), values=values, rewards=rewards,
-                         bootstrap_value=bootstrap)
-
-
 def gae_direct_sum(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
                    gamma: float, lam: float) -> np.ndarray:
     """Brute-force double sum of (gamma*lam)^l * delta_{t+l}."""
@@ -142,8 +134,7 @@ def check_gae_oracle(seed: int) -> CheckResult:
             r = rng.uniform(-2, 2, size=t_len)
             v = rng.uniform(-2, 2, size=t_len)
             boot = rng.uniform(-2, 2)
-            traj = _traj_from(r, v, boot)
-            fast = rl.compute_gae(traj, 0.95, 0.95)
+            fast = rl.compute_gae(r, v, boot, 0.95, 0.95)
             slow = gae_direct_sum(r, v, boot, 0.95, 0.95)
             worst = max(worst, float(np.abs(fast - slow).max()))
     return CheckResult("gae-recursion-vs-sum", worst < 1e-10,
@@ -156,10 +147,9 @@ def check_returns_oracle(seed: int) -> CheckResult:
     for t_len in (1, 5, 40):
         for _ in range(5):
             r = rng.uniform(-2, 2, size=t_len)
-            v = rng.uniform(-2, 2, size=t_len)
+            rng.uniform(-2, 2, size=t_len)   # V(s_t), which returns do not use
             boot = rng.uniform(-2, 2)
-            traj = _traj_from(r, v, boot)
-            fast = rl.compute_returns(traj, 0.95)
+            fast = rl.compute_returns(r, boot, 0.95)
             slow = returns_direct_sum(r, boot, 0.95)
             worst = max(worst, float(np.abs(fast - slow).max()))
     return CheckResult("returns-recursion-vs-sum", worst < 1e-10,

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from asms import baselines
-from asms.core import (Channel, DEFAULT_DELTA_TABLE, Observation, RngStream,
-                       ScenarioSpec, SimConfig)
-from asms.netsim import BottleneckSim
+from asms.core import DEFAULT_DELTA_TABLE, Observation, RngStream
 
 
 def obs(x=10.0, y=10.0, l=20.0, j=2.0, p=0.0):

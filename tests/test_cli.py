@@ -1,10 +1,10 @@
 import json
-import os
 
 import pytest
 
 from asms import cli, qoe, verify
 from asms.core import QoECoefficients, RngStream
+from ratings_io import write_ratings_csv
 
 
 def run_cli(*argv):
@@ -51,6 +51,13 @@ class TestTrain:
         code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x"))
         assert code == 2
         assert "gamma_discount" in capsys.readouterr().err
+
+    def test_zero_ldp_clip_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("ldp_clip = 0\n")
+        code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "ldp_clip" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = run_cli("train", "--out", str(tmp_path / "x"), "--scenarios", "s9")
@@ -144,7 +151,7 @@ class TestFitQoe:
         truth = QoECoefficients(alpha=1.0, beta=0.4, gamma=0.2, delta1=0.6, delta2=0.5)
         records = qoe.synthetic_ratings(truth, RngStream(0, "fixture"), n_records=40)
         ratings = tmp_path / "ratings.csv"
-        qoe.write_ratings_csv(str(ratings), records)
+        write_ratings_csv(str(ratings), records)
         out = tmp_path / "fit"
         code = run_cli("fit-qoe", "--ratings", str(ratings), "--out", str(out))
         assert code == 0
@@ -168,7 +175,7 @@ class TestFitQoe:
                                 delta2=0.25)
         records = qoe.synthetic_ratings(truth, RngStream(1, "fixture"), n_records=40)
         ratings = tmp_path / "ratings.csv"
-        qoe.write_ratings_csv(str(ratings), records)
+        write_ratings_csv(str(ratings), records)
         code = run_cli("fit-qoe", "--ratings", str(ratings), "--grid", "0:1:0.25",
                        "--out", str(tmp_path / "fit"))
         assert code == 0

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from asms.core import (ConfigError, Channel, HyperParams, Observation,
+from asms.core import (ConfigError, HyperParams, Observation,
                        QoECoefficients, RngStream, SimConfig, Span,
                        builtin_scenarios, default_hyperparams,
                        default_qoe_coefficients, default_sim_config,
@@ -14,7 +12,8 @@ from asms.core import (ConfigError, Channel, HyperParams, Observation,
 class TestObservation:
     def test_valid(self):
         obs = Observation(10.0, 8.0, 20.0, 3.0, 5.0, 5.0)
-        assert obs.as_tuple() == (10.0, 8.0, 20.0, 3.0, 5.0, 5.0)
+        assert (obs.target_mbps, obs.received_mbps, obs.latency_ms, obs.jitter_ms,
+                obs.lost_packets, obs.nack_count) == (10.0, 8.0, 20.0, 3.0, 5.0, 5.0)
 
     def test_received_cannot_exceed_target(self):
         with pytest.raises(ValueError):
@@ -70,6 +69,23 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             HyperParams(gae_lambda=-0.1)
 
+    def test_ldp_clip_must_be_positive(self):
+        with pytest.raises(ValueError, match="ldp_clip"):
+            HyperParams(ldp_clip=0.0)
+        with pytest.raises(ConfigError, match="ldp_clip"):
+            parse_config_text("ldp_enabled = true\nldp_clip = 0\n")
+
+    def test_entropy_coef_anneals_linearly_to_final(self):
+        hp = HyperParams(entropy_coef=0.02, entropy_coef_final=0.0)
+        got = [hp.entropy_coef_at(ep, 5) for ep in range(5)]
+        assert got == pytest.approx([0.02, 0.015, 0.01, 0.005, 0.0], abs=1e-15)
+        assert hp.entropy_coef_at(9, 5) == 0.0
+
+    def test_entropy_coef_constant_without_final(self):
+        hp = HyperParams(entropy_coef=0.02)
+        assert hp.entropy_coef_final < 0
+        assert {hp.entropy_coef_at(ep, 5) for ep in range(5)} == {0.02}
+
 
 class TestScenarios:
     def test_six_scenarios(self):
@@ -79,7 +95,7 @@ class TestScenarios:
     def test_s1_bandwidth(self):
         s1 = scenario_by_name("s1")
         assert (s1.bandwidth.start.lo, s1.bandwidth.start.hi) == (100, 200)
-        assert not s1.bandwidth.is_ramp
+        assert s1.bandwidth.start == s1.bandwidth.end
 
     def test_s4_latency(self):
         s4 = scenario_by_name("s4")
@@ -87,7 +103,7 @@ class TestScenarios:
 
     def test_s5_bandwidth_ramps_down(self):
         s5 = scenario_by_name("s5")
-        assert s5.bandwidth.is_ramp
+        assert s5.bandwidth.start != s5.bandwidth.end
         assert s5.bandwidth.at(0, 40) == Span(100, 100)
         assert s5.bandwidth.at(39, 40) == Span(30, 30)
 

@@ -222,6 +222,22 @@ class TestBottleneckSim:
             counts.append(state.user_count)
         assert counts == [5, 4, 3, 3, 3]
 
+    def test_x_init_spread_draws_one_clamped_start_per_episode(self):
+        cfg = SimConfig(n_agents=3, x_init=10.0, x_init_spread=0.7, y_max=12.0)
+        sim = BottleneckSim(CLEAN, cfg, 5, RngStream(0, "env"))
+        lo = max(cfg.y_min, cfg.x_init * math.exp(-0.7))
+        hi = min(cfg.y_max, cfg.x_init * math.exp(0.7))
+        starts = []
+        for _ in range(20):
+            outcome = sim.reset()
+            # the lossless link delivers every sender's start rate in full
+            np.testing.assert_array_equal(outcome.received_mbps,
+                                          np.full(3, sim.episode_x_init))
+            starts.append(sim.episode_x_init)
+        assert all(lo <= x <= hi for x in starts)
+        assert max(starts) == cfg.y_max
+        assert len(set(starts)) > 2
+
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:

@@ -5,6 +5,7 @@ import pytest
 
 from asms import qoe
 from asms.core import Observation, QoECoefficients, RngStream
+from ratings_io import write_ratings_csv
 
 C = QoECoefficients()
 
@@ -20,10 +21,9 @@ class TestQuality:
         assert qoe.quality(50, 1) == pytest.approx(3.9120, abs=1e-4)
 
     def test_below_floor_clamps_and_counts(self):
-        qoe.reset_quality_clamp_count()
+        before = qoe.quality_clamp_count()
         assert qoe.quality(0.25, 1.0) == 0.0
-        assert qoe.quality_clamp_count() == 1
-        qoe.reset_quality_clamp_count()
+        assert qoe.quality_clamp_count() - before == 1
 
     def test_bad_floor(self):
         with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ class TestRatingsCsv:
         records = qoe.synthetic_ratings(TRUTH, RngStream(6, "csv"), n_records=6,
                                         trace_len=5, noise_sigma=0.1)
         path = tmp_path / "ratings.csv"
-        qoe.write_ratings_csv(str(path), records)
+        write_ratings_csv(str(path), records)
         back = qoe.load_ratings_csv(str(path))
         assert len(back) == len(records)
         for a, b in zip(records, back):

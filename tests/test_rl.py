@@ -4,44 +4,30 @@ import numpy as np
 import pytest
 
 from asms import nn, rl
-from asms.core import (Channel, HyperParams, Observation, QoECoefficients,
-                       RngStream, ScenarioSpec, SimConfig, default_hyperparams)
+from asms.core import (Channel, HyperParams, QoECoefficients, RngStream,
+                       ScenarioSpec, SimConfig, default_hyperparams)
 from asms.netsim import BottleneckSim
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
                       Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
 
 
-def make_traj(rewards, values, bootstrap):
-    rewards = np.asarray(rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    t = rewards.size
-    return rl.Trajectory(observations=np.zeros((t, 6)),
-                         actions=np.zeros(t, dtype=np.int64),
-                         log_probs=np.full(t, -1.0), values=values,
-                         rewards=rewards, bootstrap_value=bootstrap)
-
-
 class TestNormalizeObs:
     def test_zero_observation(self):
-        obs = Observation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.array_equal(rl.normalize_obs(obs.as_tuple()), np.zeros(6))
+        assert np.array_equal(rl.normalize_obs(np.zeros(6)), np.zeros(6))
 
     def test_scale_anchor(self):
-        obs = Observation(200.0, 100.0, 0.0, 0.0, 0.0, 0.0)
-        vec = rl.normalize_obs(obs.as_tuple(), y_max=200.0)
+        vec = rl.normalize_obs([200.0, 100.0, 0.0, 0.0, 0.0, 0.0], y_max=200.0)
         assert vec[0] == pytest.approx(1.0)
         assert vec[1] == pytest.approx(0.5)
 
     def test_documented_scaling_constants(self):
-        obs = Observation(100.0, 50.0, 100.0, 25.0, 50.0, 40.0)
-        vec = rl.normalize_obs(obs.as_tuple(), y_max=200.0)
+        vec = rl.normalize_obs([100.0, 50.0, 100.0, 25.0, 50.0, 40.0], y_max=200.0)
         np.testing.assert_allclose(
             vec, [100 / 200, 50 / 200, 100 / 200, 25 / 50, 50 / 100, 40 / 100])
 
     def test_clipped_at_five(self):
-        obs = Observation(100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0)
-        vec = rl.normalize_obs(obs.as_tuple())
+        vec = rl.normalize_obs([100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0])
         assert vec.max() == 5.0
 
 
@@ -106,16 +92,15 @@ class TestSelectAction:
 
 class TestGae:
     def test_single_step(self):
-        traj = make_traj([1.0], [0.0], 0.0)
-        assert rl.compute_gae(traj, 0.95, 0.95)[0] == pytest.approx(1.0)
+        adv = rl.compute_gae(np.array([1.0]), np.array([0.0]), 0.0, 0.95, 0.95)
+        assert adv[0] == pytest.approx(1.0)
 
     def test_lambda_zero_is_td_error(self):
         rng = RngStream(5, "gae")
         r = rng.uniform(-1, 1, size=10)
         v = rng.uniform(-1, 1, size=10)
         boot = rng.uniform(-1, 1)
-        traj = make_traj(r, v, boot)
-        adv = rl.compute_gae(traj, 0.9, 0.0)
+        adv = rl.compute_gae(r, v, boot, 0.9, 0.0)
         ext = np.append(v, boot)
         deltas = r + 0.9 * ext[1:] - ext[:-1]
         np.testing.assert_allclose(adv, deltas, atol=1e-12)
@@ -126,8 +111,7 @@ class TestGae:
             r = rng.uniform(-2, 2, size=t_len)
             v = rng.uniform(-2, 2, size=t_len)
             boot = rng.uniform(-2, 2)
-            traj = make_traj(r, v, boot)
-            fast = rl.compute_gae(traj, 0.95, 0.95)
+            fast = rl.compute_gae(r, v, boot, 0.95, 0.95)
             ext = np.append(v, boot)
             deltas = r + 0.95 * ext[1:] - ext[:-1]
             slow = np.array([
@@ -138,12 +122,10 @@ class TestGae:
 
 class TestReturns:
     def test_all_zero(self):
-        traj = make_traj(np.zeros(5), np.zeros(5), 0.0)
-        assert np.all(rl.compute_returns(traj, 0.95) == 0.0)
+        assert np.all(rl.compute_returns(np.zeros(5), 0.0, 0.95) == 0.0)
 
     def test_undiscounted_sum(self):
-        traj = make_traj([1.0, 1.0, 1.0], np.zeros(3), 0.0)
-        returns = rl.compute_returns(traj, 1.0)
+        returns = rl.compute_returns(np.ones(3), 0.0, 1.0)
         np.testing.assert_allclose(returns, [3.0, 2.0, 1.0])
 
     def test_matches_direct_sum_with_bootstrap(self):
@@ -151,8 +133,7 @@ class TestReturns:
         t_len = 40
         r = rng.uniform(-2, 2, size=t_len)
         boot = rng.uniform(-2, 2)
-        traj = make_traj(r, np.zeros(t_len), boot)
-        fast = rl.compute_returns(traj, 0.95)
+        fast = rl.compute_returns(r, boot, 0.95)
         slow = np.array([
             sum(0.95 ** i * r[t + i] for i in range(t_len - t))
             + 0.95 ** (t_len - t) * boot
@@ -304,10 +285,11 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 40, RngStream(0, "env"))
         agents = make_agents(3)
-        trajs, stats = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
-        assert all(len(t) == 40 for t in trajs)
-        for t in trajs[1:]:
-            np.testing.assert_array_equal(t.rewards, trajs[0].rewards)
+        traj, stats = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
+        assert len(traj) == 40
+        assert traj.observations.shape == (41, 3, 6)
+        assert traj.actions.shape == traj.log_probs.shape == (40, 3)
+        np.testing.assert_array_equal(traj.rewards, stats.rewards)
         assert stats.rewards.shape == (40,)
         assert all(agent.sample_count == 40 for agent in agents)
 
@@ -318,9 +300,9 @@ class TestRunEpisode:
 
         def run(seed):
             sim = BottleneckSim(STEADY, cfg, 10, RngStream(seed, "env"))
-            trajs, stats = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                          RngStream(seed, "act"))
-            return trajs[0].actions.tolist(), stats.rewards.tolist()
+            traj, stats = rl.run_episode(sim, make_agents(2), hp, coeffs,
+                                         RngStream(seed, "act"))
+            return traj.actions.tolist(), stats.rewards.tolist()
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -332,9 +314,9 @@ class TestRunEpisode:
         out = []
         for act_seed in (1, 2):
             sim = BottleneckSim(STEADY, cfg, 8, RngStream(3, "env"))
-            trajs, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                      RngStream(act_seed, "act"), greedy=True)
-            out.append(trajs[0].actions.tolist())
+            traj, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
+                                     RngStream(act_seed, "act"), greedy=True)
+            out.append(traj.actions.tolist())
         assert out[0] == out[1]
 
     def test_targets_stay_in_bounds(self):
@@ -342,12 +324,11 @@ class TestRunEpisode:
         hp = HyperParams(episode_len=30, hidden_width=8)
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 30, RngStream(4, "env"))
-        trajs, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                  RngStream(4, "act"))
-        for t in trajs:
-            targets = t.observations[:, 0] * cfg.y_max
-            assert targets.min() >= cfg.y_min - 1e-9
-            assert targets.max() <= cfg.y_max + 1e-9
+        traj, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
+                                 RngStream(4, "act"))
+        targets = traj.observations[..., 0] * cfg.y_max
+        assert targets.min() >= cfg.y_min - 1e-9
+        assert targets.max() <= cfg.y_max + 1e-9
 
     def test_agent_count_mismatch(self):
         cfg = SimConfig(n_agents=3)

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from asms import training
+from asms import rl, training
 from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig,
                        scenario_by_name)
 from asms.netsim import BottleneckSim
@@ -144,15 +143,40 @@ class TestEvaluation:
         assert abs(fresh.qoe_episode_mean - rng_result.qoe_episode_mean) < 3.0
 
 
+class TestCriticUse:
+    def test_only_build_batch_runs_the_critic(self, monkeypatch):
+        calls = []
+        real = rl.critic_value
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rl, "critic_value", counting)
+        agents, _ = training.make_agents(CFG, HP, RngStream(0, "init"))
+        training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
+        training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
+        sim = BottleneckSim(scenario_by_name("s1"), CFG, HP.episode_len,
+                            RngStream(1, "env"))
+        traj, _ = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
+        assert calls == []
+        batch = rl.build_batch(traj, 1, agents[1].critic, HP)
+        assert len(calls) == HP.episode_len + 1
+        assert all(args[0] is agents[1].critic for args in calls)
+        np.testing.assert_array_equal(batch.observations, traj.observations[:-1, 1])
+        bootstrap = real(agents[1].critic, traj.observations[-1, 1], HP.value_scale)
+        assert batch.returns[-1] == traj.rewards[-1] + HP.gamma_discount * bootstrap
+
+
 class TestControllerEpisode:
     def test_replayed_greedy_deltas_match_run_episode(self):
         cfg = SimConfig(n_agents=3, x_init=20.0)
         spec = scenario_by_name("s5")
         agents, _ = training.make_agents(cfg, HP, RngStream(0, "init"))
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
-        trajs, want = training.run_episode(sim, agents, HP, COEFFS,
-                                           RngStream(4, "act"), greedy=True)
-        deltas = np.array(cfg.delta_table)[np.stack([t.actions for t in trajs], axis=1)]
+        traj, want = training.run_episode(sim, agents, HP, COEFFS,
+                                          RngStream(4, "act"), greedy=True)
+        deltas = np.array(cfg.delta_table)[traj.actions]
         replay = iter(deltas.ravel().tolist())
         seen = []
 
