@@ -2,8 +2,14 @@
 
 Two deliberately simplified rule-based congestion controllers stand in for
 full delay-based and bandwidth-probing stacks at the simulator's 1-second
-decision granularity, plus a uniformly random reference. Outputs from the
-rule controllers are labeled "simplified" wherever they surface in reports.
+decision granularity. Outputs from the rule controllers are labeled
+"simplified" wherever they surface in reports; the uniformly random
+reference lives in ``training.evaluate_controller``.
+
+All N agents step together. Each step a controller reads the step's (N, 6)
+observation rows, one row per agent in ``Observation`` field order (the
+``core.OBS_*`` columns), and returns (N,) indices into the delta table plus
+the next ``ControllerState``. Agents never read each other's rows or state.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ActionDelta, DEFAULT_DELTA_TABLE, Observation, RngStream
+import numpy as np
+
+from .core import (DEFAULT_DELTA_TABLE, OBS_LATENCY, OBS_LOST, OBS_RECEIVED,
+                   OBS_TARGET)
 
 LATENCY_EMA = 0.3
 RISE_TREND_MS = 2.0       # per-step latency growth that triggers backoff
@@ -25,88 +34,53 @@ STEADY_HEADROOM = 0.95
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Rolling estimates a rule controller carries between steps."""
+    """Rolling per-agent estimates a rule controller carries between steps."""
 
-    smoothed_latency_ms: float = 0.0
-    latency_trend: float = 0.0
-    bandwidth_estimate: float = 0.0
-    phase: str = "steady"             # probe | drain | steady
-    window: tuple[float, ...] = ()    # recent received bitrates
-    steps: int = 0
-    probe_ref_latency: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_estimate < 0 or self.smoothed_latency_ms < 0:
-            raise ValueError("estimates must be >= 0")
-        if self.phase not in ("probe", "drain", "steady"):
-            raise ValueError(f"unknown phase {self.phase!r}")
+    smoothed_latency_ms: np.ndarray   # (N,)
+    phase: np.ndarray                 # (N,) probe | drain | steady
+    probe_ref_latency: np.ndarray     # (N,) latency when the last probe began
+    window: np.ndarray                # (k <= PROBE_PERIOD, N) recent received bitrates
+    steps: int = 0                    # shared: all agents step together
 
 
-def new_controller_state() -> ControllerState:
-    return ControllerState()
+def new_controller_state(n_agents: int) -> ControllerState:
+    return ControllerState(smoothed_latency_ms=np.zeros(n_agents),
+                           phase=np.full(n_agents, "steady"),
+                           probe_ref_latency=np.zeros(n_agents),
+                           window=np.zeros((0, n_agents)))
 
 
-def _most_negative(table: Sequence[float]) -> ActionDelta:
-    idx = min(range(len(table)), key=lambda i: table[i])
-    return ActionDelta(idx, float(table[idx]))
-
-
-def _most_positive(table: Sequence[float]) -> ActionDelta:
-    idx = max(range(len(table)), key=lambda i: table[i])
-    return ActionDelta(idx, float(table[idx]))
-
-
-def _zero(table: Sequence[float]) -> ActionDelta:
-    idx = list(table).index(0.0)
-    return ActionDelta(idx, 0.0)
-
-
-def _smallest_positive(table: Sequence[float]) -> ActionDelta:
-    pos = [(v, i) for i, v in enumerate(table) if v > 0]
-    v, idx = min(pos)
-    return ActionDelta(idx, float(v))
-
-
-def _toward(table: Sequence[float], current: float, target: float) -> ActionDelta:
-    idx = min(range(len(table)), key=lambda i: (abs(current + table[i] - target), i))
-    return ActionDelta(idx, float(table[idx]))
-
-
-def delay_gradient_controller(state: ControllerState, obs: Observation,
+def delay_gradient_controller(state: ControllerState, rows: np.ndarray,
                               table: Sequence[float] = DEFAULT_DELTA_TABLE,
                               p_threshold: float = 10.0,
-                              ) -> tuple[ActionDelta, ControllerState]:
+                              ) -> tuple[np.ndarray, ControllerState]:
     """Latency-trend rate control (simplified stand-in for delay-based CC).
 
     Backs off hard when smoothed latency climbs or losses cross the
     threshold; nudges up one step only while latency is actively falling and
     the link is delivering essentially the full target; otherwise holds.
     """
-    if state.steps == 0:
-        smoothed = obs.latency_ms
-        trend = 0.0
-    else:
-        smoothed = state.smoothed_latency_ms + LATENCY_EMA * (
-            obs.latency_ms - state.smoothed_latency_ms)
-        trend = smoothed - state.smoothed_latency_ms
+    vals = np.asarray(table, dtype=np.float64)
+    latency = rows[:, OBS_LATENCY]
+    # the first step starts the average at the latency itself (trend 0)
+    prev = latency if state.steps == 0 else state.smoothed_latency_ms
+    smoothed = prev + LATENCY_EMA * (latency - prev)
+    trend = smoothed - prev
 
-    if trend > RISE_TREND_MS or obs.lost_packets > p_threshold:
-        action = _most_negative(table)
-    elif trend < FALL_TREND_MS and obs.received_mbps >= FULL_DELIVERY * obs.target_mbps:
-        action = _smallest_positive(table)
-    else:
-        action = _zero(table)
-
-    next_state = dataclasses.replace(
-        state, smoothed_latency_ms=smoothed, latency_trend=trend,
-        steps=state.steps + 1)
-    return action, next_state
+    backoff = (trend > RISE_TREND_MS) | (rows[:, OBS_LOST] > p_threshold)
+    probe_up = ((trend < FALL_TREND_MS)
+                & (rows[:, OBS_RECEIVED] >= FULL_DELIVERY * rows[:, OBS_TARGET]))
+    smallest_positive = np.where(vals > 0, vals, np.inf).argmin()
+    index = np.select([backoff, probe_up],
+                      [vals.argmin(), smallest_positive], np.flatnonzero(vals == 0.0)[0])
+    return index, dataclasses.replace(state, smoothed_latency_ms=smoothed,
+                                      steps=state.steps + 1)
 
 
-def bandwidth_probe_controller(state: ControllerState, obs: Observation,
+def bandwidth_probe_controller(state: ControllerState, rows: np.ndarray,
                                table: Sequence[float] = DEFAULT_DELTA_TABLE,
                                p_threshold: float = 10.0,
-                               ) -> tuple[ActionDelta, ControllerState]:
+                               ) -> tuple[np.ndarray, ControllerState]:
     """Probe-and-drain rate control (simplified stand-in for model-based CC).
 
     Tracks the delivered-bitrate maximum over an 8-step window as the
@@ -114,57 +88,43 @@ def bandwidth_probe_controller(state: ControllerState, obs: Observation,
     probes with the largest positive delta, draining afterwards if latency
     rose more than 10%. Above-threshold loss forces an immediate drain.
     """
-    window = (state.window + (obs.received_mbps,))[-PROBE_PERIOD:]
-    smoothed = obs.latency_ms if state.steps == 0 else (
-        state.smoothed_latency_ms + LATENCY_EMA * (obs.latency_ms - state.smoothed_latency_ms))
-    trend = 0.0 if state.steps == 0 else smoothed - state.smoothed_latency_ms
+    vals = np.asarray(table, dtype=np.float64)
+    latency = rows[:, OBS_LATENCY]
+    window = np.vstack((state.window, rows[None, :, OBS_RECEIVED]))[-PROBE_PERIOD:]
     steps = state.steps + 1
-    phase = state.phase
-    probe_ref = state.probe_ref_latency
+    ref = state.probe_ref_latency
+    drain = ((rows[:, OBS_LOST] > p_threshold)
+             | ((state.phase == "probe") & (ref > 0) & (latency > PROBE_LATENCY_RISE * ref)))
 
-    if obs.lost_packets > p_threshold:
-        phase = "drain"
-        action = _most_negative(table)
-    elif phase == "probe" and probe_ref > 0 and obs.latency_ms > PROBE_LATENCY_RISE * probe_ref:
-        phase = "drain"
-        action = _most_negative(table)
-    elif steps % PROBE_PERIOD == 0:
-        phase = "probe"
-        probe_ref = obs.latency_ms
-        action = _most_positive(table)
+    if steps % PROBE_PERIOD == 0:
+        index = np.where(drain, vals.argmin(), vals.argmax())
+        phase = np.where(drain, "drain", "probe")
+        ref = np.where(drain, ref, latency)
     else:
-        phase = "steady"
-        target = STEADY_HEADROOM * max(window)
-        action = _toward(table, obs.target_mbps, target)
+        # nearest delta to the steady target; argmin breaks ties to the lowest index
+        target = STEADY_HEADROOM * window.max(axis=0)
+        toward = np.abs(rows[:, OBS_TARGET, None] + vals - target[:, None]).argmin(axis=1)
+        index = np.where(drain, vals.argmin(), toward)
+        phase = np.where(drain, "drain", "steady")
 
-    next_state = ControllerState(
-        smoothed_latency_ms=smoothed, latency_trend=trend,
-        bandwidth_estimate=max(window), phase=phase, window=window,
-        steps=steps, probe_ref_latency=probe_ref)
-    return action, next_state
-
-
-def random_action(rng: RngStream, table: Sequence[float] = DEFAULT_DELTA_TABLE) -> ActionDelta:
-    """Uniform draw from the delta table (the no-learning reference)."""
-    idx = rng.integers(len(table))
-    return ActionDelta(idx, float(table[idx]))
+    return index, dataclasses.replace(state, phase=phase, probe_ref_latency=ref,
+                                      window=window, steps=steps)
 
 
 CONTROLLER_NAMES = ("delay", "probe")
 
 
-def controller_step(name: str, state: ControllerState, obs: Observation,
+def controller_step(name: str, state: ControllerState, rows: np.ndarray,
                     table: Sequence[float] = DEFAULT_DELTA_TABLE,
-                    p_threshold: float = 10.0) -> tuple[ActionDelta, ControllerState]:
+                    p_threshold: float = 10.0) -> tuple[np.ndarray, ControllerState]:
     if name == "delay":
-        return delay_gradient_controller(state, obs, table, p_threshold)
+        return delay_gradient_controller(state, rows, table, p_threshold)
     if name == "probe":
-        return bandwidth_probe_controller(state, obs, table, p_threshold)
+        return bandwidth_probe_controller(state, rows, table, p_threshold)
     raise ValueError(f"unknown controller {name!r}")
 
 
 __all__ = [
     "CONTROLLER_NAMES", "ControllerState", "bandwidth_probe_controller",
-    "controller_step", "delay_gradient_controller",
-    "new_controller_state", "random_action",
+    "controller_step", "delay_gradient_controller", "new_controller_state",
 ]

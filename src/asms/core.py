@@ -20,6 +20,8 @@ import numpy as np
 DEFAULT_DELTA_TABLE: tuple[float, ...] = (-5.0, -1.0, 0.0, 1.0, 5.0)
 
 OBS_DIM = 6
+# Columns of an (..., OBS_DIM) observation row, in ``Observation`` field order.
+OBS_TARGET, OBS_RECEIVED, OBS_LATENCY, OBS_JITTER, OBS_LOST, OBS_NACKS = range(OBS_DIM)
 
 
 class ConfigError(ValueError):
@@ -27,7 +29,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Observations and actions
+# Observations and the action table
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -56,14 +58,6 @@ class Observation:
         if self.nack_count > self.lost_packets + 1e-9:
             raise ValueError(
                 f"nack count {self.nack_count} exceeds lost packets {self.lost_packets}")
-
-
-@dataclass(frozen=True)
-class ActionDelta:
-    """One entry of the bitrate-change table."""
-
-    index: int
-    delta_mbps: float
 
 
 def validate_delta_table(table: Sequence[float]) -> None:
@@ -213,6 +207,12 @@ def default_qoe_coefficients() -> QoECoefficients:
 # Training hyperparameters
 # ---------------------------------------------------------------------------
 
+# Parsed for config compatibility but read by no code path (one update per
+# episode; a soft-actor-critic family), so only their defaults are accepted.
+_UNUSED_KEYS = ("policy_update_freq", "replay_buffer_size", "target_update_coef",
+                "sac_critics", "entropy_temperature")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Training constants. Defaults are the reference experiment settings;
@@ -238,8 +238,6 @@ class HyperParams:
     ldp_eps: float = 1.0          # privacy budget of the upload perturbation
     ldp_clip: float = 0.1         # per-coordinate update bound (= sensitivity)
     ldp_enabled: bool = True      # False: upload raw updates (no clip, no noise)
-    # Parsed for config compatibility with the soft-actor-critic baseline
-    # family; not used by any code path here.
     replay_buffer_size: int = 5000
     target_update_coef: float = 0.005
     sac_critics: int = 2
@@ -252,10 +250,13 @@ class HyperParams:
             raise ValueError("gae_lambda must be in [0, 1]")
         if not (0 < self.clip_eps < 1):
             raise ValueError("clip_eps must be in (0, 1)")
-        for name in ("minibatch", "epochs", "policy_update_freq",
-                     "hidden_width", "episode_len", "episodes"):
+        for name in ("minibatch", "epochs", "hidden_width", "episode_len", "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in _UNUSED_KEYS:
+            if getattr(self, name) != getattr(HyperParams, name):
+                raise ConfigError(f"{name} is unused; only its default "
+                                  f"{getattr(HyperParams, name)!r} is accepted")
         if self.fedavg_freq < 0:
             raise ValueError("fedavg_freq must be >= 0 (0 disables aggregation)")
         if self.lr <= 0 or self.grad_clip <= 0:
@@ -345,7 +346,7 @@ def _field_map() -> dict[str, tuple[type, dataclasses.Field]]:
     out: dict[str, tuple[type, dataclasses.Field]] = {}
     for struct in _CONFIG_STRUCTS:
         for f in dataclasses.fields(struct):
-            # f_target intentionally appears in both SimConfig and
+            # y_min and f_target intentionally appear in both SimConfig and
             # QoECoefficients; one key feeds both.
             out.setdefault(f.name, (struct, f))
     return out
@@ -554,8 +555,9 @@ class RngStream:
 
 
 __all__ = [
-    "ActionDelta", "Channel", "ConfigError", "DEFAULT_DELTA_TABLE", "HyperParams",
-    "OBS_DIM", "Observation", "QoECoefficients", "RngStream", "ScenarioSpec",
+    "Channel", "ConfigError", "DEFAULT_DELTA_TABLE", "HyperParams",
+    "OBS_DIM", "OBS_JITTER", "OBS_LATENCY", "OBS_LOST", "OBS_NACKS", "OBS_RECEIVED",
+    "OBS_TARGET", "Observation", "QoECoefficients", "RngStream", "ScenarioSpec",
     "SimConfig", "Span", "builtin_scenarios", "default_hyperparams",
     "default_qoe_coefficients", "default_sim_config",
     "load_config", "parse_config_text", "scenario_by_name", "serialize_config",

@@ -9,6 +9,7 @@ single matrix product.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,7 +136,6 @@ def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[np.ndarray, np
     predicted: (n_candidates, n_records). Returns (rmse, a, b). Candidates
     with constant predictions fall back to a=0, b=mean(mos).
     """
-    n = mos.size
     p_mean = predicted.mean(axis=1)
     m_mean = float(mos.mean())
     p_centered = predicted - p_mean[:, None]
@@ -187,10 +187,8 @@ def fit_coefficients(records: Sequence[RatingsRecord],
     ss_tot = float(((mos - mos.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     w = candidates[best]
-    coeffs = QoECoefficients(
-        alpha=w[0], beta=w[1], gamma=w[2], delta1=w[3], delta2=w[4],
-        y_min=base.y_min, f_target=base.f_target, u_max=base.u_max,
-        p_threshold=base.p_threshold, eps_small=base.eps_small)
+    coeffs = dataclasses.replace(base, alpha=w[0], beta=w[1], gamma=w[2],
+                                 delta1=w[3], delta2=w[4])
     return FitResult(coefficients=coeffs, rmse=float(rmse[best]), r_squared=r2,
                      scale=float(a[best]), offset=float(b[best]),
                      grid=tuple(grids))
@@ -226,11 +224,7 @@ def coefficient_sensitivity(coeffs: QoECoefficients,
     for name in ("alpha", "beta", "gamma", "delta1", "delta2"):
         lo_hi = []
         for factor in (0.8, 1.2):
-            trial = QoECoefficients(**{
-                **{f: getattr(coeffs, f) for f in (
-                    "alpha", "beta", "gamma", "delta1", "delta2", "y_min",
-                    "f_target", "u_max", "p_threshold", "eps_small")},
-                name: getattr(coeffs, name) * factor})
+            trial = dataclasses.replace(coeffs, **{name: getattr(coeffs, name) * factor})
             r = _rmse_of(trial, feats, mos)
             lo_hi.append(r)
             deltas.append(abs(r - baseline))

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .core import HyperParams, Observation, QoECoefficients, RngStream
+from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, HyperParams,
+                   Observation, QoECoefficients, RngStream)
 from .netsim import BottleneckSim, LinkOutcome
 from .qoe import compute_qoe, global_reward
 
@@ -47,8 +48,8 @@ class Trajectory:
     rewards: np.ndarray         # (T,) shared global rewards
 
     def __post_init__(self) -> None:
-        if self.observations.ndim != 3 or self.observations.shape[2] != 6:
-            raise ValueError("observations must have shape (T+1, N, 6)")
+        if self.observations.ndim != 3 or self.observations.shape[2] != OBS_DIM:
+            raise ValueError(f"observations must have shape (T+1, N, {OBS_DIM})")
         t, n = len(self), self.observations.shape[1]
         for name in ("actions", "log_probs"):
             if getattr(self, name).shape != (t, n):
@@ -105,15 +106,18 @@ def compute_returns(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.n
     return returns
 
 
-def clipped_objective(new_log_prob: float, old_log_prob: float,
-                      advantage: float, clip_eps: float) -> float:
-    """Single-sample clipped surrogate: min of the ratio-weighted advantage
-    and its clipped-band bound."""
+def clipped_objective(new_log_prob: np.ndarray, old_log_prob: np.ndarray,
+                      advantage: np.ndarray, clip_eps: float,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample clipped surrogate, the min of the ratio-weighted advantage
+    and its clipped-band bound, and the mask of samples on the unclipped
+    branch (the only ones with a policy gradient)."""
     if not (0.0 < clip_eps < 1.0):
         raise ValueError("clip_eps must be in (0, 1)")
-    ratio = np.exp(new_log_prob - old_log_prob)
-    bound = (1.0 + clip_eps) * advantage if advantage >= 0 else (1.0 - clip_eps) * advantage
-    return float(min(ratio * advantage, bound))
+    ratio_adv = np.exp(new_log_prob - old_log_prob) * advantage
+    bound = np.where(advantage >= 0, (1.0 + clip_eps) * advantage,
+                     (1.0 - clip_eps) * advantage)
+    return np.minimum(ratio_adv, bound), ratio_adv <= bound
 
 
 def whiten(values: np.ndarray) -> np.ndarray:
@@ -171,12 +175,9 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
     probs, logp, entropy = nn.categorical_head(logits)
     rows = np.arange(n)
     lp_taken = logp[rows, actions]
+    objective, unclipped = clipped_objective(lp_taken, old_log_probs, advantages,
+                                             clip_eps)
     ratio = np.exp(lp_taken - old_log_probs)
-    bound = np.where(advantages >= 0, (1.0 + clip_eps) * advantages,
-                     (1.0 - clip_eps) * advantages)
-    ratio_adv = ratio * advantages
-    objective = np.minimum(ratio_adv, bound)
-    unclipped = ratio_adv <= bound
     loss = -float(objective.mean()) - entropy_coef * float(entropy.mean())
 
     # d(-mean objective)/d logp_taken, zero where the clip bound is active
@@ -325,7 +326,7 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarr
         successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
             agent_qoe[t, i] = compute_qoe(Observation(*steps[t][i]), rates[t][i],
-                                          successor[i][1], int(step_users[t]), coeffs)
+                                          successor[i][OBS_RECEIVED], int(step_users[t]), coeffs)
         rewards[t] = global_reward(agent_qoe[t], mode=mode)
     return rewards, agent_qoe
 
@@ -342,7 +343,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     """
     cfg = sim.cfg
     t_len = hp.episode_len
-    rows = np.zeros((t_len + 1, cfg.n_agents, 6))
+    rows = np.zeros((t_len + 1, cfg.n_agents, OBS_DIM))
     frame_rate = np.zeros((t_len, cfg.n_agents))
     step_users = np.zeros(t_len, dtype=np.int64)
     outcome = sim.reset()
@@ -357,9 +358,9 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs,
                                        cfg.reward_mode)
     stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe,
-                         received_mbps=rows[1:, :, 1].copy(),
-                         latency_ms=rows[1:, :, 2].copy(),
-                         lost_packets=rows[1:, :, 4].copy(), frame_rate=frame_rate)
+                         received_mbps=rows[1:, :, OBS_RECEIVED].copy(),
+                         latency_ms=rows[1:, :, OBS_LATENCY].copy(),
+                         lost_packets=rows[1:, :, OBS_LOST].copy(), frame_rate=frame_rate)
     return rows, stats
 
 
@@ -385,7 +386,7 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
         raise ValueError(f"need {n} agents, got {len(agents)}")
     t_len = hp.episode_len
     table = np.asarray(cfg.delta_table, dtype=np.float64)
-    features = np.zeros((t_len + 1, n, 6))
+    features = np.zeros((t_len + 1, n, OBS_DIM))
     actions = np.zeros((t_len, n), dtype=np.int64)
     log_probs = np.zeros((t_len, n))
 

@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__, fed, nn, svgplot
-from .baselines import controller_step, new_controller_state, random_action
-from .core import (HyperParams, Observation, QoECoefficients, RngStream,
-                   ScenarioSpec, SimConfig, scenario_by_name, serialize_config)
+from .baselines import controller_step, new_controller_state
+from .core import (OBS_DIM, HyperParams, QoECoefficients, RngStream, ScenarioSpec,
+                   SimConfig, scenario_by_name, serialize_config)
 from .netsim import BottleneckSim
 from .rl import EpisodeStats, PPOAgent, build_batch, rollout, run_episode
 
@@ -62,7 +62,7 @@ def make_agents(cfg: SimConfig, hp: HyperParams, rng_init: RngStream,
                 ) -> tuple[list[PPOAgent], fed.GlobalModel]:
     """One shared initial model broadcast to all agents (both methods start
     identically; only aggregation afterwards differs)."""
-    model = fed.init_global(6, hp.hidden_width, len(cfg.delta_table), rng_init)
+    model = fed.init_global(OBS_DIM, hp.hidden_width, len(cfg.delta_table), rng_init)
     agents = [PPOAgent(actor=model.actor.with_theta(model.actor.theta.copy()),
                        critic=model.critic.with_theta(model.critic.theta.copy()))
               for _ in range(cfg.n_agents)]
@@ -274,29 +274,31 @@ def _summarize(method: str, scenario: str, episode_stats: list[EpisodeStats]) ->
         episodes=len(episode_stats), steps=int(rewards.size))
 
 
+def _evaluate(label: str, scenario: ScenarioSpec | str, episodes: int, seed: int,
+              cfg: SimConfig, hp: HyperParams, trace,
+              episode: Callable[[BottleneckSim, RngStream], EpisodeStats]) -> EvalSummary:
+    """The loop both evaluations share: ``episode(sim, rng_act)`` per episode."""
+    spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
+    rng_env = RngStream(seed, f"eval-env/{spec.name}")
+    rng_act = RngStream(seed, f"eval-act/{spec.name}")
+    stats_list = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace),
+                          rng_act) for _ in range(episodes)]
+    return _summarize(label, spec.name, stats_list)
+
+
 def evaluate_agents(agents: Sequence[PPOAgent], scenario: ScenarioSpec | str,
                     episodes: int, seed: int, cfg: SimConfig, hp: HyperParams,
                     coeffs: QoECoefficients, method: str = "fmappo",
                     greedy: bool = True, trace=None) -> EvalSummary:
     """Greedy (argmax) rollouts of trained agents on one scenario."""
-    spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
-    rng_env = RngStream(seed, f"eval-env/{spec.name}")
-    rng_act = RngStream(seed, f"eval-act/{spec.name}")
-    stats_list = []
-    for _ in range(episodes):
-        sim = BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace)
-        _, stats = run_episode(sim, agents, hp, coeffs, rng_act, greedy=greedy)
-        stats_list.append(stats)
-    return _summarize(method, spec.name, stats_list)
+    return _evaluate(method, scenario, episodes, seed, cfg, hp, trace,
+                     lambda sim, rng_act: run_episode(sim, agents, hp, coeffs, rng_act,
+                                                      greedy=greedy)[1])
 
 
-def run_controller_episode(sim: BottleneckSim, decide: Callable, hp: HyperParams,
+def run_controller_episode(sim: BottleneckSim, choose: Callable, hp: HyperParams,
                            coeffs: QoECoefficients) -> EpisodeStats:
-    """Roll one episode driven by per-agent callables (i, obs) -> target delta."""
-    def choose(t: int, rows: np.ndarray) -> np.ndarray:
-        return np.array([decide(i, Observation(*row))
-                         for i, row in enumerate(rows.tolist())])
-
+    """Roll one episode driven by ``choose(t, rows)``: (N, 6) rows -> N deltas."""
     return rollout(sim, hp, coeffs, choose)[1]
 
 
@@ -305,25 +307,22 @@ def evaluate_controller(name: str, scenario: ScenarioSpec | str, episodes: int,
                         coeffs: QoECoefficients, trace=None) -> EvalSummary:
     """Rule-based or random controller rollouts; label marks the rule
     controllers as simplified stand-ins."""
-    spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
-    rng_env = RngStream(seed, f"eval-env/{spec.name}")
-    rng_act = RngStream(seed, f"eval-act/{spec.name}")
-    stats_list = []
-    for _ in range(episodes):
-        sim = BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace)
-        if name == "random":
-            def decide(i, obs):
-                return random_action(rng_act, cfg.delta_table).delta_mbps
-        else:
-            states = [new_controller_state() for _ in range(cfg.n_agents)]
+    table = np.asarray(cfg.delta_table, dtype=np.float64)
 
-            def decide(i, obs, states=states):
-                action, states[i] = controller_step(name, states[i], obs,
-                                                    cfg.delta_table, coeffs.p_threshold)
-                return action.delta_mbps
-        stats_list.append(run_controller_episode(sim, decide, hp, coeffs))
+    def episode(sim: BottleneckSim, rng_act: RngStream) -> EpisodeStats:
+        state = new_controller_state(cfg.n_agents)
+
+        def choose(t: int, rows: np.ndarray) -> np.ndarray:
+            nonlocal state
+            if name == "random":
+                return table[rng_act.integers(table.size, size=len(rows))]
+            index, state = controller_step(name, state, rows, table, coeffs.p_threshold)
+            return table[index]
+
+        return run_controller_episode(sim, choose, hp, coeffs)
+
     label = name if name == "random" else f"{name}-simplified"
-    return _summarize(label, spec.name, stats_list)
+    return _evaluate(label, scenario, episodes, seed, cfg, hp, trace, episode)
 
 
 def write_eval_csv(path: str | Path, summaries: Sequence[EvalSummary]) -> None:

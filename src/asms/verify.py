@@ -157,23 +157,23 @@ def check_returns_oracle(seed: int) -> CheckResult:
 
 
 def check_clip_function(seed: int) -> CheckResult:
-    """Six analytic cases: sign(adv) x ratio below/inside/above the band."""
-    eps = 0.2
-    cases = [
-        # (ratio, adv, expected)   band is [0.8, 1.2]
-        (0.5, 2.0, 1.0),     # adv>0, below band: min(1.0, 2.4) = r*adv
-        (1.0, 2.0, 2.0),     # adv>0, inside: r*adv
-        (1.5, 2.0, 2.4),     # adv>0, above: (1+eps)*adv
-        (0.5, -1.0, -0.8),   # adv<0, below: (1-eps)*adv
-        (1.0, -1.0, -1.0),   # adv<0, inside: r*adv
-        (1.5, -1.0, -1.5),   # adv<0, above: r*adv
-    ]
-    worst = 0.0
-    for ratio, adv, expected in cases:
-        got = rl.clipped_objective(math.log(ratio), 0.0, adv, eps)
-        worst = max(worst, abs(got - expected))
-    return CheckResult("clip-function-cases", worst < 1e-12,
-                       f"6/6 analytic cases, max abs err {worst:.1e}")
+    """Six analytic cases: sign(adv) x ratio below/inside/above the band,
+    through the objective and mask the policy loss uses."""
+    ratio, adv, expected, unclipped = np.array([
+        # band is [0.8, 1.2]; unclipped marks the r*adv branch
+        (0.5, 2.0, 1.0, 1),     # adv>0, below band: min(1.0, 2.4) = r*adv
+        (1.0, 2.0, 2.0, 1),     # adv>0, inside: r*adv
+        (1.5, 2.0, 2.4, 0),     # adv>0, above: (1+eps)*adv
+        (0.5, -1.0, -0.8, 0),   # adv<0, below: (1-eps)*adv
+        (1.0, -1.0, -1.0, 1),   # adv<0, inside: r*adv
+        (1.5, -1.0, -1.5, 1),   # adv<0, above: r*adv
+    ]).T
+    got, mask = rl.clipped_objective(np.log(ratio), np.zeros(6), adv, 0.2)
+    worst = float(np.abs(got - expected).max())
+    masks_ok = np.array_equal(mask, unclipped == 1)
+    return CheckResult("clip-function-cases", worst < 1e-12 and masks_ok,
+                       f"6/6 analytic cases, max abs err {worst:.1e}; "
+                       f"unclipped masks match: {masks_ok}")
 
 
 def waterfill_oracle(targets: np.ndarray, capacity: float) -> np.ndarray:
@@ -280,14 +280,15 @@ REFERENCE_HYPERPARAMS = {
     "entropy_temperature": 0.2,
 }
 
+_F, _R = Channel.fixed, Channel.ramp   # a fixed range [lo, hi]; a ramp start -> end
 REFERENCE_SCENARIOS = {
-    # name: (bandwidth lo/hi or (start, end)), latency, jitter, loss, burst
-    "s1": ((100, 200), (10, 30), (2, 5), 0.001, 0.0),
-    "s2": ((50, 100), (30, 50), (5, 10), 0.005, 0.005),
-    "s3": ((20, 80), (50, 100), (10, 20), 0.01, 0.01),
-    "s4": ((200, 500), (5, 10), (1, 3), 0.001, 0.0),
-    "s5": ((100, 30), (50, 100), (5, 20), (0.005, 0.05), 0.10),
-    "s6": ((30, 100), (100, 20), (20, 5), (0.02, 0.005), (0.05, 0.0)),
+    # name: bandwidth, latency, jitter, loss rate, burst loss
+    "s1": (_F(100, 200), _F(10, 30), _F(2, 5), _F(0.001), _F(0.0)),
+    "s2": (_F(50, 100), _F(30, 50), _F(5, 10), _F(0.005), _F(0.005)),
+    "s3": (_F(20, 80), _F(50, 100), _F(10, 20), _F(0.01), _F(0.01)),
+    "s4": (_F(200, 500), _F(5, 10), _F(1, 3), _F(0.001), _F(0.0)),
+    "s5": (_R(100, 30), _R(50, 100), _R(5, 20), _R(0.005, 0.05), _F(0.10)),
+    "s6": (_R(30, 100), _R(100, 20), _R(20, 5), _R(0.02, 0.005), _R(0.05, 0.0)),
 }
 
 
@@ -299,10 +300,18 @@ def check_hyperparam_table(seed: int) -> CheckResult:
 
 
 def check_scenario_ranges(seed: int) -> CheckResult:
+    specs = builtin_scenarios()
+    table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
+             for s in specs}
+    bad = sorted(k for k in table.keys() | REFERENCE_SCENARIOS.keys()
+                 if table.get(k) != REFERENCE_SCENARIOS.get(k))
+    if bad:
+        return CheckResult("scenario-ranges", False,
+                           f"channels of {bad} differ from the reference table")
     rng = RngStream(seed, "verify/scenarios")
     t_len = 40
     n_samples = 10_000
-    for spec in builtin_scenarios():
+    for spec in specs:
         for k in range(n_samples):
             t = int(rng.uniform(0, t_len))
             state = netsim.sample_link_state(spec, t, t_len, rng)
@@ -317,23 +326,17 @@ def check_scenario_ranges(seed: int) -> CheckResult:
                         "scenario-ranges", False,
                         f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]")
         # ramp endpoints must hit the arrow targets exactly (point ranges)
-        first = netsim.sample_link_state(spec, 0, t_len, rng)
-        last = netsim.sample_link_state(spec, t_len - 1, t_len, rng)
-        for value, channel in ((first.capacity_mbps, spec.bandwidth),
-                               (first.base_latency_ms, spec.latency)):
-            span = channel.at(0, t_len)
-            if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                return CheckResult("scenario-ranges", False,
-                                   f"{spec.name} start endpoint off: {value}")
-        for value, channel in ((last.capacity_mbps, spec.bandwidth),
-                               (last.base_latency_ms, spec.latency)):
-            span = channel.at(t_len - 1, t_len)
-            if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                return CheckResult("scenario-ranges", False,
-                                   f"{spec.name} end endpoint off: {value}")
+        for t, end in ((0, "start"), (t_len - 1, "end")):
+            state = netsim.sample_link_state(spec, t, t_len, rng)
+            for value, channel in ((state.capacity_mbps, spec.bandwidth),
+                                   (state.base_latency_ms, spec.latency)):
+                span = channel.at(t, t_len)
+                if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
+                    return CheckResult("scenario-ranges", False,
+                                       f"{spec.name} {end} endpoint off: {value}")
     return CheckResult("scenario-ranges", True,
-                       f"{n_samples} samples x 6 scenarios x 5 channels in range; "
-                       f"ramp endpoints hit their targets")
+                       f"channels match the table; {n_samples} samples x 6 scenarios "
+                       f"x 5 channels in range; ramp endpoints hit their targets")
 
 
 def check_episode_structure(seed: int) -> CheckResult:
@@ -523,7 +526,6 @@ def check_qoe_values(seed: int) -> CheckResult:
             - 0.5 * max(0.0, 24.0 - 10.0))
     worst = max(worst, abs(got - want))
     # monotonicity sweeps
-    rng = RngStream(seed, "verify/qoe")
     mono_ok = True
     prev = None
     for y in np.linspace(1.0, 100.0, 25):
@@ -692,7 +694,7 @@ def check_method_ordering(seed: int) -> CheckResult:
     degenerate constant behaviors.
     """
     cfg, hp, coeffs = learning_config()
-    eval_eps = 30
+    eval_eps = ORDERING_EVAL_EPISODES
     comparisons = {name: [] for name in
                    ("fmappo>=ippo@s3", "fmappo>=ippo@s5", "fmappo>=delay@s5",
                     "fmappo>=probe@s5", "ippo>=delay@s5", "ippo>=probe@s5")}

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
-from asms import baselines
-from asms.core import DEFAULT_DELTA_TABLE, Observation, RngStream
+from asms import baselines, training
+from asms.core import (DEFAULT_DELTA_TABLE, HyperParams, QoECoefficients, RngStream,
+                       SimConfig)
+
+TABLE = np.array(DEFAULT_DELTA_TABLE)
 
 
 def obs(x=10.0, y=10.0, l=20.0, j=2.0, p=0.0):
-    return Observation(x, y, l, j, p, p)
+    """One agent's (1, 6) observation row."""
+    return np.array([[x, y, l, j, p, p]])
+
+
+def delta(index):
+    return float(TABLE[index[0]])
 
 
 def run_controller(name, capacities, x_start, p_threshold=10.0, latency=10.0):
     """Scripted single-sender run against a deterministic lossless link."""
-    state = baselines.new_controller_state()
+    state = baselines.new_controller_state(1)
     x = x_start
     xs = []
     for cap in capacities:
@@ -19,45 +27,50 @@ def run_controller(name, capacities, x_start, p_threshold=10.0, latency=10.0):
         overload = max(0.0, x / cap - 1.0)
         l = latency * (1.0 + min(1.0, x / cap) ** 2)
         lost = 2000.0 * overload   # crude congestion-loss signal
-        action, state = baselines.controller_step(
+        index, state = baselines.controller_step(
             name, state, obs(x=x, y=y, l=l, p=lost), DEFAULT_DELTA_TABLE, p_threshold)
-        x = min(200.0, max(1.0, x + action.delta_mbps))
+        x = min(200.0, max(1.0, x + delta(index)))
         xs.append(x)
     return xs
 
 
 class TestDelayGradientController:
     def test_latency_drop_with_full_delivery_probes_up(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         # establish a high smoothed latency, then feed a sharp drop
         _, state = baselines.delay_gradient_controller(state, obs(l=50.0))
-        action, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
-        assert action.delta_mbps == 1.0
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
+        assert delta(index) == 1.0
 
     def test_rising_latency_backs_off_hard(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        action, _ = baselines.delay_gradient_controller(state, obs(l=60.0))
-        assert action.delta_mbps == -5.0
+        index, _ = baselines.delay_gradient_controller(state, obs(l=60.0))
+        assert delta(index) == -5.0
 
     def test_loss_above_threshold_backs_off(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        action, _ = baselines.delay_gradient_controller(state, obs(l=20.0, p=25.0))
-        assert action.delta_mbps == -5.0
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0, p=25.0))
+        assert delta(index) == -5.0
 
     def test_flat_latency_holds(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        action, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
-        assert action.delta_mbps == 0.0
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
+        assert delta(index) == 0.0
 
     def test_pure_function_of_state_and_obs(self):
-        state = baselines.ControllerState(smoothed_latency_ms=30.0, steps=5)
+        state = baselines.ControllerState(
+            smoothed_latency_ms=np.array([30.0]), phase=np.array(["steady"]),
+            probe_ref_latency=np.zeros(1), window=np.zeros((0, 1)), steps=5)
         o = obs(l=25.0)
         a1, s1 = baselines.delay_gradient_controller(state, o)
         a2, s2 = baselines.delay_gradient_controller(state, o)
-        assert a1 == a2 and s1 == s2
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(s1.smoothed_latency_ms, s2.smoothed_latency_ms)
+        assert s1.steps == s2.steps == 6
+        assert state.smoothed_latency_ms[0] == 30.0 and state.steps == 5
 
 
 class TestBandwidthProbeController:
@@ -68,11 +81,11 @@ class TestBandwidthProbeController:
         assert abs(xs[-1] - 47.5) <= 5.0
 
     def test_probe_every_eighth_step(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         deltas = []
         for _ in range(24):
-            action, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30))
-            deltas.append(action.delta_mbps)
+            index, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30))
+            deltas.append(delta(index))
         probe_steps = [i for i, d in enumerate(deltas) if d == 5.0]
         assert probe_steps == [7, 15, 23]
 
@@ -85,51 +98,138 @@ class TestBandwidthProbeController:
         assert below < 10
 
     def test_drains_after_probe_when_latency_rises(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         for _ in range(7):
             _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30, l=20.0))
-        probe_action, state = baselines.bandwidth_probe_controller(
+        probe_index, state = baselines.bandwidth_probe_controller(
             state, obs(x=30, y=30, l=20.0))
-        assert probe_action.delta_mbps == 5.0
-        assert state.phase == "probe"
-        drain_action, state = baselines.bandwidth_probe_controller(
+        assert delta(probe_index) == 5.0
+        assert state.phase[0] == "probe"
+        drain_index, state = baselines.bandwidth_probe_controller(
             state, obs(x=35, y=35, l=26.0))
-        assert drain_action.delta_mbps == -5.0
-        assert state.phase == "drain"
+        assert delta(drain_index) == -5.0
+        assert state.phase[0] == "drain"
 
     def test_loss_forces_drain(self):
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         for _ in range(5):
             _, state = baselines.bandwidth_probe_controller(state, obs(x=80, y=80))
-        action, state = baselines.bandwidth_probe_controller(
+        index, state = baselines.bandwidth_probe_controller(
             state, obs(x=80, y=20, p=50.0))
-        assert action.delta_mbps == -5.0
-        assert state.phase == "drain"
+        assert delta(index) == -5.0
+        assert state.phase[0] == "drain"
+
+
+def random_rows(rng, n):
+    """n valid observation rows: received <= target, NACKs == losses."""
+    x = rng.uniform(1, 200, size=n)
+    y = x * rng.uniform(0.5, 1.0, size=n)
+    lost = np.floor(rng.uniform(0, 14, size=n))   # above 10 about 30% of the time
+    return np.column_stack((x, y, rng.uniform(5, 200, size=n), np.full(n, 2.0),
+                            lost, lost))
 
 
 class TestControllerContracts:
     @pytest.mark.parametrize("name", baselines.CONTROLLER_NAMES)
     def test_always_emits_table_delta(self, name):
         rng = RngStream(3, name)
-        state = baselines.new_controller_state()
+        state = baselines.new_controller_state(1)
         for _ in range(200):
-            x = rng.uniform(1, 200)
-            y = min(x, rng.uniform(0.5, 1.0) * x)
-            lost = float(int(rng.uniform(0, 40)))
-            o = Observation(x, y, rng.uniform(5, 200), 2.0, lost, lost)
-            action, state = baselines.controller_step(name, state, o)
-            assert action.delta_mbps in DEFAULT_DELTA_TABLE
-            assert action.index == list(DEFAULT_DELTA_TABLE).index(action.delta_mbps)
+            index, state = baselines.controller_step(name, state, random_rows(rng, 1))
+            assert index.shape == (1,)
+            assert 0 <= index[0] < len(DEFAULT_DELTA_TABLE)
 
     def test_unknown_controller(self):
         with pytest.raises(ValueError):
-            baselines.controller_step("bogus", baselines.new_controller_state(), obs())
+            baselines.controller_step("bogus", baselines.new_controller_state(1), obs())
+
+    @pytest.mark.parametrize("name", baselines.CONTROLLER_NAMES)
+    def test_agents_step_independently(self, name):
+        # one N=5 run equals five N=1 runs, column by column
+        rng = RngStream(5, name)
+        steps = [random_rows(rng, 5) for _ in range(40)]
+        joint = baselines.new_controller_state(5)
+        singles = [baselines.new_controller_state(1) for _ in range(5)]
+        for rows in steps:
+            index, joint = baselines.controller_step(name, joint, rows)
+            for i in range(5):
+                one, singles[i] = baselines.controller_step(name, singles[i], rows[i:i + 1])
+                assert one[0] == index[i]
+        for i in range(5):
+            for field in ("smoothed_latency_ms", "phase", "probe_ref_latency"):
+                assert getattr(singles[i], field)[0] == getattr(joint, field)[i]
+            np.testing.assert_array_equal(singles[i].window[:, 0], joint.window[:, i])
+
+
+def reference_step(name, st, row, table=DEFAULT_DELTA_TABLE, p_threshold=10.0):
+    """One agent's step written per agent with scalar branches: the reference
+    the array controllers must match index for index."""
+    x, y, lat, _, lost, _ = row
+    zero, neg = table.index(0.0), table.index(min(table))
+    pos = table.index(max(table))
+    steps = st["steps"] + 1
+    if name == "delay":
+        prev = lat if st["steps"] == 0 else st["smoothed"]
+        smoothed = prev + baselines.LATENCY_EMA * (lat - prev)
+        trend = smoothed - prev
+        if trend > baselines.RISE_TREND_MS or lost > p_threshold:
+            index = neg
+        elif trend < baselines.FALL_TREND_MS and y >= baselines.FULL_DELIVERY * x:
+            index = min((v, i) for i, v in enumerate(table) if v > 0)[1]
+        else:
+            index = zero
+        return index, dict(st, smoothed=smoothed, steps=steps)
+    window = (st["window"] + [y])[-baselines.PROBE_PERIOD:]
+    phase, ref = st["phase"], st["ref"]
+    if lost > p_threshold or (
+            phase == "probe" and ref > 0 and lat > baselines.PROBE_LATENCY_RISE * ref):
+        index, phase = neg, "drain"
+    elif steps % baselines.PROBE_PERIOD == 0:
+        index, phase, ref = pos, "probe", lat
+    else:
+        target = baselines.STEADY_HEADROOM * max(window)
+        index = min(range(len(table)), key=lambda i: (abs(x + table[i] - target), i))
+        phase = "steady"
+    return index, dict(st, window=window, phase=phase, ref=ref, steps=steps)
+
+
+class TestAgainstScalarReference:
+    @pytest.mark.parametrize("name", baselines.CONTROLLER_NAMES)
+    def test_random_rows_match_the_reference(self, name):
+        rng = RngStream(6, name)
+        state = baselines.new_controller_state(5)
+        refs = [dict(smoothed=0.0, phase="steady", ref=0.0, window=[], steps=0)] * 5
+        for _ in range(60):
+            rows = random_rows(rng, 5)
+            index, state = baselines.controller_step(name, state, rows)
+            for i in range(5):
+                want, refs[i] = reference_step(name, refs[i], rows[i].tolist())
+                assert index[i] == want
+
+    def test_steady_tie_breaks_to_the_lowest_index(self):
+        # window max 30 -> steady target 28.5; from 28, holding and +1 tie
+        state = baselines.new_controller_state(1)
+        _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30))
+        index, _ = baselines.bandwidth_probe_controller(state, obs(x=28, y=28))
+        assert delta(index) == 0.0
 
 
 class TestRandomAction:
-    def test_uniform_coverage(self):
-        rng = RngStream(4, "rand")
-        counts = np.zeros(len(DEFAULT_DELTA_TABLE))
-        for _ in range(5000):
-            counts[baselines.random_action(rng).index] += 1
+    def test_uniform_coverage(self, monkeypatch):
+        # the random reference draws one table entry per agent-step
+        seen = []
+        real = training.run_controller_episode
+
+        def spy(sim, choose, hp, coeffs):
+            def recording(t, rows):
+                deltas = choose(t, rows)
+                seen.extend(deltas.tolist())
+                return deltas
+            return real(sim, recording, hp, coeffs)
+
+        monkeypatch.setattr(training, "run_controller_episode", spy)
+        training.evaluate_controller("random", "s1", 5, 4, SimConfig(n_agents=5),
+                                     HyperParams(episode_len=200), QoECoefficients())
+        counts = np.array([seen.count(d) for d in DEFAULT_DELTA_TABLE])
+        assert counts.sum() == 5000
         assert counts.min() > 800   # roughly uniform over 5 actions

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from asms import cli, qoe, verify
-from asms.core import QoECoefficients, RngStream
+from asms.core import Channel, QoECoefficients, RngStream
 from ratings_io import write_ratings_csv
 
 
@@ -58,6 +59,13 @@ class TestTrain:
         code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x"))
         assert code == 2
         assert "ldp_clip" in capsys.readouterr().err
+
+    def test_unused_key_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("sac_critics = 3\n")
+        code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "sac_critics is unused" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = run_cli("train", "--out", str(tmp_path / "x"), "--scenarios", "s9")
@@ -203,6 +211,18 @@ class TestVerify:
         assert verify.check_gradient_critic(seed).passed
         monkeypatch.setenv("ASMS_VERIFY_CORRUPT_GRADIENT", "1")
         assert not verify.check_gradient_critic(seed).passed
+
+    def test_scenario_table_pins_the_builtin_channels(self, monkeypatch):
+        real = verify.builtin_scenarios
+
+        def edited():
+            return [dataclasses.replace(s, bandwidth=Channel.fixed(20, 90))
+                    if s.name == "s3" else s for s in real()]
+
+        assert verify.check_scenario_ranges(0).passed
+        monkeypatch.setattr(verify, "builtin_scenarios", edited)
+        result = verify.check_scenario_ranges(0)
+        assert not result.passed and "s3" in result.detail
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -180,6 +180,21 @@ class TestConfigParsing:
         assert cfg.f_target == 90.0
         assert coeffs.f_target == 90.0
 
+    def test_y_min_feeds_both_structs(self):
+        cfg, _, coeffs = parse_config_text("y_min = 2.0\n")
+        assert cfg.y_min == 2.0
+        assert coeffs.y_min == 2.0
+
+    @pytest.mark.parametrize("key, default, other", [
+        ("policy_update_freq", "40", "20"), ("replay_buffer_size", "5000", "100"),
+        ("target_update_coef", "0.005", "0.01"), ("sac_critics", "2", "1"),
+        ("entropy_temperature", "0.2", "0.1")])
+    def test_unused_keys_accept_only_their_default(self, key, default, other):
+        _, hp, _ = parse_config_text(f"{key} = {default}\n")
+        assert hp == HyperParams()
+        with pytest.raises(ConfigError, match=f"{key} is unused"):
+            parse_config_text(f"{key} = {other}\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.cfg"))
@@ -218,6 +233,10 @@ class TestRngStream:
         r = RngStream(3, "x")
         parts = np.concatenate([r.uniform(size=k) for k in (1, 7, 30, 82)])
         assert np.array_equal(whole, parts)
+        # one block of N integers equals N scalar draws (the random controller)
+        block = RngStream(4, "rand").integers(5, size=24)
+        r = RngStream(4, "rand")
+        assert block.tolist() == [r.integers(5) for _ in range(24)]
 
     def test_uniform_bounds(self):
         draws = RngStream(1, "u").uniform(2.0, 5.0, size=1000)

@@ -1,8 +1,10 @@
-"""Every name imported by the package and by the tests is used.
+"""Every name imported by the package and by the tests is used, and so is
+every local a function binds by a single-name assignment or a nested def.
 
 No linter is part of the toolchain, so this walks the syntax trees itself.
-A name counts as used when it is read anywhere in the module, appears in a
-string annotation, or is listed in ``__all__``.
+An import counts as used when it is read anywhere in the module, appears in
+a string annotation, or is listed in ``__all__``. A local counts as used when
+the function or one of its closures reads it.
 """
 
 import ast
@@ -49,6 +51,44 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _own_scope(fn):
+    """Nodes of fn's own scope: its body, without nested function, lambda and
+    class bodies (the nested def statements themselves are kept)."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source):
+    """(line, name) of each single-name assignment or nested def in a
+    function that the function, closures included, never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, outer = {}, set()
+        for node in _own_scope(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, node.lineno)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                bound.setdefault(node.target.id, node.lineno)
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found += [(line, name) for name, line in bound.items()
+                  if name not in read and name not in outer and not name.startswith("_")]
+    return sorted(found)
+
+
 def test_checker_flags_only_unused_names():
     source = ("import math\nimport os.path\nfrom typing import IO, Sequence\n"
               "from x import y as z\n__all__ = ['z']\n"
@@ -61,3 +101,17 @@ def test_no_unused_imports():
              for path in SOURCES
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_local_checker_flags_only_unread_locals():
+    source = ("def f(a):\n    n = a.size\n    m = 2\n    k = 0\n"
+              "    def g():\n        nonlocal k\n        k = k + m\n"
+              "    def h():\n        return 1\n    x, y = a\n    _ = 3\n    return g\n")
+    assert unused_locals(source) == [(2, "n"), (8, "h")]
+
+
+def test_no_unused_locals():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in SOURCES
+             for line, name in unused_locals(path.read_text(encoding="utf-8"))]
+    assert not found, "unused locals:\n" + "\n".join(found)

@@ -51,34 +51,27 @@ class TestSelectAction:
     def test_dominant_logit(self):
         actor = nn.init_mlp(6, 4, 5, "tanh", RngStream(0, "a"))
         theta = np.zeros_like(actor.theta)
-        # bias the last layer's third output by +20
-        theta[-5 + 2] = 0.0
+        # bias the last layer's third output by +20 (the flat vector ends
+        # with the output biases)
+        theta[-5 + 2] = 20.0
         actor = actor.with_theta(theta)
-
-        def logits_fn(vec):
-            out, _ = nn.forward(actor, vec)
-            return out
-
-        # emulate dominance by direct categorical check instead
-        probs, _, _ = nn.categorical_head(np.array([0.0, 0.0, 20.0, 0.0, 0.0]))
-        assert probs[2] > 0.999
+        obs = np.full(6, 0.5)
+        logits, _ = nn.forward(actor, obs)
+        np.testing.assert_array_equal(logits, [0.0, 0.0, 20.0, 0.0, 0.0])
 
         rng = RngStream(2, "s")
-        draws = [int(np.searchsorted(np.cumsum(probs), rng.uniform(), "right"))
-                 for _ in range(5000)]
+        draws = [rl.select_action(actor, obs, rng)[0] for _ in range(5000)]
         assert np.mean(np.array(draws) == 2) >= 0.999
 
     def test_seeded_determinism(self):
         actor = nn.init_mlp(6, 8, 5, "tanh", RngStream(7, "a"))
         obs = RngStream(8, "o").uniform(0, 1, size=6)
-        seq_a = [rl.select_action(actor, obs, RngStream(9, "s"))[0] for _ in range(1)]
-        run1 = [rl.select_action(actor, obs, rng)[0]
-                for rng in [RngStream(9, "s")] for _ in range(20)]
+        rng = RngStream(9, "s")
+        run1 = [rl.select_action(actor, obs, rng)[0] for _ in range(20)]
         rng = RngStream(9, "s")
         run2 = [rl.select_action(actor, obs, rng)[0] for _ in range(20)]
-        rng = RngStream(9, "s")
-        run3 = [rl.select_action(actor, obs, rng)[0] for _ in range(20)]
-        assert run2 == run3
+        assert run1 == run2
+        assert len(set(run1)) > 1   # the draws do vary within one stream
 
     def test_log_prob_matches_head(self):
         actor = nn.init_mlp(6, 8, 5, "tanh", RngStream(3, "a"))
@@ -143,15 +136,16 @@ class TestReturns:
 
 class TestClippedObjective:
     def test_on_policy_point(self):
-        assert rl.clipped_objective(-1.0, -1.0, 1.7, 0.2) == pytest.approx(1.7)
+        val, unclipped = rl.clipped_objective(-1.0, -1.0, 1.7, 0.2)
+        assert val == pytest.approx(1.7) and unclipped
 
     def test_positive_advantage_clipped(self):
-        val = rl.clipped_objective(math.log(1.5), 0.0, 2.0, 0.2)
-        assert val == pytest.approx(2.4)
+        val, unclipped = rl.clipped_objective(math.log(1.5), 0.0, 2.0, 0.2)
+        assert val == pytest.approx(2.4) and not unclipped
 
     def test_negative_advantage_branch(self):
-        val = rl.clipped_objective(math.log(0.5), 0.0, -1.0, 0.2)
-        assert val == pytest.approx(-0.8)
+        val, unclipped = rl.clipped_objective(math.log(0.5), 0.0, -1.0, 0.2)
+        assert val == pytest.approx(-0.8) and not unclipped
 
     def test_eps_bounds(self):
         with pytest.raises(ValueError):

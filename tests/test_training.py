@@ -64,7 +64,7 @@ class TestTrainLoop:
 
     def test_run_directory_contents(self, tmp_path):
         out = tmp_path / "run"
-        result = tiny_train(out_dir=out, episodes=20)
+        tiny_train(out_dir=out, episodes=20)
         manifest = json.loads((out / training.MANIFEST_FILE).read_text())
         assert manifest["method"] == "fmappo"
         assert manifest["episodes"] == 20
@@ -177,16 +177,15 @@ class TestControllerEpisode:
         traj, want = training.run_episode(sim, agents, HP, COEFFS,
                                           RngStream(4, "act"), greedy=True)
         deltas = np.array(cfg.delta_table)[traj.actions]
-        replay = iter(deltas.ravel().tolist())
         seen = []
 
-        def decide(i, obs):
-            seen.append(i)
-            return next(replay)
+        def choose(t, rows):
+            seen.append((t, rows.shape))
+            return deltas[t]
 
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
-        got = training.run_controller_episode(sim, decide, HP, COEFFS)
-        assert seen == [0, 1, 2] * HP.episode_len
+        got = training.run_controller_episode(sim, choose, HP, COEFFS)
+        assert seen == [(t, (3, 6)) for t in range(HP.episode_len)]
         for name in ("rewards", "agent_qoe", "received_mbps", "latency_ms",
                      "lost_packets", "frame_rate"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
