@@ -7,9 +7,9 @@ decision granularity. Outputs from the rule controllers are labeled
 reference lives in ``training.evaluate_controller``.
 
 All N agents step together. Each step a controller reads the step's (N, 6)
-observation rows, one row per agent in ``Observation`` field order (the
-``core.OBS_*`` columns), and returns (N,) indices into the delta table plus
-the next ``ControllerState``. Agents never read each other's rows or state.
+observation rows, one row per agent with columns ``core.OBS_*``, and
+returns (N,) indices into the delta table plus the next
+``ControllerState``. Agents never read each other's rows or state.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
-from . import __version__, qoe, svgplot, training, verify
+from . import __version__, baselines, qoe, svgplot, training, verify
 from .core import (ConfigError, builtin_scenarios, default_hyperparams,
                    default_qoe_coefficients, default_sim_config, load_config)
 from .rl import NonFiniteLossError
@@ -64,6 +65,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, hp, coeffs = _load_config_arg(args.config)
     scenarios = _scenario_list(args.scenarios)
+    if not args.controller:
+        agents = training.load_checkpoint_agents(args.checkpoint)
+        label = args.label or _method_from_manifest(args.checkpoint)
     trace_fh = None
     trace = None
     if args.trace:
@@ -78,8 +82,6 @@ def cmd_eval(args) -> int:
                     args.controller, scen, args.episodes, args.seed, cfg, hp,
                     coeffs, trace=trace)
             else:
-                agents = training.load_checkpoint_agents(args.checkpoint)
-                label = args.label or _method_from_manifest(args.checkpoint)
                 summary = training.evaluate_agents(
                     agents, scen, args.episodes, args.seed, cfg, hp, coeffs,
                     method=label, trace=trace)
@@ -182,12 +184,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fit_qoe(args) -> int:
-    records = qoe.load_ratings_csv(args.ratings)
     if args.grid:
         try:
             start, stop, step = (float(v) for v in args.grid.split(":"))
         except ValueError:
             raise ConfigError(f"--grid must be start:stop:step, got {args.grid!r}")
+        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0:
+            raise ConfigError(f"--grid needs finite values and a step > 0, got {args.grid!r}")
         axis = []
         v = start
         while v <= stop + 1e-12:
@@ -196,6 +199,7 @@ def cmd_fit_qoe(args) -> int:
         grid = tuple(tuple(axis) for _ in range(5))
     else:
         grid = qoe.DEFAULT_GRID
+    records = qoe.load_ratings_csv(args.ratings)
     fit = qoe.fit_coefficients(records, grid)
     sens = qoe.coefficient_sensitivity(fit.coefficients, records)
 
@@ -269,7 +273,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint or rule controller")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint", help="checkpoint directory (e.g. run/checkpoints/final)")
-    group.add_argument("--controller", choices=("delay", "probe", "random"))
+    group.add_argument("--controller", choices=baselines.CONTROLLER_NAMES + ("random",))
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--scenarios", default="s1", help="comma-separated scenario names")
     p.add_argument("--episodes", type=int, default=30)

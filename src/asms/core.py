@@ -4,6 +4,14 @@ Everything here is a plain immutable value; simulation state lives in the
 other modules. The RNG is counter-based so that any (seed, stream, call
 sequence) triple reproduces bit-identically, including when draws are
 requested in vectorized blocks.
+
+An agent's observation of one 1-second step is a row of ``OBS_DIM`` floats,
+indexed by the ``OBS_*`` columns: target bitrate, received bitrate (Mbps),
+latency, jitter (ms), lost packets and NACKs. Every field is finite and
+>= 0, the received bitrate never exceeds the target (the link only ever
+under-delivers), and NACKs never exceed lost packets (every lost packet
+triggers exactly one NACK). The simulator emits (N, 6) rows per step, and
+``check_obs_rows`` is the one place that enforces the contract.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 DEFAULT_DELTA_TABLE: tuple[float, ...] = (-5.0, -1.0, 0.0, 1.0, 5.0)
 
 OBS_DIM = 6
-# Columns of an (..., OBS_DIM) observation row, in ``Observation`` field order.
+# Columns of an (..., OBS_DIM) observation row.
 OBS_TARGET, OBS_RECEIVED, OBS_LATENCY, OBS_JITTER, OBS_LOST, OBS_NACKS = range(OBS_DIM)
 
 
@@ -29,35 +37,24 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Observations and the action table
+# The row contract and the action table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Observation:
-    """Per-agent network snapshot for one 1-second step.
-
-    ``received_mbps`` can never exceed ``target_mbps`` (the link only ever
-    under-delivers) and every lost packet triggers exactly one NACK.
-    """
-
-    target_mbps: float
-    received_mbps: float
-    latency_ms: float
-    jitter_ms: float
-    lost_packets: float
-    nack_count: float
-
-    def __post_init__(self) -> None:
-        vals = (self.target_mbps, self.received_mbps, self.latency_ms,
-                self.jitter_ms, self.lost_packets, self.nack_count)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise ValueError(f"observation fields must be finite and >= 0, got {vals}")
-        if self.received_mbps > self.target_mbps + 1e-9:
-            raise ValueError(
-                f"received {self.received_mbps} exceeds target {self.target_mbps}")
-        if self.nack_count > self.lost_packets + 1e-9:
-            raise ValueError(
-                f"nack count {self.nack_count} exceeds lost packets {self.lost_packets}")
+def check_obs_rows(rows) -> np.ndarray:
+    """Validate a (..., OBS_DIM) block of observation rows against the row
+    contract; returns it as a float64 array."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 0 or rows.shape[-1] != OBS_DIM:
+        raise ValueError(f"observation rows need shape (..., {OBS_DIM}), got {rows.shape}")
+    valid = np.all(np.isfinite(rows) & (rows >= 0), axis=-1)
+    for bad, what in ((~valid, "fields must be finite and >= 0"),
+                      (rows[..., OBS_RECEIVED] > rows[..., OBS_TARGET] + 1e-9,
+                       "received bitrate exceeds its target"),
+                      (rows[..., OBS_NACKS] > rows[..., OBS_LOST] + 1e-9,
+                       "NACKs exceed lost packets")):
+        if np.any(bad):
+            raise ValueError(f"observation {what}: {rows[bad][0].tolist()}")
+    return rows
 
 
 def validate_delta_table(table: Sequence[float]) -> None:
@@ -84,10 +81,6 @@ class Span:
             raise ValueError("span bounds must be finite")
         if self.lo < 0 or self.hi < self.lo:
             raise ValueError(f"need 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -557,8 +550,8 @@ class RngStream:
 __all__ = [
     "Channel", "ConfigError", "DEFAULT_DELTA_TABLE", "HyperParams",
     "OBS_DIM", "OBS_JITTER", "OBS_LATENCY", "OBS_LOST", "OBS_NACKS", "OBS_RECEIVED",
-    "OBS_TARGET", "Observation", "QoECoefficients", "RngStream", "ScenarioSpec",
-    "SimConfig", "Span", "builtin_scenarios", "default_hyperparams",
+    "OBS_TARGET", "QoECoefficients", "RngStream", "ScenarioSpec",
+    "SimConfig", "Span", "builtin_scenarios", "check_obs_rows", "default_hyperparams",
     "default_qoe_coefficients", "default_sim_config",
     "load_config", "parse_config_text", "scenario_by_name", "serialize_config",
     "validate_delta_table",

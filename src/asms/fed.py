@@ -28,7 +28,6 @@ class GlobalModel:
 class LocalUpdate:
     """One agent's (possibly perturbed) upload."""
 
-    agent_id: int
     actor: nn.ModelParams
     critic: nn.ModelParams
     sample_count: int
@@ -107,7 +106,7 @@ def fedavg(updates: Sequence[LocalUpdate], weights: Sequence[float],
                        critic=ref.critic.with_theta(critic_theta))
 
 
-def make_local_update(agent_id: int, actor: nn.ModelParams, critic: nn.ModelParams,
+def make_local_update(actor: nn.ModelParams, critic: nn.ModelParams,
                       reference: GlobalModel, hp: HyperParams, rng: RngStream,
                       sample_count: int) -> LocalUpdate:
     """Clip the agent's drift from the reference model and perturb it for
@@ -122,8 +121,7 @@ def make_local_update(agent_id: int, actor: nn.ModelParams, critic: nn.ModelPara
     else:
         up_actor = actor.with_theta(actor.theta.copy())
         up_critic = critic.with_theta(critic.theta.copy())
-    return LocalUpdate(agent_id=agent_id, actor=up_actor, critic=up_critic,
-                       sample_count=sample_count,
+    return LocalUpdate(actor=up_actor, critic=up_critic, sample_count=sample_count,
                        bytes_up=update_upload_bytes(up_actor, up_critic))
 
 
@@ -149,10 +147,8 @@ def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
 
     Agents' sample counters reset; Adam state persists across the broadcast.
     """
-    updates = []
-    for i, agent in enumerate(agents):
-        updates.append(make_local_update(i, agent.actor, agent.critic, model,
-                                         hp, rng, agent.sample_count))
+    updates = [make_local_update(agent.actor, agent.critic, model, hp, rng,
+                                 agent.sample_count) for agent in agents]
     counts = np.array([u.sample_count for u in updates], dtype=np.float64)
     weights = counts if counts.sum() > 0 else np.ones(len(updates))
     new_model = fedavg(updates, weights, round_index=model.round_index)

@@ -3,7 +3,8 @@
 N senders share one link at a 1-second step granularity. Each step the link's
 conditions are drawn from a scenario profile, the joint target bitrates are
 reduced to received bitrates by max-min fair sharing, and per-sender loss,
-latency, and delivered frame rate are derived from the load.
+latency, and delivered frame rate are derived from the load. A step yields
+(N, 6) observation rows (columns ``core.OBS_*``) and (N,) frame rates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import RngStream, ScenarioSpec, SimConfig
+from .core import (OBS_DIM, OBS_JITTER, OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED,
+                   OBS_TARGET, RngStream, ScenarioSpec, SimConfig)
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,6 @@ class LinkState:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
         if self.capacity_mbps <= 0:
             raise ValueError("capacity must be positive")
-
-
-@dataclass(frozen=True)
-class LinkOutcome:
-    """Per-agent delivery results for one step (parallel arrays)."""
-
-    received_mbps: np.ndarray
-    latency_ms: np.ndarray
-    jitter_ms: np.ndarray
-    lost_packets: np.ndarray
-    nacks: np.ndarray
-    frame_rate: np.ndarray
 
 
 def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
@@ -100,13 +90,15 @@ def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
 
 
 def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
-            rng: RngStream) -> LinkOutcome:
-    """Apply one step's joint targets to the link.
+            rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one step's joint targets to the link; returns the (N, 6)
+    observation rows and the (N,) delivered frame rates.
 
     Latency rises with utilization as base * (1 + coef * U^2) with
     U = min(1, sum(x)/capacity). Losses are binomial per sender over the
     packets actually delivered-rate worth of traffic, with the loss
     probability raised by an active burst and by overload beyond capacity.
+    Every lost packet is NACKed once.
     """
     x = np.asarray(targets, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -115,7 +107,6 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
     y = allocate_max_min(x, state.capacity_mbps)
     total_demand = float(x.sum())
     utilization = min(1.0, total_demand / state.capacity_mbps)
-    latency = state.base_latency_ms * (1.0 + cfg.queue_delay_coef * utilization ** 2)
     overload = max(0.0, total_demand / state.capacity_mbps - 1.0)
     eff_loss = state.loss_rate + cfg.congestion_loss_coef * overload
     if state.burst_active:
@@ -123,19 +114,19 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
     eff_loss = min(1.0, eff_loss)
 
     n = x.size
-    latency_arr = np.full(n, latency)
-    jitter_arr = np.full(n, state.base_jitter_ms)
-    lost = np.zeros(n)
+    rows = np.empty((n, OBS_DIM))
+    rows[:, OBS_TARGET] = x
+    rows[:, OBS_RECEIVED] = y
+    rows[:, OBS_LATENCY] = state.base_latency_ms * (1.0 + cfg.queue_delay_coef * utilization ** 2)
+    rows[:, OBS_JITTER] = state.base_jitter_ms
     frame_rate = np.zeros(n)
     bits_per_packet = 8.0 * cfg.packet_size_bytes
     for i in range(n):
         sent = math.ceil(y[i] * 1e6 / bits_per_packet)
-        lost[i] = rng.binomial(sent, eff_loss)
+        rows[i, OBS_LOST] = rng.binomial(sent, eff_loss)
         frame_rate[i] = cfg.f_target * min(1.0, y[i] / max(x[i], 1e-12))
-
-    return LinkOutcome(received_mbps=y, latency_ms=latency_arr,
-                       jitter_ms=jitter_arr, lost_packets=lost,
-                       nacks=lost.copy(), frame_rate=frame_rate)
+    rows[:, OBS_NACKS] = rows[:, OBS_LOST]
+    return rows, frame_rate
 
 
 class BottleneckSim:
@@ -153,11 +144,10 @@ class BottleneckSim:
         self.rng = rng
         self.trace = trace
         self.t = 0
-        self.episode_x_init = cfg.x_init
 
-    def reset(self) -> LinkOutcome:
+    def reset(self) -> tuple[np.ndarray, np.ndarray]:
         """Start an episode: a warmup step at t=0 with the initial targets
-        produces the first outcome.
+        produces the first rows and frame rates.
 
         With x_init_spread > 0 each episode draws its starting bitrate
         log-uniformly around x_init (exploring starts); all senders share it.
@@ -168,24 +158,25 @@ class BottleneckSim:
             x0 *= math.exp(self.rng.uniform(-self.cfg.x_init_spread,
                                             self.cfg.x_init_spread))
             x0 = min(self.cfg.y_max, max(self.cfg.y_min, x0))
-        self.episode_x_init = x0
         state = sample_link_state(self.spec, 0, self.episode_len, self.rng,
                                   users=self.cfg.users_at(0))
         targets = [x0] * self.cfg.n_agents
         return advance(state, targets, self.cfg, self.rng)
 
-    def step(self, targets: Sequence[float]) -> tuple[LinkState, LinkOutcome]:
+    def step(self, targets: Sequence[float]) -> tuple[LinkState, np.ndarray, np.ndarray]:
+        """Apply the targets at the next step; returns its link state, rows
+        and frame rates."""
         if len(targets) != self.cfg.n_agents:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
         state = sample_link_state(self.spec, self.t, self.episode_len, self.rng,
                                   users=self.cfg.users_at(self.t))
-        outcome = advance(state, targets, self.cfg, self.rng)
+        rows, frame_rate = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
-            self.trace.record(state, targets, outcome)
+            self.trace.record(state, rows, frame_rate)
         self.t += 1
-        return state, outcome
+        return state, rows, frame_rate
 
 
 class TraceWriter:
@@ -197,17 +188,14 @@ class TraceWriter:
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(self.HEADER)
 
-    def record(self, state: LinkState, targets: Sequence[float], outcome: LinkOutcome) -> None:
-        for i in range(len(targets)):
+    def record(self, state: LinkState, rows: np.ndarray, frame_rate: np.ndarray) -> None:
+        for i, (x, y, l, j, p, n) in enumerate(rows.tolist()):
             self._writer.writerow([
-                state.t, i,
-                f"{targets[i]:.6g}", f"{outcome.received_mbps[i]:.6g}",
-                f"{outcome.latency_ms[i]:.6g}", f"{outcome.jitter_ms[i]:.6g}",
-                int(outcome.lost_packets[i]), int(outcome.nacks[i]),
-                f"{outcome.frame_rate[i]:.6g}", f"{state.capacity_mbps:.6g}",
+                state.t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
+                int(p), int(n), f"{frame_rate[i]:.6g}", f"{state.capacity_mbps:.6g}",
                 state.user_count,
             ])
 
 
-__all__ = ["BottleneckSim", "LinkOutcome", "LinkState", "TraceWriter",
+__all__ = ["BottleneckSim", "LinkState", "TraceWriter",
            "advance", "allocate_max_min", "sample_link_state"]

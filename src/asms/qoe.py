@@ -3,7 +3,8 @@ grid-search calibration of the score's weights against opinion ratings.
 
 The score is linear in its five weights, which the fitting code exploits:
 each trace reduces to one 5-dim feature vector and the whole grid is then a
-single matrix product.
+single matrix product. Scores and traces read observation rows, columns
+``core.OBS_*``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Observation, QoECoefficients, RngStream
+from .core import (OBS_LATENCY, OBS_LOST, OBS_RECEIVED, QoECoefficients, RngStream,
+                   check_obs_rows)
 
 # Tally of received bitrates clamped up to y_min inside quality(); a starving
 # stream scores floor quality instead of erroring.
@@ -49,33 +51,34 @@ def disruption_penalty(lost_packets: float, p_threshold: float) -> float:
     return max(0.0, lost_packets - p_threshold)
 
 
-def qoe_features(obs: Observation, frame_rate: float, next_received_mbps: float,
+def qoe_features(row: Sequence[float], frame_rate: float, next_received_mbps: float,
                  users: int, c: QoECoefficients) -> np.ndarray:
     """Signed per-term features so that weights . features == compute_qoe.
 
-    Order matches QoECoefficients.weights(): (alpha, beta, gamma, delta1,
-    delta2). Penalty terms are negated here.
+    ``row`` is one agent's observation row. Order matches
+    QoECoefficients.weights(): (alpha, beta, gamma, delta1, delta2). Penalty
+    terms are negated here.
     """
-    q_now = quality(obs.received_mbps, c.y_min)
+    q_now = quality(row[OBS_RECEIVED], c.y_min)
     q_next = quality(next_received_mbps, c.y_min)
     return np.array([
         q_now * math.exp(-users / c.u_max),
         -abs(frame_rate - c.f_target),
-        -obs.latency_ms / (obs.received_mbps + c.eps_small),
+        -row[OBS_LATENCY] / (row[OBS_RECEIVED] + c.eps_small),
         -abs(q_next - q_now),
-        -disruption_penalty(obs.lost_packets, c.p_threshold),
+        -disruption_penalty(row[OBS_LOST], c.p_threshold),
     ])
 
 
-def compute_qoe(obs: Observation, frame_rate: float, next_received_mbps: float,
+def compute_qoe(row: Sequence[float], frame_rate: float, next_received_mbps: float,
                 users: int, c: QoECoefficients) -> float:
-    """Experience score for one step.
+    """Experience score for one step of one agent's observation row.
 
     Scene quality (damped by user density) minus penalties for frame-rate
     mismatch, latency per unit throughput, quality fluctuation versus the
     next step, and above-threshold packet loss.
     """
-    return float(c.weights() @ qoe_features(obs, frame_rate, next_received_mbps, users, c))
+    return float(c.weights() @ qoe_features(row, frame_rate, next_received_mbps, users, c))
 
 
 def global_reward(scores: Sequence[float], mode: str = "mean") -> float:
@@ -94,36 +97,36 @@ def global_reward(scores: Sequence[float], mode: str = "mean") -> float:
 # Ratings and coefficient fitting
 # ---------------------------------------------------------------------------
 
-class TraceStep(NamedTuple):
-    obs: Observation
-    frame_rate: float
-    users: int
-
-
 @dataclass(frozen=True)
 class RatingsRecord:
-    """One rated trial: an observation trace and its 1-5 opinion score."""
+    """One rated trial: one agent's trace of observation rows and its 1-5
+    opinion score."""
 
     scenario: str
-    steps: tuple[TraceStep, ...]
+    rows: np.ndarray         # (T, 6)
+    frame_rate: np.ndarray   # (T,) delivered frame rates
+    users: np.ndarray        # (T,) user counts
     mos: float
 
     def __post_init__(self) -> None:
         if not (1.0 <= self.mos <= 5.0):
             raise ValueError(f"mos must be within [1, 5], got {self.mos}")
-        if len(self.steps) == 0:
-            raise ValueError("trace must be non-empty")
+        object.__setattr__(self, "rows", check_obs_rows(self.rows))
+        t = len(self.rows)
+        if self.rows.ndim != 2 or t == 0 or not self.frame_rate.shape == self.users.shape == (t,):
+            raise ValueError("a trace needs T >= 1 rows, each with a frame rate and user count")
 
 
 def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
     """Trace-mean feature vector; next-step bitrate at the trace end reuses
     the final step (no fluctuation penalty there)."""
-    steps = record.steps
+    rows = record.rows.tolist()
+    rates, users = record.frame_rate.tolist(), record.users.tolist()
     feats = np.zeros(5)
-    for i, step in enumerate(steps):
-        nxt = steps[i + 1].obs.received_mbps if i + 1 < len(steps) else step.obs.received_mbps
-        feats += qoe_features(step.obs, step.frame_rate, nxt, step.users, base)
-    return feats / len(steps)
+    for i, row in enumerate(rows):
+        nxt = rows[min(i + 1, len(rows) - 1)][OBS_RECEIVED]
+        feats += qoe_features(row, rates[i], nxt, users[i], base)
+    return feats / len(rows)
 
 
 DEFAULT_GRID: tuple[tuple[float, ...], ...] = tuple(
@@ -246,15 +249,16 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
     """Parse rated traces: rows grouped into trials wherever the step counter
     resets or the scenario changes; every row repeats its trial's MOS."""
     records: list[RatingsRecord] = []
-    cur_steps: list[TraceStep] = []
+    cur_steps: list[tuple[list[float], float, int]] = []   # (row, frame rate, users)
     cur_scenario: str | None = None
     cur_mos: float | None = None
     prev_step = -1
 
     def flush() -> None:
         if cur_steps:
-            records.append(RatingsRecord(scenario=cur_scenario or "",
-                                         steps=tuple(cur_steps), mos=float(cur_mos)))
+            rows, rates, users = zip(*cur_steps)
+            records.append(RatingsRecord(cur_scenario or "", np.array(rows), np.array(rates),
+                                         np.array(users), float(cur_mos)))
 
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -277,7 +281,8 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
             try:
                 scenario = row[0].strip()
                 step = int(row[1])
-                x, y, l, j, p, n, f, u, mos = (float(v) for v in row[2:])
+                *obs, f, u, mos = (float(v) for v in row[2:])
+                check_obs_rows(obs)
             except ValueError as exc:
                 raise ValueError(f"{path!r} line {lineno}: {exc}") from None
             if scenario != cur_scenario or step <= prev_step:
@@ -287,11 +292,7 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
                 cur_mos = mos
             if mos != cur_mos:
                 raise ValueError(f"{path!r} line {lineno}: MOS changed mid-trial")
-            try:
-                obs = Observation(x, y, l, j, p, n)
-            except ValueError as exc:
-                raise ValueError(f"{path!r} line {lineno}: {exc}") from None
-            cur_steps.append(TraceStep(obs=obs, frame_rate=f, users=int(u)))
+            cur_steps.append((obs, f, int(u)))
             prev_step = step
     flush()
     if not records:
@@ -310,7 +311,7 @@ def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 9
     Each record's mean opinion score averages ``raters`` independent ratings
     carrying Gaussian noise_sigma noise, then the 1-5 bounds are enforced.
     """
-    traces: list[tuple[str, tuple[TraceStep, ...]]] = []
+    drafts: list[RatingsRecord] = []
     scores: list[float] = []
     for r in range(n_records):
         # Designed-experiment layout: each record probes one term over a wide
@@ -332,32 +333,33 @@ def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 9
             volatility = rng.uniform(0.3, 2.0)
         else:
             loss_ceiling = rng.uniform(5.0, 30.0)
-        steps = []
+        rows, rates = [], []
         for _ in range(trace_len):
             y = max(1.0, base_y * math.exp(rng.uniform(-volatility, volatility)))
             x = y * (1.0 + rng.uniform(0.0, max_overshoot))
             lat = base_l * rng.uniform(0.8, 1.2)
             lost = float(int(rng.uniform(0.0, loss_ceiling))) if loss_ceiling >= 1 else 0.0
-            f = 60.0 * min(1.0, y / x)
-            steps.append(TraceStep(Observation(x, y, lat, 2.0, lost, lost), f, users))
-        rec = RatingsRecord(scenario=f"synthetic-{r}", steps=tuple(steps), mos=3.0)
-        traces.append((rec.scenario, rec.steps))
-        scores.append(float(truth.weights() @ record_features(rec, truth)))
+            rows.append((x, y, lat, 2.0, lost, lost))
+            rates.append(60.0 * min(1.0, y / x))
+        draft = RatingsRecord(f"synthetic-{r}", np.array(rows), np.array(rates),
+                              np.full(trace_len, users), mos=3.0)
+        drafts.append(draft)
+        scores.append(float(truth.weights() @ record_features(draft, truth)))
 
     lo, hi = min(scores), max(scores)
     span = hi - lo if hi > lo else 1.0
     records = []
-    for (scenario, steps), score in zip(traces, scores):
+    for draft, score in zip(drafts, scores):
         mos = mos_lo + (mos_hi - mos_lo) * (score - lo) / span
         if noise_sigma > 0:
             mos += noise_sigma * float(np.mean(rng.normal(size=raters)))
-        records.append(RatingsRecord(scenario, steps, min(5.0, max(1.0, mos))))
+        records.append(dataclasses.replace(draft, mos=min(5.0, max(1.0, mos))))
     return records
 
 
 __all__ = [
     "DEFAULT_GRID", "FitResult", "RATINGS_HEADER", "RatingsRecord",
-    "SensitivityResult", "TraceStep", "coefficient_sensitivity", "compute_qoe",
+    "SensitivityResult", "coefficient_sensitivity", "compute_qoe",
     "disruption_penalty", "fit_coefficients", "global_reward", "load_ratings_csv",
     "qoe_features", "quality", "quality_clamp_count", "record_features",
     "synthetic_ratings",

@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, HyperParams,
-                   Observation, QoECoefficients, RngStream)
-from .netsim import BottleneckSim, LinkOutcome
+from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, OBS_TARGET,
+                   HyperParams, QoECoefficients, RngStream, check_obs_rows)
+from .netsim import BottleneckSim
 from .qoe import compute_qoe, global_reward
 
 # Fixed feature scaling of the 6 observation fields: bitrates by y_max,
@@ -31,8 +31,8 @@ class NonFiniteLossError(RuntimeError):
 
 
 def normalize_obs(rows: np.ndarray, y_max: float = 200.0) -> np.ndarray:
-    """Affine-scale (..., 6) observation rows, in ``Observation`` field order,
-    into bounded features."""
+    """Affine-scale (..., 6) observation rows (columns ``core.OBS_*``) into
+    bounded features."""
     scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS,
                       PACKET_SCALE, PACKET_SCALE])
     return np.clip(np.asarray(rows, dtype=np.float64) / scale, 0.0, OBS_CLIP)
@@ -312,11 +312,12 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarr
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step experience scores and pooled rewards for a finished episode.
 
-    ``rows`` is (T, N, 6) in ``Observation`` field order; each agent-step is
-    validated as an ``Observation`` when it is scored. The fluctuation term
-    needs each step's successor bitrate, so scoring happens after the
-    rollout; the final step compares against itself.
+    ``rows`` is (T, N, 6) with columns ``core.OBS_*``, validated as one block
+    by ``check_obs_rows``. The fluctuation term needs each step's successor
+    bitrate, so scoring happens after the rollout; the final step compares
+    against itself.
     """
+    rows = check_obs_rows(rows)
     t_len, n, _ = rows.shape
     steps = rows.tolist()
     rates = frame_rate.tolist()
@@ -325,7 +326,7 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarr
     for t in range(t_len):
         successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
-            agent_qoe[t, i] = compute_qoe(Observation(*steps[t][i]), rates[t][i],
+            agent_qoe[t, i] = compute_qoe(steps[t][i], rates[t][i],
                                           successor[i][OBS_RECEIVED], int(step_users[t]), coeffs)
         rewards[t] = global_reward(agent_qoe[t], mode=mode)
     return rewards, agent_qoe
@@ -336,24 +337,20 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
             ) -> tuple[np.ndarray, EpisodeStats]:
     """Roll and score one episode of ``hp.episode_len`` steps.
 
-    Each step, ``choose(t, rows)`` maps the agents' (N, 6) observation rows
-    to N target deltas; the targets are clamped to [y_min, y_max] and applied
-    jointly to the link. Returns the (T+1, N, 6) rows, the warm-up
-    observation first, and the episode's statistics.
+    Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to N
+    deltas of their ``OBS_TARGET`` column; the new targets, clamped to [y_min,
+    y_max], are applied jointly to the link. Returns the (T+1, N, 6) rows,
+    the warm-up observation first, and the episode's statistics.
     """
     cfg = sim.cfg
     t_len = hp.episode_len
     rows = np.zeros((t_len + 1, cfg.n_agents, OBS_DIM))
     frame_rate = np.zeros((t_len, cfg.n_agents))
     step_users = np.zeros(t_len, dtype=np.int64)
-    outcome = sim.reset()
-    targets = np.full(cfg.n_agents, sim.episode_x_init)
-    rows[0] = _observation_rows(targets, outcome)
+    rows[0], _ = sim.reset()
     for t in range(t_len):
-        targets = np.clip(targets + choose(t, rows[t]), cfg.y_min, cfg.y_max)
-        state, outcome = sim.step(targets)
-        rows[t + 1] = _observation_rows(targets, outcome)
-        frame_rate[t] = outcome.frame_rate
+        targets = np.clip(rows[t, :, OBS_TARGET] + choose(t, rows[t]), cfg.y_min, cfg.y_max)
+        state, rows[t + 1], frame_rate[t] = sim.step(targets)
         step_users[t] = state.user_count
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs,
                                        cfg.reward_mode)
@@ -362,11 +359,6 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
                          latency_ms=rows[1:, :, OBS_LATENCY].copy(),
                          lost_packets=rows[1:, :, OBS_LOST].copy(), frame_rate=frame_rate)
     return rows, stats
-
-
-def _observation_rows(targets: np.ndarray, outcome: LinkOutcome) -> np.ndarray:
-    return np.column_stack((targets, outcome.received_mbps, outcome.latency_ms,
-                            outcome.jitter_ms, outcome.lost_packets, outcome.nacks))
 
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,

@@ -82,6 +82,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     n_episodes = hp.episodes if episodes is None else episodes
+    if n_episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {n_episodes}")
     specs = (list(scenario_specs) if scenario_specs is not None
              else [scenario_by_name(name) for name in scenario_names])
     names = [s.name for s in specs]
@@ -278,6 +280,8 @@ def _evaluate(label: str, scenario: ScenarioSpec | str, episodes: int, seed: int
               cfg: SimConfig, hp: HyperParams, trace,
               episode: Callable[[BottleneckSim, RngStream], EpisodeStats]) -> EvalSummary:
     """The loop both evaluations share: ``episode(sim, rng_act)`` per episode."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
     rng_env = RngStream(seed, f"eval-env/{spec.name}")
     rng_act = RngStream(seed, f"eval-act/{spec.name}")

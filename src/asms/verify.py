@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fed, netsim, nn, qoe, rl, training
-from .core import (Channel, HyperParams, Observation, QoECoefficients,
+from .core import (OBS_LOST, OBS_RECEIVED, Channel, HyperParams, QoECoefficients,
                    RngStream, ScenarioSpec, SimConfig, builtin_scenarios,
                    default_hyperparams)
 
@@ -217,12 +217,12 @@ def check_fedavg_oracle(seed: int) -> CheckResult:
     for trial in range(20):
         n_up = 2 + int(rng.uniform(0, 5))
         ups = []
-        for i in range(n_up):
+        for _ in range(n_up):
             actor = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
                                    activation="tanh", head="categorical")
             critic = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
                                     activation="relu", head="scalar")
-            ups.append(fed.LocalUpdate(i, actor, critic, 40, 0))
+            ups.append(fed.LocalUpdate(actor, critic, 40, 0))
         w = rng.uniform(0.1, 3.0, size=n_up)
         got = fed.fedavg(ups, w).actor.theta
         want = sum(wi * u.actor.theta for wi, u in zip(w, ups)) / w.sum()
@@ -233,7 +233,7 @@ def check_fedavg_oracle(seed: int) -> CheckResult:
         worst = max(worst, float(np.abs(got_p - got).max()))
     # identical-input fixed point must be bit-exact
     base = ups[0]
-    clones = [dataclasses.replace(base, agent_id=i) for i in range(4)]
+    clones = [base] * 4
     agg = fed.fedavg(clones, [1.0, 2.0, 3.0, 4.0])
     fixed = (np.array_equal(agg.actor.theta, base.actor.theta)
              and np.array_equal(agg.critic.theta, base.critic.theta))
@@ -439,21 +439,21 @@ def check_netsim_invariants(seed: int) -> CheckResult:
         spec = specs[k % len(specs)]
         state = netsim.sample_link_state(spec, k % 40, 40, rng, users=4)
         targets = rng.uniform(1, 200, size=4)
-        outcome = netsim.advance(state, targets, cfg, rng)
-        worst_excess = max(worst_excess,
-                           float(outcome.received_mbps.sum()) - state.capacity_mbps)
-        if np.any(outcome.received_mbps > targets + 1e-12):
+        rows, _ = netsim.advance(state, targets, cfg, rng)
+        received = rows[:, OBS_RECEIVED]
+        worst_excess = max(worst_excess, float(received.sum()) - state.capacity_mbps)
+        if np.any(received > targets + 1e-12):
             return CheckResult("netsim-invariants", False, "received exceeded target")
-        sent = np.ceil(outcome.received_mbps * 1e6 / (8 * cfg.packet_size_bytes))
-        if np.any(outcome.lost_packets > sent):
+        sent = np.ceil(received * 1e6 / (8 * cfg.packet_size_bytes))
+        if np.any(rows[:, OBS_LOST] > sent):
             return CheckResult("netsim-invariants", False, "lost more than sent")
     # lossless uncongested link must deliver perfectly
     clean = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                          Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
     state = netsim.sample_link_state(clean, 0, 40, rng)
-    outcome = netsim.advance(state, [10.0, 20.0], SimConfig(n_agents=2), rng)
-    lossless = outcome.lost_packets.sum() == 0 and np.allclose(
-        outcome.received_mbps, [10.0, 20.0])
+    rows, _ = netsim.advance(state, [10.0, 20.0], SimConfig(n_agents=2), rng)
+    lossless = rows[:, OBS_LOST].sum() == 0 and np.allclose(
+        rows[:, OBS_RECEIVED], [10.0, 20.0])
     # raising one agent's target never lowers its own share (same seed)
     mono_ok = True
     for k in range(200):
@@ -512,13 +512,13 @@ def check_qoe_values(seed: int) -> CheckResult:
     worst = max(worst, abs(qoe.quality(math.e * c.y_min, c.y_min) - 1.0))
     worst = max(worst, abs(qoe.quality(50, 1) - math.log(50)))
     # all-terms-zero anchor
-    obs0 = Observation(c.y_min, c.y_min, 0.0, 0.0, 0.0, 0.0)
+    obs0 = (c.y_min, c.y_min, 0.0, 0.0, 0.0, 0.0)
     worst = max(worst, abs(qoe.compute_qoe(obs0, c.f_target, c.y_min, 0, c)))
     # lone disruption term
-    obs1 = Observation(c.y_min, c.y_min, 0.0, 0.0, c.p_threshold + 4, c.p_threshold + 4)
+    obs1 = (c.y_min, c.y_min, 0.0, 0.0, c.p_threshold + 4, c.p_threshold + 4)
     worst = max(worst, abs(qoe.compute_qoe(obs1, c.f_target, c.y_min, 0, c) + 2.0))
     # straight-line oracle on a fixed input vector
-    obs2 = Observation(40.0, 32.0, 55.0, 4.0, 24.0, 24.0)
+    obs2 = (40.0, 32.0, 55.0, 4.0, 24.0, 24.0)
     got = qoe.compute_qoe(obs2, 48.0, 20.0, 4, c)
     q_now, q_next = math.log(32.0), math.log(20.0)
     want = (1.0 * q_now * math.exp(-4 / 6) - 0.4 * abs(48.0 - 60.0)
@@ -529,16 +529,15 @@ def check_qoe_values(seed: int) -> CheckResult:
     mono_ok = True
     prev = None
     for y in np.linspace(1.0, 100.0, 25):
-        val = qoe.compute_qoe(Observation(100.0, y, 0.0, 0.0, 0.0, 0.0),
-                              c.f_target, y, 1, c)
+        val = qoe.compute_qoe((100.0, y, 0.0, 0.0, 0.0, 0.0), c.f_target, y, 1, c)
         if prev is not None and val < prev - 1e-12:
             mono_ok = False
         prev = val
     for field, lo, hi in (("latency", 0.0, 300.0), ("loss", 0.0, 200.0)):
         prev = None
         for v in np.linspace(lo, hi, 25):
-            obs = (Observation(50.0, 50.0, v, 0.0, 0.0, 0.0) if field == "latency"
-                   else Observation(50.0, 50.0, 10.0, 0.0, v, v))
+            obs = ((50.0, 50.0, v, 0.0, 0.0, 0.0) if field == "latency"
+                   else (50.0, 50.0, 10.0, 0.0, v, v))
             val = qoe.compute_qoe(obs, c.f_target, 50.0, 1, c)
             if prev is not None and val > prev + 1e-12:
                 mono_ok = False

@@ -10,12 +10,9 @@ def write_ratings_csv(path, records):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RATINGS_HEADER)
         for rec in records:
-            for t, step in enumerate(rec.steps):
-                o = step.obs
+            for t, (x, y, l, j, p, n) in enumerate(rec.rows.tolist()):
                 writer.writerow([
-                    rec.scenario, t,
-                    f"{o.target_mbps:.6g}", f"{o.received_mbps:.6g}",
-                    f"{o.latency_ms:.6g}", f"{o.jitter_ms:.6g}",
-                    f"{o.lost_packets:.6g}", f"{o.nack_count:.6g}",
-                    f"{step.frame_rate:.6g}", step.users, f"{rec.mos:.6g}",
+                    rec.scenario, t, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
+                    f"{p:.6g}", f"{n:.6g}", f"{rec.frame_rate[t]:.6g}", rec.users[t],
+                    f"{rec.mos:.6g}",
                 ])

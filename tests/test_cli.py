@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from asms import cli, qoe, verify
+from asms import cli, qoe, training, verify
 from asms.core import Channel, QoECoefficients, RngStream
 from ratings_io import write_ratings_csv
 
@@ -67,6 +67,16 @@ class TestTrain:
         assert code == 2
         assert "sac_critics is unused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_episodes_below_one_exit_2_before_writing(self, tmp_path, tiny_cfg, capsys,
+                                                      episodes):
+        out = tmp_path / "run"
+        code = run_cli("train", "--config", tiny_cfg, "--out", str(out),
+                       "--episodes", episodes)
+        assert code == 2
+        assert f"episodes must be >= 1, got {episodes}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = run_cli("train", "--out", str(tmp_path / "x"), "--scenarios", "s9")
         assert code == 2
@@ -96,6 +106,23 @@ class TestEval:
         assert code == 0
         header = trace.read_text().splitlines()[0]
         assert header == "t,agent,x,y,l,j,p,n,f,capacity,u"
+
+    def test_zero_episodes_exit_2(self, tiny_cfg, capsys):
+        code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
+                       "--episodes", "0")
+        assert code == 2
+        assert "episodes must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_checkpoint_loads_once_for_all_scenarios(self, trained_run, tiny_cfg,
+                                                     monkeypatch):
+        loads = []
+        load = training.load_checkpoint_agents
+        monkeypatch.setattr(training, "load_checkpoint_agents",
+                            lambda path: loads.append(path) or load(path))
+        code = run_cli("eval", "--checkpoint", str(trained_run / "checkpoints" / "final"),
+                       "--config", tiny_cfg, "--scenarios", "s1,s3,s5", "--episodes", "1")
+        assert code == 0
+        assert len(loads) == 1
 
     def test_corrupt_checkpoint_exits_2(self, trained_run, tiny_cfg, capsys):
         target = trained_run / "checkpoints" / "final" / "agent00.actor.fmap"
@@ -189,6 +216,16 @@ class TestFitQoe:
         assert code == 0
         report = json.loads((tmp_path / "fit" / "qoe_fit.json").read_text())
         assert report["coefficients"]["beta"] == 0.25
+
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "0:inf:0.5"])
+    def test_grid_needs_finite_values_and_positive_step(self, tmp_path, capsys, grid):
+        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
+                                        n_records=4, trace_len=3)
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv(str(ratings), records)
+        assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
+        assert "step > 0" in capsys.readouterr().err
 
 
 class TestVerify:

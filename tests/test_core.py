@@ -1,31 +1,41 @@
 import numpy as np
 import pytest
 
-from asms.core import (ConfigError, HyperParams, Observation,
+from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        QoECoefficients, RngStream, SimConfig, Span,
-                       builtin_scenarios, default_hyperparams,
+                       builtin_scenarios, check_obs_rows, default_hyperparams,
                        default_qoe_coefficients, default_sim_config,
                        load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
 
 
-class TestObservation:
+class TestObsRows:
     def test_valid(self):
-        obs = Observation(10.0, 8.0, 20.0, 3.0, 5.0, 5.0)
-        assert (obs.target_mbps, obs.received_mbps, obs.latency_ms, obs.jitter_ms,
-                obs.lost_packets, obs.nack_count) == (10.0, 8.0, 20.0, 3.0, 5.0, 5.0)
+        rows = check_obs_rows([10, 8, 20, 3, 5, 5])
+        assert rows.dtype == np.float64
+        assert rows.tolist() == [10.0, 8.0, 20.0, 3.0, 5.0, 5.0]
+        assert check_obs_rows(rows) is rows
 
     def test_received_cannot_exceed_target(self):
-        with pytest.raises(ValueError):
-            Observation(10.0, 11.0, 20.0, 3.0, 5.0, 5.0)
+        with pytest.raises(ValueError, match="received"):
+            check_obs_rows([10.0, 11.0, 20.0, 3.0, 5.0, 5.0])
 
     def test_nacks_cannot_exceed_losses(self):
-        with pytest.raises(ValueError):
-            Observation(10.0, 8.0, 20.0, 3.0, 5.0, 6.0)
+        with pytest.raises(ValueError, match="NACKs"):
+            check_obs_rows([10.0, 8.0, 20.0, 3.0, 5.0, 6.0])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Observation(10.0, 8.0, -1.0, 3.0, 5.0, 5.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            check_obs_rows([10.0, 8.0, -1.0, 3.0, 5.0, 5.0])
+
+    def test_one_bad_row_in_a_block_is_found(self):
+        rows = np.tile([10.0, 8.0, 20.0, 3.0, 5.0, 5.0], (4, 3, 1))
+        check_obs_rows(rows)
+        rows[2, 1, OBS_LATENCY] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            check_obs_rows(rows)
+        with pytest.raises(ValueError, match="shape"):
+            check_obs_rows(np.zeros((4, 5)))
 
 
 class TestDeltaTable:

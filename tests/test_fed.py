@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ def small_update(seed, agent_id=0, shapes=((4, 3), (3, 2)), samples=40):
                            activation="tanh", head="categorical")
     critic = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
                             activation="relu", head="scalar")
-    return fed.LocalUpdate(agent_id, actor, critic, samples, 0)
+    return fed.LocalUpdate(actor, critic, samples, 0)
 
 
 def make_agents(model, n):
@@ -97,19 +96,19 @@ class TestLdpPerturb:
 class TestFedavg:
     def test_identical_updates_fixed_point_bit_exact(self):
         base = small_update(1)
-        clones = [dataclasses.replace(base, agent_id=i) for i in range(5)]
+        clones = [base] * 5
         out = fed.fedavg(clones, [0.2, 1.0, 3.0, 0.5, 2.2])
         assert np.array_equal(out.actor.theta, base.actor.theta)
         assert np.array_equal(out.critic.theta, base.critic.theta)
 
     def test_scalar_weighted_mean(self):
         shapes = ((1, 1),)
-        a = fed.LocalUpdate(0, nn.ModelParams(shapes, np.array([0.0, 0.0]), "tanh",
-                                              "categorical"),
+        a = fed.LocalUpdate(nn.ModelParams(shapes, np.array([0.0, 0.0]), "tanh",
+                                           "categorical"),
                             nn.ModelParams(shapes, np.array([0.0, 0.0]), "relu",
                                            "scalar"), 1, 0)
-        b = fed.LocalUpdate(1, nn.ModelParams(shapes, np.array([4.0, 0.0]), "tanh",
-                                              "categorical"),
+        b = fed.LocalUpdate(nn.ModelParams(shapes, np.array([4.0, 0.0]), "tanh",
+                                           "categorical"),
                             nn.ModelParams(shapes, np.array([4.0, 0.0]), "relu",
                                            "scalar"), 1, 0)
         out = fed.fedavg([a, b], [1.0, 3.0])

@@ -1,17 +1,23 @@
 """Every name imported by the package and by the tests is used, and so is
 every local a function binds by a single-name assignment or a nested def.
+Every name the package defines at module level is loaded by the package or
+the benchmark, so no product code exists that only tests call.
 
 No linter is part of the toolchain, so this walks the syntax trees itself.
 An import counts as used when it is read anywhere in the module, appears in
 a string annotation, or is listed in ``__all__``. A local counts as used when
-the function or one of its closures reads it.
+the function or one of its closures reads it. A module-level name counts as
+loaded when some module reads it as a name or as an attribute, or names it
+in a string annotation; its ``__all__`` entry does not count.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "asms").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "asms").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+LOADERS = PACKAGE + sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def _string_names(text):
@@ -115,3 +121,51 @@ def test_no_unused_locals():
              for path in SOURCES
              for line, name in unused_locals(path.read_text(encoding="utf-8"))]
     assert not found, "unused locals:\n" + "\n".join(found)
+
+
+def defined_names(source):
+    """(line, name) of each non-dunder name bound at the module's top level."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found if not name.startswith("__")]
+
+
+def loaded_names(source):
+    """Names the module reads, as names, attributes or in string annotations."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        else:
+            annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    loaded |= _string_names(part.value)
+    return loaded
+
+
+def test_definition_checker_flags_only_unloaded_names():
+    source = ("import os\nA = 1\nB, C = 2, 3\nD: int = 4\n__all__ = ['E', 'f']\n"
+              "E = A\ndef f(x: 'G') -> None:\n    return os.sep\nclass G:\n    pass\n"
+              "def h() -> 'I':\n    return B\nclass I:\n    pass\n")
+    loaded = loaded_names(source) | loaded_names("import m\nm.f()\n")
+    assert [(line, name) for line, name in defined_names(source)
+            if name not in loaded] == [(3, "C"), (4, "D"), (6, "E"), (11, "h")]
+
+
+def test_every_package_name_is_loaded_outside_tests():
+    loaded = set().union(*(loaded_names(path.read_text(encoding="utf-8"))
+                           for path in LOADERS))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in defined_names(path.read_text(encoding="utf-8"))
+             if name not in loaded]
+    assert not found, "names only tests load:\n" + "\n".join(found)

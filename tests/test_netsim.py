@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from asms.core import Channel, RngStream, ScenarioSpec, SimConfig, scenario_by_name
+from asms.core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
+                       RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
                          allocate_max_min, sample_link_state)
 
@@ -131,27 +132,27 @@ class TestAdvance:
     def test_uncongested_lossless(self):
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
-        outcome = advance(state, [10.0], cfg, RngStream(0, "e2"))
-        assert outcome.received_mbps[0] == pytest.approx(10.0)
-        assert outcome.lost_packets[0] == 0
-        assert outcome.frame_rate[0] == pytest.approx(cfg.f_target)
+        rows, frame_rate = advance(state, [10.0], cfg, RngStream(0, "e2"))
+        assert rows[0, OBS_RECEIVED] == pytest.approx(10.0)
+        assert rows[0, OBS_LOST] == 0
+        assert frame_rate[0] == pytest.approx(cfg.f_target)
 
     def test_congested_frame_rate(self):
         spec = ScenarioSpec("tight", Channel.fixed(60), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=2)
         state = sample_link_state(spec, 0, 40, RngStream(0, "e"))
-        outcome = advance(state, [50.0, 50.0], cfg, RngStream(0, "e2"))
-        np.testing.assert_allclose(outcome.received_mbps, [30.0, 30.0])
-        np.testing.assert_allclose(outcome.frame_rate, 0.6 * cfg.f_target)
+        rows, frame_rate = advance(state, [50.0, 50.0], cfg, RngStream(0, "e2"))
+        np.testing.assert_allclose(rows[:, OBS_RECEIVED], [30.0, 30.0])
+        np.testing.assert_allclose(frame_rate, 0.6 * cfg.f_target)
 
     def test_latency_grows_with_utilization(self):
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
-        low = advance(state, [10.0], cfg, RngStream(0, "a"))
-        high = advance(state, [100.0], cfg, RngStream(0, "b"))
-        assert high.latency_ms[0] > low.latency_ms[0]
-        assert high.latency_ms[0] == pytest.approx(state.base_latency_ms * 2.0)
+        low, _ = advance(state, [10.0], cfg, RngStream(0, "a"))
+        high, _ = advance(state, [100.0], cfg, RngStream(0, "b"))
+        assert high[0, OBS_LATENCY] > low[0, OBS_LATENCY]
+        assert high[0, OBS_LATENCY] == pytest.approx(state.base_latency_ms * 2.0)
 
     def test_conservation_sweep(self):
         rng = RngStream(7, "sweep")
@@ -160,22 +161,23 @@ class TestAdvance:
             spec = scenario_by_name(f"s{1 + k % 6}")
             state = sample_link_state(spec, k % 40, 40, rng, users=5)
             targets = rng.uniform(1, 200, size=5)
-            outcome = advance(state, targets, cfg, rng)
-            assert outcome.received_mbps.sum() <= state.capacity_mbps + 1e-9
-            assert np.all(outcome.received_mbps <= targets + 1e-9)
-            np.testing.assert_array_equal(outcome.nacks, outcome.lost_packets)
+            rows, _ = advance(state, targets, cfg, rng)
+            assert rows[:, OBS_RECEIVED].sum() <= state.capacity_mbps + 1e-9
+            assert np.all(rows[:, OBS_RECEIVED] <= targets + 1e-9)
+            np.testing.assert_array_equal(rows[:, OBS_TARGET], targets)
+            np.testing.assert_array_equal(rows[:, OBS_NACKS], rows[:, OBS_LOST])
 
     def test_burst_and_congestion_raise_losses(self):
         spec = ScenarioSpec("lossy", Channel.fixed(50), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.01), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=1)
         state = sample_link_state(spec, 0, 40, RngStream(1, "e"))
-        calm = advance(state, [40.0], cfg, RngStream(5, "x"))
+        calm, _ = advance(state, [40.0], cfg, RngStream(5, "x"))
         bursty_state = LinkState(state.t, state.capacity_mbps, state.base_latency_ms,
                                  state.base_jitter_ms, state.loss_rate, True, 0.2,
                                  state.user_count)
-        bursty = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
-        assert bursty.lost_packets[0] > calm.lost_packets[0]
+        bursty, _ = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
+        assert bursty[0, OBS_LOST] > calm[0, OBS_LOST]
 
     def test_dimension_mismatch(self):
         state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
@@ -188,18 +190,16 @@ class TestBottleneckSim:
         cfg = SimConfig(n_agents=3)
         spec = scenario_by_name("s2")
 
-        def as_rows(outcome):
-            return [outcome.received_mbps.tolist(), outcome.latency_ms.tolist(),
-                    outcome.jitter_ms.tolist(), outcome.lost_packets.tolist(),
-                    outcome.nacks.tolist(), outcome.frame_rate.tolist()]
+        def as_lists(rows, frame_rate):
+            return [rows.tolist(), frame_rate.tolist()]
 
         def run(seed):
             sim = BottleneckSim(spec, cfg, 40, RngStream(seed, "env"))
-            rows = [as_rows(sim.reset())]
+            steps = [as_lists(*sim.reset())]
             for t in range(40):
-                _, outcome = sim.step([10.0 + t, 20.0, 30.0])
-                rows.append(as_rows(outcome))
-            return rows
+                _, rows, frame_rate = sim.step([10.0 + t, 20.0, 30.0])
+                steps.append(as_lists(rows, frame_rate))
+            return steps
 
         assert run(11) == run(11)
         assert run(11) != run(12)
@@ -218,7 +218,7 @@ class TestBottleneckSim:
         sim.reset()
         counts = []
         for _ in range(5):
-            state, _ = sim.step([10.0, 10.0])
+            state, _, _ = sim.step([10.0, 10.0])
             counts.append(state.user_count)
         assert counts == [5, 4, 3, 3, 3]
 
@@ -229,11 +229,12 @@ class TestBottleneckSim:
         hi = min(cfg.y_max, cfg.x_init * math.exp(0.7))
         starts = []
         for _ in range(20):
-            outcome = sim.reset()
-            # the lossless link delivers every sender's start rate in full
-            np.testing.assert_array_equal(outcome.received_mbps,
-                                          np.full(3, sim.episode_x_init))
-            starts.append(sim.episode_x_init)
+            rows, _ = sim.reset()
+            x0 = rows[0, OBS_TARGET]
+            # all senders share the start; the lossless link delivers it in full
+            np.testing.assert_array_equal(rows[:, OBS_TARGET], np.full(3, x0))
+            np.testing.assert_array_equal(rows[:, OBS_RECEIVED], np.full(3, x0))
+            starts.append(x0)
         assert all(lo <= x <= hi for x in starts)
         assert max(starts) == cfg.y_max
         assert len(set(starts)) > 2

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from asms import qoe
-from asms.core import Observation, QoECoefficients, RngStream
+from asms.core import OBS_RECEIVED, QoECoefficients, RngStream
 from ratings_io import write_ratings_csv
 
 C = QoECoefficients()
@@ -47,15 +48,15 @@ class TestDisruptionPenalty:
 
 class TestComputeQoe:
     def test_all_terms_vanish(self):
-        obs = Observation(C.y_min, C.y_min, 0.0, 0.0, 0.0, 0.0)
+        obs = (C.y_min, C.y_min, 0.0, 0.0, 0.0, 0.0)
         assert qoe.compute_qoe(obs, C.f_target, C.y_min, 0, C) == pytest.approx(0.0)
 
     def test_lone_disruption_term(self):
-        obs = Observation(C.y_min, C.y_min, 0.0, 0.0, C.p_threshold + 4, C.p_threshold + 4)
+        obs = (C.y_min, C.y_min, 0.0, 0.0, C.p_threshold + 4, C.p_threshold + 4)
         assert qoe.compute_qoe(obs, C.f_target, C.y_min, 0, C) == pytest.approx(-2.0)
 
     def test_against_straight_line_oracle(self):
-        obs = Observation(60.0, 45.0, 80.0, 6.0, 30.0, 30.0)
+        obs = (60.0, 45.0, 80.0, 6.0, 30.0, 30.0)
         got = qoe.compute_qoe(obs, 45.0, 15.0, 5, C)
         q_now = math.log(45.0 / 1.0)
         q_next = math.log(15.0 / 1.0)
@@ -67,24 +68,24 @@ class TestComputeQoe:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_monotone_in_bitrate(self):
-        vals = [qoe.compute_qoe(Observation(150.0, y, 0.0, 0.0, 0.0, 0.0),
+        vals = [qoe.compute_qoe((150.0, y, 0.0, 0.0, 0.0, 0.0),
                                 C.f_target, y, 1, C)
                 for y in np.linspace(1, 150, 30)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_down_in_density(self):
-        obs = Observation(50.0, 50.0, 0.0, 0.0, 0.0, 0.0)
+        obs = (50.0, 50.0, 0.0, 0.0, 0.0, 0.0)
         vals = [qoe.compute_qoe(obs, C.f_target, 50.0, u, C) for u in range(0, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_down_in_frame_mismatch(self):
-        obs = Observation(50.0, 50.0, 10.0, 0.0, 0.0, 0.0)
+        obs = (50.0, 50.0, 10.0, 0.0, 0.0, 0.0)
         vals = [qoe.compute_qoe(obs, C.f_target - d, 50.0, 1, C) for d in (0, 5, 10, 20)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_stability_term_symmetry(self):
-        a = Observation(50.0, 40.0, 10.0, 0.0, 0.0, 0.0)
-        b = Observation(50.0, 20.0, 10.0, 0.0, 0.0, 0.0)
+        a = (50.0, 40.0, 10.0, 0.0, 0.0, 0.0)
+        b = (50.0, 20.0, 10.0, 0.0, 0.0, 0.0)
         pen_ab = qoe.qoe_features(a, C.f_target, 20.0, 1, C)[3]
         pen_ba = qoe.qoe_features(b, C.f_target, 40.0, 1, C)[3]
         assert pen_ab == pytest.approx(pen_ba)
@@ -147,9 +148,23 @@ class TestFitting:
     def test_tie_break_lexicographic(self):
         # constant ratings make every candidate equal-RMSE; first grid point wins
         records = qoe.synthetic_ratings(TRUTH, RngStream(2, "fit"), n_records=6)
-        flat = [qoe.RatingsRecord(r.scenario, r.steps, 3.0) for r in records]
+        flat = [dataclasses.replace(r, mos=3.0) for r in records]
         fit = qoe.fit_coefficients(flat, grid=((0.3, 0.1), (0.2,), (0.2,), (0.2,), (0.2,)))
         assert fit.coefficients.alpha == 0.3
+
+
+class TestRatingsRecord:
+    def test_invalid_row_rejected(self):
+        rows = np.tile([10.0, 8.0, 20.0, 2.0, 3.0, 3.0], (4, 1))
+        qoe.RatingsRecord("s1", rows, np.full(4, 60.0), np.full(4, 2), 3.0)
+        rows[2, OBS_RECEIVED] = 11.0
+        with pytest.raises(ValueError, match="received"):
+            qoe.RatingsRecord("s1", rows, np.full(4, 60.0), np.full(4, 2), 3.0)
+
+    def test_one_frame_rate_and_user_count_per_row(self):
+        rows = np.tile([10.0, 8.0, 20.0, 2.0, 3.0, 3.0], (4, 1))
+        with pytest.raises(ValueError, match="frame rate and user count"):
+            qoe.RatingsRecord("s1", rows, np.full(3, 60.0), np.full(4, 2), 3.0)
 
 
 class TestSensitivity:
@@ -186,9 +201,8 @@ class TestRatingsCsv:
         for a, b in zip(records, back):
             assert a.scenario == b.scenario
             assert b.mos == pytest.approx(a.mos, abs=1e-5)
-            assert len(a.steps) == len(b.steps)
-            assert b.steps[0].obs.received_mbps == pytest.approx(
-                a.steps[0].obs.received_mbps, rel=1e-5)
+            assert a.rows.shape == b.rows.shape
+            assert b.rows[0, OBS_RECEIVED] == pytest.approx(a.rows[0, OBS_RECEIVED], rel=1e-5)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="nope.csv"):
@@ -211,6 +225,14 @@ class TestRatingsCsv:
         path.write_text(",".join(qoe.RATINGS_HEADER) + "\n"
                         "s1,0,10,8,20,2,0,0,60,3,oops\n")
         with pytest.raises(ValueError, match="line 2"):
+            qoe.load_ratings_csv(str(path))
+
+    def test_invalid_row_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(qoe.RATINGS_HEADER) + "\n"
+                        "s1,0,10,8,20,2,0,0,60,3,4.0\n"
+                        "s1,1,10,12,20,2,0,0,60,3,4.0\n")
+        with pytest.raises(ValueError, match="line 3: observation received"):
             qoe.load_ratings_csv(str(path))
 
     def test_mos_change_mid_trial_rejected(self, tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from asms import nn, rl
-from asms.core import (Channel, HyperParams, QoECoefficients, RngStream,
+from asms import nn, qoe, rl
+from asms.core import (OBS_RECEIVED, Channel, HyperParams, QoECoefficients, RngStream,
                        ScenarioSpec, SimConfig, default_hyperparams)
 from asms.netsim import BottleneckSim
 
@@ -270,6 +270,22 @@ def make_agents(n, seed=0, hidden=8):
     return [rl.PPOAgent(actor=nn.init_mlp(6, hidden, 5, "tanh", rng.spawn(f"a{i}")),
                         critic=nn.init_mlp(6, hidden, 1, "relu", rng.spawn(f"c{i}")))
             for i in range(n)]
+
+
+class TestScoreEpisode:
+    def test_scores_each_agent_step_and_rejects_one_bad_row(self):
+        coeffs = QoECoefficients()
+        rows = np.tile([10.0, 8.0, 20.0, 2.0, 30.0, 30.0], (5, 4, 1))
+        rows[4, :, OBS_RECEIVED] = 6.0
+        frame_rate = np.full((5, 4), 48.0)
+        users = np.full(5, 4)
+        rewards, agent_qoe = rl.score_episode(rows, frame_rate, users, coeffs)
+        assert agent_qoe[3, 1] == qoe.compute_qoe(rows[3, 1].tolist(), 48.0, 6.0, 4, coeffs)
+        assert agent_qoe[4, 1] == qoe.compute_qoe(rows[4, 1].tolist(), 48.0, 6.0, 4, coeffs)
+        np.testing.assert_array_equal(rewards, agent_qoe.mean(axis=1))
+        rows[2, 3, OBS_RECEIVED] = 10.5
+        with pytest.raises(ValueError, match="received bitrate exceeds"):
+            rl.score_episode(rows, frame_rate, users, coeffs)
 
 
 class TestRunEpisode:
