@@ -152,15 +152,21 @@ def cmd_compare(args) -> int:
             sources.append(path)
     if len(sources) < 2:
         raise ValueError("compare needs at least two eval sources")
-    rows = []
+    cells: dict[tuple[str, str], float] = {}
+    origin: dict[tuple[str, str], Path] = {}
     for src in sources:
-        rows.extend(_read_eval_source(src))
-
-    methods = sorted({r["method"] for r in rows})
-    scenarios = sorted({r["scenario"] for r in rows})
-    cells = {(r["method"], r["scenario"]): r["qoe_mean"] for r in rows}
+        for r in _read_eval_source(src):
+            key = (r["method"], r["scenario"])
+            if key in cells and cells[key] != r["qoe_mean"]:
+                raise ValueError(
+                    f"{key[0]} on {key[1]}: {origin[key]} gives {cells[key]!r} but "
+                    f"{src} gives {r['qoe_mean']!r}; label each run with eval --label")
+            cells[key] = r["qoe_mean"]
+            origin[key] = src
     if not cells:
         raise ValueError("no comparable rows found")
+    methods = sorted({m for m, _ in cells})
+    scenarios = sorted({s for _, s in cells})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -221,7 +221,7 @@ class HyperParams:
     epochs: int = 10
     grad_clip: float = 0.5
     policy_update_freq: int = 40
-    fedavg_freq: int = 4          # episodes between aggregations; 0 disables
+    fedavg_freq: int = 4          # episodes between fmappo aggregations (>= 1)
     hidden_width: int = 128
     episode_len: int = 40
     episodes: int = 330
@@ -243,15 +243,14 @@ class HyperParams:
             raise ValueError("gae_lambda must be in [0, 1]")
         if not (0 < self.clip_eps < 1):
             raise ValueError("clip_eps must be in (0, 1)")
-        for name in ("minibatch", "epochs", "hidden_width", "episode_len", "episodes"):
+        for name in ("minibatch", "epochs", "fedavg_freq", "hidden_width", "episode_len",
+                     "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in _UNUSED_KEYS:
             if getattr(self, name) != getattr(HyperParams, name):
                 raise ConfigError(f"{name} is unused; only its default "
                                   f"{getattr(HyperParams, name)!r} is accepted")
-        if self.fedavg_freq < 0:
-            raise ValueError("fedavg_freq must be >= 0 (0 disables aggregation)")
         if self.lr <= 0 or self.grad_clip <= 0:
             raise ValueError("lr and grad_clip must be > 0")
         if self.ldp_eps <= 0:

@@ -1,9 +1,12 @@
 """Federated coordination: bounded, noise-perturbed uploads of local model
 updates, weighted server-side averaging, and byte accounting per round.
 
-Updates are whole-parameter deltas against the last broadcast global model,
-clipped per coordinate so the Laplace perturbation has a well-defined
-sensitivity.
+An upload is one device's ``(actor_theta, critic_theta)`` vector pair. With
+LDP on, each part is the device's parameters with their drift from the last
+broadcast global model clipped per coordinate, so the Laplace perturbation
+added to it has a well-defined sensitivity. ``fedavg`` averages the uploads
+part by part, and ``fed_round`` wraps the averaged parts in the next
+``GlobalModel``.
 """
 
 from __future__ import annotations
@@ -22,20 +25,6 @@ class GlobalModel:
     round_index: int
     actor: nn.ModelParams
     critic: nn.ModelParams
-
-
-@dataclass(frozen=True)
-class LocalUpdate:
-    """One agent's (possibly perturbed) upload."""
-
-    actor: nn.ModelParams
-    critic: nn.ModelParams
-    sample_count: int
-    bytes_up: int
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be >= 0")
 
 
 def init_global(obs_dim: int, hidden: int, action_count: int,
@@ -72,65 +61,52 @@ def ldp_perturb(theta: np.ndarray, sensitivity: float, privacy_eps: float,
     return theta + rng.laplace(sensitivity / privacy_eps, size=theta.size)
 
 
-def _weighted_mean(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    # Baseline-shifted accumulation: identical inputs return bit-identical
-    # output regardless of the weights.
-    norm = weights / weights.sum()
-    base = vectors[0]
-    acc = np.zeros_like(base)
-    for w, vec in zip(norm, vectors):
-        acc += w * (vec - base)
-    return base + acc
-
-
-def fedavg(updates: Sequence[LocalUpdate], weights: Sequence[float],
-           round_index: int = 0) -> GlobalModel:
-    """Weight-normalized coordinate-wise average of the uploaded models."""
-    if len(updates) == 0:
+def fedavg(uploads: Sequence[Sequence[np.ndarray]],
+           weights: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Weight-normalized coordinate-wise average of the uploads, part by part."""
+    if len(uploads) == 0:
         raise ValueError("no updates to aggregate")
-    if len(weights) != len(updates):
+    if len(weights) != len(uploads):
         raise ValueError("one weight per update required")
     w = np.asarray(weights, dtype=np.float64)
     if np.any(w < 0):
         raise ValueError("weights must be >= 0")
     if w.sum() <= 0:
         raise ValueError("weights must not all be zero")
-    ref = updates[0]
-    for u in updates[1:]:
-        if u.actor.shapes != ref.actor.shapes or u.critic.shapes != ref.critic.shapes:
+    first = uploads[0]
+    for up in uploads[1:]:
+        if len(up) != len(first) or any(p.shape != q.shape for p, q in zip(up, first)):
             raise ValueError("update shapes do not match")
-    actor_theta = _weighted_mean([u.actor.theta for u in updates], w)
-    critic_theta = _weighted_mean([u.critic.theta for u in updates], w)
-    return GlobalModel(round_index=round_index + 1,
-                       actor=ref.actor.with_theta(actor_theta),
-                       critic=ref.critic.with_theta(critic_theta))
+    norm = w / w.sum()
+    averaged = []
+    for k, base in enumerate(first):
+        # Baseline-shifted accumulation: identical inputs return bit-identical
+        # output regardless of the weights.
+        acc = np.zeros_like(base)
+        for wi, up in zip(norm, uploads):
+            acc += wi * (up[k] - base)
+        averaged.append(base + acc)
+    return tuple(averaged)
 
 
 def make_local_update(actor: nn.ModelParams, critic: nn.ModelParams,
-                      reference: GlobalModel, hp: HyperParams, rng: RngStream,
-                      sample_count: int) -> LocalUpdate:
-    """Clip the agent's drift from the reference model and perturb it for
-    upload; with LDP disabled the raw parameters ship unchanged."""
-    if hp.ldp_enabled:
-        actor_theta = clip_update(actor.theta, reference.actor.theta, hp.ldp_clip)
-        critic_theta = clip_update(critic.theta, reference.critic.theta, hp.ldp_clip)
-        actor_theta = ldp_perturb(actor_theta, hp.ldp_clip, hp.ldp_eps, rng)
-        critic_theta = ldp_perturb(critic_theta, hp.ldp_clip, hp.ldp_eps, rng)
-        up_actor = actor.with_theta(actor_theta)
-        up_critic = critic.with_theta(critic_theta)
-    else:
-        up_actor = actor.with_theta(actor.theta.copy())
-        up_critic = critic.with_theta(critic.theta.copy())
-    return LocalUpdate(actor=up_actor, critic=up_critic, sample_count=sample_count,
-                       bytes_up=update_upload_bytes(up_actor, up_critic))
+                      reference: GlobalModel, hp: HyperParams,
+                      rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The agent's upload: each part's drift from the reference model clipped
+    and perturbed, actor first; with LDP disabled the raw parameters ship
+    unchanged (uncopied: nothing writes into an upload)."""
+    if not hp.ldp_enabled:
+        return actor.theta, critic.theta
+    return tuple(ldp_perturb(clip_update(new.theta, old.theta, hp.ldp_clip),
+                             hp.ldp_clip, hp.ldp_eps, rng)
+                 for new, old in ((actor, reference.actor), (critic, reference.critic)))
 
 
-def broadcast(model: GlobalModel, agents: Sequence) -> int:
-    """Copy the global parameters into every agent; returns bytes sent down."""
+def broadcast(model: GlobalModel, agents: Sequence) -> None:
+    """Copy the global parameters into every agent."""
     for agent in agents:
         agent.actor = model.actor.with_theta(model.actor.theta.copy())
         agent.critic = model.critic.with_theta(model.critic.theta.copy())
-    return update_upload_bytes(model.actor, model.critic) * len(agents)
 
 
 @dataclass(frozen=True)
@@ -143,21 +119,25 @@ class FedRoundResult:
 def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
               rng: RngStream) -> FedRoundResult:
     """One synchronous aggregation: upload perturbed updates, average them
-    weighted by per-agent sample counts (uniform when equal), broadcast.
+    weighted by per-agent sample counts (uniform when all are zero),
+    broadcast.
 
     Agents' sample counters reset; Adam state persists across the broadcast.
     """
-    updates = [make_local_update(agent.actor, agent.critic, model, hp, rng,
-                                 agent.sample_count) for agent in agents]
-    counts = np.array([u.sample_count for u in updates], dtype=np.float64)
-    weights = counts if counts.sum() > 0 else np.ones(len(updates))
-    new_model = fedavg(updates, weights, round_index=model.round_index)
-    bytes_down = broadcast(new_model, agents)
+    uploads = [make_local_update(agent.actor, agent.critic, model, hp, rng)
+               for agent in agents]
+    counts = np.array([agent.sample_count for agent in agents], dtype=np.float64)
+    actor_theta, critic_theta = fedavg(
+        uploads, counts if counts.sum() > 0 else np.ones(len(agents)))
+    new_model = GlobalModel(round_index=model.round_index + 1,
+                            actor=model.actor.with_theta(actor_theta),
+                            critic=model.critic.with_theta(critic_theta))
+    broadcast(new_model, agents)
     for agent in agents:
         agent.sample_count = 0
-    return FedRoundResult(model=new_model,
-                          bytes_up=sum(u.bytes_up for u in updates),
-                          bytes_down=bytes_down)
+    # every device sends and receives one actor and one critic of these shapes
+    total = update_upload_bytes(model.actor, model.critic) * len(agents)
+    return FedRoundResult(model=new_model, bytes_up=total, bytes_down=total)
 
 
 def update_upload_bytes(actor: nn.ModelParams, critic: nn.ModelParams) -> int:
@@ -166,7 +146,7 @@ def update_upload_bytes(actor: nn.ModelParams, critic: nn.ModelParams) -> int:
 
 
 __all__ = [
-    "FedRoundResult", "GlobalModel", "LocalUpdate", "broadcast", "clip_update",
-    "fed_round", "fedavg", "init_global", "ldp_perturb", "make_local_update",
+    "FedRoundResult", "GlobalModel", "broadcast", "clip_update", "fed_round",
+    "fedavg", "init_global", "ldp_perturb", "make_local_update",
     "update_upload_bytes",
 ]

@@ -115,6 +115,17 @@ class RatingsRecord:
         t = len(self.rows)
         if self.rows.ndim != 2 or t == 0 or not self.frame_rate.shape == self.users.shape == (t,):
             raise ValueError("a trace needs T >= 1 rows, each with a frame rate and user count")
+        _check_rates_users(self.frame_rate, self.users)
+
+
+def _check_rates_users(frame_rate: np.ndarray, users: np.ndarray) -> None:
+    """Frame rates must be finite and >= 0, user counts whole numbers >= 0."""
+    bad = ~(np.isfinite(frame_rate) & (frame_rate >= 0))
+    if bad.any():
+        raise ValueError(f"frame rate must be finite and >= 0, got {frame_rate[bad][0]}")
+    bad = ~(np.isfinite(users) & (users >= 0) & (users == np.floor(users)))
+    if bad.any():
+        raise ValueError(f"user count must be a whole number >= 0, got {users[bad][0]}")
 
 
 def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
@@ -283,6 +294,7 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
                 step = int(row[1])
                 *obs, f, u, mos = (float(v) for v in row[2:])
                 check_obs_rows(obs)
+                _check_rates_users(np.array([f]), np.array([u]))
             except ValueError as exc:
                 raise ValueError(f"{path!r} line {lineno}: {exc}") from None
             if scenario != cur_scenario or step <= prev_step:

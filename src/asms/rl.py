@@ -239,9 +239,7 @@ def ppo_update(actor: nn.ModelParams, critic: nn.ModelParams,
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
-    agg = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
-           "clip_fraction": 0.0, "mean_ratio": 0.0}
-    n_batches = 0
+    per_batch = []   # one UpdateDiagnostics-ordered tuple per minibatch
     for _ in range(hp.epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.minibatch):
@@ -258,13 +256,10 @@ def ppo_update(actor: nn.ModelParams, critic: nn.ModelParams,
                     f"non-finite loss (policy={ploss}, value={vloss})")
             actor, actor_adam = nn.adam_step(actor, actor_adam, pgrad, hp.lr, hp.grad_clip)
             critic, critic_adam = nn.adam_step(critic, critic_adam, vgrad, hp.lr, hp.grad_clip)
-            agg["policy_loss"] += ploss
-            agg["value_loss"] += vloss
-            agg["entropy"] += stats["entropy"]
-            agg["clip_fraction"] += stats["clip_fraction"]
-            agg["mean_ratio"] += stats["mean_ratio"]
-            n_batches += 1
-    diag = UpdateDiagnostics(**{k: v / n_batches for k, v in agg.items()})
+            per_batch.append((ploss, vloss, stats["entropy"], stats["clip_fraction"],
+                              stats["mean_ratio"]))
+    # Python's sum, not np.mean, which adds 8 or more values in partial sums
+    diag = UpdateDiagnostics(*(sum(col) / len(per_batch) for col in zip(*per_batch)))
     return actor, critic, actor_adam, critic_adam, diag
 
 

@@ -3,7 +3,14 @@ checkpoints and rule controllers, and the run-directory artifact layout.
 
 A run directory is self-describing: manifest + config snapshot + CSVs +
 checkpoints are enough to re-run or re-plot it. All artifacts are
-byte-deterministic for a fixed seed.
+byte-deterministic for a fixed seed. Each table declares its columns once:
+
+- ``learning_curve.csv``: the row dict ``train`` builds per episode;
+- ``diagnostics.csv``: episode, agent, then the fields of
+  ``rl.UpdateDiagnostics``;
+- ``overhead.csv`` (``fmappo`` runs only, possibly header-only):
+  ``OVERHEAD_COLUMNS``;
+- ``eval_<method>.csv``: the fields of ``EvalSummary`` (``EVAL_COLUMNS``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ MANIFEST_FILE = "manifest.json"
 CONFIG_SNAPSHOT_FILE = "config.cfg"
 CHECKPOINT_DIR = "checkpoints"
 CHECKPOINT_EVERY = 10
+OVERHEAD_COLUMNS = ("round", "episode", "bytes_up_total", "bytes_down_total", "agents")
 
 
 def _f(v: float) -> str:
@@ -76,8 +84,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     """Run the full training loop.
 
     Scenarios cycle round-robin per episode; one policy/value update per
-    agent per episode; aggregation every hp.fedavg_freq episodes when the
-    method is federated.
+    agent per episode; for ``fmappo``, aggregation every hp.fedavg_freq
+    episodes (``ippo`` never aggregates).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -95,7 +103,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     rng_fed = RngStream(seed, "fed")
 
     agents, model = make_agents(cfg, hp, rng_init)
-    federate = method == "fmappo" and hp.fedavg_freq > 0
+    federate = method == "fmappo"
 
     curve: list[dict] = []
     diagnostics: list[dict] = []
@@ -119,20 +127,14 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
         for i, agent in enumerate(agents):
             diag = agent.update(build_batch(trajectory, i, agent.critic, hp),
                                 ep_hp, rng_upd)
-            diagnostics.append({
-                "episode": ep, "agent": i, "policy_loss": diag.policy_loss,
-                "value_loss": diag.value_loss, "entropy": diag.entropy,
-                "clip_fraction": diag.clip_fraction, "mean_ratio": diag.mean_ratio,
-            })
+            diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
         if federate and (ep + 1) % hp.fedavg_freq == 0:
             result = fed.fed_round(agents, model, hp, rng_fed)
             model = result.model
-            overhead.append({
-                "round": model.round_index, "episode": ep,
-                "bytes_up_total": result.bytes_up,
-                "bytes_down_total": result.bytes_down, "agents": cfg.n_agents,
-            })
+            overhead.append(dict(zip(OVERHEAD_COLUMNS, (
+                model.round_index, ep, result.bytes_up, result.bytes_down,
+                cfg.n_agents))))
 
         if out_path is not None and (ep + 1) % CHECKPOINT_EVERY == 0:
             _save_checkpoint(out_path / CHECKPOINT_DIR / f"ep{ep + 1:04d}",
@@ -174,7 +176,7 @@ def load_checkpoint_agents(path: str | Path) -> list[PPOAgent]:
     return agents
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+def _write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -187,15 +189,12 @@ def _write_run_artifacts(result: TrainResult, cfg: SimConfig, hp: HyperParams,
                          coeffs: QoECoefficients) -> None:
     out = result.out_dir
     assert out is not None
-    curve_cols = ["episode", "scenario", "mean_reward"] + [
-        f"agent{i:02d}_qoe" for i in range(cfg.n_agents)]
-    _write_csv(out / LEARNING_CURVE_FILE, result.learning_curve, curve_cols)
-    _write_csv(out / DIAGNOSTICS_FILE, result.diagnostics,
-               ["episode", "agent", "policy_loss", "value_loss", "entropy",
-                "clip_fraction", "mean_ratio"])
+    # episodes >= 1 and N >= 1, so both tables have a first row to name them
+    _write_csv(out / LEARNING_CURVE_FILE, result.learning_curve,
+               list(result.learning_curve[0]))
+    _write_csv(out / DIAGNOSTICS_FILE, result.diagnostics, list(result.diagnostics[0]))
     if result.method == "fmappo":
-        _write_csv(out / OVERHEAD_FILE, result.overhead,
-                   ["round", "episode", "bytes_up_total", "bytes_down_total", "agents"])
+        _write_csv(out / OVERHEAD_FILE, result.overhead, OVERHEAD_COLUMNS)
     (out / CONFIG_SNAPSHOT_FILE).write_text(serialize_config(cfg, hp, coeffs),
                                             encoding="utf-8")
     manifest = {
@@ -237,11 +236,6 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-EVAL_COLUMNS = ["method", "scenario", "qoe_mean", "qoe_std", "qoe_episode_mean",
-                "qoe_episode_std", "latency_ms_mean", "lost_packets_mean",
-                "frame_rate_mean", "received_mbps_mean", "episodes", "steps"]
-
-
 @dataclass
 class EvalSummary:
     method: str
@@ -258,7 +252,10 @@ class EvalSummary:
     steps: int
 
     def row(self) -> dict:
-        return {c: getattr(self, c) for c in EVAL_COLUMNS}
+        return dataclasses.asdict(self)
+
+
+EVAL_COLUMNS = [f.name for f in dataclasses.fields(EvalSummary)]
 
 
 def _summarize(method: str, scenario: str, episode_stats: list[EpisodeStats]) -> EvalSummary:
@@ -337,7 +334,7 @@ def write_eval_csv(path: str | Path, summaries: Sequence[EvalSummary]) -> None:
 __all__ = [
     "CHECKPOINT_DIR", "CHECKPOINT_EVERY", "CONFIG_SNAPSHOT_FILE",
     "DIAGNOSTICS_FILE", "EVAL_COLUMNS", "EvalSummary", "LEARNING_CURVE_FILE",
-    "MANIFEST_FILE", "METHODS", "OVERHEAD_FILE", "TrainResult",
+    "MANIFEST_FILE", "METHODS", "OVERHEAD_COLUMNS", "OVERHEAD_FILE", "TrainResult",
     "evaluate_agents", "evaluate_controller", "load_checkpoint_agents",
     "make_agents", "moving_average", "run_controller_episode", "train",
     "write_eval_csv",

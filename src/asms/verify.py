@@ -212,31 +212,25 @@ def check_allocation_oracle(seed: int) -> CheckResult:
 
 def check_fedavg_oracle(seed: int) -> CheckResult:
     rng = RngStream(seed, "verify/fedavg")
-    shapes = ((3, 4), (4, 2))
+    size = nn.flat_size(((3, 4), (4, 2)))
     worst = 0.0
     for trial in range(20):
         n_up = 2 + int(rng.uniform(0, 5))
-        ups = []
-        for _ in range(n_up):
-            actor = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
-                                   activation="tanh", head="categorical")
-            critic = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
-                                    activation="relu", head="scalar")
-            ups.append(fed.LocalUpdate(actor, critic, 40, 0))
+        ups = [(rng.uniform(-1, 1, size=size), rng.uniform(-1, 1, size=size))
+               for _ in range(n_up)]
         w = rng.uniform(0.1, 3.0, size=n_up)
-        got = fed.fedavg(ups, w).actor.theta
-        want = sum(wi * u.actor.theta for wi, u in zip(w, ups)) / w.sum()
-        worst = max(worst, float(np.abs(got - want).max()))
+        got = fed.fedavg(ups, w)
+        for k, part in enumerate(got):
+            want = sum(wi * up[k] for wi, up in zip(w, ups)) / w.sum()
+            worst = max(worst, float(np.abs(part - want).max()))
         # permutation invariance
         perm = rng.permutation(n_up)
-        got_p = fed.fedavg([ups[i] for i in perm], w[perm]).actor.theta
-        worst = max(worst, float(np.abs(got_p - got).max()))
+        got_p = fed.fedavg([ups[i] for i in perm], w[perm])
+        worst = max(worst, max(float(np.abs(p - q).max()) for p, q in zip(got_p, got)))
     # identical-input fixed point must be bit-exact
     base = ups[0]
-    clones = [base] * 4
-    agg = fed.fedavg(clones, [1.0, 2.0, 3.0, 4.0])
-    fixed = (np.array_equal(agg.actor.theta, base.actor.theta)
-             and np.array_equal(agg.critic.theta, base.critic.theta))
+    averaged = fed.fedavg([base] * 4, [1.0, 2.0, 3.0, 4.0])
+    fixed = all(np.array_equal(p, q) for p, q in zip(averaged, base))
     return CheckResult("fedavg-oracle", worst < 1e-12 and fixed,
                        f"max diff vs weighted-mean oracle {worst:.2e} (limit 1e-12), "
                        f"identical-input fixed point bit-exact: {fixed}")

@@ -60,6 +60,13 @@ class TestTrain:
         assert code == 2
         assert "ldp_clip" in capsys.readouterr().err
 
+    def test_zero_fedavg_freq_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("fedavg_freq = 0\n")
+        code = run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "fedavg_freq" in capsys.readouterr().err
+
     def test_unused_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sac_critics = 3\n")
@@ -175,6 +182,15 @@ class TestCompare:
         assert (out_a / "compare_s1.svg").read_bytes() == \
             (out_b / "compare_s1.svg").read_bytes()
 
+    def test_conflicting_cells_rejected(self, tmp_path, capsys):
+        a, b = tmp_path / "seed0.csv", tmp_path / "seed1.csv"
+        a.write_text("method,scenario,qoe_mean\nfmappo,s1,-12.5\n")
+        b.write_text("method,scenario,qoe_mean\nfmappo,s1,-13.25\n")
+        assert run_cli("compare", str(a), str(b), "--out", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert "seed0.csv" in err and "seed1.csv" in err and "eval --label" in err
+        assert not (tmp_path / "c").exists()
+
     def test_single_source_rejected(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
         src.write_text("method,scenario,qoe_mean,qoe_std\nm1,s1,0.5,0.1\n")
@@ -226,6 +242,22 @@ class TestFitQoe:
         write_ratings_csv(str(ratings), records)
         assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
         assert "step > 0" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("column,value", [(8, "nan"), (9, "-40"), (9, "2.5")])
+    def test_bad_frame_rate_or_user_count_exits_2_naming_line(self, tmp_path, capsys,
+                                                              column, value):
+        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
+                                        n_records=4, trace_len=3)
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv(str(ratings), records)
+        lines = ratings.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        ratings.write_text("\n".join(lines) + "\n")
+        assert run_cli("fit-qoe", "--ratings", str(ratings)) == 2
+        assert "line 3:" in capsys.readouterr().err
 
 
 class TestVerify:

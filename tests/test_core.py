@@ -85,6 +85,13 @@ class TestHyperparams:
         with pytest.raises(ConfigError, match="ldp_clip"):
             parse_config_text("ldp_enabled = true\nldp_clip = 0\n")
 
+    def test_fedavg_freq_must_be_at_least_one(self):
+        # ippo is the one way to train without federating
+        with pytest.raises(ValueError, match="fedavg_freq must be >= 1"):
+            HyperParams(fedavg_freq=0)
+        with pytest.raises(ConfigError, match="fedavg_freq"):
+            parse_config_text("fedavg_freq = 0\n")
+
     def test_entropy_coef_anneals_linearly_to_final(self):
         hp = HyperParams(entropy_coef=0.02, entropy_coef_final=0.0)
         got = [hp.entropy_coef_at(ep, 5) for ep in range(5)]

@@ -7,13 +7,11 @@ from asms.core import HyperParams, RngStream
 from asms.rl import PPOAgent
 
 
-def small_update(seed, agent_id=0, shapes=((4, 3), (3, 2)), samples=40):
+def small_update(seed, agent_id=0, shapes=((4, 3), (3, 2))):
+    """An (actor_theta, critic_theta) upload."""
     rng = RngStream(seed, f"up{agent_id}")
-    actor = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
-                           activation="tanh", head="categorical")
-    critic = nn.ModelParams(shapes=shapes, theta=rng.uniform(-1, 1, size=nn.flat_size(shapes)),
-                            activation="relu", head="scalar")
-    return fed.LocalUpdate(actor, critic, samples, 0)
+    size = nn.flat_size(shapes)
+    return rng.uniform(-1, 1, size=size), rng.uniform(-1, 1, size=size)
 
 
 def make_agents(model, n):
@@ -97,30 +95,25 @@ class TestFedavg:
     def test_identical_updates_fixed_point_bit_exact(self):
         base = small_update(1)
         clones = [base] * 5
-        out = fed.fedavg(clones, [0.2, 1.0, 3.0, 0.5, 2.2])
-        assert np.array_equal(out.actor.theta, base.actor.theta)
-        assert np.array_equal(out.critic.theta, base.critic.theta)
+        actor, critic = fed.fedavg(clones, [0.2, 1.0, 3.0, 0.5, 2.2])
+        assert np.array_equal(actor, base[0])
+        assert np.array_equal(critic, base[1])
 
     def test_scalar_weighted_mean(self):
-        shapes = ((1, 1),)
-        a = fed.LocalUpdate(nn.ModelParams(shapes, np.array([0.0, 0.0]), "tanh",
-                                           "categorical"),
-                            nn.ModelParams(shapes, np.array([0.0, 0.0]), "relu",
-                                           "scalar"), 1, 0)
-        b = fed.LocalUpdate(nn.ModelParams(shapes, np.array([4.0, 0.0]), "tanh",
-                                           "categorical"),
-                            nn.ModelParams(shapes, np.array([4.0, 0.0]), "relu",
-                                           "scalar"), 1, 0)
-        out = fed.fedavg([a, b], [1.0, 3.0])
-        assert out.actor.theta[0] == pytest.approx(3.0)
+        a = (np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        b = (np.array([4.0, 0.0]), np.array([4.0, 0.0]))
+        actor, critic = fed.fedavg([a, b], [1.0, 3.0])
+        assert actor[0] == pytest.approx(3.0)
+        assert critic[0] == pytest.approx(3.0)
 
     def test_matches_weighted_mean_oracle(self):
         ups = [small_update(s, agent_id=s) for s in range(6)]
         rng = RngStream(9, "w")
         w = rng.uniform(0.1, 2.0, size=6)
         got = fed.fedavg(ups, w)
-        want_actor = sum(wi * u.actor.theta for wi, u in zip(w, ups)) / w.sum()
-        np.testing.assert_allclose(got.actor.theta, want_actor, atol=1e-12)
+        for k in range(2):
+            want = sum(wi * u[k] for wi, u in zip(w, ups)) / w.sum()
+            np.testing.assert_allclose(got[k], want, atol=1e-12)
 
     def test_permutation_invariance(self):
         ups = [small_update(s, agent_id=s) for s in range(5)]
@@ -128,19 +121,17 @@ class TestFedavg:
         base = fed.fedavg(ups, w)
         perm = [3, 0, 4, 2, 1]
         shuffled = fed.fedavg([ups[i] for i in perm], w[perm])
-        np.testing.assert_allclose(shuffled.actor.theta, base.actor.theta, atol=1e-12)
+        for k in range(2):
+            np.testing.assert_allclose(shuffled[k], base[k], atol=1e-12)
 
     def test_convex_hull_per_coordinate(self):
         ups = [small_update(s, agent_id=s) for s in range(4)]
         w = np.array([1.0, 1.0, 2.0, 0.5])
         out = fed.fedavg(ups, w)
-        stack = np.stack([u.actor.theta for u in ups])
-        assert np.all(out.actor.theta >= stack.min(axis=0) - 1e-12)
-        assert np.all(out.actor.theta <= stack.max(axis=0) + 1e-12)
-
-    def test_round_index_increments(self):
-        out = fed.fedavg([small_update(0)], [1.0], round_index=6)
-        assert out.round_index == 7
+        for k in range(2):
+            stack = np.stack([u[k] for u in ups])
+            assert np.all(out[k] >= stack.min(axis=0) - 1e-12)
+            assert np.all(out[k] <= stack.max(axis=0) + 1e-12)
 
     def test_rejects_bad_weights(self):
         ups = [small_update(0), small_update(1, 1)]
@@ -158,7 +149,43 @@ class TestFedavg:
             fed.fedavg([a, b], [1.0, 1.0])
 
 
+class TestMakeLocalUpdate:
+    def drifted(self):
+        model = fed.init_global(6, 8, 5, RngStream(0, "g"))
+        rng = RngStream(1, "drift")
+        actor = model.actor.with_theta(
+            model.actor.theta + rng.uniform(-0.3, 0.3, size=model.actor.theta.size))
+        critic = model.critic.with_theta(
+            model.critic.theta + rng.uniform(-0.3, 0.3, size=model.critic.theta.size))
+        return actor, critic, model
+
+    def test_ldp_clips_then_perturbs_actor_first(self):
+        hp = HyperParams(ldp_eps=2.0, ldp_clip=0.05)
+        actor, critic, model = self.drifted()
+        got = fed.make_local_update(actor, critic, model, hp, RngStream(7, "fed"))
+        noise = RngStream(7, "fed")
+        for part, new, old in zip(got, (actor, critic), (model.actor, model.critic)):
+            want = (old.theta + np.clip(new.theta - old.theta, -0.05, 0.05)
+                    + noise.laplace(0.05 / 2.0, size=new.theta.size))
+            np.testing.assert_array_equal(part, want)
+
+    def test_ldp_off_uploads_parameters_unchanged(self):
+        hp = HyperParams(ldp_enabled=False)
+        actor, critic, model = self.drifted()
+        rng = RngStream(7, "fed")
+        got = fed.make_local_update(actor, critic, model, hp, rng)
+        assert got[0] is actor.theta and got[1] is critic.theta
+        assert rng.uniform() == RngStream(7, "fed").uniform()   # drew nothing
+
+
 class TestFedRound:
+    def test_round_index_increments(self):
+        model = fed.init_global(6, 8, 5, RngStream(0, "g"))
+        model = fed.GlobalModel(6, model.actor, model.critic)
+        result = fed.fed_round(make_agents(model, 2), model, HyperParams(),
+                               RngStream(1, "fed"))
+        assert result.model.round_index == 7
+
     def test_single_agent_no_noise_identity(self):
         hp = HyperParams(ldp_enabled=False)
         model = fed.init_global(6, 8, 5, RngStream(0, "g"))

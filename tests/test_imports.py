@@ -169,3 +169,33 @@ def test_every_package_name_is_loaded_outside_tests():
              for line, name in defined_names(path.read_text(encoding="utf-8"))
              if name not in loaded]
     assert not found, "names only tests load:\n" + "\n".join(found)
+
+
+def unresolved_exports(source):
+    """(line, name) of each ``__all__`` entry that no module-level definition
+    or import of the module binds."""
+    tree = ast.parse(source)
+    bound = {name for _, name in defined_names(source)}
+    exports = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exports += [(c.lineno, c.value) for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return [(line, name) for line, name in exports if name not in bound]
+
+
+def test_export_checker_flags_only_unbound_names():
+    source = ("import os.path\nfrom x import y as z\nA = 1\ndef f():\n    B = 2\n"
+              "class C:\n    pass\n__all__ = ['A', 'B', 'C', 'f', 'os', 'y', 'z',\n"
+              "           'Gone']\n")
+    assert unresolved_exports(source) == [(8, "B"), (8, "y"), (9, "Gone")]
+
+
+def test_every_export_resolves():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in unresolved_exports(path.read_text(encoding="utf-8"))]
+    assert not found, "__all__ entries naming nothing:\n" + "\n".join(found)

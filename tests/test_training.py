@@ -79,6 +79,22 @@ class TestTrainLoop:
         curve = (out / training.LEARNING_CURVE_FILE).read_text().splitlines()
         assert curve[0] == "episode,scenario,mean_reward,agent00_qoe,agent01_qoe"
         assert len(curve) == 21
+        diagnostics = (out / training.DIAGNOSTICS_FILE).read_text().splitlines()
+        assert diagnostics[0] == ("episode,agent,policy_loss,value_loss,entropy,"
+                                  "clip_fraction,mean_ratio")
+        assert len(diagnostics) == 1 + 20 * 2
+        overhead = (out / training.OVERHEAD_FILE).read_text().splitlines()
+        assert overhead[0] == "round,episode,bytes_up_total,bytes_down_total,agents"
+        assert len(overhead) == 1 + 20 // HP.fedavg_freq
+
+    def test_run_shorter_than_fedavg_freq_writes_header_only_overhead(self, tmp_path):
+        out = tmp_path / "run"
+        result = tiny_train(out_dir=out, episodes=HP.fedavg_freq - 1)
+        assert result.overhead == []
+        assert (out / training.OVERHEAD_FILE).read_text() == (
+            "round,episode,bytes_up_total,bytes_down_total,agents\n")
+        manifest = json.loads((out / training.MANIFEST_FILE).read_text())
+        assert manifest["aggregation_rounds"] == 0
 
     def test_checkpoint_loading_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -129,7 +145,9 @@ class TestEvaluation:
         path = tmp_path / "eval_probe.csv"
         training.write_eval_csv(path, [summary])
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(training.EVAL_COLUMNS)
+        assert lines[0] == ("method,scenario,qoe_mean,qoe_std,qoe_episode_mean,"
+                            "qoe_episode_std,latency_ms_mean,lost_packets_mean,"
+                            "frame_rate_mean,received_mbps_mean,episodes,steps")
         assert lines[1].startswith("probe-simplified,s4,")
 
     def test_untrained_policy_near_random(self):
