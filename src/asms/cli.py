@@ -118,7 +118,7 @@ def _method_from_manifest(checkpoint_dir: str) -> str:
 
 
 def _read_eval_source(path: Path) -> list[dict]:
-    """Rows with at least (method, scenario, qoe_mean[, qoe_std])."""
+    """Rows with at least (method, scenario, qoe_mean); qoe_mean is finite."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -128,13 +128,13 @@ def _read_eval_source(path: Path) -> list[dict]:
                              f"got {reader.fieldnames}")
         for line_no, row in enumerate(reader, start=2):
             try:
-                rows.append({
-                    "method": row["method"].strip(),
-                    "scenario": row["scenario"].strip().lower(),
-                    "qoe_mean": float(row["qoe_mean"]),
-                    "qoe_std": float(row.get("qoe_std") or 0.0),
-                })
-            except (ValueError, AttributeError) as exc:
+                qoe_mean = float(row["qoe_mean"])
+                if not math.isfinite(qoe_mean):
+                    raise ValueError(f"qoe_mean must be finite, got {row['qoe_mean']!r}")
+                rows.append({"method": row["method"].strip(),
+                             "scenario": row["scenario"].strip().lower(),
+                             "qoe_mean": qoe_mean})
+            except (ValueError, AttributeError, TypeError) as exc:
                 raise ValueError(f"{path} line {line_no}: {exc}") from None
     return rows
 
@@ -245,20 +245,15 @@ def cmd_fit_qoe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = 0
-
     def report(result: verify.CheckResult) -> None:
-        nonlocal failures
-        tag = "PASS" if result.passed else "FAIL"
-        print(f"[{tag}] {result.name}: {result.detail}")
-        if not result.passed:
-            failures += 1
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
 
     only = args.only.split(",") if args.only else None
     results = verify.run_checks(seed=args.seed, full=args.full, only=only,
                                 report=report)
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    passed = sum(r.passed for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return EXIT_OK if passed == len(results) else EXIT_VERIFY
 
 
 def build_parser() -> _Parser:
@@ -305,7 +300,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true",
                    help="include the minutes-scale learning-behavior checks")
-    p.add_argument("--only", help="comma-separated name filters")
+    p.add_argument("--only", help="comma-separated tokens; a check runs when a token "
+                   "occurs in its printed name or its function name ('-' and '_' alike)")
     p.set_defaults(func=cmd_verify)
     return parser
 

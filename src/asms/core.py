@@ -36,6 +36,14 @@ class ConfigError(ValueError):
     """Raised for unreadable, malformed, or invariant-violating config input."""
 
 
+def _require_finite(obj) -> None:
+    """Reject a config dataclass whose float fields hold nan or inf."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # The row contract and the action table
 # ---------------------------------------------------------------------------
@@ -59,6 +67,8 @@ def check_obs_rows(rows) -> np.ndarray:
 
 def validate_delta_table(table: Sequence[float]) -> None:
     vals = [float(v) for v in table]
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"delta_table entries must be finite, got {vals}")
     if vals.count(0.0) != 1:
         raise ConfigError(f"delta_table must contain exactly one zero entry, got {vals}")
     if sorted(vals) != sorted(-v for v in vals):
@@ -178,6 +188,7 @@ class QoECoefficients:
     eps_small: float = 1e-6   # divide guard
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("alpha", "beta", "gamma", "delta1", "delta2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -237,6 +248,7 @@ class HyperParams:
     entropy_temperature: float = 0.2
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (0 < self.gamma_discount <= 1):
             raise ValueError("gamma_discount must be in (0, 1]")
         if not (0 <= self.gae_lambda <= 1):
@@ -298,6 +310,7 @@ class SimConfig:
     reward_mode: str = "mean"            # "mean" or "sum" over agent scores
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if not (0 < self.y_min <= self.x_init <= self.y_max):
@@ -395,7 +408,8 @@ def parse_config_text(text: str) -> tuple[SimConfig, HyperParams, QoECoefficient
         try:
             return struct(**kwargs)
         except ValueError as exc:
-            bad = next((k for k in kwargs if k in str(exc)), "?")
+            # longest match: "entropy_coef" is part of "entropy_coef_final"
+            bad = max((k for k in kwargs if k in str(exc)), key=len, default="?")
             raise ConfigError(f"invalid value for {bad!r}: {exc}") from None
 
     return build(SimConfig), build(HyperParams), build(QoECoefficients)

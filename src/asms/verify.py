@@ -1,10 +1,13 @@
 """Self-contained verification suite: independent oracles, invariant sweeps,
 and the seeded learning-behavior checks.
 
-Every check is deterministic under its seed and returns a measured value so
-failures are diagnosable. The gradient checks honor the
-ASMS_VERIFY_CORRUPT_GRADIENT environment hook (scales the analytic gradient
-by 1.01) so the suite's own failure path can be exercised.
+Every check is deterministic under its seed and returns ``(passed, detail)``,
+where the detail carries the measured value so failures are diagnosable. The
+``ORACLE_CHECKS`` and ``LEARNING_CHECKS`` tables name each check, in run
+order; ``run_checks`` selects from them and builds the ``CheckResult``s. The
+gradient checks honor the ASMS_VERIFY_CORRUPT_GRADIENT environment hook
+(scales the analytic gradient by 1.01) so the suite's own failure path can be
+exercised.
 """
 
 from __future__ import annotations
@@ -43,59 +46,58 @@ def _corruption_factor() -> float:
 # Math oracles
 # ---------------------------------------------------------------------------
 
-def check_gradient_actor(seed: int) -> CheckResult:
-    """Analytic policy-loss gradient vs central finite differences."""
-    rng = RngStream(seed, "verify/grad-actor")
+def _finite_difference_check(seed: int, label: str, activation: str, n_out: int,
+                             draw: Callable) -> tuple[bool, str]:
+    """Analytic loss gradient vs central finite differences over 20 small
+    nets; ``draw(net, rng)`` draws a batch and returns the net's loss."""
+    rng = RngStream(seed, f"verify/{label}")
     corrupt = _corruption_factor()
     worst = 0.0
     t0 = time.time()
     for k in range(20):
         hidden = 8 + int(rng.uniform(0, 12))
-        actor = nn.init_mlp(6, hidden, 5, "tanh", rng.spawn(f"net{k}"))
+        net = nn.init_mlp(6, hidden, n_out, activation, rng.spawn(f"net{k}"))
+        loss_and_grad = draw(net, rng)
+
+        def loss(p):
+            l, g = loss_and_grad(p)
+            return l, g * corrupt
+
+        worst = max(worst, nn.grad_check(net, loss, rng.spawn(f"fd{k}"), n_coords=60))
+    dt = time.time() - t0
+    return (worst < 1e-4 and dt < 30,
+            f"max rel err {worst:.3e} (limit 1e-4), {dt:.1f}s over 20 nets")
+
+
+def check_gradient_actor(seed: int) -> tuple[bool, str]:
+    """Analytic policy-loss gradient vs central finite differences."""
+    def draw(actor, rng):
         n = 6
         obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         actions = rng.integers(5, size=n)
         old_lp = np.log(np.full(n, 0.2)) + rng.uniform(-0.3, 0.3, size=n)
         adv = rng.uniform(-2, 2, size=n)
+        return lambda p: rl.policy_loss_and_grad(p, obs, actions, old_lp, adv, 0.2, 0.01)[:2]
 
-        def loss(p):
-            l, g, _ = rl.policy_loss_and_grad(p, obs, actions, old_lp, adv, 0.2, 0.01)
-            return l, g * corrupt
-
-        worst = max(worst, nn.grad_check(actor, loss, rng.spawn(f"fd{k}"), n_coords=60))
-    dt = time.time() - t0
-    return CheckResult("gradient-actor", worst < 1e-4 and dt < 30,
-                       f"max rel err {worst:.3e} (limit 1e-4), {dt:.1f}s over 20 nets")
+    return _finite_difference_check(seed, "grad-actor", "tanh", 5, draw)
 
 
-def check_gradient_critic(seed: int) -> CheckResult:
+def check_gradient_critic(seed: int) -> tuple[bool, str]:
     """Analytic value-loss gradient vs central finite differences.
 
     A finite difference that bumps a ReLU across its kink measures a
     different branch than the analytic gradient, so a net's inputs are
     redrawn while any hidden pre-activation lies within 1e-3 of zero.
     """
-    rng = RngStream(seed, "verify/grad-critic")
-    corrupt = _corruption_factor()
-    worst = 0.0
-    t0 = time.time()
-    for k in range(20):
-        hidden = 8 + int(rng.uniform(0, 12))
-        critic = nn.init_mlp(6, hidden, 1, "relu", rng.spawn(f"net{k}"))
+    def draw(critic, rng):
         n = 6
         obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         while _relu_margin(critic, obs) < 1e-3:
             obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         rets = rng.uniform(-3, 3, size=n)
+        return lambda p: rl.value_loss_and_grad(p, obs, rets)
 
-        def loss(p):
-            l, g = rl.value_loss_and_grad(p, obs, rets)
-            return l, g * corrupt
-
-        worst = max(worst, nn.grad_check(critic, loss, rng.spawn(f"fd{k}"), n_coords=60))
-    dt = time.time() - t0
-    return CheckResult("gradient-critic", worst < 1e-4 and dt < 30,
-                       f"max rel err {worst:.3e} (limit 1e-4), {dt:.1f}s over 20 nets")
+    return _finite_difference_check(seed, "grad-critic", "relu", 1, draw)
 
 
 def _relu_margin(params: nn.ModelParams, obs: np.ndarray) -> float:
@@ -126,37 +128,36 @@ def returns_direct_sum(rewards: np.ndarray, bootstrap: float, gamma: float) -> n
     return out
 
 
-def check_gae_oracle(seed: int) -> CheckResult:
-    rng = RngStream(seed, "verify/gae")
+def _recursion_vs_sum(seed: int, label: str, fast: Callable,
+                      slow: Callable) -> tuple[bool, str]:
+    """Max abs diff of ``fast(r, v, boot)`` vs ``slow(r, v, boot)`` over 15
+    random episodes of 1, 5 and 40 steps."""
+    rng = RngStream(seed, f"verify/{label}")
     worst = 0.0
     for t_len in (1, 5, 40):
         for _ in range(5):
             r = rng.uniform(-2, 2, size=t_len)
             v = rng.uniform(-2, 2, size=t_len)
             boot = rng.uniform(-2, 2)
-            fast = rl.compute_gae(r, v, boot, 0.95, 0.95)
-            slow = gae_direct_sum(r, v, boot, 0.95, 0.95)
-            worst = max(worst, float(np.abs(fast - slow).max()))
-    return CheckResult("gae-recursion-vs-sum", worst < 1e-10,
-                       f"max abs diff {worst:.3e} (limit 1e-10), T in {{1,5,40}}")
+            worst = max(worst, float(np.abs(fast(r, v, boot) - slow(r, v, boot)).max()))
+    return worst < 1e-10, f"max abs diff {worst:.3e} (limit 1e-10), T in {{1,5,40}}"
 
 
-def check_returns_oracle(seed: int) -> CheckResult:
-    rng = RngStream(seed, "verify/returns")
-    worst = 0.0
-    for t_len in (1, 5, 40):
-        for _ in range(5):
-            r = rng.uniform(-2, 2, size=t_len)
-            rng.uniform(-2, 2, size=t_len)   # V(s_t), which returns do not use
-            boot = rng.uniform(-2, 2)
-            fast = rl.compute_returns(r, boot, 0.95)
-            slow = returns_direct_sum(r, boot, 0.95)
-            worst = max(worst, float(np.abs(fast - slow).max()))
-    return CheckResult("returns-recursion-vs-sum", worst < 1e-10,
-                       f"max abs diff {worst:.3e} (limit 1e-10), T in {{1,5,40}}")
+def check_gae_oracle(seed: int) -> tuple[bool, str]:
+    return _recursion_vs_sum(seed, "gae",
+                             lambda r, v, boot: rl.compute_gae(r, v, boot, 0.95, 0.95),
+                             lambda r, v, boot: gae_direct_sum(r, v, boot, 0.95, 0.95))
 
 
-def check_clip_function(seed: int) -> CheckResult:
+def check_returns_oracle(seed: int) -> tuple[bool, str]:
+    # the loop also draws v, the V(s_t) that returns ignore; skipping that
+    # draw would shift every later one and change the seeded result
+    return _recursion_vs_sum(seed, "returns",
+                             lambda r, v, boot: rl.compute_returns(r, boot, 0.95),
+                             lambda r, v, boot: returns_direct_sum(r, boot, 0.95))
+
+
+def check_clip_function(seed: int) -> tuple[bool, str]:
     """Six analytic cases: sign(adv) x ratio below/inside/above the band,
     through the objective and mask the policy loss uses."""
     ratio, adv, expected, unclipped = np.array([
@@ -171,9 +172,8 @@ def check_clip_function(seed: int) -> CheckResult:
     got, mask = rl.clipped_objective(np.log(ratio), np.zeros(6), adv, 0.2)
     worst = float(np.abs(got - expected).max())
     masks_ok = np.array_equal(mask, unclipped == 1)
-    return CheckResult("clip-function-cases", worst < 1e-12 and masks_ok,
-                       f"6/6 analytic cases, max abs err {worst:.1e}; "
-                       f"unclipped masks match: {masks_ok}")
+    return (worst < 1e-12 and masks_ok,
+            f"6/6 analytic cases, max abs err {worst:.1e}; unclipped masks match: {masks_ok}")
 
 
 def waterfill_oracle(targets: np.ndarray, capacity: float) -> np.ndarray:
@@ -190,7 +190,7 @@ def waterfill_oracle(targets: np.ndarray, capacity: float) -> np.ndarray:
     return np.minimum(targets, 0.5 * (lo + hi))
 
 
-def check_allocation_oracle(seed: int) -> CheckResult:
+def check_allocation_oracle(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/alloc")
     worst = 0.0
     worst_conserve = 0.0
@@ -204,13 +204,13 @@ def check_allocation_oracle(seed: int) -> CheckResult:
         worst_conserve = max(worst_conserve,
                              abs(got.sum() - min(targets.sum(), capacity)))
         if np.any(got > targets + 1e-12):
-            return CheckResult("allocation-oracle", False, "allocation exceeded a demand")
-    return CheckResult("allocation-oracle", worst < 1e-6 and worst_conserve < 1e-9,
-                       f"1000 instances: max diff vs oracle {worst:.2e}, "
-                       f"conservation err {worst_conserve:.2e} (limit 1e-9)")
+            return False, "allocation exceeded a demand"
+    return (worst < 1e-6 and worst_conserve < 1e-9,
+            f"1000 instances: max diff vs oracle {worst:.2e}, "
+            f"conservation err {worst_conserve:.2e} (limit 1e-9)")
 
 
-def check_fedavg_oracle(seed: int) -> CheckResult:
+def check_fedavg_oracle(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/fedavg")
     size = nn.flat_size(((3, 4), (4, 2)))
     worst = 0.0
@@ -231,12 +231,12 @@ def check_fedavg_oracle(seed: int) -> CheckResult:
     base = ups[0]
     averaged = fed.fedavg([base] * 4, [1.0, 2.0, 3.0, 4.0])
     fixed = all(np.array_equal(p, q) for p, q in zip(averaged, base))
-    return CheckResult("fedavg-oracle", worst < 1e-12 and fixed,
-                       f"max diff vs weighted-mean oracle {worst:.2e} (limit 1e-12), "
-                       f"identical-input fixed point bit-exact: {fixed}")
+    return (worst < 1e-12 and fixed,
+            f"max diff vs weighted-mean oracle {worst:.2e} (limit 1e-12), "
+            f"identical-input fixed point bit-exact: {fixed}")
 
 
-def check_ldp_statistics(seed: int) -> CheckResult:
+def check_ldp_statistics(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/ldp")
     draws = rng.laplace(1.0, size=1_000_000)
     mean = float(draws.mean())
@@ -245,9 +245,8 @@ def check_ldp_statistics(seed: int) -> CheckResult:
     noop = fed.ldp_perturb(theta, 0.0, 1.0, rng)
     exact = np.array_equal(noop, theta)
     ok = abs(mean) < 0.005 and abs(var - 2.0) <= 0.04 and exact
-    return CheckResult("ldp-laplace-statistics", ok,
-                       f"1e6 draws at b=1: mean {mean:+.4f} (|.|<0.005), "
-                       f"var {var:.4f} (2 +/- 0.04); zero-sensitivity no-op: {exact}")
+    return ok, (f"1e6 draws at b=1: mean {mean:+.4f} (|.|<0.005), "
+                f"var {var:.4f} (2 +/- 0.04); zero-sensitivity no-op: {exact}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +285,20 @@ REFERENCE_SCENARIOS = {
 }
 
 
-def check_hyperparam_table(seed: int) -> CheckResult:
+def check_hyperparam_table(seed: int) -> tuple[bool, str]:
     hp = default_hyperparams()
     bad = [k for k, v in REFERENCE_HYPERPARAMS.items() if getattr(hp, k) != v]
-    return CheckResult("hyperparameter-defaults", not bad,
-                       "all reference rows match" if not bad else f"mismatched: {bad}")
+    return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
 
-def check_scenario_ranges(seed: int) -> CheckResult:
+def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     specs = builtin_scenarios()
     table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
              for s in specs}
     bad = sorted(k for k in table.keys() | REFERENCE_SCENARIOS.keys()
                  if table.get(k) != REFERENCE_SCENARIOS.get(k))
     if bad:
-        return CheckResult("scenario-ranges", False,
-                           f"channels of {bad} differ from the reference table")
+        return False, f"channels of {bad} differ from the reference table"
     rng = RngStream(seed, "verify/scenarios")
     t_len = 40
     n_samples = 10_000
@@ -316,9 +313,7 @@ def check_scenario_ranges(seed: int) -> CheckResult:
                                    (state.burst_level, spec.burst_loss)):
                 span = channel.at(t, t_len)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                    return CheckResult(
-                        "scenario-ranges", False,
-                        f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]")
+                    return False, f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
         # ramp endpoints must hit the arrow targets exactly (point ranges)
         for t, end in ((0, "start"), (t_len - 1, "end")):
             state = netsim.sample_link_state(spec, t, t_len, rng)
@@ -326,14 +321,12 @@ def check_scenario_ranges(seed: int) -> CheckResult:
                                    (state.base_latency_ms, spec.latency)):
                 span = channel.at(t, t_len)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                    return CheckResult("scenario-ranges", False,
-                                       f"{spec.name} {end} endpoint off: {value}")
-    return CheckResult("scenario-ranges", True,
-                       f"channels match the table; {n_samples} samples x 6 scenarios "
-                       f"x 5 channels in range; ramp endpoints hit their targets")
+                    return False, f"{spec.name} {end} endpoint off: {value}"
+    return True, (f"channels match the table; {n_samples} samples x 6 scenarios "
+                  f"x 5 channels in range; ramp endpoints hit their targets")
 
 
-def check_episode_structure(seed: int) -> CheckResult:
+def check_episode_structure(seed: int) -> tuple[bool, str]:
     """A real (downsized) 330-episode run: 40-step trajectories, one update
     per agent per episode, aggregation every 4 episodes -> 82 rounds."""
     cfg = SimConfig(n_agents=2)
@@ -348,29 +341,25 @@ def check_episode_structure(seed: int) -> CheckResult:
     ok = (rounds == 82 and updates == 330 * 2
           and round_eps == [3, 7, 11]
           and len(result.learning_curve) == 330)
-    return CheckResult("episode-structure", ok,
-                       f"330 episodes, T={hp.episode_len}: {rounds} rounds (expect 82), "
-                       f"{updates} agent-updates (expect 660), first rounds after "
-                       f"episodes {[e + 1 for e in round_eps]}")
+    return ok, (f"330 episodes, T={hp.episode_len}: {rounds} rounds (expect 82), "
+                f"{updates} agent-updates (expect 660), first rounds after "
+                f"episodes {[e + 1 for e in round_eps]}")
 
 
-def check_comm_overhead(seed: int) -> CheckResult:
-    rng = RngStream(seed, "verify/overhead")
-    actor = nn.init_mlp(6, 128, 5, "tanh", rng)
-    critic = nn.init_mlp(6, 128, 1, "relu", rng)
-    per_device = fed.update_upload_bytes(actor, critic)
+def check_comm_overhead(seed: int) -> tuple[bool, str]:
+    model = fed.init_global(6, 128, 5, RngStream(seed, "verify/overhead"))
+    per_device = fed.update_upload_bytes(model.actor, model.critic)
     mb = per_device / 1e6
     ok = 0.25 <= mb <= 1.0   # within 2x of the ~0.5 MB reference figure
-    return CheckResult("comm-overhead-size", ok,
-                       f"upload {per_device} B/device/round = {mb:.3f} MB "
-                       f"(in [0.25, 1.0]); 6 devices: {6 * per_device / 1e6:.2f} MB/round")
+    return ok, (f"upload {per_device} B/device/round = {mb:.3f} MB "
+                f"(in [0.25, 1.0]); 6 devices: {6 * per_device / 1e6:.2f} MB/round")
 
 
 # ---------------------------------------------------------------------------
 # Numerics and model plumbing
 # ---------------------------------------------------------------------------
 
-def check_forward_oracle(seed: int) -> CheckResult:
+def check_forward_oracle(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/forward")
     worst = 0.0
     for k in range(10):
@@ -381,11 +370,10 @@ def check_forward_oracle(seed: int) -> CheckResult:
         act = np.tanh if params.activation == "tanh" else lambda z: np.maximum(z, 0)
         want = act(act(x @ w1 + b1) @ w2 + b2) @ w3 + b3
         worst = max(worst, float(np.abs(got - want).max()))
-    return CheckResult("forward-matmul-oracle", worst < 1e-12,
-                       f"max abs diff vs straight-line oracle {worst:.2e} (limit 1e-12)")
+    return worst < 1e-12, f"max abs diff vs straight-line oracle {worst:.2e} (limit 1e-12)"
 
 
-def check_softmax_properties(seed: int) -> CheckResult:
+def check_softmax_properties(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/softmax")
     p, lp, ent = nn.categorical_head(np.zeros(5))
     uniform_ok = np.abs(p - 0.2).max() < 1e-12 and abs(ent - math.log(5)) < 1e-12
@@ -399,12 +387,11 @@ def check_softmax_properties(seed: int) -> CheckResult:
         p4, _, _ = nn.categorical_head(logits + 123.456)
         worst = max(worst, float(np.abs(p4 - p3).max()))
     ok = uniform_ok and stable_ok and worst < 1e-12
-    return CheckResult("softmax-properties", ok,
-                       f"uniform/overflow cases ok; exp(logp)=p and shift "
-                       f"invariance max err {worst:.2e} (limit 1e-12)")
+    return ok, (f"uniform/overflow cases ok; exp(logp)=p and shift "
+                f"invariance max err {worst:.2e} (limit 1e-12)")
 
 
-def check_checkpoint_roundtrip(seed: int) -> CheckResult:
+def check_checkpoint_roundtrip(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/ckpt")
     params = nn.init_mlp(6, 32, 5, "tanh", rng)
     blob = nn.params_to_bytes(params)
@@ -419,12 +406,11 @@ def check_checkpoint_roundtrip(seed: int) -> CheckResult:
         detects = False
     except nn.CheckpointError:
         detects = True
-    return CheckResult("checkpoint-roundtrip", identical and detects,
-                       f"bit-identical roundtrip: {identical}; CRC catches "
-                       f"corruption: {detects}")
+    return (identical and detects,
+            f"bit-identical roundtrip: {identical}; CRC catches corruption: {detects}")
 
 
-def check_netsim_invariants(seed: int) -> CheckResult:
+def check_netsim_invariants(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/netsim")
     cfg = SimConfig(n_agents=4)
     specs = builtin_scenarios()
@@ -437,10 +423,10 @@ def check_netsim_invariants(seed: int) -> CheckResult:
         received = rows[:, OBS_RECEIVED]
         worst_excess = max(worst_excess, float(received.sum()) - state.capacity_mbps)
         if np.any(received > targets + 1e-12):
-            return CheckResult("netsim-invariants", False, "received exceeded target")
+            return False, "received exceeded target"
         sent = np.ceil(received * 1e6 / (8 * cfg.packet_size_bytes))
         if np.any(rows[:, OBS_LOST] > sent):
-            return CheckResult("netsim-invariants", False, "lost more than sent")
+            return False, "lost more than sent"
     # lossless uncongested link must deliver perfectly
     clean = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                          Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
@@ -462,12 +448,11 @@ def check_netsim_invariants(seed: int) -> CheckResult:
             mono_ok = False
             break
     ok = worst_excess <= 1e-9 and lossless and mono_ok
-    return CheckResult("netsim-invariants", ok,
-                       f"capacity excess max {worst_excess:.2e} (limit 1e-9); "
-                       f"lossless case exact: {lossless}; own-target monotone: {mono_ok}")
+    return ok, (f"capacity excess max {worst_excess:.2e} (limit 1e-9); "
+                f"lossless case exact: {lossless}; own-target monotone: {mono_ok}")
 
 
-def check_rng_determinism(seed: int) -> CheckResult:
+def check_rng_determinism(seed: int) -> tuple[bool, str]:
     a = RngStream(seed, "agent")
     b = RngStream(seed, "agent")
     same = np.array_equal(a.uniform(size=10_000), b.uniform(size=10_000))
@@ -480,12 +465,11 @@ def check_rng_determinism(seed: int) -> CheckResult:
     whole = e.uniform(size=700)
     chunk_ok = np.array_equal(chunked, whole)
     ok = same and differs and chunk_ok
-    return CheckResult("rng-determinism", ok,
-                       f"equal seeds identical over 1e4 draws: {same}; distinct "
-                       f"streams differ: {differs}; chunking-invariant: {chunk_ok}")
+    return ok, (f"equal seeds identical over 1e4 draws: {same}; distinct "
+                f"streams differ: {differs}; chunking-invariant: {chunk_ok}")
 
 
-def check_binomial_sampler(seed: int) -> CheckResult:
+def check_binomial_sampler(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/binomial")
     n, p, k = 1000, 0.05, 4000
     draws = np.array([rng.binomial(n, p) for _ in range(k)])
@@ -495,12 +479,11 @@ def check_binomial_sampler(seed: int) -> CheckResult:
     ok = (abs(mean - exp_mean) < 0.7 and abs(var - exp_var) / exp_var < 0.15
           and draws.max() <= n and draws.min() >= 0
           and rng.binomial(50, 0.0) == 0 and rng.binomial(50, 1.0) == 50)
-    return CheckResult("binomial-sampler", ok,
-                       f"Binomial(1000, 0.05) over {k} draws: mean {mean:.2f} "
-                       f"(expect 50), var {var:.1f} (expect 47.5)")
+    return ok, (f"Binomial(1000, 0.05) over {k} draws: mean {mean:.2f} "
+                f"(expect 50), var {var:.1f} (expect 47.5)")
 
 
-def check_qoe_values(seed: int) -> CheckResult:
+def check_qoe_values(seed: int) -> tuple[bool, str]:
     c = QoECoefficients()
     worst = abs(qoe.quality(c.y_min, c.y_min))
     worst = max(worst, abs(qoe.quality(math.e * c.y_min, c.y_min) - 1.0))
@@ -519,56 +502,43 @@ def check_qoe_values(seed: int) -> CheckResult:
             - 0.2 * 55.0 / (32.0 + 1e-6) - 0.6 * abs(q_next - q_now)
             - 0.5 * max(0.0, 24.0 - 10.0))
     worst = max(worst, abs(got - want))
-    # monotonicity sweeps
-    mono_ok = True
-    prev = None
-    for y in np.linspace(1.0, 100.0, 25):
-        val = qoe.compute_qoe((100.0, y, 0.0, 0.0, 0.0, 0.0), c.f_target, y, 1, c)
-        if prev is not None and val < prev - 1e-12:
-            mono_ok = False
-        prev = val
-    for field, lo, hi in (("latency", 0.0, 300.0), ("loss", 0.0, 200.0)):
-        prev = None
-        for v in np.linspace(lo, hi, 25):
-            obs = ((50.0, 50.0, v, 0.0, 0.0, 0.0) if field == "latency"
-                   else (50.0, 50.0, 10.0, 0.0, v, v))
-            val = qoe.compute_qoe(obs, c.f_target, 50.0, 1, c)
-            if prev is not None and val > prev + 1e-12:
-                mono_ok = False
-            prev = val
+    # monotonicity sweeps: up in bitrate, down in latency and in loss
+    bitrate = [qoe.compute_qoe((100.0, y, 0.0, 0.0, 0.0, 0.0), c.f_target, y, 1, c)
+               for y in np.linspace(1.0, 100.0, 25)]
+    latency = [qoe.compute_qoe((50.0, 50.0, v, 0.0, 0.0, 0.0), c.f_target, 50.0, 1, c)
+               for v in np.linspace(0.0, 300.0, 25)]
+    loss = [qoe.compute_qoe((50.0, 50.0, 10.0, 0.0, v, v), c.f_target, 50.0, 1, c)
+            for v in np.linspace(0.0, 200.0, 25)]
+    mono_ok = (all(b >= a - 1e-12 for a, b in zip(bitrate, bitrate[1:]))
+               and all(b <= a + 1e-12 for sweep in (latency, loss)
+                       for a, b in zip(sweep, sweep[1:])))
     ok = worst < 1e-9 and mono_ok
-    return CheckResult("qoe-model-values", ok,
-                       f"hand-evaluated anchors max err {worst:.2e}; "
-                       f"monotone in bitrate/latency/loss: {mono_ok}")
+    return ok, (f"hand-evaluated anchors max err {worst:.2e}; "
+                f"monotone in bitrate/latency/loss: {mono_ok}")
 
 
-def check_fit_recovery(seed: int) -> CheckResult:
+def check_fit_recovery(seed: int) -> tuple[bool, str]:
     """Criterion: noiseless synthetic ratings recover their generating grid
     point exactly; sigma=0.2 noise stays within one grid step per weight."""
     truth = QoECoefficients(alpha=1.0, beta=0.4, gamma=0.2, delta1=0.6, delta2=0.5)
     rng = RngStream(seed, "verify/fit")
     clean = qoe.synthetic_ratings(truth, rng.spawn("clean"))
     fit = qoe.fit_coefficients(clean)
-    exact = all(abs(getattr(fit.coefficients, k) - getattr(truth, k)) < 1e-12
-                for k in ("alpha", "beta", "gamma", "delta1", "delta2"))
-    exact = exact and fit.rmse < 1e-9
+    exact = bool(np.all(np.abs(fit.coefficients.weights() - truth.weights()) < 1e-12)
+                 and fit.rmse < 1e-9)
     noisy = qoe.synthetic_ratings(truth, rng.spawn("noisy"), noise_sigma=0.2)
-    fit_n = qoe.fit_coefficients(noisy)
-    step_ok = all(abs(getattr(fit_n.coefficients, k) - getattr(truth, k)) <= 0.1 + 1e-9
-                  for k in ("alpha", "beta", "gamma", "delta1", "delta2"))
+    got = qoe.fit_coefficients(noisy).coefficients.weights()
+    step_ok = bool(np.all(np.abs(got - truth.weights()) <= 0.1 + 1e-9))
     sens = qoe.coefficient_sensitivity(truth, clean)
     optimum = all(r >= sens.baseline_rmse - 1e-12
                   for pair in sens.perturbed.values() for r in pair)
     ok = exact and step_ok and optimum
-    w = fit_n.coefficients
-    return CheckResult("qoe-fit-recovery", ok,
-                       f"noiseless exact: {exact}; sigma=0.2 within one grid step: "
-                       f"{step_ok} (got {w.alpha:.1f},{w.beta:.1f},{w.gamma:.1f},"
-                       f"{w.delta1:.1f},{w.delta2:.1f}); perturbations never beat "
-                       f"the optimum: {optimum}")
+    return ok, (f"noiseless exact: {exact}; sigma=0.2 within one grid step: "
+                f"{step_ok} (got {','.join(f'{v:.1f}' for v in got)}); "
+                f"perturbations never beat the optimum: {optimum}")
 
 
-def check_federation_identity(seed: int) -> CheckResult:
+def check_federation_identity(seed: int) -> tuple[bool, str]:
     """Criterion: N=1 with LDP off runs byte-identically to independent
     training (same seed): learning curve, diagnostics, and final weights."""
     cfg = SimConfig(n_agents=1)
@@ -582,16 +552,15 @@ def check_federation_identity(seed: int) -> CheckResult:
                        out_dir=out_a, episodes=24)
         training.train(cfg, hp, coeffs, "ippo", ["s1", "s3"], seed=seed,
                        out_dir=out_b, episodes=24)
-        same = {}
-        for name in (training.LEARNING_CURVE_FILE, training.DIAGNOSTICS_FILE):
-            same[name] = (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        ckpt = f"{training.CHECKPOINT_DIR}/final/agent00.actor.fmap"
-        same["final-actor"] = (out_a / ckpt).read_bytes() == (out_b / ckpt).read_bytes()
-        ckpt_c = f"{training.CHECKPOINT_DIR}/final/agent00.critic.fmap"
-        same["final-critic"] = (out_a / ckpt_c).read_bytes() == (out_b / ckpt_c).read_bytes()
-    ok = all(same.values())
-    return CheckResult("federation-identity", ok,
-                       "byte-identical: " + ", ".join(f"{k}={v}" for k, v in same.items()))
+        final = f"{training.CHECKPOINT_DIR}/final/agent00"
+        files = [(training.LEARNING_CURVE_FILE, training.LEARNING_CURVE_FILE),
+                 (training.DIAGNOSTICS_FILE, training.DIAGNOSTICS_FILE),
+                 ("final-actor", f"{final}.actor.fmap"),
+                 ("final-critic", f"{final}.critic.fmap")]
+        same = {label: (out_a / name).read_bytes() == (out_b / name).read_bytes()
+                for label, name in files}
+    return all(same.values()), "byte-identical: " + ", ".join(
+        f"{k}={v}" for k, v in same.items())
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +587,11 @@ def learning_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
 
 ORDERING_EVAL_EPISODES = 30
 
+# method-ordering's comparisons, as (winner, loser, scenario): the winner's
+# eval score must be >= the loser's on that scenario
+ORDERING = (("fmappo", "ippo", "s3"), ("fmappo", "ippo", "s5"), ("fmappo", "delay", "s5"),
+            ("fmappo", "probe", "s5"), ("ippo", "delay", "s5"), ("ippo", "probe", "s5"))
+
 
 def single_agent_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
     """The scripted single-agent sanity config (federation degenerates to
@@ -627,7 +601,7 @@ def single_agent_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
     return cfg, hp, QoECoefficients()
 
 
-def check_single_agent_sanity(seed: int) -> CheckResult:
+def check_single_agent_sanity(seed: int) -> tuple[bool, str]:
     """Criterion: on a stationary lossless 50 Mbps link, trained reward over
     the last 20 of 100 episodes beats a random policy by >= 30% for at
     least 4 of 5 seeds."""
@@ -644,12 +618,11 @@ def check_single_agent_sanity(seed: int) -> CheckResult:
         wins.append(margin >= 0.30)
         details.append(f"seed {s}: learned {learned:.3f} vs random {baseline:.3f} "
                        f"(+{100 * margin:.0f}%)")
-    ok = sum(wins) >= 4
-    return CheckResult("single-agent-sanity", ok,
-                       f"{sum(wins)}/5 seeds beat random by >=30%; " + "; ".join(details))
+    return sum(wins) >= 4, (f"{sum(wins)}/5 seeds beat random by >=30%; "
+                            + "; ".join(details))
 
 
-def check_convergence_shape(seed: int) -> CheckResult:
+def check_convergence_shape(seed: int) -> tuple[bool, str]:
     """Criterion: the 200-episode moving-average reward is non-decreasing over
     its final third within a 5%-of-range band for at least 4 of 5 seeds."""
     cfg, hp, coeffs = learning_config()
@@ -672,12 +645,11 @@ def check_convergence_shape(seed: int) -> CheckResult:
             worst_drop = max(worst_drop, running_max - v)
         passes.append(worst_drop <= band)
         details.append(f"seed {s}: worst drop {worst_drop:.3f} vs band {band:.3f}")
-    ok = sum(passes) >= 4
-    return CheckResult("convergence-shape", ok,
-                       f"{sum(passes)}/5 seeds non-decreasing final third; " + "; ".join(details))
+    return sum(passes) >= 4, (f"{sum(passes)}/5 seeds non-decreasing final third; "
+                              + "; ".join(details))
 
 
-def check_method_ordering(seed: int) -> CheckResult:
+def check_method_ordering(seed: int) -> tuple[bool, str]:
     """Criterion: after 150 episodes, federated >= independent on s3 and s5,
     and both learned methods >= each rule controller on s5 (each comparison
     needs 4 of 5 seeds; ties break toward pass).
@@ -688,9 +660,7 @@ def check_method_ordering(seed: int) -> CheckResult:
     """
     cfg, hp, coeffs = learning_config()
     eval_eps = ORDERING_EVAL_EPISODES
-    comparisons = {name: [] for name in
-                   ("fmappo>=ippo@s3", "fmappo>=ippo@s5", "fmappo>=delay@s5",
-                    "fmappo>=probe@s5", "ippo>=delay@s5", "ippo>=probe@s5")}
+    tallies = {f"{w}>={l}@{scen}": 0 for w, l, scen in ORDERING}
     details = []
     for s in range(seed, seed + 5):
         scores = {}
@@ -706,73 +676,77 @@ def check_method_ordering(seed: int) -> CheckResult:
             summary = training.evaluate_controller(ctrl, "s5", eval_eps, 1000 + s,
                                                    cfg, hp, coeffs)
             scores[f"{ctrl}@s5"] = summary.qoe_episode_mean
-        comparisons["fmappo>=ippo@s3"].append(scores["fmappo@s3"] >= scores["ippo@s3"])
-        comparisons["fmappo>=ippo@s5"].append(scores["fmappo@s5"] >= scores["ippo@s5"])
-        comparisons["fmappo>=delay@s5"].append(scores["fmappo@s5"] >= scores["delay@s5"])
-        comparisons["fmappo>=probe@s5"].append(scores["fmappo@s5"] >= scores["probe@s5"])
-        comparisons["ippo>=delay@s5"].append(scores["ippo@s5"] >= scores["delay@s5"])
-        comparisons["ippo>=probe@s5"].append(scores["ippo@s5"] >= scores["probe@s5"])
-        details.append("seed {}: ".format(s) + ", ".join(
+        for w, l, scen in ORDERING:
+            tallies[f"{w}>={l}@{scen}"] += scores[f"{w}@{scen}"] >= scores[f"{l}@{scen}"]
+        details.append(f"seed {s}: " + ", ".join(
             f"{k}={v:.3f}" for k, v in sorted(scores.items())))
-    tallies = {k: sum(v) for k, v in comparisons.items()}
-    ok = all(t >= 4 for t in tallies.values())
     summary = "; ".join(f"{k}: {t}/5" for k, t in tallies.items())
-    return CheckResult("method-ordering", ok, summary + " || " + " | ".join(details))
+    return (all(t >= 4 for t in tallies.values()),
+            summary + " || " + " | ".join(details))
 
 
 # ---------------------------------------------------------------------------
 # Registry and runner
 # ---------------------------------------------------------------------------
 
-ORACLE_CHECKS: list[Callable[[int], CheckResult]] = [
-    check_rng_determinism,
-    check_hyperparam_table,
-    check_scenario_ranges,
-    check_allocation_oracle,
-    check_netsim_invariants,
-    check_binomial_sampler,
-    check_qoe_values,
-    check_fit_recovery,
-    check_forward_oracle,
-    check_softmax_properties,
-    check_gradient_actor,
-    check_gradient_critic,
-    check_gae_oracle,
-    check_returns_oracle,
-    check_clip_function,
-    check_checkpoint_roundtrip,
-    check_fedavg_oracle,
-    check_ldp_statistics,
-    check_comm_overhead,
-    check_federation_identity,
-    check_episode_structure,
-]
+# Each check function and the name it reports, in run order.
+ORACLE_CHECKS: dict[Callable[[int], tuple[bool, str]], str] = {
+    check_rng_determinism: "rng-determinism",
+    check_hyperparam_table: "hyperparameter-defaults",
+    check_scenario_ranges: "scenario-ranges",
+    check_allocation_oracle: "allocation-oracle",
+    check_netsim_invariants: "netsim-invariants",
+    check_binomial_sampler: "binomial-sampler",
+    check_qoe_values: "qoe-model-values",
+    check_fit_recovery: "qoe-fit-recovery",
+    check_forward_oracle: "forward-matmul-oracle",
+    check_softmax_properties: "softmax-properties",
+    check_gradient_actor: "gradient-actor",
+    check_gradient_critic: "gradient-critic",
+    check_gae_oracle: "gae-recursion-vs-sum",
+    check_returns_oracle: "returns-recursion-vs-sum",
+    check_clip_function: "clip-function-cases",
+    check_checkpoint_roundtrip: "checkpoint-roundtrip",
+    check_fedavg_oracle: "fedavg-oracle",
+    check_ldp_statistics: "ldp-laplace-statistics",
+    check_comm_overhead: "comm-overhead-size",
+    check_federation_identity: "federation-identity",
+    check_episode_structure: "episode-structure",
+}
 
-LEARNING_CHECKS: list[Callable[[int], CheckResult]] = [
-    check_single_agent_sanity,
-    check_convergence_shape,
-    check_method_ordering,
-]
+LEARNING_CHECKS: dict[Callable[[int], tuple[bool, str]], str] = {
+    check_single_agent_sanity: "single-agent-sanity",
+    check_convergence_shape: "convergence-shape",
+    check_method_ordering: "method-ordering",
+}
 
 
 def run_checks(seed: int = 0, full: bool = False,
                only: Sequence[str] | None = None,
                report: Callable[[CheckResult], None] | None = None) -> list[CheckResult]:
-    checks = list(ORACLE_CHECKS) + (list(LEARNING_CHECKS) if full else [])
+    """Run the oracle checks, plus the learning checks when ``full``. With
+    ``only``, a check runs when a token occurs in its function name or its
+    reported name (``-`` and ``_`` alike); selecting none raises ValueError."""
+    checks = {**ORACLE_CHECKS, **(LEARNING_CHECKS if full else {})}
+    if only:
+        tokens = [t.replace("-", "_") for t in only]
+        checks = {fn: name for fn, name in checks.items()
+                  if any(t in fn.__name__ or t in name.replace("-", "_") for t in tokens)}
+        if not checks:
+            raise ValueError(f"no check matches {list(only)}"
+                             + ("" if full else " (learning checks need --full)"))
     results = []
-    for fn in checks:
-        if only and not any(token in fn.__name__ for token in only):
-            continue
-        result = fn(seed)
-        results.append(result)
+    for fn, name in checks.items():
+        passed, detail = fn(seed)
+        results.append(CheckResult(name, bool(passed), detail))
         if report is not None:
-            report(result)
+            report(results[-1])
     return results
 
 
 __all__ = [
-    "CheckResult", "CORRUPT_GRADIENT_ENV", "LEARNING_CHECKS", "ORACLE_CHECKS",
+    "CheckResult", "CORRUPT_GRADIENT_ENV", "LEARNING_CHECKS", "ORACLE_CHECKS", "ORDERING",
     "REFERENCE_HYPERPARAMS", "REFERENCE_SCENARIOS", "ROUND_ROBIN", "STEADY_50",
     "gae_direct_sum", "learning_config", "returns_direct_sum", "run_checks",
     "single_agent_config", "waterfill_oracle",
-] + [fn.__name__ for fn in ORACLE_CHECKS + LEARNING_CHECKS]
+] + [fn.__name__ for fn in [*ORACLE_CHECKS, *LEARNING_CHECKS]]

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asms import cli, qoe, training, verify
@@ -82,6 +85,16 @@ class TestTrain:
                        "--episodes", episodes)
         assert code == 2
         assert f"episodes must be >= 1, got {episodes}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["grad_clip = nan", "ldp_eps = inf",
+                                      "delta_table = -inf,0,inf"])
+    def test_non_finite_value_exits_2_before_writing(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(bad), "--out", str(out)) == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_scenario_exits_2(self, tmp_path):
@@ -191,6 +204,16 @@ class TestCompare:
         assert "seed0.csv" in err and "seed1.csv" in err and "eval --label" in err
         assert not (tmp_path / "c").exists()
 
+    # the file is given twice, so a nan cell must fail on its line rather than
+    # as a conflict with itself (nan != nan)
+    @pytest.mark.parametrize("row", ["m1,s2,nan", "m1,s2,inf", "m1,s2,-inf", "m1,s2"])
+    def test_non_finite_or_missing_cell_exits_2_naming_line(self, tmp_path, capsys, row):
+        src = tmp_path / "one.csv"
+        src.write_text(f"method,scenario,qoe_mean\nm1,s1,0.5\n{row}\n")
+        assert run_cli("compare", str(src), str(src), "--out", str(tmp_path / "c")) == 2
+        assert "one.csv line 3" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_single_source_rejected(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
         src.write_text("method,scenario,qoe_mean,qoe_std\nm1,s1,0.5,0.1\n")
@@ -274,12 +297,33 @@ class TestVerify:
         assert code == 3
         assert "[FAIL] gradient-actor" in capsys.readouterr().out
 
+    def test_only_selects_by_printed_name(self, capsys):
+        code = run_cli("verify", "--only", "gradient-critic", "--seed", "0")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 1 and "[PASS] gradient-critic" in out
+        assert "1/1 checks passed" in out
+
+    def test_only_selecting_nothing_exits_2_without_running(self, capsys):
+        code = run_cli("verify", "--only", "nosuchcheck")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nosuchcheck" in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+
+    def test_check_names_match_the_benchmark_list(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import bench
+        assert tuple(verify.ORACLE_CHECKS.values()) == bench.VERIFY_CHECKS
+
     # Seeds at which finite differences once crossed a ReLU kink.
     @pytest.mark.parametrize("seed", [29, 57, 59, 86, 99, 309])
     def test_gradient_critic_near_kink_seeds(self, seed, monkeypatch):
-        assert verify.check_gradient_critic(seed).passed
+        passed, _ = verify.check_gradient_critic(seed)
+        assert passed
         monkeypatch.setenv("ASMS_VERIFY_CORRUPT_GRADIENT", "1")
-        assert not verify.check_gradient_critic(seed).passed
+        passed, _ = verify.check_gradient_critic(seed)
+        assert not passed
 
     def test_scenario_table_pins_the_builtin_channels(self, monkeypatch):
         real = verify.builtin_scenarios
@@ -288,12 +332,71 @@ class TestVerify:
             return [dataclasses.replace(s, bandwidth=Channel.fixed(20, 90))
                     if s.name == "s3" else s for s in real()]
 
-        assert verify.check_scenario_ranges(0).passed
+        passed, _ = verify.check_scenario_ranges(0)
+        assert passed
         monkeypatch.setattr(verify, "builtin_scenarios", edited)
-        result = verify.check_scenario_ranges(0)
-        assert not result.passed and "s3" in result.detail
+        passed, detail = verify.check_scenario_ranges(0)
+        assert not passed and "s3" in detail
+
+    def test_learning_check_details_on_fixed_scores(self, monkeypatch):
+        monkeypatch.setattr(training, "train", _fake_train)
+        monkeypatch.setattr(training, "evaluate_agents", _fake_eval)
+        monkeypatch.setattr(training, "evaluate_controller", _fake_eval)
+        results = verify.run_checks(seed=0, full=True,
+                                    only=["single_agent", "convergence", "ordering"])
+        assert [(r.name, r.passed, r.detail) for r in results] == LEARNING_DETAILS
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
+
+
+# Fixed stand-ins for training and evaluation, so the learning checks' report
+# format is pinned without minutes of training.
+_FAKE_BASE = {"fmappo": 1.0, "ippo": 0.6, "delay": 0.8, "probe": 0.3, "random": -2.0}
+
+
+def _fake_train(cfg, hp, coeffs, method, scenarios, seed, episodes, **_):
+    t = np.arange(episodes)
+    rewards = (seed % 3 - 1) * t / episodes + 0.2 * np.sin(t) + _FAKE_BASE[method]
+    return types.SimpleNamespace(episode_rewards=rewards, agents=method)
+
+
+def _fake_eval(name, scenario, episodes, seed, *args, **kwargs):
+    """Stands in for evaluate_agents (name is the fake agents: the method)
+    and for evaluate_controller."""
+    scen = getattr(scenario, "name", scenario)
+    score = _FAKE_BASE[name] + 0.25 * ((seed + len(name) + ord(scen[-1])) % 4)
+    return types.SimpleNamespace(qoe_episode_mean=score)
+
+
+LEARNING_DETAILS = [
+    ("single-agent-sanity", True,
+     "5/5 seeds beat random by >=30%; "
+     "seed 0: learned 0.094 vs random -1.500 (+106%); "
+     "seed 1: learned 0.989 vs random -1.250 (+179%); "
+     "seed 2: learned 1.884 vs random -2.000 (+194%); "
+     "seed 3: learned 0.094 vs random -1.750 (+105%); "
+     "seed 4: learned 0.989 vs random -1.500 (+166%)"),
+    ("convergence-shape", False,
+     "1/5 seeds non-decreasing final third; "
+     "seed 0: worst drop 0.321 vs band 0.051; "
+     "seed 1: worst drop 0.018 vs band 0.006; "
+     "seed 2: worst drop 0.005 vs band 0.046; "
+     "seed 3: worst drop 0.321 vs band 0.051; "
+     "seed 4: worst drop 0.018 vs band 0.006"),
+    ("method-ordering", False,
+     "fmappo>=ippo@s3: 2/5; fmappo>=ippo@s5: 3/5; fmappo>=delay@s5: 4/5; "
+     "fmappo>=probe@s5: 4/5; ippo>=delay@s5: 1/5; ippo>=probe@s5: 5/5 || "
+     "seed 0: delay@s5=1.300, fmappo@s3=1.250, fmappo@s5=1.750, ippo@s3=1.350, "
+     "ippo@s5=0.850, probe@s5=0.800 | "
+     "seed 1: delay@s5=1.550, fmappo@s3=1.500, fmappo@s5=1.000, ippo@s3=0.600, "
+     "ippo@s5=1.100, probe@s5=1.050 | "
+     "seed 2: delay@s5=0.800, fmappo@s3=1.750, fmappo@s5=1.250, ippo@s3=0.850, "
+     "ippo@s5=1.350, probe@s5=0.300 | "
+     "seed 3: delay@s5=1.050, fmappo@s3=1.000, fmappo@s5=1.500, ippo@s3=1.100, "
+     "ippo@s5=0.600, probe@s5=0.550 | "
+     "seed 4: delay@s5=1.300, fmappo@s3=1.250, fmappo@s5=1.750, ippo@s3=1.350, "
+     "ippo@s5=0.850, probe@s5=0.800"),
+]

@@ -47,6 +47,11 @@ class TestDeltaTable:
         with pytest.raises(ConfigError):
             validate_delta_table((-2.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_entries_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            validate_delta_table((-value, 0.0, value))
+
 
 class TestHyperparams:
     def test_reference_defaults(self):
@@ -211,6 +216,20 @@ class TestConfigParsing:
         assert hp == HyperParams()
         with pytest.raises(ConfigError, match=f"{key} is unused"):
             parse_config_text(f"{key} = {other}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        "y_max", "x_init_spread", "congestion_loss_coef", "queue_delay_coef", "f_target",
+        "lr", "grad_clip", "entropy_coef", "entropy_coef_final", "value_scale", "ldp_eps",
+        "ldp_clip", "alpha", "beta", "gamma", "delta1", "delta2", "p_threshold",
+        "eps_small"])
+    def test_non_finite_float_rejected_naming_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"invalid value for '{key}': {key} must be finite"):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_error_names_the_key_not_a_key_it_contains(self):
+        with pytest.raises(ConfigError, match="invalid value for 'entropy_coef_final'"):
+            parse_config_text("entropy_coef = 0.02\nentropy_coef_final = nan\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
