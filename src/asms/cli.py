@@ -81,6 +81,8 @@ def cmd_eval(args) -> int:
                 summary = training.evaluate_controller(
                     args.controller, scen, args.episodes, args.seed, cfg, hp,
                     coeffs, trace=trace)
+                if args.label:
+                    summary.method = args.label
             else:
                 summary = training.evaluate_agents(
                     agents, scen, args.episodes, args.seed, cfg, hp, coeffs,
@@ -279,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenarios", default="s1", help="comma-separated scenario names")
     p.add_argument("--episodes", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--label", help="method label for reports (default: run manifest)")
+    p.add_argument("--label", help="method label for reports (default: manifest or controller)")
     p.add_argument("--trace", help="write a per-step trace CSV to this path")
     p.add_argument("--out", help="directory for the eval summary CSV")
     p.set_defaults(func=cmd_eval)

@@ -36,12 +36,23 @@ class ConfigError(ValueError):
     """Raised for unreadable, malformed, or invariant-violating config input."""
 
 
-def _require_finite(obj) -> None:
-    """Reject a config dataclass whose float fields hold nan or inf."""
+# Parsed, since every run's config snapshot writes them, but read by no code
+# path, so only their defaults are accepted.
+_UNUSED_KEYS = ("policy_update_freq", "replay_buffer_size", "target_update_coef",
+                "sac_critics", "entropy_temperature", "entropy_coef_final",
+                "x_init_spread", "reward_mode")
+
+
+def _check_fields(obj) -> None:
+    """Reject a config dataclass holding a non-finite float, or an unused
+    key set away from its default."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.name in _UNUSED_KEYS and value != f.default:
+            raise ConfigError(f"{f.name} is unused; only its default "
+                              f"{f.default!r} is accepted")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +199,7 @@ class QoECoefficients:
     eps_small: float = 1e-6   # divide guard
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         for name in ("alpha", "beta", "gamma", "delta1", "delta2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -211,12 +222,6 @@ def default_qoe_coefficients() -> QoECoefficients:
 # Training hyperparameters
 # ---------------------------------------------------------------------------
 
-# Parsed for config compatibility but read by no code path (one update per
-# episode; a soft-actor-critic family), so only their defaults are accepted.
-_UNUSED_KEYS = ("policy_update_freq", "replay_buffer_size", "target_update_coef",
-                "sac_critics", "entropy_temperature")
-
-
 @dataclass(frozen=True)
 class HyperParams:
     """Training constants. Defaults are the reference experiment settings;
@@ -237,7 +242,7 @@ class HyperParams:
     episode_len: int = 40
     episodes: int = 330
     entropy_coef: float = 0.01
-    entropy_coef_final: float = -1.0  # < 0: constant bonus; else anneal to this
+    entropy_coef_final: float = -1.0
     value_scale: float = 100.0    # critic predicts returns / value_scale
     ldp_eps: float = 1.0          # privacy budget of the upload perturbation
     ldp_clip: float = 0.1         # per-coordinate update bound (= sensitivity)
@@ -248,7 +253,7 @@ class HyperParams:
     entropy_temperature: float = 0.2
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if not (0 < self.gamma_discount <= 1):
             raise ValueError("gamma_discount must be in (0, 1]")
         if not (0 <= self.gae_lambda <= 1):
@@ -259,10 +264,6 @@ class HyperParams:
                      "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in _UNUSED_KEYS:
-            if getattr(self, name) != getattr(HyperParams, name):
-                raise ConfigError(f"{name} is unused; only its default "
-                                  f"{getattr(HyperParams, name)!r} is accepted")
         if self.lr <= 0 or self.grad_clip <= 0:
             raise ValueError("lr and grad_clip must be > 0")
         if self.ldp_eps <= 0:
@@ -273,14 +274,6 @@ class HyperParams:
             raise ValueError("entropy_coef must be >= 0")
         if self.value_scale <= 0:
             raise ValueError("value_scale must be > 0")
-
-    def entropy_coef_at(self, episode: int, total_episodes: int) -> float:
-        """Entropy bonus for one episode; anneals linearly when a final
-        value is configured."""
-        if self.entropy_coef_final < 0 or total_episodes <= 1:
-            return self.entropy_coef
-        frac = min(1.0, episode / (total_episodes - 1))
-        return self.entropy_coef + frac * (self.entropy_coef_final - self.entropy_coef)
 
 
 def default_hyperparams() -> HyperParams:
@@ -300,40 +293,27 @@ class SimConfig:
     y_min: float = 1.0
     y_max: float = 200.0
     x_init: float = 10.0
-    x_init_spread: float = 0.0   # log-uniform episode start jitter, in nats
+    x_init_spread: float = 0.0
     packet_size_bytes: int = 1200
     congestion_loss_coef: float = 0.05   # extra loss per unit of overload
     queue_delay_coef: float = 1.0        # latency factor is 1 + coef * U^2
     f_target: float = 60.0
     delta_table: tuple[float, ...] = DEFAULT_DELTA_TABLE
-    users_schedule: tuple[int, ...] | None = None  # per-step user counts
-    reward_mode: str = "mean"            # "mean" or "sum" over agent scores
+    reward_mode: str = "mean"
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _check_fields(self)
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if not (0 < self.y_min <= self.x_init <= self.y_max):
             raise ValueError("need 0 < y_min <= x_init <= y_max")
-        if self.x_init_spread < 0:
-            raise ValueError("x_init_spread must be >= 0")
         if self.packet_size_bytes < 1:
             raise ValueError("packet_size_bytes must be >= 1")
         if self.congestion_loss_coef < 0 or self.queue_delay_coef < 0:
             raise ValueError("loss/delay coefficients must be >= 0")
         if self.f_target <= 0:
             raise ValueError("f_target must be > 0")
-        if self.reward_mode not in ("mean", "sum"):
-            raise ValueError("reward_mode must be 'mean' or 'sum'")
         validate_delta_table(self.delta_table)
-        if self.users_schedule is not None:
-            if len(self.users_schedule) == 0 or any(u < 0 for u in self.users_schedule):
-                raise ValueError("users_schedule must be non-empty with counts >= 0")
-
-    def users_at(self, t: int) -> int:
-        if self.users_schedule is None:
-            return self.n_agents
-        return self.users_schedule[min(t, len(self.users_schedule) - 1)]
 
 
 def default_sim_config() -> SimConfig:
@@ -375,10 +355,7 @@ def _parse_value(raw: str, f: dataclasses.Field, key: str, lineno: int):
         if ftype == "str":
             return raw
         if "tuple" in ftype:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            if "int" in ftype:
-                return tuple(int(p) for p in parts)
-            return tuple(float(p) for p in parts)
+            return tuple(float(p) for p in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     raise ConfigError(f"line {lineno}: unsupported type for {key!r}")
@@ -403,12 +380,10 @@ def parse_config_text(text: str) -> tuple[SimConfig, HyperParams, QoECoefficient
     def build(struct):
         names = {f.name for f in dataclasses.fields(struct)}
         kwargs = {k: v for k, v in overrides.items() if k in names}
-        if struct is SimConfig and "users_schedule" in kwargs and kwargs["users_schedule"] == ():
-            kwargs["users_schedule"] = None
         try:
             return struct(**kwargs)
         except ValueError as exc:
-            # longest match: "entropy_coef" is part of "entropy_coef_final"
+            # longest match: one key's name can contain another's
             bad = max((k for k in kwargs if k in str(exc)), key=len, default="?")
             raise ConfigError(f"invalid value for {bad!r}: {exc}") from None
 
@@ -435,8 +410,6 @@ def serialize_config(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients) -
                 continue
             seen.add(f.name)
             value = getattr(obj, f.name)
-            if value is None:
-                continue
             if isinstance(value, tuple):
                 rendered = ",".join(repr(v) for v in value)
             elif isinstance(value, bool):

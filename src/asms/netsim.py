@@ -146,22 +146,12 @@ class BottleneckSim:
         self.t = 0
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start an episode: a warmup step at t=0 with the initial targets
-        produces the first rows and frame rates.
-
-        With x_init_spread > 0 each episode draws its starting bitrate
-        log-uniformly around x_init (exploring starts); all senders share it.
-        """
+        """Start an episode: a warmup step at t=0 with every target at x_init
+        produces the first rows and frame rates."""
         self.t = 0
-        x0 = self.cfg.x_init
-        if self.cfg.x_init_spread > 0:
-            x0 *= math.exp(self.rng.uniform(-self.cfg.x_init_spread,
-                                            self.cfg.x_init_spread))
-            x0 = min(self.cfg.y_max, max(self.cfg.y_min, x0))
         state = sample_link_state(self.spec, 0, self.episode_len, self.rng,
-                                  users=self.cfg.users_at(0))
-        targets = [x0] * self.cfg.n_agents
-        return advance(state, targets, self.cfg, self.rng)
+                                  users=self.cfg.n_agents)
+        return advance(state, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
 
     def step(self, targets: Sequence[float]) -> tuple[LinkState, np.ndarray, np.ndarray]:
         """Apply the targets at the next step; returns its link state, rows
@@ -171,7 +161,7 @@ class BottleneckSim:
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
         state = sample_link_state(self.spec, self.t, self.episode_len, self.rng,
-                                  users=self.cfg.users_at(self.t))
+                                  users=self.cfg.n_agents)
         rows, frame_rate = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
             self.trace.record(state, rows, frame_rate)

@@ -81,16 +81,11 @@ def compute_qoe(row: Sequence[float], frame_rate: float, next_received_mbps: flo
     return float(c.weights() @ qoe_features(row, frame_rate, next_received_mbps, users, c))
 
 
-def global_reward(scores: Sequence[float], mode: str = "mean") -> float:
-    """Pool per-agent scores into the shared reward (mean by default)."""
+def global_reward(scores: Sequence[float]) -> float:
+    """Pool per-agent scores into the shared reward: their mean."""
     if len(scores) == 0:
         raise ValueError("global_reward needs at least one score")
-    total = float(np.sum(scores))
-    if mode == "sum":
-        return total
-    if mode == "mean":
-        return total / len(scores)
-    raise ValueError(f"unknown reward mode {mode!r}")
+    return float(np.sum(scores)) / len(scores)
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,7 @@ class EpisodeStats:
 
 
 def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarray,
-                  coeffs: QoECoefficients, mode: str = "mean",
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  coeffs: QoECoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Per-step experience scores and pooled rewards for a finished episode.
 
     ``rows`` is (T, N, 6) with columns ``core.OBS_*``, validated as one block
@@ -323,7 +322,7 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarr
         for i in range(n):
             agent_qoe[t, i] = compute_qoe(steps[t][i], rates[t][i],
                                           successor[i][OBS_RECEIVED], int(step_users[t]), coeffs)
-        rewards[t] = global_reward(agent_qoe[t], mode=mode)
+        rewards[t] = global_reward(agent_qoe[t])
     return rewards, agent_qoe
 
 
@@ -347,8 +346,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
         targets = np.clip(rows[t, :, OBS_TARGET] + choose(t, rows[t]), cfg.y_min, cfg.y_max)
         state, rows[t + 1], frame_rate[t] = sim.step(targets)
         step_users[t] = state.user_count
-    rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs,
-                                       cfg.reward_mode)
+    rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs)
     stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe,
                          received_mbps=rows[1:, :, OBS_RECEIVED].copy(),
                          latency_ms=rows[1:, :, OBS_LATENCY].copy(),
@@ -371,8 +369,12 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
     n = cfg.n_agents
     if len(agents) != n:
         raise ValueError(f"need {n} agents, got {len(agents)}")
-    t_len = hp.episode_len
     table = np.asarray(cfg.delta_table, dtype=np.float64)
+    for actor in (agent.actor for agent in agents):
+        if (actor.in_dim, actor.out_dim) != (OBS_DIM, table.size):
+            raise ValueError(f"actor maps {actor.in_dim} inputs to {actor.out_dim} actions; the "
+                             f"config needs {OBS_DIM} inputs to {table.size} actions")
+    t_len = hp.episode_len
     features = np.zeros((t_len + 1, n, OBS_DIM))
     actions = np.zeros((t_len, n), dtype=np.int64)
     log_probs = np.zeros((t_len, n))

@@ -20,6 +20,11 @@ PALETTE = ("#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",
            "#b279a2", "#9d755d", "#bab0ac")
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would import urllib.request and ~40 more modules
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -42,7 +47,8 @@ def _header(title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15">'
+        f'{_escape(title)}</text>',
     ]
 
 
@@ -63,7 +69,7 @@ def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], float, float]:
         parts.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
                      f'font-size="11">{_fmt(v)}</text>')
     parts.append(f'<text x="16" y="{HEIGHT / 2:.0f}" font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{label}</text>')
+                 f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{_escape(label)}</text>')
     return parts, lo, scale
 
 
@@ -88,7 +94,7 @@ def grouped_bars(categories: Sequence[str], series: Mapping[str, Sequence[float 
     for ci, cat in enumerate(categories):
         cx = MARGIN_L + group_w * (ci + 0.5)
         parts.append(f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 16}" '
-                     f'text-anchor="middle" font-size="11">{cat}</text>')
+                     f'text-anchor="middle" font-size="11">{_escape(cat)}</text>')
         for si, (name, vals) in enumerate(series.items()):
             v = vals[ci] if ci < len(vals) else None
             if v is None or not math.isfinite(v):
@@ -102,7 +108,7 @@ def grouped_bars(categories: Sequence[str], series: Mapping[str, Sequence[float 
         x = MARGIN_L + 10 + si * 120
         parts.append(f'<rect x="{x}" y="{HEIGHT - 24}" width="12" height="12" '
                      f'fill="{PALETTE[si % len(PALETTE)]}"/>')
-        parts.append(f'<text x="{x + 16}" y="{HEIGHT - 14}" font-size="11">{name}</text>')
+        parts.append(f'<text x="{x + 16}" y="{HEIGHT - 14}" font-size="11">{_escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -121,7 +127,7 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str,
     parts.append(f'<line x1="{MARGIN_L}" y1="{HEIGHT - MARGIN_B}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{HEIGHT - MARGIN_B}" stroke="black"/>')
     parts.append(f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - MARGIN_B + 30}" '
-                 f'text-anchor="middle" font-size="12">{xlabel}</text>')
+                 f'text-anchor="middle" font-size="12">{_escape(xlabel)}</text>')
     for si, (name, vals) in enumerate(series.items()):
         pts = []
         for i, v in enumerate(vals):
@@ -133,7 +139,7 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str,
         x = MARGIN_L + 10 + si * 150
         parts.append(f'<rect x="{x}" y="{HEIGHT - 24}" width="12" height="12" '
                      f'fill="{PALETTE[si % len(PALETTE)]}"/>')
-        parts.append(f'<text x="{x + 16}" y="{HEIGHT - 14}" font-size="11">{name}</text>')
+        parts.append(f'<text x="{x + 16}" y="{HEIGHT - 14}" font-size="11">{_escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

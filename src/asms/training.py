@@ -78,23 +78,26 @@ def make_agents(cfg: SimConfig, hp: HyperParams, rng_init: RngStream,
 
 
 def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
-          scenario_names: Sequence[str], seed: int, out_dir: str | Path | None = None,
-          episodes: int | None = None, scenario_specs: Sequence[ScenarioSpec] | None = None,
-          ) -> TrainResult:
-    """Run the full training loop.
+          scenarios: Sequence[ScenarioSpec | str], seed: int,
+          out_dir: str | Path | None = None, episodes: int | None = None) -> TrainResult:
+    """Run the full training loop into ``out_dir``, which must be new or empty.
 
-    Scenarios cycle round-robin per episode; one policy/value update per
-    agent per episode; for ``fmappo``, aggregation every hp.fedavg_freq
-    episodes (``ippo`` never aggregates).
+    Scenarios (names or specs) cycle round-robin per episode; one
+    policy/value update per agent per episode; for ``fmappo``, aggregation
+    every hp.fedavg_freq episodes (``ippo`` never aggregates). No step reads
+    the episode count, so a k-episode run is the first k episodes of any
+    longer run at the same seed.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     n_episodes = hp.episodes if episodes is None else episodes
     if n_episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {n_episodes}")
-    specs = (list(scenario_specs) if scenario_specs is not None
-             else [scenario_by_name(name) for name in scenario_names])
+    specs = [scenario_by_name(s) if isinstance(s, str) else s for s in scenarios]
     names = [s.name for s in specs]
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None and out_path.exists() and any(out_path.iterdir()):
+        raise ValueError(f"run directory {out_path} is not empty; use a new or empty one")
 
     rng_init = RngStream(seed, "init")
     rng_env = RngStream(seed, "env")
@@ -108,7 +111,6 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     curve: list[dict] = []
     diagnostics: list[dict] = []
     overhead: list[dict] = []
-    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
@@ -122,11 +124,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
             row[f"agent{i:02d}_qoe"] = float(stats.agent_qoe[:, i].mean())
         curve.append(row)
 
-        ep_hp = dataclasses.replace(
-            hp, entropy_coef=hp.entropy_coef_at(ep, n_episodes))
         for i, agent in enumerate(agents):
-            diag = agent.update(build_batch(trajectory, i, agent.critic, hp),
-                                ep_hp, rng_upd)
+            diag = agent.update(build_batch(trajectory, i, agent.critic, hp), hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
         if federate and (ep + 1) % hp.fedavg_freq == 0:

@@ -609,8 +609,8 @@ def check_single_agent_sanity(seed: int) -> tuple[bool, str]:
     wins = []
     details = []
     for s in range(seed, seed + 5):
-        result = training.train(cfg, hp, coeffs, "fmappo", ["steady50"], seed=s,
-                                episodes=100, scenario_specs=[STEADY_50])
+        result = training.train(cfg, hp, coeffs, "fmappo", [STEADY_50], seed=s,
+                                episodes=100)
         learned = float(result.episode_rewards[-20:].mean())
         rand = training.evaluate_controller("random", STEADY_50, 20, s, cfg, hp, coeffs)
         baseline = rand.qoe_episode_mean
@@ -725,16 +725,23 @@ def run_checks(seed: int = 0, full: bool = False,
                only: Sequence[str] | None = None,
                report: Callable[[CheckResult], None] | None = None) -> list[CheckResult]:
     """Run the oracle checks, plus the learning checks when ``full``. With
-    ``only``, a check runs when a token occurs in its function name or its
-    reported name (``-`` and ``_`` alike); selecting none raises ValueError."""
+    ``only``, a check runs when a stripped, non-empty token occurs in its
+    function name or its reported name (``-`` and ``_`` alike); a token that
+    selects no check raises ValueError naming it before any check runs."""
     checks = {**ORACLE_CHECKS, **(LEARNING_CHECKS if full else {})}
     if only:
-        tokens = [t.replace("-", "_") for t in only]
-        checks = {fn: name for fn, name in checks.items()
-                  if any(t in fn.__name__ or t in name.replace("-", "_") for t in tokens)}
-        if not checks:
-            raise ValueError(f"no check matches {list(only)}"
+        tokens = [t.strip() for t in only if t.strip()]
+
+        def selects(token: str, fn: Callable) -> bool:
+            key = token.replace("-", "_")
+            return key in fn.__name__ or key in checks[fn].replace("-", "_")
+
+        unmatched = [t for t in tokens if not any(selects(t, fn) for fn in checks)]
+        if unmatched or not tokens:
+            raise ValueError(f"no check matches {unmatched or list(only)}"
                              + ("" if full else " (learning checks need --full)"))
+        checks = {fn: name for fn, name in checks.items()
+                  if any(selects(t, fn) for t in tokens)}
     results = []
     for fn, name in checks.items():
         passed, detail = fn(seed)

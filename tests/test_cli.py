@@ -2,6 +2,7 @@ import dataclasses
 import json
 import types
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestTrain:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_users_schedule_is_an_unknown_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("users_schedule = 6,5,4\n")
+        assert run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
+        assert "unknown key 'users_schedule'" in capsys.readouterr().err
+
+    def test_used_out_dir_exits_2_naming_it(self, trained_run, tiny_cfg, capsys):
+        before = sorted(p.relative_to(trained_run) for p in trained_run.rglob("*"))
+        code = run_cli("train", "--config", tiny_cfg, "--out", str(trained_run),
+                       *TRAIN_ARGS)
+        assert code == 2
+        assert f"{trained_run} is not empty" in capsys.readouterr().err
+        assert sorted(p.relative_to(trained_run) for p in trained_run.rglob("*")) == before
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = run_cli("train", "--out", str(tmp_path / "x"), "--scenarios", "s9")
         assert code == 2
@@ -126,6 +141,25 @@ class TestEval:
         assert code == 0
         header = trace.read_text().splitlines()[0]
         assert header == "t,agent,x,y,l,j,p,n,f,capacity,u"
+
+    def test_controller_eval_takes_the_label(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
+                       "--episodes", "1", "--label", "X", "--out", str(out))
+        assert code == 0
+        assert "X @ s1" in capsys.readouterr().out
+        rows = (out / "eval_X.csv").read_text().splitlines()
+        assert rows[1].startswith("X,s1,")
+
+    def test_action_head_mismatch_exits_2_naming_both_sizes(self, trained_run, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("n_agents = 2\nhidden_width = 8\ndelta_table = -1,0,1\n")
+        code = run_cli("eval", "--checkpoint", str(trained_run / "checkpoints" / "final"),
+                       "--config", str(cfg), "--episodes", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "to 5 actions" in err and "3 actions" in err
 
     def test_zero_episodes_exit_2(self, tiny_cfg, capsys):
         code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
@@ -213,6 +247,17 @@ class TestCompare:
         assert run_cli("compare", str(src), str(src), "--out", str(tmp_path / "c")) == 2
         assert "one.csv line 3" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_labels_with_markup_give_well_formed_svg(self, tiny_cfg, tmp_path):
+        for ctrl, label in (("delay", "R&D<x>"), ("probe", "probe")):
+            assert run_cli("eval", "--controller", ctrl, "--config", tiny_cfg,
+                           "--episodes", "1", "--label", label,
+                           "--out", str(tmp_path / ctrl)) == 0
+        out = tmp_path / "cmp"
+        assert run_cli("compare", str(tmp_path / "delay"), str(tmp_path / "probe"),
+                       "--out", str(out)) == 0
+        root = ElementTree.parse(out / "compare_s1.svg").getroot()
+        assert "R&D<x>" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
     def test_single_source_rejected(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
@@ -309,6 +354,20 @@ class TestVerify:
         assert code == 2
         captured = capsys.readouterr()
         assert "nosuchcheck" in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+
+    def test_only_strips_tokens_and_drops_empty_ones(self, capsys):
+        assert run_cli("verify", "--only", "clip, rng,", "--seed", "0") == 0
+        out = capsys.readouterr().out
+        assert "[PASS] clip-function-cases" in out and "[PASS] rng-determinism" in out
+        assert "2/2 checks passed" in out
+
+    @pytest.mark.parametrize("only, unmatched", [("rng,nosuch", "['nosuch']"),
+                                                 (" , ", "[' ', ' ']")])
+    def test_only_token_selecting_nothing_exits_2_naming_it(self, capsys, only, unmatched):
+        assert run_cli("verify", "--only", only) == 2
+        captured = capsys.readouterr()
+        assert f"no check matches {unmatched}" in captured.err
         assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
 
     def test_check_names_match_the_benchmark_list(self, monkeypatch):

@@ -97,17 +97,6 @@ class TestHyperparams:
         with pytest.raises(ConfigError, match="fedavg_freq"):
             parse_config_text("fedavg_freq = 0\n")
 
-    def test_entropy_coef_anneals_linearly_to_final(self):
-        hp = HyperParams(entropy_coef=0.02, entropy_coef_final=0.0)
-        got = [hp.entropy_coef_at(ep, 5) for ep in range(5)]
-        assert got == pytest.approx([0.02, 0.015, 0.01, 0.005, 0.0], abs=1e-15)
-        assert hp.entropy_coef_at(9, 5) == 0.0
-
-    def test_entropy_coef_constant_without_final(self):
-        hp = HyperParams(entropy_coef=0.02)
-        assert hp.entropy_coef_final < 0
-        assert {hp.entropy_coef_at(ep, 5) for ep in range(5)} == {0.02}
-
 
 class TestScenarios:
     def test_six_scenarios(self):
@@ -191,11 +180,9 @@ class TestConfigParsing:
             parse_config_text("lr = 0.1\nlr = 0.2\n")
 
     def test_bool_and_tuple_values(self):
-        cfg, hp, _ = parse_config_text(
-            "ldp_enabled = false\ndelta_table = -2,0,2\nusers_schedule = 6,5,4\n")
+        cfg, hp, _ = parse_config_text("ldp_enabled = false\ndelta_table = -2,0,2\n")
         assert hp.ldp_enabled is False
         assert cfg.delta_table == (-2.0, 0.0, 2.0)
-        assert cfg.users_schedule == (6, 5, 4)
 
     def test_f_target_feeds_both_structs(self):
         cfg, _, coeffs = parse_config_text("f_target = 90\n")
@@ -210,10 +197,11 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, default, other", [
         ("policy_update_freq", "40", "20"), ("replay_buffer_size", "5000", "100"),
         ("target_update_coef", "0.005", "0.01"), ("sac_critics", "2", "1"),
-        ("entropy_temperature", "0.2", "0.1")])
+        ("entropy_temperature", "0.2", "0.1"), ("entropy_coef_final", "-1.0", "0.0"),
+        ("x_init_spread", "0.0", "0.5"), ("reward_mode", "mean", "sum")])
     def test_unused_keys_accept_only_their_default(self, key, default, other):
-        _, hp, _ = parse_config_text(f"{key} = {default}\n")
-        assert hp == HyperParams()
+        assert parse_config_text(f"{key} = {default}\n") == (
+            SimConfig(), HyperParams(), QoECoefficients())
         with pytest.raises(ConfigError, match=f"{key} is unused"):
             parse_config_text(f"{key} = {other}\n")
 
@@ -236,7 +224,7 @@ class TestConfigParsing:
             load_config(str(tmp_path / "nope.cfg"))
 
     def test_round_trip(self):
-        cfg = SimConfig(n_agents=3, users_schedule=(3, 3, 2), reward_mode="sum")
+        cfg = SimConfig(n_agents=3, delta_table=(-2.0, 0.0, 2.0))
         hp = HyperParams(lr=0.001, ldp_enabled=False)
         coeffs = QoECoefficients(beta=0.7)
         text = serialize_config(cfg, hp, coeffs)

@@ -98,9 +98,6 @@ class TestGlobalReward:
     def test_mean(self):
         assert qoe.global_reward([1.0, 2.0, 3.0]) == pytest.approx(2.0)
 
-    def test_sum_mode(self):
-        assert qoe.global_reward([1.0, 2.0, 3.0], mode="sum") == pytest.approx(6.0)
-
     def test_permutation_invariant(self):
         rng = RngStream(0, "gr")
         vals = rng.uniform(-5, 5, size=9)

@@ -346,3 +346,10 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             rl.run_episode(sim, make_agents(2), HyperParams(episode_len=5),
                            QoECoefficients(), RngStream(0, "act"))
+
+    def test_action_head_must_fit_the_delta_table(self):
+        cfg = SimConfig(n_agents=2, delta_table=(-1.0, 0.0, 1.0))
+        sim = BottleneckSim(STEADY, cfg, 5, RngStream(0, "env"))
+        with pytest.raises(ValueError, match="6 inputs to 5 actions.*3 actions"):
+            rl.run_episode(sim, make_agents(2), HyperParams(episode_len=5),
+                           QoECoefficients(), RngStream(0, "act"))

@@ -109,6 +109,43 @@ class TestTrainLoop:
         with pytest.raises(FileNotFoundError):
             training.load_checkpoint_agents(tmp_path)
 
+    def test_scenarios_mix_names_and_specs(self):
+        mixed = training.train(CFG, HP, COEFFS, "fmappo", ["s1", scenario_by_name("s3")],
+                               seed=0, episodes=4)
+        assert mixed.scenario_names == ["s1", "s3"]
+        assert mixed.learning_curve == tiny_train(episodes=4).learning_curve
+
+    def test_used_out_dir_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "old.txt").write_text("x")
+        with pytest.raises(ValueError, match=f"{out} is not empty"):
+            tiny_train(out_dir=out)
+        assert [p.name for p in out.iterdir()] == ["old.txt"]
+
+    def test_empty_out_dir_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        tiny_train(out_dir=out, episodes=2)
+        assert (out / training.LEARNING_CURVE_FILE).exists()
+
+
+class TestPrefixClosure:
+    def test_short_run_is_a_prefix_of_a_longer_run(self, tmp_path):
+        hp = HyperParams(hidden_width=8, fedavg_freq=2)   # LDP on: fed draws too
+        short, long = tmp_path / "short", tmp_path / "long"
+        tiny_train(out_dir=short, episodes=10, hp=hp)
+        tiny_train(out_dir=long, episodes=20, hp=hp)
+        ckpt = f"{training.CHECKPOINT_DIR}/ep0010"
+        names = sorted(p.name for p in (short / ckpt).iterdir())
+        assert len(names) == 6   # two agents' actor and critic, the global pair
+        assert names == sorted(p.name for p in (long / ckpt).iterdir())
+        for name in names:
+            assert (short / ckpt / name).read_bytes() == (long / ckpt / name).read_bytes()
+        for table in (training.LEARNING_CURVE_FILE, training.DIAGNOSTICS_FILE):
+            rows = (short / table).read_text().splitlines()
+            assert rows == (long / table).read_text().splitlines()[:len(rows)]
+
 
 class TestMovingAverage:
     def test_matches_naive(self):
