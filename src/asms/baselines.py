@@ -37,7 +37,7 @@ class ControllerState:
     """Rolling per-agent estimates a rule controller carries between steps."""
 
     smoothed_latency_ms: np.ndarray   # (N,)
-    phase: np.ndarray                 # (N,) probe | drain | steady
+    probing: np.ndarray               # (N,) bool: the last step was a probe
     probe_ref_latency: np.ndarray     # (N,) latency when the last probe began
     window: np.ndarray                # (k <= PROBE_PERIOD, N) recent received bitrates
     steps: int = 0                    # shared: all agents step together
@@ -45,7 +45,7 @@ class ControllerState:
 
 def new_controller_state(n_agents: int) -> ControllerState:
     return ControllerState(smoothed_latency_ms=np.zeros(n_agents),
-                           phase=np.full(n_agents, "steady"),
+                           probing=np.zeros(n_agents, dtype=bool),
                            probe_ref_latency=np.zeros(n_agents),
                            window=np.zeros((0, n_agents)))
 
@@ -94,20 +94,20 @@ def bandwidth_probe_controller(state: ControllerState, rows: np.ndarray,
     steps = state.steps + 1
     ref = state.probe_ref_latency
     drain = ((rows[:, OBS_LOST] > p_threshold)
-             | ((state.phase == "probe") & (ref > 0) & (latency > PROBE_LATENCY_RISE * ref)))
+             | (state.probing & (ref > 0) & (latency > PROBE_LATENCY_RISE * ref)))
 
     if steps % PROBE_PERIOD == 0:
         index = np.where(drain, vals.argmin(), vals.argmax())
-        phase = np.where(drain, "drain", "probe")
+        probing = ~drain
         ref = np.where(drain, ref, latency)
     else:
         # nearest delta to the steady target; argmin breaks ties to the lowest index
         target = STEADY_HEADROOM * window.max(axis=0)
         toward = np.abs(rows[:, OBS_TARGET, None] + vals - target[:, None]).argmin(axis=1)
         index = np.where(drain, vals.argmin(), toward)
-        phase = np.where(drain, "drain", "steady")
+        probing = np.zeros_like(drain)
 
-    return index, dataclasses.replace(state, phase=phase, probe_ref_latency=ref,
+    return index, dataclasses.replace(state, probing=probing, probe_ref_latency=ref,
                                       window=window, steps=steps)
 
 

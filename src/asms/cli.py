@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__, baselines, qoe, svgplot, training, verify
 from .core import (ConfigError, builtin_scenarios, default_hyperparams,
                    default_qoe_coefficients, default_sim_config, load_config)
+from .netsim import TraceWriter
 from .rl import NonFiniteLossError
 
 EXIT_OK = 0
@@ -65,15 +66,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, hp, coeffs = _load_config_arg(args.config)
     scenarios = _scenario_list(args.scenarios)
+    if args.episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {args.episodes}")
+    if args.label is not None and (args.label in ("", ".", "..") or "/" in args.label):
+        raise ValueError(f"--label {args.label!r} is not a plain file name")
     if not args.controller:
         agents = training.load_checkpoint_agents(args.checkpoint)
         label = args.label or _method_from_manifest(args.checkpoint)
-    trace_fh = None
-    trace = None
-    if args.trace:
-        trace_fh = open(args.trace, "w", encoding="utf-8", newline="")
-        from .netsim import TraceWriter
-        trace = TraceWriter(trace_fh)
+    trace_fh = open(args.trace, "w", encoding="utf-8", newline="") if args.trace else None
+    trace = TraceWriter(trace_fh) if trace_fh is not None else None
+    finished = False
     try:
         summaries = []
         for scen in scenarios:
@@ -94,9 +96,12 @@ def cmd_eval(args) -> int:
                   f"{summary.qoe_episode_std:.4f}, latency {summary.latency_ms_mean:.1f} ms, "
                   f"loss {summary.lost_packets_mean:.1f} pkts/step, "
                   f"fps {summary.frame_rate_mean:.1f}")
+        finished = True
     finally:
         if trace_fh is not None:
             trace_fh.close()
+            if not finished:   # a failed evaluation leaves no partial trace
+                Path(args.trace).unlink()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -30,8 +30,8 @@ class GlobalModel:
 def init_global(obs_dim: int, hidden: int, action_count: int,
                 rng: RngStream) -> GlobalModel:
     """Fresh actor (tanh, categorical) and critic (relu, scalar) at round 0."""
-    actor = nn.init_mlp(obs_dim, hidden, action_count, "tanh", rng, head="categorical")
-    critic = nn.init_mlp(obs_dim, hidden, 1, "relu", rng, head="scalar")
+    actor = nn.init_mlp(obs_dim, hidden, action_count, "tanh", rng)
+    critic = nn.init_mlp(obs_dim, hidden, 1, "relu", rng)
     return GlobalModel(round_index=0, actor=actor, critic=critic)
 
 

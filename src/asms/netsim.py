@@ -31,7 +31,6 @@ class LinkState:
     loss_rate: float
     burst_active: bool
     burst_level: float   # loss added while a burst is active
-    user_count: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.loss_rate <= 1.0):
@@ -41,7 +40,7 @@ class LinkState:
 
 
 def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
-                      rng: RngStream, users: int = 1) -> LinkState:
+                      rng: RngStream) -> LinkState:
     """Draw the link conditions for step t.
 
     Fixed channels sample uniformly from their range; ramp channels first
@@ -58,8 +57,7 @@ def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
     capacity, latency, jitter, loss, burst_level, coin = rng.uniform(lo, hi, size=6).tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
-                     burst_active=coin < burst_level, burst_level=burst_level,
-                     user_count=users)
+                     burst_active=coin < burst_level, burst_level=burst_level)
 
 
 def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
@@ -149,28 +147,27 @@ class BottleneckSim:
         """Start an episode: a warmup step at t=0 with every target at x_init
         produces the first rows and frame rates."""
         self.t = 0
-        state = sample_link_state(self.spec, 0, self.episode_len, self.rng,
-                                  users=self.cfg.n_agents)
+        state = sample_link_state(self.spec, 0, self.episode_len, self.rng)
         return advance(state, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
 
-    def step(self, targets: Sequence[float]) -> tuple[LinkState, np.ndarray, np.ndarray]:
-        """Apply the targets at the next step; returns its link state, rows
-        and frame rates."""
+    def step(self, targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Apply the targets at the next step; returns its rows and frame
+        rates."""
         if len(targets) != self.cfg.n_agents:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
-        state = sample_link_state(self.spec, self.t, self.episode_len, self.rng,
-                                  users=self.cfg.n_agents)
+        state = sample_link_state(self.spec, self.t, self.episode_len, self.rng)
         rows, frame_rate = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
             self.trace.record(state, rows, frame_rate)
         self.t += 1
-        return state, rows, frame_rate
+        return rows, frame_rate
 
 
 class TraceWriter:
-    """Optional per-step CSV trace: one row per (step, agent)."""
+    """Optional per-step CSV trace: one row per (step, agent); every agent
+    counts as a user, so ``u`` is the row count."""
 
     HEADER = ["t", "agent", "x", "y", "l", "j", "p", "n", "f", "capacity", "u"]
 
@@ -183,7 +180,7 @@ class TraceWriter:
             self._writer.writerow([
                 state.t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
                 int(p), int(n), f"{frame_rate[i]:.6g}", f"{state.capacity_mbps:.6g}",
-                state.user_count,
+                len(rows),
             ])
 
 

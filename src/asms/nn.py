@@ -21,7 +21,6 @@ from .core import RngStream
 log = logging.getLogger(__name__)
 
 ACTIVATIONS = ("tanh", "relu")
-HEADS = ("categorical", "scalar")
 
 CHECKPOINT_MAGIC = b"FMAP"
 CHECKPOINT_VERSION = 1
@@ -42,13 +41,10 @@ class ModelParams:
     shapes: tuple[tuple[int, int], ...]
     theta: np.ndarray
     activation: str
-    head: str
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}")
         expected = sum(i * o + o for i, o in self.shapes)
         if self.theta.shape != (expected,):
             raise ValueError(f"flat vector length {self.theta.shape} != {expected}")
@@ -84,7 +80,7 @@ def flat_size(shapes: tuple[tuple[int, int], ...]) -> int:
 
 
 def init_mlp(in_dim: int, hidden: int, out_dim: int, activation: str,
-             rng: RngStream, head: str | None = None) -> ModelParams:
+             rng: RngStream) -> ModelParams:
     """Two-hidden-layer MLP; Glorot-uniform weights, zero biases."""
     if min(in_dim, hidden, out_dim) < 1:
         raise ValueError("dimensions must be >= 1")
@@ -95,9 +91,7 @@ def init_mlp(in_dim: int, hidden: int, out_dim: int, activation: str,
         bound = np.sqrt(6.0 / (i + o))
         theta[pos:pos + i * o] = rng.uniform(-bound, bound, size=i * o)
         pos += i * o + o    # biases stay zero
-    if head is None:
-        head = "categorical" if out_dim > 1 else "scalar"
-    return ModelParams(shapes=shapes, theta=theta, activation=activation, head=head)
+    return ModelParams(shapes=shapes, theta=theta, activation=activation)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -223,9 +217,9 @@ def categorical_head(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def grad_check(params: ModelParams,
                loss_and_grad: Callable[[ModelParams], tuple[float, np.ndarray]],
-               rng: RngStream, n_coords: int = 200, h: float = 1e-5) -> float:
+               rng: RngStream, n_coords: int = 200) -> float:
     """Max relative error of the analytic gradient versus central finite
-    differences over a random coordinate subsample."""
+    differences (step 1e-5) over a random coordinate subsample."""
     loss0, analytic = loss_and_grad(params)
     if not np.isfinite(loss0):
         raise ValueError("loss is not finite at the given parameters")
@@ -237,11 +231,11 @@ def grad_check(params: ModelParams,
     worst = 0.0
     for c in coords:
         bumped = params.theta.copy()
-        bumped[c] += h
+        bumped[c] += 1e-5
         plus, _ = loss_and_grad(params.with_theta(bumped))
-        bumped[c] -= 2 * h
+        bumped[c] -= 2e-5
         minus, _ = loss_and_grad(params.with_theta(bumped))
-        fd = (plus - minus) / (2 * h)
+        fd = (plus - minus) / 2e-5
         denom = max(abs(fd), abs(analytic[c]), 1e-5)
         worst = max(worst, abs(fd - analytic[c]) / denom)
     return worst
@@ -251,12 +245,16 @@ def grad_check(params: ModelParams,
 # Serialization: magic | version | tags | shapes | float64 payload | crc32
 # ---------------------------------------------------------------------------
 
+def _head_tag(out_dim: int) -> int:
+    return 0 if out_dim > 1 else 1   # categorical for several outputs, else scalar
+
+
 def params_to_bytes(params: ModelParams) -> bytes:
     header = bytearray()
     header += CHECKPOINT_MAGIC
     header += struct.pack("<H", CHECKPOINT_VERSION)
     header += struct.pack("<BB", ACTIVATIONS.index(params.activation),
-                          HEADS.index(params.head))
+                          _head_tag(params.out_dim))
     header += struct.pack("<H", len(params.shapes))
     for i, o in params.shapes:
         header += struct.pack("<II", i, o)
@@ -287,13 +285,16 @@ def params_from_bytes(data: bytes) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     act_i, head_i = struct.unpack_from("<BB", body, pos); pos += 2
-    if act_i >= len(ACTIVATIONS) or head_i >= len(HEADS):
-        raise CheckpointError("unknown activation/head tag")
+    if act_i >= len(ACTIVATIONS):
+        raise CheckpointError("unknown activation tag")
     (n_layers,) = struct.unpack_from("<H", body, pos); pos += 2
     shapes = []
     for _ in range(n_layers):
         i, o = struct.unpack_from("<II", body, pos); pos += 8
         shapes.append((i, o))
+    out_dim = shapes[-1][1] if shapes else 0
+    if head_i != _head_tag(out_dim):
+        raise CheckpointError(f"head tag {head_i} does not match output size {out_dim}")
     (length,) = struct.unpack_from("<Q", body, pos); pos += 8
     expected = flat_size(tuple(shapes))
     if length != expected or len(body) - pos != 8 * length:
@@ -301,7 +302,7 @@ def params_from_bytes(data: bytes) -> ModelParams:
     theta = np.frombuffer(body, dtype="<f8", count=length, offset=pos).copy()
     try:
         return ModelParams(shapes=tuple(shapes), theta=theta,
-                           activation=ACTIVATIONS[act_i], head=HEADS[head_i])
+                           activation=ACTIVATIONS[act_i])
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
 
@@ -320,7 +321,7 @@ def load_params(path: str) -> ModelParams:
 
 __all__ = [
     "ACTIVATIONS", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "AdamState",
-    "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError", "HEADS",
+    "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError",
     "ModelParams", "adam_step", "backward", "categorical_head",
     "flat_size", "forward", "grad_check", "init_mlp", "load_params",
     "params_from_bytes", "params_to_bytes", "save_params", "serialized_size",

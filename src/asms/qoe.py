@@ -2,9 +2,9 @@
 grid-search calibration of the score's weights against opinion ratings.
 
 The score is linear in its five weights, which the fitting code exploits:
-each trace reduces to one 5-dim feature vector and the whole grid is then a
-single matrix product. Scores and traces read observation rows, columns
-``core.OBS_*``.
+each trace reduces to one 5-dim feature vector and each block of grid
+candidates is then a single matrix product. Scores and traces read
+observation rows, columns ``core.OBS_*``.
 """
 
 from __future__ import annotations
@@ -137,6 +137,7 @@ def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
 
 DEFAULT_GRID: tuple[tuple[float, ...], ...] = tuple(
     tuple(round(0.1 * k, 1) for k in range(11)) for _ in range(5))
+FIT_BLOCK_ROWS = 4096   # candidates per product: bounds the fit's memory
 
 
 def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,38 +170,40 @@ class FitResult:
 
 
 def fit_coefficients(records: Sequence[RatingsRecord],
-                     grid: Sequence[Sequence[float]] = DEFAULT_GRID,
-                     base: QoECoefficients | None = None) -> FitResult:
+                     grid: Sequence[Sequence[float]] = DEFAULT_GRID) -> FitResult:
     """Exhaustive grid search minimizing RMSE against the MOS ratings.
 
     Model scores and the 1-5 rating scale differ in units, so each candidate
     is first aligned by least-squares a*score+b before its RMSE is taken.
-    Ties break to the first candidate in lexicographic grid order.
+    Ties break to the first candidate in lexicographic grid order. The
+    non-weight terms are the defaults of ``QoECoefficients``.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 ratings records")
     grids = [tuple(float(v) for v in axis) for axis in grid]
     if len(grids) != 5 or any(len(axis) == 0 for axis in grids):
         raise ValueError("grid must provide a non-empty axis for each of the 5 weights")
-    base = base or QoECoefficients()
+    base = QoECoefficients()
 
     feats = np.stack([record_features(r, base) for r in records])   # (R, 5)
     mos = np.array([r.mos for r in records])
     candidates = np.array(list(itertools.product(*grids)))          # (C, 5)
-    predicted = candidates @ feats.T                                # (C, R)
-    rmse, a, b = _affine_rmse(predicted, mos)
-    best = int(np.argmin(rmse))   # argmin returns the first minimum: lexicographic tie-break
+    for start in range(0, len(candidates), FIT_BLOCK_ROWS):
+        predicted = candidates[start:start + FIT_BLOCK_ROWS] @ feats.T   # (block, R)
+        rmse, a, b = _affine_rmse(predicted, mos)
+        k = int(np.argmin(rmse))   # the first minimum: lexicographic tie-break
+        if start == 0 or rmse[k] < best_rmse:
+            best, best_rmse, scale, offset = start + k, rmse[k], a[k], b[k]
+            aligned = a[k] * predicted[k] + b[k]   # a recomputed row differs in the last bits
 
-    aligned = a[best] * predicted[best] + b[best]
     ss_res = float(((aligned - mos) ** 2).sum())
     ss_tot = float(((mos - mos.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     w = candidates[best]
     coeffs = dataclasses.replace(base, alpha=w[0], beta=w[1], gamma=w[2],
                                  delta1=w[3], delta2=w[4])
-    return FitResult(coefficients=coeffs, rmse=float(rmse[best]), r_squared=r2,
-                     scale=float(a[best]), offset=float(b[best]),
-                     grid=tuple(grids))
+    return FitResult(coefficients=coeffs, rmse=float(best_rmse), r_squared=r2,
+                     scale=float(scale), offset=float(offset), grid=tuple(grids))
 
 
 def _rmse_of(coeffs: QoECoefficients, feats: np.ndarray, mos: np.ndarray) -> float:
@@ -308,15 +311,13 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
 
 
 def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 96,
-                      trace_len: int = 20, noise_sigma: float = 0.0,
-                      raters: int = 8, mos_lo: float = 1.3,
-                      mos_hi: float = 4.7) -> list[RatingsRecord]:
+                      trace_len: int = 20, noise_sigma: float = 0.0) -> list[RatingsRecord]:
     """Ratings manufactured from known weights, for fit-recovery tests.
 
     Traces spread across bitrate/latency/loss regimes; the trace scores map
-    affinely onto [mos_lo, mos_hi] (so the fitter's rescale can be exact).
-    Each record's mean opinion score averages ``raters`` independent ratings
-    carrying Gaussian noise_sigma noise, then the 1-5 bounds are enforced.
+    affinely onto [1.3, 4.7] (so the fitter's rescale can be exact). Each
+    record's mean opinion score averages 8 independent ratings carrying
+    Gaussian noise_sigma noise, then the 1-5 bounds are enforced.
     """
     drafts: list[RatingsRecord] = []
     scores: list[float] = []
@@ -357,9 +358,9 @@ def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 9
     span = hi - lo if hi > lo else 1.0
     records = []
     for draft, score in zip(drafts, scores):
-        mos = mos_lo + (mos_hi - mos_lo) * (score - lo) / span
+        mos = 1.3 + (4.7 - 1.3) * (score - lo) / span
         if noise_sigma > 0:
-            mos += noise_sigma * float(np.mean(rng.normal(size=raters)))
+            mos += noise_sigma * float(np.mean(rng.normal(size=8)))
         records.append(dataclasses.replace(draft, mos=min(5.0, max(1.0, mos))))
     return records
 

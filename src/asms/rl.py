@@ -269,15 +269,14 @@ class PPOAgent:
 
     actor: nn.ModelParams
     critic: nn.ModelParams
-    actor_adam: nn.AdamState = field(default=None)  # type: ignore[assignment]
-    critic_adam: nn.AdamState = field(default=None)  # type: ignore[assignment]
-    sample_count: int = 0   # steps collected since the last aggregation
+    actor_adam: nn.AdamState = field(init=False)
+    critic_adam: nn.AdamState = field(init=False)
+    sample_count: int = field(init=False)   # steps collected since the last aggregation
 
     def __post_init__(self) -> None:
-        if self.actor_adam is None:
-            self.actor_adam = nn.AdamState.zeros(self.actor.theta.size)
-        if self.critic_adam is None:
-            self.critic_adam = nn.AdamState.zeros(self.critic.theta.size)
+        self.actor_adam = nn.AdamState.zeros(self.actor.theta.size)
+        self.critic_adam = nn.AdamState.zeros(self.critic.theta.size)
+        self.sample_count = 0
 
     def update(self, batch: TrainBatch, hp: HyperParams, rng: RngStream) -> UpdateDiagnostics:
         (self.actor, self.critic, self.actor_adam, self.critic_adam,
@@ -302,14 +301,14 @@ class EpisodeStats:
         return float(self.rewards.mean())
 
 
-def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarray,
+def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
                   coeffs: QoECoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Per-step experience scores and pooled rewards for a finished episode.
 
     ``rows`` is (T, N, 6) with columns ``core.OBS_*``, validated as one block
-    by ``check_obs_rows``. The fluctuation term needs each step's successor
-    bitrate, so scoring happens after the rollout; the final step compares
-    against itself.
+    by ``check_obs_rows``; every step counts all N agents as users. The
+    fluctuation term needs each step's successor bitrate, so scoring happens
+    after the rollout; the final step compares against itself.
     """
     rows = check_obs_rows(rows)
     t_len, n, _ = rows.shape
@@ -321,7 +320,7 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray, step_users: np.ndarr
         successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
             agent_qoe[t, i] = compute_qoe(steps[t][i], rates[t][i],
-                                          successor[i][OBS_RECEIVED], int(step_users[t]), coeffs)
+                                          successor[i][OBS_RECEIVED], n, coeffs)
         rewards[t] = global_reward(agent_qoe[t])
     return rewards, agent_qoe
 
@@ -340,13 +339,11 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     t_len = hp.episode_len
     rows = np.zeros((t_len + 1, cfg.n_agents, OBS_DIM))
     frame_rate = np.zeros((t_len, cfg.n_agents))
-    step_users = np.zeros(t_len, dtype=np.int64)
     rows[0], _ = sim.reset()
     for t in range(t_len):
         targets = np.clip(rows[t, :, OBS_TARGET] + choose(t, rows[t]), cfg.y_min, cfg.y_max)
-        state, rows[t + 1], frame_rate[t] = sim.step(targets)
-        step_users[t] = state.user_count
-    rewards, agent_qoe = score_episode(rows[1:], frame_rate, step_users, coeffs)
+        rows[t + 1], frame_rate[t] = sim.step(targets)
+    rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
     stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe,
                          received_mbps=rows[1:, :, OBS_RECEIVED].copy(),
                          latency_ms=rows[1:, :, OBS_LATENCY].copy(),

@@ -74,12 +74,12 @@ def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], float, float]:
 
 
 def grouped_bars(categories: Sequence[str], series: Mapping[str, Sequence[float | None]],
-                 title: str, ylabel: str = "QoE") -> str:
-    """Grouped bar chart; None cells are simply not drawn."""
+                 title: str) -> str:
+    """Grouped bar chart of QoE values; None cells are simply not drawn."""
     all_vals = [v for vals in series.values() for v in vals if v is not None]
     lo, hi = _axis_bounds(all_vals)
     parts = _header(title)
-    axis, lo, scale = _y_axis(lo, hi, ylabel)
+    axis, lo, scale = _y_axis(lo, hi, "QoE")
     parts += axis
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -113,13 +113,12 @@ def grouped_bars(categories: Sequence[str], series: Mapping[str, Sequence[float 
     return "\n".join(parts) + "\n"
 
 
-def line_chart(series: Mapping[str, Sequence[float]], title: str,
-               xlabel: str = "episode", ylabel: str = "reward") -> str:
-    """Polyline chart over a shared integer x axis starting at 0."""
+def line_chart(series: Mapping[str, Sequence[float]], title: str) -> str:
+    """Polyline chart of rewards over a shared episode axis starting at 0."""
     all_vals = [v for vals in series.values() for v in vals if math.isfinite(v)]
     lo, hi = _axis_bounds(all_vals)
     parts = _header(title)
-    axis, lo, scale = _y_axis(lo, hi, ylabel)
+    axis, lo, scale = _y_axis(lo, hi, "reward")
     parts += axis
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -127,7 +126,7 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str,
     parts.append(f'<line x1="{MARGIN_L}" y1="{HEIGHT - MARGIN_B}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{HEIGHT - MARGIN_B}" stroke="black"/>')
     parts.append(f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - MARGIN_B + 30}" '
-                 f'text-anchor="middle" font-size="12">{_escape(xlabel)}</text>')
+                 f'text-anchor="middle" font-size="12">episode</text>')
     for si, (name, vals) in enumerate(series.items()):
         pts = []
         for i, v in enumerate(vals):

@@ -58,7 +58,6 @@ class TrainResult:
     diagnostics: list[dict]
     overhead: list[dict]
     agents: list[PPOAgent]
-    global_model: fed.GlobalModel
     out_dir: Path | None = None
 
     @property
@@ -142,7 +141,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     result = TrainResult(method=method, seed=seed, scenario_names=names,
                          episodes=n_episodes, learning_curve=curve,
                          diagnostics=diagnostics, overhead=overhead,
-                         agents=agents, global_model=model, out_dir=out_path)
+                         agents=agents, out_dir=out_path)
     if out_path is not None:
         _save_checkpoint(out_path / CHECKPOINT_DIR / "final", agents,
                          model if federate else None)

@@ -417,7 +417,7 @@ def check_netsim_invariants(seed: int) -> tuple[bool, str]:
     worst_excess = 0.0
     for k in range(1000):
         spec = specs[k % len(specs)]
-        state = netsim.sample_link_state(spec, k % 40, 40, rng, users=4)
+        state = netsim.sample_link_state(spec, k % 40, 40, rng)
         targets = rng.uniform(1, 200, size=4)
         rows, _ = netsim.advance(state, targets, cfg, rng)
         received = rows[:, OBS_RECEIVED]

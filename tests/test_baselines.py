@@ -62,7 +62,7 @@ class TestDelayGradientController:
 
     def test_pure_function_of_state_and_obs(self):
         state = baselines.ControllerState(
-            smoothed_latency_ms=np.array([30.0]), phase=np.array(["steady"]),
+            smoothed_latency_ms=np.array([30.0]), probing=np.array([False]),
             probe_ref_latency=np.zeros(1), window=np.zeros((0, 1)), steps=5)
         o = obs(l=25.0)
         a1, s1 = baselines.delay_gradient_controller(state, o)
@@ -104,11 +104,11 @@ class TestBandwidthProbeController:
         probe_index, state = baselines.bandwidth_probe_controller(
             state, obs(x=30, y=30, l=20.0))
         assert delta(probe_index) == 5.0
-        assert state.phase[0] == "probe"
+        assert state.probing[0]
         drain_index, state = baselines.bandwidth_probe_controller(
             state, obs(x=35, y=35, l=26.0))
         assert delta(drain_index) == -5.0
-        assert state.phase[0] == "drain"
+        assert not state.probing[0]
 
     def test_loss_forces_drain(self):
         state = baselines.new_controller_state(1)
@@ -117,7 +117,7 @@ class TestBandwidthProbeController:
         index, state = baselines.bandwidth_probe_controller(
             state, obs(x=80, y=20, p=50.0))
         assert delta(index) == -5.0
-        assert state.phase[0] == "drain"
+        assert not state.probing[0]
 
 
 def random_rows(rng, n):
@@ -156,7 +156,7 @@ class TestControllerContracts:
                 one, singles[i] = baselines.controller_step(name, singles[i], rows[i:i + 1])
                 assert one[0] == index[i]
         for i in range(5):
-            for field in ("smoothed_latency_ms", "phase", "probe_ref_latency"):
+            for field in ("smoothed_latency_ms", "probing", "probe_ref_latency"):
                 assert getattr(singles[i], field)[0] == getattr(joint, field)[i]
             np.testing.assert_array_equal(singles[i].window[:, 0], joint.window[:, i])
 

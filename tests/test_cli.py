@@ -161,11 +161,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert "to 5 actions" in err and "3 actions" in err
 
+    def test_failed_eval_leaves_no_trace_file(self, trained_run, tmp_path, capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("n_agents = 2\nhidden_width = 8\ndelta_table = -1,0,1\n")
+        trace = tmp_path / "t.csv"
+        code = run_cli("eval", "--checkpoint", str(trained_run / "checkpoints" / "final"),
+                       "--config", str(cfg), "--episodes", "1", "--trace", str(trace))
+        assert code == 2
+        assert "3 actions" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_zero_episodes_exit_2(self, tiny_cfg, capsys):
         code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
                        "--episodes", "0")
         assert code == 2
         assert "episodes must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_zero_episodes_write_no_trace(self, tiny_cfg, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
+                       "--episodes", "0", "--trace", str(trace))
+        assert code == 2
+        assert "episodes must be >= 1, got 0" in capsys.readouterr().err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("label", ["a/b", "", ".", ".."])
+    def test_label_that_is_not_a_file_name_exits_2_before_any_episode(
+            self, tiny_cfg, tmp_path, capsys, label):
+        out = tmp_path / "D"
+        code = run_cli("eval", "--controller", "delay", "--config", tiny_cfg,
+                       "--episodes", "1", "--label", label, "--out", str(out),
+                       "--trace", str(tmp_path / "t.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--label {label!r} is not a plain file name" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "t.csv").exists()
 
     def test_checkpoint_loads_once_for_all_scenarios(self, trained_run, tiny_cfg,
                                                      monkeypatch):

@@ -1,7 +1,10 @@
 """Every name imported by the package and by the tests is used, and so is
 every local a function binds by a single-name assignment or a nested def.
 Every name the package defines at module level is loaded by the package or
-the benchmark, so no product code exists that only tests call.
+the benchmark, so no product code exists that only tests call. Every
+default-valued parameter of a package function is passed by some call in
+the package, the tests or the benchmark, so no parameter is fixed at its
+default everywhere.
 
 No linter is part of the toolchain, so this walks the syntax trees itself.
 An import counts as used when it is read anywhere in the module, appears in
@@ -199,3 +202,83 @@ def test_every_export_resolves():
              for path in PACKAGE
              for line, name in unresolved_exports(path.read_text(encoding="utf-8"))]
     assert not found, "__all__ entries naming nothing:\n" + "\n".join(found)
+
+
+def default_parameters(source):
+    """(line, function, parameter, position) of each parameter that has a
+    default value. A call reaches a method's parameters from its second
+    argument on, and ``C(...)`` reaches ``C.__init__``; the position counts
+    the arguments a call passes, and is None for keyword-only parameters."""
+    tree = ast.parse(source)
+    owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(fn))
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = 0 if cls is None or static else 1
+        name = cls if cls is not None and fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first_default = len(positional) - len(fn.args.defaults)
+        found += [(arg.lineno, name, arg.arg, k - skip)
+                  for k, arg in enumerate(positional) if k >= first_default]
+        found += [(arg.lineno, name, arg.arg, None)
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def passed_arguments(source):
+    """Callee name (a plain name or the last attribute) -> one (positional
+    count, keyword names) pair per call. A ``*`` argument passes every
+    position; a ``**`` argument shows as the keyword None and passes every
+    keyword."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def unpassed_defaults(definitions, callers):
+    """(line, "function.parameter") of each default-valued parameter in the
+    ``definitions`` source that no call in the ``callers`` sources passes,
+    by keyword or by position."""
+    calls = {}
+    for source in callers:
+        for name, passed in passed_arguments(source).items():
+            calls.setdefault(name, []).extend(passed)
+    return sorted((line, f"{fn}.{param}")
+                  for line, fn, param, position in default_parameters(definitions)
+                  if not any(param in keywords or None in keywords
+                             or (position is not None and count > position)
+                             for count, keywords in calls.get(fn, ())))
+
+
+def test_default_checker_flags_only_unpassed_parameters():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "class C:\n    def __init__(self, x=0, y=0):\n        pass\n"
+              "    def m(self, z=0):\n        pass\n"
+              "    @staticmethod\n    def s(w=0):\n        pass\n"
+              "def g(v=0, u=0):\n    pass\n")
+    callers = ["f(0, 1, 2, d=2)\nf(e=1)\nC(1, 2)\nobj.m(2)\nC.s(3)\n",
+               "args = ()\ng(*args)\n"]
+    assert unpassed_defaults(source, callers) == []
+    assert unpassed_defaults(source, ["f(0, 1, **{})\nC(y=1)\nobj.m()\n"]) == [
+        (4, "C.x"), (6, "m.z"), (9, "s.w"), (11, "g.u"), (11, "g.v")]
+
+
+def test_every_default_parameter_is_passed_somewhere():
+    callers = [path.read_text(encoding="utf-8") for path in SOURCES + LOADERS]
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in unpassed_defaults(path.read_text(encoding="utf-8"), callers)]
+    assert not found, "default parameters no call passes:\n" + "\n".join(found)

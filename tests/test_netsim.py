@@ -70,9 +70,9 @@ class TestSampleLinkState:
             burst_level = draw(s5.burst_loss)
             burst_active = rng.uniform() < burst_level
             block = RngStream(3, "env")
-            state = sample_link_state(s5, t, 40, block, users=2)
+            state = sample_link_state(s5, t, 40, block)
             assert state == LinkState(t, capacity, latency, jitter, loss,
-                                      burst_active, burst_level, 2)
+                                      burst_active, burst_level)
             assert type(state.capacity_mbps) is float
             assert block.uniform() == rng.uniform()
 
@@ -88,7 +88,7 @@ class TestSampleLinkState:
 
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):
-            LinkState(0, 100.0, 10.0, 2.0, 1.5, False, 0.0, 1)
+            LinkState(0, 100.0, 10.0, 2.0, 1.5, False, 0.0)
 
 
 class TestAllocateMaxMin:
@@ -157,7 +157,7 @@ class TestAdvance:
         cfg = SimConfig(n_agents=5)
         for k in range(200):
             spec = scenario_by_name(f"s{1 + k % 6}")
-            state = sample_link_state(spec, k % 40, 40, rng, users=5)
+            state = sample_link_state(spec, k % 40, 40, rng)
             targets = rng.uniform(1, 200, size=5)
             rows, _ = advance(state, targets, cfg, rng)
             assert rows[:, OBS_RECEIVED].sum() <= state.capacity_mbps + 1e-9
@@ -172,8 +172,7 @@ class TestAdvance:
         state = sample_link_state(spec, 0, 40, RngStream(1, "e"))
         calm, _ = advance(state, [40.0], cfg, RngStream(5, "x"))
         bursty_state = LinkState(state.t, state.capacity_mbps, state.base_latency_ms,
-                                 state.base_jitter_ms, state.loss_rate, True, 0.2,
-                                 state.user_count)
+                                 state.base_jitter_ms, state.loss_rate, True, 0.2)
         bursty, _ = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
         assert bursty[0, OBS_LOST] > calm[0, OBS_LOST]
 
@@ -195,7 +194,7 @@ class TestBottleneckSim:
             sim = BottleneckSim(spec, cfg, 40, RngStream(seed, "env"))
             steps = [as_lists(*sim.reset())]
             for t in range(40):
-                _, rows, frame_rate = sim.step([10.0 + t, 20.0, 30.0])
+                rows, frame_rate = sim.step([10.0 + t, 20.0, 30.0])
                 steps.append(as_lists(rows, frame_rate))
             return steps
 
@@ -210,10 +209,16 @@ class TestBottleneckSim:
         with pytest.raises(RuntimeError):
             sim.step([10.0])
 
-    def test_every_step_counts_the_agents_as_users(self):
-        sim = BottleneckSim(CLEAN, SimConfig(n_agents=3), 4, RngStream(0, "env"))
-        sim.reset()
-        assert [sim.step([10.0] * 3)[0].user_count for _ in range(4)] == [3] * 4
+    def test_every_step_counts_the_agents_as_users(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with open(path, "w", newline="") as fh:
+            sim = BottleneckSim(CLEAN, SimConfig(n_agents=3), 4, RngStream(0, "env"),
+                                trace=TraceWriter(fh))
+            sim.reset()
+            for _ in range(4):
+                sim.step([10.0] * 3)
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines] == ["u"] + ["3"] * 12
 
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -34,8 +36,9 @@ class TestInit:
         assert np.array_equal(a.theta, b.theta)
 
     def test_head_defaults(self):
-        assert tiny_net(out=5).head == "categorical"
-        assert tiny_net(out=1).head == "scalar"
+        # the serialized head tag follows the output size: 0 categorical, 1 scalar
+        assert nn.params_to_bytes(tiny_net(out=5))[7] == 0
+        assert nn.params_to_bytes(tiny_net(out=1))[7] == 1
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -51,7 +54,7 @@ class TestForward:
     def test_relu_gates_negative_path(self):
         shapes = ((1, 1), (1, 1), (1, 1))
         params = nn.ModelParams(shapes=shapes, theta=np.array([1.0, 0.0] * 3),
-                                activation="relu", head="scalar")
+                                activation="relu")
         out, _ = nn.forward(params, np.array([-3.0]))
         assert out[0] == 0.0
         out_pos, _ = nn.forward(params, np.array([3.0]))
@@ -92,7 +95,7 @@ class TestBackward:
         # d(out)/d(w1) = x
         shapes = ((1, 1), (1, 1), (1, 1))
         params = nn.ModelParams(shapes=shapes, theta=np.array([1.0, 0.0] * 3),
-                                activation="relu", head="scalar")
+                                activation="relu")
         x = np.array([2.5])
         out, cache = nn.forward(params, x)
         grad = nn.backward(params, cache, np.array([1.0]))
@@ -135,7 +138,7 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         theta = np.array([0.5, -0.5, 0.1, 0.0, 0.0, 0.0])
         params = nn.ModelParams(shapes=((2, 2),), theta=theta,
-                                activation="tanh", head="scalar")
+                                activation="tanh")
         grad = np.array([1e-4, -2e-4, 5e-5, 0.0, 0.0, 0.0])
         after, _ = nn.adam_step(params, nn.AdamState.zeros(6), grad, lr=0.01)
         step = after.theta - theta
@@ -145,7 +148,7 @@ class TestAdam:
 
     def test_scalar_quadratic_convergence(self):
         params = nn.ModelParams(shapes=((1, 1),), theta=np.array([1.0, 0.0]),
-                                activation="relu", head="scalar")
+                                activation="relu")
         state = nn.AdamState.zeros(2)
         for _ in range(200):
             grad = np.array([2.0 * params.theta[0], 0.0])
@@ -224,7 +227,7 @@ class TestSerialization:
         back = nn.params_from_bytes(nn.params_to_bytes(params))
         assert np.array_equal(back.theta, params.theta)
         assert back.shapes == params.shapes
-        assert (back.activation, back.head) == (params.activation, params.head)
+        assert back.activation == params.activation
 
     def test_crc_detects_flip(self):
         blob = bytearray(nn.params_to_bytes(tiny_net()))
@@ -236,6 +239,15 @@ class TestSerialization:
         blob = nn.params_to_bytes(tiny_net())
         with pytest.raises(nn.CheckpointError):
             nn.params_from_bytes(blob[:10])
+
+    @pytest.mark.parametrize("out", [1, 5])
+    def test_head_tag_must_match_the_output_size(self, out):
+        blob = bytearray(nn.params_to_bytes(tiny_net(out=out)))
+        blob[7] ^= 1   # categorical <-> scalar
+        body = bytes(blob[:-4])
+        blob[-4:] = struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        with pytest.raises(nn.CheckpointError, match=f"head tag .* output size {out}"):
+            nn.params_from_bytes(bytes(blob))
 
     def test_bad_magic(self):
         blob = bytearray(nn.params_to_bytes(tiny_net()))

@@ -149,6 +149,20 @@ class TestFitting:
         fit = qoe.fit_coefficients(flat, grid=((0.3, 0.1), (0.2,), (0.2,), (0.2,), (0.2,)))
         assert fit.coefficients.alpha == 0.3
 
+    def test_blocks_give_the_unblocked_fit(self, monkeypatch):
+        records = qoe.synthetic_ratings(TRUTH, RngStream(1, "fit"), n_records=24,
+                                        noise_sigma=0.2)
+        grid = ((0.2, 0.6, 1.0),) + ((0.0, 0.2, 0.4, 0.6),) * 4
+        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 10 ** 9)
+        whole = qoe.fit_coefficients(records, grid)
+        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 7)
+        assert qoe.fit_coefficients(records, grid) == whole
+        # a tie across blocks still breaks to the first candidate
+        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 1)
+        flat = [dataclasses.replace(r, mos=3.0) for r in records]
+        fit = qoe.fit_coefficients(flat, grid=((0.3, 0.1), (0.2,), (0.2,), (0.2,), (0.2,)))
+        assert fit.coefficients.alpha == 0.3
+
 
 class TestRatingsRecord:
     def test_invalid_row_rejected(self):

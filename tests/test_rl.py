@@ -278,14 +278,28 @@ class TestScoreEpisode:
         rows = np.tile([10.0, 8.0, 20.0, 2.0, 30.0, 30.0], (5, 4, 1))
         rows[4, :, OBS_RECEIVED] = 6.0
         frame_rate = np.full((5, 4), 48.0)
-        users = np.full(5, 4)
-        rewards, agent_qoe = rl.score_episode(rows, frame_rate, users, coeffs)
+        rewards, agent_qoe = rl.score_episode(rows, frame_rate, coeffs)
         assert agent_qoe[3, 1] == qoe.compute_qoe(rows[3, 1].tolist(), 48.0, 6.0, 4, coeffs)
         assert agent_qoe[4, 1] == qoe.compute_qoe(rows[4, 1].tolist(), 48.0, 6.0, 4, coeffs)
         np.testing.assert_array_equal(rewards, agent_qoe.mean(axis=1))
         rows[2, 3, OBS_RECEIVED] = 10.5
         with pytest.raises(ValueError, match="received bitrate exceeds"):
-            rl.score_episode(rows, frame_rate, users, coeffs)
+            rl.score_episode(rows, frame_rate, coeffs)
+
+    def test_every_step_counts_all_agents_as_users(self):
+        coeffs = QoECoefficients()
+        rng = RngStream(2, "score")
+        y = rng.uniform(2.0, 50.0, size=6).reshape(3, 2)
+        latency = rng.uniform(5.0, 50.0, size=6).reshape(3, 2)
+        rows = np.stack([y, y, latency, np.full((3, 2), 2.0),
+                         np.zeros((3, 2)), np.zeros((3, 2))], axis=-1)
+        frame_rate = np.full((3, 2), 60.0)
+        _, agent_qoe = rl.score_episode(rows, frame_rate, coeffs)
+        for users, same in ((2, True), (1, False), (3, False)):
+            want = [[qoe.compute_qoe(rows[t, i].tolist(), 60.0,
+                                     rows[min(t + 1, 2), i, OBS_RECEIVED], users, coeffs)
+                     for i in range(2)] for t in range(3)]
+            assert (agent_qoe.tolist() == want) is same
 
 
 class TestRunEpisode:
