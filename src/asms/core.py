@@ -508,17 +508,51 @@ class RngStream:
             out = -scale * np.sign(v) * np.log(np.maximum(1.0 - 2.0 * np.abs(v), 2.0 ** -53))
         return float(out[0]) if size is None else out
 
-    def binomial(self, n: int, p: float) -> int:
-        """Number of successes in n Bernoulli(p) trials.
+    def binomial(self, n, p: float):
+        """Number of successes in n Bernoulli(p) trials, for an int n or for
+        each entry of an (N,) int array n (an (N,) int64 array back).
 
         Uses geometric skips between successes, so cost scales with n*p
-        rather than n.
+        rather than n. Entry i draws its uniforms in chunks of
+        max(16, int(remaining_i * p * 1.3) + 16); an entry with n_i <= 0, and
+        any entry when p <= 0 or p >= 1, draws nothing. Draw order: results
+        and the final counter equal N scalar calls made in entry order. Every
+        entry's first chunk comes from one block draw and is resolved at
+        once; from the first entry whose successes fill its first chunk, the
+        counter rewinds to that chunk and the rest run one entry at a time.
         """
-        if n <= 0 or p <= 0.0:
-            return 0
+        counts = np.atleast_1d(np.asarray(n, dtype=np.int64))
+        out = np.zeros(counts.shape, dtype=np.int64)
+        live = np.flatnonzero(counts > 0)
         if p >= 1.0:
-            return n
-        log_q = math.log1p(-p)
+            out[live] = counts[live]
+        elif p > 0.0 and live.size:
+            log_q = math.log1p(-p)
+            trials = counts[live]
+            chunks = np.maximum(16, (trials * p * 1.3).astype(np.int64) + 16)
+            ends = np.cumsum(chunks)
+            starts = ends - chunks
+            counter = self._counter
+            u = self.uniform(size=int(ends[-1]))
+            # every skip is >= 1, so the running positions strictly increase;
+            # entry i's trials succeed at pos[starts[i]:ends[i]] - base[i]
+            pos = np.cumsum(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
+            base = pos[starts - 1]
+            base[0] = 0
+            inside = np.searchsorted(pos, base + trials, side="right") - starts
+            out[live] = inside
+            full = inside >= chunks
+            if full.any():
+                j = int(full.argmax())
+                self._counter = counter + int(starts[j])
+                for i in range(int(live[j]), counts.size):
+                    out[i] = self._binomial_one(int(counts[i]), p, log_q)
+        return int(out[0]) if np.ndim(n) == 0 else out
+
+    def _binomial_one(self, n: int, p: float, log_q: float) -> int:
+        """One entry of ``binomial`` for 0 < p < 1, chunk after chunk."""
+        if n <= 0:
+            return 0
         successes = 0
         pos = 0
         while True:

@@ -10,7 +10,6 @@ latency, and delivered frame rate are derived from the load. A step yields
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -93,10 +92,11 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
     observation rows and the (N,) delivered frame rates.
 
     Latency rises with utilization as base * (1 + coef * U^2) with
-    U = min(1, sum(x)/capacity). Losses are binomial per sender over the
-    packets actually delivered-rate worth of traffic, with the loss
-    probability raised by an active burst and by overload beyond capacity.
-    Every lost packet is NACKed once.
+    U = min(1, sum(x)/capacity). Each sender's losses are binomial over the
+    packets its received bitrate sends in the step, with the loss probability
+    raised by an active burst and by overload beyond capacity; one block
+    draw covers all N senders, in sender order. Every lost packet is NACKed
+    once.
     """
     x = np.asarray(targets, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -117,14 +117,10 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
     rows[:, OBS_RECEIVED] = y
     rows[:, OBS_LATENCY] = state.base_latency_ms * (1.0 + cfg.queue_delay_coef * utilization ** 2)
     rows[:, OBS_JITTER] = state.base_jitter_ms
-    frame_rate = np.zeros(n)
-    bits_per_packet = 8.0 * cfg.packet_size_bytes
-    for i in range(n):
-        sent = math.ceil(y[i] * 1e6 / bits_per_packet)
-        rows[i, OBS_LOST] = rng.binomial(sent, eff_loss)
-        frame_rate[i] = cfg.f_target * min(1.0, y[i] / max(x[i], 1e-12))
+    sent = np.ceil(y * 1e6 / (8.0 * cfg.packet_size_bytes)).astype(np.int64)
+    rows[:, OBS_LOST] = rng.binomial(sent, eff_loss)
     rows[:, OBS_NACKS] = rows[:, OBS_LOST]
-    return rows, frame_rate
+    return rows, cfg.f_target * np.minimum(1.0, y / np.maximum(x, 1e-12))
 
 
 class BottleneckSim:

@@ -63,23 +63,21 @@ class Trajectory:
         return self.observations.shape[0] - 1
 
 
-def select_action(policy: nn.ModelParams, obs_vec: np.ndarray,
-                  rng: RngStream) -> tuple[int, float, float]:
-    """Sample from the categorical head; returns (index, log-prob, entropy)."""
-    logits, _ = nn.forward(policy, obs_vec)
-    probs, logp, entropy = nn.categorical_head(logits)
-    u = rng.uniform()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, probs.size - 1)
-    return idx, float(logp[idx]), entropy
-
-
-def greedy_action(policy: nn.ModelParams, obs_vec: np.ndarray) -> tuple[int, float]:
-    """Argmax of the categorical head; returns (index, log-prob)."""
-    logits, _ = nn.forward(policy, obs_vec)
-    _, logp, _ = nn.categorical_head(logits)
-    idx = int(np.argmax(logits))
-    return idx, float(logp[idx])
+def pick_actions(logits: np.ndarray, rng: RngStream | None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One action per row of (N, K) logits and its log-prob under the
+    categorical head: each row's argmax when ``rng`` is None, else a draw by
+    inverse CDF from one block of N uniforms, row i taking the i-th."""
+    probs, logp, _ = nn.categorical_head(logits)
+    if rng is None:
+        idx = np.argmax(logits, axis=1)
+    else:
+        u = rng.uniform(size=probs.shape[0])
+        # the count of cumulative probabilities <= u is searchsorted(side="right");
+        # rounding can leave the last one below 1, hence the clip
+        idx = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1),
+                         probs.shape[1] - 1)
+    return idx, logp[np.arange(idx.size), idx]
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
@@ -378,12 +376,11 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
 
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
         features[t] = normalize_obs(rows, cfg.y_max)
-        for i, agent in enumerate(agents):
-            vec = features[t, i]
-            if greedy:
-                actions[t, i], log_probs[t, i] = greedy_action(agent.actor, vec)
-            else:
-                actions[t, i], log_probs[t, i], _ = select_action(agent.actor, vec, rng)
+        # batch-1 forwards: a stacked forward over the agents' actors would
+        # hold a copy of every actor for the episode
+        logits = np.stack([nn.forward(agent.actor, vec)[0]
+                           for agent, vec in zip(agents, features[t])])
+        actions[t], log_probs[t] = pick_actions(logits, None if greedy else rng)
         return table[actions[t]]
 
     rows, stats = rollout(sim, hp, coeffs, choose)
@@ -396,7 +393,7 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
 __all__ = [
     "EpisodeStats", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
     "UpdateDiagnostics", "build_batch", "clipped_objective", "compute_gae",
-    "compute_returns", "critic_value", "greedy_action", "normalize_obs",
+    "compute_returns", "critic_value", "normalize_obs", "pick_actions",
     "policy_loss_and_grad", "ppo_update", "rollout", "run_episode", "score_episode",
-    "select_action", "value_loss_and_grad", "whiten",
+    "value_loss_and_grad", "whiten",
 ]

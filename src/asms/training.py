@@ -161,14 +161,24 @@ def _save_checkpoint(path: Path, agents: Sequence[PPOAgent],
 
 
 def load_checkpoint_agents(path: str | Path) -> list[PPOAgent]:
-    """Rebuild agents from a checkpoint directory's actor/critic files."""
+    """Rebuild agents from a checkpoint directory's actor/critic files.
+
+    Agent i is read from ``agent{i:02d}.actor.fmap`` and its critic file; the
+    N actor files must be agents 0..N-1, each with a critic.
+    """
     path = Path(path)
-    actors = sorted(path.glob("agent*.actor.fmap"))
+    actors = {f.name for f in path.glob("agent*.actor.fmap")}
     if not actors:
         raise FileNotFoundError(f"no agent checkpoints under {path}")
     agents = []
-    for actor_file in actors:
-        critic_file = Path(str(actor_file).replace(".actor.", ".critic."))
+    for i in range(len(actors)):
+        actor_file = path / f"agent{i:02d}.actor.fmap"
+        critic_file = path / f"agent{i:02d}.critic.fmap"
+        if actor_file.name not in actors:
+            raise ValueError(f"checkpoint {path} has {len(actors)} actor files but "
+                             f"agent {i} is missing: no {actor_file.name}")
+        if not critic_file.is_file():
+            raise ValueError(f"checkpoint {path} is missing {critic_file.name}")
         agents.append(PPOAgent(actor=nn.load_params(str(actor_file)),
                                critic=nn.load_params(str(critic_file))))
     return agents

@@ -472,7 +472,7 @@ def check_rng_determinism(seed: int) -> tuple[bool, str]:
 def check_binomial_sampler(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/binomial")
     n, p, k = 1000, 0.05, 4000
-    draws = np.array([rng.binomial(n, p) for _ in range(k)])
+    draws = rng.binomial(np.full(k, n), p)   # the draws of k scalar calls, as one block
     mean = float(draws.mean())
     var = float(draws.var())
     exp_mean, exp_var = n * p, n * p * (1 - p)

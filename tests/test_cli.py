@@ -219,6 +219,14 @@ class TestEval:
         assert code == 2
         assert "CRC" in capsys.readouterr().err
 
+    def test_checkpoint_missing_an_agent_exits_2(self, trained_run, tiny_cfg, capsys):
+        final = trained_run / "checkpoints" / "final"
+        (final / "agent00.actor.fmap").unlink()
+        code = run_cli("eval", "--checkpoint", str(final), "--config", tiny_cfg,
+                       "--scenarios", "s1")
+        assert code == 2
+        assert "agent 0 is missing: no agent00.actor.fmap" in capsys.readouterr().err
+
     def test_greedy_eval_deterministic(self, trained_run, tiny_cfg, tmp_path):
         outs = []
         for name in ("e1", "e2"):

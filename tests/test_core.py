@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,96 @@ class TestRngStream:
         draws = RngStream(9, "n").normal(size=100_000)
         assert abs(float(draws.mean())) < 0.02
         assert abs(float(draws.std()) - 1.0) < 0.02
+
+
+def reference_binomial(rng, n, p):
+    """One binomial draw as a scalar call made it before draws were blocked:
+    the reference the block draw must equal, results and counter."""
+    if n <= 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    log_q = math.log1p(-p)
+    successes = pos = 0
+    while True:
+        chunk = max(16, int((n - pos) * p * 1.3) + 16)
+        u = rng.uniform(size=chunk)
+        skips = np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1
+        positions = pos + np.cumsum(skips)
+        inside = int(np.searchsorted(positions, n, side="right"))
+        if inside < chunk:
+            return successes + inside
+        successes += chunk
+        pos = int(positions[-1])
+
+
+class ZeroRun(RngStream):
+    """A stream whose raw words are 0 at counters in [lo, hi): those
+    uniforms are 0, so every trial they decide succeeds. Counts its draws."""
+
+    def __init__(self, seed, lo=0, hi=0):
+        super().__init__(seed, "zero-run")
+        self.lo, self.hi = lo, hi
+        self.draws = 0
+
+    def raw(self, n):
+        self.draws += 1
+        idx = np.arange(self._counter, self._counter + n)
+        words = super().raw(n)
+        words[(idx >= self.lo) & (idx < self.hi)] = 0
+        return words
+
+
+def block_and_sequential(make_rng, counts, p):
+    """(block result, sequential results, block stream, sequential stream)."""
+    block_rng, seq_rng = make_rng(), make_rng()
+    block = block_rng.binomial(np.asarray(counts), p)
+    seq = [reference_binomial(seq_rng, int(n), p) for n in counts]
+    return block, seq, block_rng, seq_rng
+
+
+class TestBlockBinomial:
+    @pytest.mark.parametrize("n_entries", [1, 6, 24])
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.3, 1.0])
+    def test_equals_sequential_scalar_draws(self, n_entries, p):
+        for seed in range(20):
+            counts = RngStream(seed, "counts").integers(3000, size=n_entries) - 500
+            if n_entries > 1:   # pin entries that draw nothing
+                counts[seed % n_entries] = 0
+                counts[(seed + 1) % n_entries] = -3
+            block, seq, block_rng, seq_rng = block_and_sequential(
+                lambda: ZeroRun(seed), counts, p)
+            assert block.dtype == np.int64 and block.tolist() == seq
+            assert block_rng._counter == seq_rng._counter
+            # no entry overflows here, so every entry's draws are one block
+            assert block_rng.draws == int(0 < p < 1 and np.any(counts > 0))
+
+    @pytest.mark.parametrize("n_entries", [1, 6, 24])
+    @pytest.mark.parametrize("p", [1e-4, 0.3])
+    def test_first_chunk_overflow_finishes_in_entry_order(self, n_entries, p):
+        counts = RngStream(n_entries, "counts").integers(400, size=n_entries) + 60
+        if n_entries > 2:
+            counts[1] = 0
+        first_chunks = [max(16, int(n * p * 1.3) + 16) for n in counts if n > 0]
+        starts = []
+        probe = ZeroRun(0)   # no zeros: where each entry starts drawing
+        for n in counts:
+            starts.append(probe._counter)
+            reference_binomial(probe, int(n), p)
+        for k in sorted({0, n_entries // 2, n_entries - 1}):
+            for extra in (0, 5, 100):
+                chunk = max(16, int(counts[k] * p * 1.3) + 16)
+                make = lambda: ZeroRun(0, starts[k], starts[k] + chunk + extra)
+                block, seq, block_rng, seq_rng = block_and_sequential(make, counts, p)
+                assert seq_rng._counter > sum(first_chunks)   # entry k did overflow
+                assert block.tolist() == seq and block_rng._counter == seq_rng._counter
+
+    def test_scalar_n_returns_an_int(self):
+        r = RngStream(4, "b")
+        for p in (0.0, 0.3, 1.0):
+            assert type(r.binomial(40, p)) is int
+        assert r.binomial(-2, 1.0) == 0 and r.binomial(7, 1.0) == 7
+        before = r._counter
+        assert r.binomial(np.array([0, -1, 5]), 0.0).tolist() == [0, 0, 0]
+        assert r.binomial(np.array([0, -1]), 0.5).tolist() == [0, 0]
+        assert r._counter == before   # nothing drawn

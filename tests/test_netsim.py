@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,22 @@ class TestAdvance:
             assert np.all(rows[:, OBS_RECEIVED] <= targets + 1e-9)
             np.testing.assert_array_equal(rows[:, OBS_TARGET], targets)
             np.testing.assert_array_equal(rows[:, OBS_NACKS], rows[:, OBS_LOST])
+
+    @pytest.mark.parametrize("capacity", [2000.0, 300.0])   # uncongested, overloaded
+    def test_losses_equal_one_scalar_draw_per_sender(self, capacity):
+        cfg = SimConfig(n_agents=24)
+        state = LinkState(0, capacity, 20.0, 3.0, 0.05, False, 0.0)
+        targets = RngStream(3, "x").uniform(1, 40, size=24)
+        targets[[4, 9]] = 0.0   # senders with no packets draw nothing
+        rng, ref = RngStream(8, "loss"), RngStream(8, "loss")
+        rows, frame_rate = advance(state, targets, cfg, rng)
+        y = allocate_max_min(targets, capacity)
+        eff_loss = 0.05 + cfg.congestion_loss_coef * max(0.0, targets.sum() / capacity - 1)
+        want = [ref.binomial(math.ceil(yi * 1e6 / (8.0 * cfg.packet_size_bytes)), eff_loss)
+                for yi in y]
+        assert rows[:, OBS_LOST].tolist() == want and rng._counter == ref._counter
+        assert frame_rate.tolist() == [cfg.f_target * min(1.0, yi / max(xi, 1e-12))
+                                       for xi, yi in zip(targets, y)]
 
     def test_burst_and_congestion_raise_losses(self):
         spec = ScenarioSpec("lossy", Channel.fixed(50), Channel.fixed(10),

@@ -5,7 +5,7 @@ import pytest
 
 from asms import nn, qoe, rl
 from asms.core import (OBS_RECEIVED, Channel, HyperParams, QoECoefficients, RngStream,
-                       ScenarioSpec, SimConfig, default_hyperparams)
+                       ScenarioSpec, SimConfig, default_hyperparams, scenario_by_name)
 from asms.netsim import BottleneckSim
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
@@ -31,18 +31,89 @@ class TestNormalizeObs:
         assert vec.max() == 5.0
 
 
+def select_action_reference(policy, obs_vec, rng):
+    """The per-agent stochastic pick that run_episode made one agent at a
+    time: (index, log-prob, entropy)."""
+    logits, _ = nn.forward(policy, obs_vec)
+    probs, logp, entropy = nn.categorical_head(logits)
+    u = rng.uniform()
+    idx = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
+    return idx, float(logp[idx]), entropy
+
+
+def greedy_action_reference(policy, obs_vec):
+    """The per-agent greedy pick: (index, log-prob)."""
+    logits, _ = nn.forward(policy, obs_vec)
+    _, logp, _ = nn.categorical_head(logits)
+    idx = int(np.argmax(logits))
+    return idx, float(logp[idx])
+
+
+class FixedUniforms:
+    """Stands in for the action stream: hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def uniform(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def logits_block(n, seed):
+    """(n, 5) logits from n distinct actors, one batch-1 forward each."""
+    rng = RngStream(seed, "logits")
+    actors = [nn.init_mlp(6, 8, 5, "tanh", rng.spawn(f"a{i}")) for i in range(n)]
+    obs = rng.uniform(0, 2, size=(n * 6)).reshape(n, 6)
+    return np.stack([nn.forward(actor, row)[0] for actor, row in zip(actors, obs)])
+
+
 class TestSelectAction:
+    """rl.pick_actions, against the per-agent references above."""
+
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_head_rows_equal_the_single_row_head(self, n):
+        logits = np.concatenate([logits_block(n, n), 30.0 * logits_block(n, n + 1)])
+        probs, logp, entropy = nn.categorical_head(logits)
+        for i, row in enumerate(logits):
+            p1, lp1, ent1 = nn.categorical_head(row)
+            assert np.array_equal(probs[i], p1) and np.array_equal(logp[i], lp1)
+            assert entropy[i] == ent1
+
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_stochastic_pick_equals_scalar_searchsorted(self, n):
+        logits = logits_block(n, 10 + n)
+        probs, logp, _ = nn.categorical_head(logits)
+        cums = np.cumsum(probs, axis=1)
+        below_one = np.nextafter(1.0, 0.0)
+        u_sets = [RngStream(n, "u").uniform(size=n), np.full(n, below_one),
+                  np.zeros(n), cums[:, 1],   # u exactly on a cumulative probability
+                  np.where(np.arange(n) % 2 == 0, cums[:, 3], below_one)]
+        for u in u_sets:
+            idx, lp = rl.pick_actions(logits, FixedUniforms(u))
+            want = [min(int(np.searchsorted(np.cumsum(probs[i]), u[i], side="right")), 4)
+                    for i in range(n)]
+            assert idx.tolist() == want
+            assert lp.tolist() == [logp[i, k] for i, k in enumerate(want)]
+        if n == 24:   # some row sums short of u < 1, so the clip to K-1 acts
+            assert np.any(cums[:, -1] <= below_one)
+
+    @pytest.mark.parametrize("n", [1, 6, 24])
+    def test_greedy_pick_is_the_row_argmax(self, n):
+        logits = logits_block(n, 20 + n)
+        _, logp, _ = nn.categorical_head(logits)
+        idx, lp = rl.pick_actions(logits, None)
+        assert idx.tolist() == [int(np.argmax(row)) for row in logits]
+        assert lp.tolist() == [logp[i, k] for i, k in enumerate(idx)]
+
     def test_uniform_logits_frequencies(self):
-        # zero-weight net gives uniform logits over 5 actions
+        # a zero-weight net gives uniform logits over 5 actions
         actor = nn.init_mlp(6, 4, 5, "tanh", RngStream(0, "a"))
         actor = actor.with_theta(np.zeros_like(actor.theta))
-        rng = RngStream(1, "sample")
-        obs = np.ones(6)
-        counts = np.zeros(5)
         n = 100_000
-        for _ in range(n):
-            idx, lp, ent = rl.select_action(actor, obs, rng)
-            counts[idx] += 1
+        logits, _ = nn.forward(actor, np.ones((n, 6)))
+        idx, _ = rl.pick_actions(logits, RngStream(1, "sample"))
+        counts = np.bincount(idx, minlength=5)
         # chi-squared against uniform: 4 dof, p>0.01 -> stat < 13.28
         expected = n / 5
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -55,32 +126,38 @@ class TestSelectAction:
         # with the output biases)
         theta[-5 + 2] = 20.0
         actor = actor.with_theta(theta)
-        obs = np.full(6, 0.5)
-        logits, _ = nn.forward(actor, obs)
-        np.testing.assert_array_equal(logits, [0.0, 0.0, 20.0, 0.0, 0.0])
-
-        rng = RngStream(2, "s")
-        draws = [rl.select_action(actor, obs, rng)[0] for _ in range(5000)]
-        assert np.mean(np.array(draws) == 2) >= 0.999
+        logits, _ = nn.forward(actor, np.full((5000, 6), 0.5))
+        np.testing.assert_array_equal(logits[0], [0.0, 0.0, 20.0, 0.0, 0.0])
+        idx, _ = rl.pick_actions(logits, RngStream(2, "s"))
+        assert np.mean(idx == 2) >= 0.999
 
     def test_seeded_determinism(self):
-        actor = nn.init_mlp(6, 8, 5, "tanh", RngStream(7, "a"))
-        obs = RngStream(8, "o").uniform(0, 1, size=6)
-        rng = RngStream(9, "s")
-        run1 = [rl.select_action(actor, obs, rng)[0] for _ in range(20)]
-        rng = RngStream(9, "s")
-        run2 = [rl.select_action(actor, obs, rng)[0] for _ in range(20)]
-        assert run1 == run2
-        assert len(set(run1)) > 1   # the draws do vary within one stream
+        logits = logits_block(20, 7)
+        run1, _ = rl.pick_actions(logits, RngStream(9, "s"))
+        run2, _ = rl.pick_actions(logits, RngStream(9, "s"))
+        assert run1.tolist() == run2.tolist()
+        assert len(set(run1.tolist())) > 1   # the draws do vary within one block
 
     def test_log_prob_matches_head(self):
         actor = nn.init_mlp(6, 8, 5, "tanh", RngStream(3, "a"))
-        obs = np.full(6, 0.3)
-        idx, lp, ent = rl.select_action(actor, obs, RngStream(4, "s"))
-        logits, _ = nn.forward(actor, obs)
-        _, logp, entropy = nn.categorical_head(logits)
+        logits, _ = nn.forward(actor, np.full((1, 6), 0.3))
+        (idx,), (lp,) = rl.pick_actions(logits, RngStream(4, "s"))
+        _, logp, _ = nn.categorical_head(logits[0])
         assert lp == pytest.approx(float(logp[idx]))
-        assert ent == pytest.approx(entropy)
+
+    def test_block_equals_per_agent_reference_picks(self):
+        rng = RngStream(5, "agents")
+        actors = [nn.init_mlp(6, 8, 5, "tanh", rng.spawn(f"a{i}")) for i in range(24)]
+        obs = rng.uniform(0, 1, size=24 * 6).reshape(24, 6)
+        logits = np.stack([nn.forward(a, row)[0] for a, row in zip(actors, obs)])
+        block_rng, seq_rng = RngStream(6, "act"), RngStream(6, "act")
+        idx, lp = rl.pick_actions(logits, block_rng)
+        seq = [select_action_reference(a, row, seq_rng) for a, row in zip(actors, obs)]
+        assert idx.tolist() == [s[0] for s in seq] and lp.tolist() == [s[1] for s in seq]
+        assert block_rng._counter == seq_rng._counter
+        idx, lp = rl.pick_actions(logits, None)
+        seq = [greedy_action_reference(a, row) for a, row in zip(actors, obs)]
+        assert idx.tolist() == [s[0] for s in seq] and lp.tolist() == [s[1] for s in seq]
 
 
 class TestGae:
@@ -316,6 +393,30 @@ class TestRunEpisode:
         np.testing.assert_array_equal(traj.rewards, stats.rewards)
         assert stats.rewards.shape == (40,)
         assert all(agent.sample_count == 40 for agent in agents)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_matches_per_agent_reference_picks(self, greedy):
+        cfg = SimConfig(n_agents=6, x_init=10.0)
+        hp = HyperParams(episode_len=12, hidden_width=8)
+        coeffs = QoECoefficients()
+        agents = make_agents(6)
+        s5 = scenario_by_name("s5")
+        traj, _ = rl.run_episode(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), agents, hp,
+                                 coeffs, RngStream(1, "act"), greedy=greedy)
+        act_rng = RngStream(1, "act")
+        table = np.asarray(cfg.delta_table)
+        picks = []
+
+        def choose(t, rows):
+            feats = rl.normalize_obs(rows, cfg.y_max)
+            picks.append([greedy_action_reference(a.actor, f) if greedy
+                          else select_action_reference(a.actor, f, act_rng)[:2]
+                          for a, f in zip(agents, feats)])
+            return table[[idx for idx, _ in picks[-1]]]
+
+        rl.rollout(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), hp, coeffs, choose)
+        assert traj.actions.tolist() == [[idx for idx, _ in step] for step in picks]
+        assert traj.log_probs.tolist() == [[lp for _, lp in step] for step in picks]
 
     def test_seeded_determinism(self):
         cfg = SimConfig(n_agents=2, x_init=10.0)

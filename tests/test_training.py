@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from asms import rl, training
+from asms import nn, rl, training
 from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig,
                        scenario_by_name)
 from asms.netsim import BottleneckSim
@@ -11,6 +11,14 @@ from asms.netsim import BottleneckSim
 CFG = SimConfig(n_agents=2)
 HP = HyperParams(hidden_width=8, episodes=8, fedavg_freq=2, ldp_enabled=False)
 COEFFS = QoECoefficients()
+
+
+def width4_agents(n):
+    """n agents with distinct hidden-width-4 actors and critics."""
+    rng = RngStream(0, "ckpt")
+    return [rl.PPOAgent(actor=nn.init_mlp(6, 4, 5, "tanh", rng.spawn(f"a{i}")),
+                        critic=nn.init_mlp(6, 4, 1, "tanh", rng.spawn(f"c{i}")))
+            for i in range(n)]
 
 
 def tiny_train(method="fmappo", seed=0, out_dir=None, episodes=8, hp=HP):
@@ -104,6 +112,25 @@ class TestTrainLoop:
         for loaded, trained in zip(agents, result.agents):
             assert np.array_equal(loaded.actor.theta, trained.actor.theta)
             assert np.array_equal(loaded.critic.theta, trained.critic.theta)
+
+    def test_checkpoint_agents_load_into_their_slots_past_99(self, tmp_path):
+        agents = width4_agents(102)
+        training._save_checkpoint(tmp_path, agents, None)
+        loaded = training.load_checkpoint_agents(tmp_path)
+        assert len(loaded) == 102
+        for got, want in zip(loaded, agents):
+            assert np.array_equal(got.actor.theta, want.actor.theta)
+            assert np.array_equal(got.critic.theta, want.critic.theta)
+
+    @pytest.mark.parametrize("gone, message", [
+        ("agent05.actor.fmap", "agent 5 is missing: no agent05.actor.fmap"),
+        ("agent02.critic.fmap", "missing agent02.critic.fmap")])
+    def test_checkpoint_with_a_gap_is_rejected(self, tmp_path, gone, message):
+        agents = width4_agents(8)
+        training._save_checkpoint(tmp_path, agents, None)
+        (tmp_path / gone).unlink()
+        with pytest.raises(ValueError, match=message):
+            training.load_checkpoint_agents(tmp_path)
 
     def test_missing_checkpoint_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):
