@@ -39,8 +39,7 @@ class ConfigError(ValueError):
 # Parsed, since every run's config snapshot writes them, but read by no code
 # path, so only their defaults are accepted.
 _UNUSED_KEYS = ("policy_update_freq", "replay_buffer_size", "target_update_coef",
-                "sac_critics", "entropy_temperature", "entropy_coef_final",
-                "x_init_spread", "reward_mode")
+                "sac_critics", "entropy_temperature")
 
 
 def _check_fields(obj) -> None:
@@ -242,7 +241,6 @@ class HyperParams:
     episode_len: int = 40
     episodes: int = 330
     entropy_coef: float = 0.01
-    entropy_coef_final: float = -1.0
     value_scale: float = 100.0    # critic predicts returns / value_scale
     ldp_eps: float = 1.0          # privacy budget of the upload perturbation
     ldp_clip: float = 0.1         # per-coordinate update bound (= sensitivity)
@@ -293,13 +291,11 @@ class SimConfig:
     y_min: float = 1.0
     y_max: float = 200.0
     x_init: float = 10.0
-    x_init_spread: float = 0.0
     packet_size_bytes: int = 1200
     congestion_loss_coef: float = 0.05   # extra loss per unit of overload
     queue_delay_coef: float = 1.0        # latency factor is 1 + coef * U^2
     f_target: float = 60.0
     delta_table: tuple[float, ...] = DEFAULT_DELTA_TABLE
-    reward_mode: str = "mean"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -352,8 +348,6 @@ def _parse_value(raw: str, f: dataclasses.Field, key: str, lineno: int):
             return int(raw)
         if ftype == "float":
             return float(raw)
-        if ftype == "str":
-            return raw
         if "tuple" in ftype:
             return tuple(float(p) for p in raw.replace(",", " ").split())
     except ValueError as exc:

@@ -1,5 +1,5 @@
-"""Per-step quality-of-experience scoring, reward pooling, and the
-grid-search calibration of the score's weights against opinion ratings.
+"""Quality-of-experience scoring of observation rows, and the grid-search
+calibration of the score's weights against opinion ratings.
 
 The score is linear in its five weights, which the fitting code exploits:
 each trace reduces to one 5-dim feature vector and each block of grid
@@ -30,62 +30,65 @@ def quality_clamp_count() -> int:
     return _clamp_count
 
 
-def quality(received_mbps: float, y_min: float) -> float:
-    """Log bitrate utility ln(y / y_min); diminishing returns, 0 at the floor.
+def _libm(fn, x) -> np.ndarray:
+    """``fn`` from ``math`` applied to each element of ``x``: an array of
+    the same shape, or a scalar for a scalar.
+
+    numpy's SIMD log and exp differ from libm in the last bit for some
+    inputs, so the score takes its logs and exps from libm.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)[()]
+
+
+def quality(received_mbps, y_min: float) -> np.ndarray:
+    """Log bitrate utility ln(y / y_min), elementwise; diminishing returns,
+    0 at the floor.
 
     Inputs below y_min are clamped to y_min (counted, not raised).
     """
     if y_min <= 0:
         raise ValueError("y_min must be > 0")
-    if received_mbps < y_min:
-        global _clamp_count
-        _clamp_count += 1
-        received_mbps = y_min
-    return math.log(received_mbps / y_min)
+    received_mbps = np.asarray(received_mbps, dtype=np.float64)
+    below = received_mbps < y_min
+    global _clamp_count
+    _clamp_count += int(np.count_nonzero(below))
+    return _libm(math.log, np.where(below, y_min, received_mbps) / y_min)
 
 
-def disruption_penalty(lost_packets: float, p_threshold: float) -> float:
-    """Packets lost beyond the tolerated threshold; 0 below it."""
-    if lost_packets < 0:
-        raise ValueError("lost_packets must be >= 0")
-    return max(0.0, lost_packets - p_threshold)
+def qoe_features(rows, frame_rate, next_received_mbps, users,
+                 c: QoECoefficients) -> np.ndarray:
+    """Signed per-term features, (..., 5), of a (..., 6) block of observation
+    rows, so that features . weights == compute_qoe.
 
-
-def qoe_features(row: Sequence[float], frame_rate: float, next_received_mbps: float,
-                 users: int, c: QoECoefficients) -> np.ndarray:
-    """Signed per-term features so that weights . features == compute_qoe.
-
-    ``row`` is one agent's observation row. Order matches
-    QoECoefficients.weights(): (alpha, beta, gamma, delta1, delta2). Penalty
-    terms are negated here.
+    ``frame_rate``, ``next_received_mbps`` and ``users`` broadcast against
+    the rows' leading shape. Order matches QoECoefficients.weights(): (alpha,
+    beta, gamma, delta1, delta2). Penalty terms are negated here.
     """
-    q_now = quality(row[OBS_RECEIVED], c.y_min)
+    rows = check_obs_rows(rows)
+    received = rows[..., OBS_RECEIVED]
+    q_now = quality(received, c.y_min)
     q_next = quality(next_received_mbps, c.y_min)
-    return np.array([
-        q_now * math.exp(-users / c.u_max),
-        -abs(frame_rate - c.f_target),
-        -row[OBS_LATENCY] / (row[OBS_RECEIVED] + c.eps_small),
-        -abs(q_next - q_now),
-        -disruption_penalty(row[OBS_LOST], c.p_threshold),
-    ])
+    terms = (q_now * _libm(math.exp, -users / c.u_max),
+             -np.abs(frame_rate - c.f_target),
+             -rows[..., OBS_LATENCY] / (received + c.eps_small),
+             -np.abs(q_next - q_now),
+             -np.maximum(0.0, rows[..., OBS_LOST] - c.p_threshold))
+    return np.stack(np.broadcast_arrays(*terms), axis=-1)
 
 
-def compute_qoe(row: Sequence[float], frame_rate: float, next_received_mbps: float,
-                users: int, c: QoECoefficients) -> float:
-    """Experience score for one step of one agent's observation row.
+def compute_qoe(rows, frame_rate, next_received_mbps, users,
+                c: QoECoefficients) -> np.ndarray:
+    """Experience score of each observation row, shape rows.shape[:-1].
 
     Scene quality (damped by user density) minus penalties for frame-rate
     mismatch, latency per unit throughput, quality fluctuation versus the
-    next step, and above-threshold packet loss.
+    next step, and above-threshold packet loss. ``np.vecdot`` gives the bits
+    of a per-row ``weights @ features``; ``@``, ``einsum`` and a product sum
+    do not.
     """
-    return float(c.weights() @ qoe_features(row, frame_rate, next_received_mbps, users, c))
-
-
-def global_reward(scores: Sequence[float]) -> float:
-    """Pool per-agent scores into the shared reward: their mean."""
-    if len(scores) == 0:
-        raise ValueError("global_reward needs at least one score")
-    return float(np.sum(scores)) / len(scores)
+    return np.vecdot(qoe_features(rows, frame_rate, next_received_mbps, users, c),
+                     c.weights())
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +129,10 @@ def _check_rates_users(frame_rate: np.ndarray, users: np.ndarray) -> None:
 def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
     """Trace-mean feature vector; next-step bitrate at the trace end reuses
     the final step (no fluctuation penalty there)."""
-    rows = record.rows.tolist()
-    rates, users = record.frame_rate.tolist(), record.users.tolist()
-    feats = np.zeros(5)
-    for i, row in enumerate(rows):
-        nxt = rows[min(i + 1, len(rows) - 1)][OBS_RECEIVED]
-        feats += qoe_features(row, rates[i], nxt, users[i], base)
-    return feats / len(rows)
+    received = record.rows[:, OBS_RECEIVED]
+    nxt = np.concatenate([received[1:], received[-1:]])
+    feats = qoe_features(record.rows, record.frame_rate, nxt, record.users, base)
+    return feats.sum(axis=0) / len(feats)
 
 
 DEFAULT_GRID: tuple[tuple[float, ...], ...] = tuple(
@@ -367,8 +367,7 @@ def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 9
 
 __all__ = [
     "DEFAULT_GRID", "FitResult", "RATINGS_HEADER", "RatingsRecord",
-    "SensitivityResult", "coefficient_sensitivity", "compute_qoe",
-    "disruption_penalty", "fit_coefficients", "global_reward", "load_ratings_csv",
-    "qoe_features", "quality", "quality_clamp_count", "record_features",
-    "synthetic_ratings",
+    "SensitivityResult", "coefficient_sensitivity", "compute_qoe", "fit_coefficients",
+    "load_ratings_csv", "qoe_features", "quality", "quality_clamp_count",
+    "record_features", "synthetic_ratings",
 ]

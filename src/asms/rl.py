@@ -14,9 +14,9 @@ import numpy as np
 
 from . import nn
 from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, OBS_TARGET,
-                   HyperParams, QoECoefficients, RngStream, check_obs_rows)
+                   HyperParams, QoECoefficients, RngStream)
 from .netsim import BottleneckSim
-from .qoe import compute_qoe, global_reward
+from .qoe import compute_qoe
 
 # Fixed feature scaling of the 6 observation fields: bitrates by y_max,
 # latency by 200 ms, jitter by 50 ms, packet counts by 100.
@@ -303,24 +303,20 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
                   coeffs: QoECoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Per-step experience scores and pooled rewards for a finished episode.
 
-    ``rows`` is (T, N, 6) with columns ``core.OBS_*``, validated as one block
-    by ``check_obs_rows``; every step counts all N agents as users. The
-    fluctuation term needs each step's successor bitrate, so scoring happens
-    after the rollout; the final step compares against itself.
+    ``rows`` is (T, N, 6) with columns ``core.OBS_*``, scored as one block
+    by ``compute_qoe``; every step counts all N agents as users, and its
+    reward is the mean of its N scores. The fluctuation term needs each
+    step's successor bitrate, so scoring happens after the rollout; the
+    final step compares against itself.
     """
-    rows = check_obs_rows(rows)
-    t_len, n, _ = rows.shape
-    steps = rows.tolist()
-    rates = frame_rate.tolist()
-    agent_qoe = np.zeros((t_len, n))
-    rewards = np.zeros(t_len)
-    for t in range(t_len):
-        successor = steps[min(t + 1, t_len - 1)]
-        for i in range(n):
-            agent_qoe[t, i] = compute_qoe(steps[t][i], rates[t][i],
-                                          successor[i][OBS_RECEIVED], n, coeffs)
-        rewards[t] = global_reward(agent_qoe[t])
-    return rewards, agent_qoe
+    rows = np.asarray(rows, dtype=np.float64)
+    _, n, _ = rows.shape
+    if n == 0:
+        raise ValueError("an episode needs at least one agent")
+    received = rows[..., OBS_RECEIVED]
+    successor = np.concatenate([received[1:], received[-1:]])
+    agent_qoe = compute_qoe(rows, frame_rate, successor, n, coeffs)
+    return agent_qoe.sum(axis=1) / n, agent_qoe
 
 
 def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fed, netsim, nn, qoe, rl, training
-from .core import (OBS_LOST, OBS_RECEIVED, Channel, HyperParams, QoECoefficients,
-                   RngStream, ScenarioSpec, SimConfig, builtin_scenarios,
-                   default_hyperparams)
+from .core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
+                   HyperParams, QoECoefficients, RngStream, ScenarioSpec, SimConfig,
+                   builtin_scenarios, default_hyperparams)
 
 CORRUPT_GRADIENT_ENV = "ASMS_VERIFY_CORRUPT_GRADIENT"
 
@@ -502,16 +502,16 @@ def check_qoe_values(seed: int) -> tuple[bool, str]:
             - 0.2 * 55.0 / (32.0 + 1e-6) - 0.6 * abs(q_next - q_now)
             - 0.5 * max(0.0, 24.0 - 10.0))
     worst = max(worst, abs(got - want))
-    # monotonicity sweeps: up in bitrate, down in latency and in loss
-    bitrate = [qoe.compute_qoe((100.0, y, 0.0, 0.0, 0.0, 0.0), c.f_target, y, 1, c)
-               for y in np.linspace(1.0, 100.0, 25)]
-    latency = [qoe.compute_qoe((50.0, 50.0, v, 0.0, 0.0, 0.0), c.f_target, 50.0, 1, c)
-               for v in np.linspace(0.0, 300.0, 25)]
-    loss = [qoe.compute_qoe((50.0, 50.0, 10.0, 0.0, v, v), c.f_target, 50.0, 1, c)
-            for v in np.linspace(0.0, 200.0, 25)]
-    mono_ok = (all(b >= a - 1e-12 for a, b in zip(bitrate, bitrate[1:]))
-               and all(b <= a + 1e-12 for sweep in (latency, loss)
-                       for a, b in zip(sweep, sweep[1:])))
+    # monotonicity sweeps, 25 rows each, scored as one block: up in bitrate,
+    # down in latency and in loss
+    sweeps = np.tile([50.0, 50.0, 10.0, 0.0, 0.0, 0.0], (3, 25, 1))
+    sweeps[0, :, OBS_TARGET], sweeps[0, :, OBS_LATENCY] = 100.0, 0.0
+    sweeps[0, :, OBS_RECEIVED] = np.linspace(1.0, 100.0, 25)
+    sweeps[1, :, OBS_LATENCY] = np.linspace(0.0, 300.0, 25)
+    sweeps[2, :, OBS_LOST] = sweeps[2, :, OBS_NACKS] = np.linspace(0.0, 200.0, 25)
+    bitrate, latency, loss = qoe.compute_qoe(sweeps, c.f_target, sweeps[..., OBS_RECEIVED], 1, c)
+    mono_ok = bool(np.all(bitrate[1:] >= bitrate[:-1] - 1e-12)
+                   and all(np.all(s[1:] <= s[:-1] + 1e-12) for s in (latency, loss)))
     ok = worst < 1e-9 and mono_ok
     return ok, (f"hand-evaluated anchors max err {worst:.2e}; "
                 f"monotone in bitrate/latency/loss: {mono_ok}")

@@ -99,10 +99,15 @@ class TestTrain:
         assert not out.exists()
 
     def test_removed_users_schedule_is_an_unknown_key(self, tmp_path, capsys):
+        # so are the three keys that no code read
         bad = tmp_path / "bad.cfg"
-        bad.write_text("users_schedule = 6,5,4\n")
-        assert run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
-        assert "unknown key 'users_schedule'" in capsys.readouterr().err
+        for line in ("users_schedule = 6,5,4", "entropy_coef_final = -1.0",
+                     "x_init_spread = 0.0", "reward_mode = mean"):
+            bad.write_text(line + "\n")
+            assert run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x")) == 2
+            key = line.split(" = ")[0]
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     def test_used_out_dir_exits_2_naming_it(self, trained_run, tiny_cfg, capsys):
         before = sorted(p.relative_to(trained_run) for p in trained_run.rglob("*"))

@@ -199,8 +199,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, default, other", [
         ("policy_update_freq", "40", "20"), ("replay_buffer_size", "5000", "100"),
         ("target_update_coef", "0.005", "0.01"), ("sac_critics", "2", "1"),
-        ("entropy_temperature", "0.2", "0.1"), ("entropy_coef_final", "-1.0", "0.0"),
-        ("x_init_spread", "0.0", "0.5"), ("reward_mode", "mean", "sum")])
+        ("entropy_temperature", "0.2", "0.1")])
     def test_unused_keys_accept_only_their_default(self, key, default, other):
         assert parse_config_text(f"{key} = {default}\n") == (
             SimConfig(), HyperParams(), QoECoefficients())
@@ -209,8 +208,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", [
-        "y_max", "x_init_spread", "congestion_loss_coef", "queue_delay_coef", "f_target",
-        "lr", "grad_clip", "entropy_coef", "entropy_coef_final", "value_scale", "ldp_eps",
+        "y_max", "congestion_loss_coef", "queue_delay_coef", "f_target",
+        "lr", "grad_clip", "entropy_coef", "value_scale", "ldp_eps",
         "ldp_clip", "alpha", "beta", "gamma", "delta1", "delta2", "p_threshold",
         "eps_small"])
     def test_non_finite_float_rejected_naming_key(self, key, value):
@@ -218,8 +217,8 @@ class TestConfigParsing:
             parse_config_text(f"{key} = {value}\n")
 
     def test_error_names_the_key_not_a_key_it_contains(self):
-        with pytest.raises(ConfigError, match="invalid value for 'entropy_coef_final'"):
-            parse_config_text("entropy_coef = 0.02\nentropy_coef_final = nan\n")
+        with pytest.raises(ConfigError, match="invalid value for 'gamma_discount'"):
+            parse_config_text("gamma = 0.3\ngamma_discount = nan\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -4,11 +4,75 @@ import math
 import numpy as np
 import pytest
 
-from asms import qoe
-from asms.core import OBS_RECEIVED, QoECoefficients, RngStream
+from asms import qoe, rl
+from asms.core import (OBS_LATENCY, OBS_LOST, OBS_RECEIVED, OBS_TARGET, HyperParams,
+                       QoECoefficients, RngStream, SimConfig, scenario_by_name)
+from asms.netsim import BottleneckSim
 from ratings_io import write_ratings_csv
 
 C = QoECoefficients()
+
+
+def qoe_features_reference(row, frame_rate, next_received_mbps, users, c, clamps):
+    """The scalar per-row features that scored one agent-step at a time,
+    with libm logs; ``clamps`` is a one-entry list counting floor clamps."""
+    def quality(y):
+        if y < c.y_min:
+            clamps[0] += 1
+            y = c.y_min
+        return math.log(y / c.y_min)
+
+    q_now, q_next = quality(row[OBS_RECEIVED]), quality(next_received_mbps)
+    return np.array([
+        q_now * math.exp(-users / c.u_max),
+        -abs(frame_rate - c.f_target),
+        -row[OBS_LATENCY] / (row[OBS_RECEIVED] + c.eps_small),
+        -abs(q_next - q_now),
+        -max(0.0, row[OBS_LOST] - c.p_threshold),
+    ])
+
+
+def score_episode_reference(rows, frame_rate, c):
+    """The nested loop that scored a (T, N, 6) episode: each agent-step's
+    weights @ features, then each step's scores summed and divided by N.
+    Returns (rewards, agent_qoe, clamp count)."""
+    t_len, n, _ = rows.shape
+    steps, rates, clamps = rows.tolist(), frame_rate.tolist(), [0]
+    agent_qoe, rewards = np.zeros((t_len, n)), np.zeros(t_len)
+    for t in range(t_len):
+        successor = steps[min(t + 1, t_len - 1)]
+        for i in range(n):
+            agent_qoe[t, i] = float(c.weights() @ qoe_features_reference(
+                steps[t][i], rates[t][i], successor[i][OBS_RECEIVED], n, c, clamps))
+        rewards[t] = float(np.sum(agent_qoe[t])) / n
+    return rewards, agent_qoe, clamps[0]
+
+
+def record_features_reference(record, c):
+    """The per-row loop that reduced a ratings trace to its mean features.
+    Returns (per-row features, their mean)."""
+    rows, rates, users = record.rows.tolist(), record.frame_rate.tolist(), record.users.tolist()
+    per_row = [qoe_features_reference(row, rates[i], rows[min(i + 1, len(rows) - 1)][OBS_RECEIVED],
+                                      users[i], c, [0]) for i, row in enumerate(rows)]
+    feats = np.zeros(5)
+    for f in per_row:
+        feats += f
+    return np.array(per_row), feats / len(rows)
+
+
+def random_rollout(scenario, n, seed):
+    """One 40-step episode at N=n under uniformly random bitrate moves:
+    the scored (T, N, 6) rows, the frame rates and the episode's stats."""
+    cfg = SimConfig(n_agents=n)
+    sim = BottleneckSim(scenario_by_name(scenario), cfg, 40, RngStream(seed, f"env/{scenario}"))
+    pick = RngStream(seed, f"pick/{scenario}")
+    table = np.array(cfg.delta_table)
+
+    def choose(t, rows):
+        return table[pick.integers(len(table), size=len(rows))]
+
+    rows, stats = rl.rollout(sim, HyperParams(episode_len=40), C, choose)
+    return rows[1:], stats.frame_rate, stats
 
 
 class TestQuality:
@@ -32,18 +96,32 @@ class TestQuality:
 
 
 class TestDisruptionPenalty:
+    """The loss term, feature column 4: packets lost beyond the threshold."""
+
+    @staticmethod
+    def penalty(lost):
+        return -qoe.qoe_features((50.0, 50.0, 10.0, 0.0, lost, lost), C.f_target, 50.0, 1,
+                                 C)[4]
+
     def test_boundary(self):
-        assert qoe.disruption_penalty(C.p_threshold, C.p_threshold) == 0.0
+        assert self.penalty(C.p_threshold) == 0.0
 
     def test_linear_excess(self):
-        assert qoe.disruption_penalty(C.p_threshold + 4, C.p_threshold) == 4.0
+        assert self.penalty(C.p_threshold + 4) == 4.0
 
     def test_below_threshold(self):
-        assert qoe.disruption_penalty(0, 10) == 0.0
+        assert self.penalty(0.0) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            qoe.disruption_penalty(-1, 10)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            qoe.qoe_features((50.0, 50.0, 10.0, 0.0, -1.0, 0.0), C.f_target, 50.0, 1, C)
+
+    def test_column_of_a_block(self):
+        rows = np.tile([50.0, 50.0, 10.0, 0.0, 0.0, 0.0], (2, 3, 1))
+        rows[..., OBS_LOST] = [[0.0, 10.0, 11.0], [14.0, 2.0, 30.0]]
+        feats = qoe.qoe_features(rows, C.f_target, 50.0, 1, C)
+        assert feats.shape == (2, 3, 5)
+        assert (-feats[..., 4]).tolist() == [[0.0, 0.0, 1.0], [4.0, 0.0, 20.0]]
 
 
 class TestComputeQoe:
@@ -92,26 +170,80 @@ class TestComputeQoe:
 
 
 class TestGlobalReward:
+    """Each step's reward pools its N agent scores by their mean."""
+
+    @staticmethod
+    def score_one_step(received):
+        """(rewards, agent scores) of one step whose agents differ only in
+        received bitrate."""
+        rows = np.zeros((1, len(received), 6))
+        rows[0, :, OBS_TARGET] = rows[0, :, OBS_RECEIVED] = received
+        rows[0, :, OBS_LATENCY] = 10.0
+        return rl.score_episode(rows, np.full((1, len(received)), C.f_target), C)
+
     def test_singleton(self):
-        assert qoe.global_reward([0.5]) == 0.5
+        rewards, agent_qoe = self.score_one_step([5.0])
+        assert rewards[0] == agent_qoe[0, 0]
 
     def test_mean(self):
-        assert qoe.global_reward([1.0, 2.0, 3.0]) == pytest.approx(2.0)
+        rewards, agent_qoe = self.score_one_step([2.0, 5.0, 40.0])
+        assert rewards[0] == pytest.approx(agent_qoe[0].sum() / 3)
 
     def test_permutation_invariant(self):
         rng = RngStream(0, "gr")
-        vals = rng.uniform(-5, 5, size=9)
+        received = rng.uniform(1.0, 80.0, size=9)
         perm = rng.permutation(9)
-        assert qoe.global_reward(vals.tolist()) == pytest.approx(
-            qoe.global_reward(vals[perm].tolist()))
+        rewards, _ = self.score_one_step(received)
+        assert rewards[0] == pytest.approx(self.score_one_step(received[perm])[0][0])
 
     def test_copies_identity(self):
         for k in (1, 3, 7):
-            assert qoe.global_reward([0.7] * k) == pytest.approx(0.7)
+            rewards, agent_qoe = self.score_one_step([30.0] * k)
+            assert rewards[0] == pytest.approx(agent_qoe[0, 0])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            qoe.global_reward([])
+        with pytest.raises(ValueError, match="at least one agent"):
+            rl.score_episode(np.zeros((4, 0, 6)), np.zeros((4, 0)), C)
+
+
+class TestKernelMatchesScalarReference:
+    """The array kernel reproduces the scalar scoring loops bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 6, 24, 100])
+    def test_score_episode(self, n):
+        below = 0
+        for scenario in ("s1", "s2", "s3", "s4", "s5", "s6"):
+            rows, frame_rate, stats = random_rollout(scenario, n, seed=n)
+            rewards, agent_qoe, clamps = score_episode_reference(rows, frame_rate, C)
+            before = qoe.quality_clamp_count()
+            got_rewards, got_qoe = rl.score_episode(rows, frame_rate, C)
+            assert qoe.quality_clamp_count() - before == clamps
+            assert got_qoe.tobytes() == agent_qoe.tobytes() == stats.agent_qoe.tobytes()
+            assert got_rewards.tobytes() == rewards.tobytes() == stats.rewards.tobytes()
+            below += int((rows[..., OBS_RECEIVED] < C.y_min).sum())
+        if n >= 24:
+            assert below > 0   # the crowded link starves some streams below y_min
+
+    def test_quality_takes_libm_logs(self):
+        # numpy's SIMD log can miss libm's last bit: on an AVX-512 x86-64 host,
+        # for about 0.35% of inputs in [1, 2)
+        y = C.y_min * RngStream(6, "log").uniform(1.0, 2.0, size=20000)
+        want = [math.log(v / C.y_min) for v in y.tolist()]
+        assert qoe.quality(y, C.y_min).tolist() == want
+
+    def test_record_features_with_a_user_count_per_row(self):
+        # user counts up to 200 include density factors where numpy's exp
+        # misses libm's last bit
+        records = qoe.synthetic_ratings(TRUTH, RngStream(6, "ref"), n_records=12)
+        rng = RngStream(6, "users")
+        for record in records:
+            varied = dataclasses.replace(record, users=rng.integers(201, size=len(record.users)))
+            want_rows, want = record_features_reference(varied, C)
+            received = varied.rows[:, OBS_RECEIVED]
+            got_rows = qoe.qoe_features(varied.rows, varied.frame_rate,
+                                        np.append(received[1:], received[-1]), varied.users, C)
+            assert got_rows.tobytes() == want_rows.tobytes()
+            assert qoe.record_features(varied, C).tobytes() == want.tobytes()
 
 
 TRUTH = QoECoefficients(alpha=1.0, beta=0.4, gamma=0.2, delta1=0.6, delta2=0.5)
