@@ -377,7 +377,8 @@ def parse_config_text(text: str) -> tuple[SimConfig, HyperParams, QoECoefficient
         try:
             return struct(**kwargs)
         except ValueError as exc:
-            # longest match: one key's name can contain another's
+            # a message can name several set keys ("need 0 < y_min <=
+            # x_init <= y_max"): blame the longest, on a tie the first set
             bad = max((k for k in kwargs if k in str(exc)), key=len, default="?")
             raise ConfigError(f"invalid value for {bad!r}: {exc}") from None
 

@@ -145,12 +145,13 @@ def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams,
                 hp: HyperParams) -> TrainBatch:
     """Agent i's update batch, with whitened advantages from its critic.
 
-    The critic values its T+1 states one batch-1 forward at a time: a single
-    batched forward differs from them in the last bits. Advantages and
-    returns are per-agent 1-D recursions for the same reason.
+    The critic values the agent's T+1 states in one stacked pass, each row
+    bit-equal to its own batch-1 forward. Advantages and returns are
+    per-agent 1-D recursions, which a batched form would not reproduce bit
+    for bit.
     """
     obs = traj.observations[:, i]
-    values = np.array([critic_value(critic, row, hp.value_scale) for row in obs])
+    values = critic_value(critic, obs, hp.value_scale)
     adv = compute_gae(traj.rewards, values[:-1], values[-1], hp.gamma_discount,
                       hp.gae_lambda)
     return TrainBatch(
@@ -211,11 +212,11 @@ def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
     return loss, grad
 
 
-def critic_value(critic: nn.ModelParams, obs_vec: np.ndarray,
-                 value_scale: float) -> float:
-    """State value in reward units (undoes the critic's internal scaling)."""
-    out, _ = nn.forward(critic, obs_vec)
-    return float(out[0]) * value_scale
+def critic_value(critic: nn.ModelParams, obs: np.ndarray,
+                 value_scale: float) -> np.ndarray:
+    """State values (R,) of observation rows (R, 6) in reward units (undoes
+    the critic's internal scaling)."""
+    return nn.forward_rows(critic, obs)[:, 0] * value_scale
 
 
 @dataclass

@@ -12,6 +12,7 @@ exercised.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
@@ -291,10 +292,72 @@ def check_hyperparam_table(seed: int) -> tuple[bool, str]:
     return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
 
+def _channels(spec: ScenarioSpec) -> tuple[Channel, ...]:
+    """The five channels in ``sample_link_state``'s draw order."""
+    return (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)
+
+
+def _span_tables(spec: ScenarioSpec, t_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lo``/``hi`` tables (t_len, 6) of the uniforms ``sample_link_state``
+    draws at each step: the five channels' ``Channel.at`` spans, then the
+    burst coin's [0, 1]."""
+    spans = [[channel.at(t, t_len) for channel in _channels(spec)] for t in range(t_len)]
+    return (np.array([[span.lo for span in row] + [0.0] for row in spans]),
+            np.array([[span.hi for span in row] + [1.0] for row in spans]))
+
+
+def _block_link_states(lo: np.ndarray, hi: np.ndarray, n: int,
+                       rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Steps (n,) and draws (n, 6) of n samples of ``t = int(rng.uniform(0,
+    t_len))`` then ``sample_link_state(spec, t, t_len, rng)``, from one block
+    of 7n uniforms, given the spec's ``_span_tables``.
+
+    The stream is counter-based and ``uniform`` maps each word as
+    ``low + (high - low) * u``, so the block reproduces every value of the
+    scalar calls and their final counter.
+    """
+    u = rng.uniform(size=7 * n).reshape(n, 7)
+    t = (lo.shape[0] * u[:, 0]).astype(np.int64)
+    return t, lo[t] + (hi[t] - lo[t]) * u[:, 1:]
+
+
+def _replay_mismatch(spec: ScenarioSpec, t: np.ndarray, draws: np.ndarray, t_len: int,
+                     rng: RngStream) -> int | None:
+    """First of the block's samples that ``sample_link_state``, replayed
+    from ``rng`` (where the block began), does not give bit for bit."""
+    for k in range(t.size):
+        step = int(rng.uniform(0, t_len))
+        state = netsim.sample_link_state(spec, step, t_len, rng)
+        got = (state.capacity_mbps, state.base_latency_ms, state.base_jitter_ms,
+               state.loss_rate, state.burst_level)
+        row = draws[k].tolist()
+        if step != t[k] or got != tuple(row[:5]) or state.burst_active != (row[5] < row[4]):
+            return k
+    return None
+
+
+def _sample_failure(spec: ScenarioSpec, t: int, t_len: int, row: np.ndarray) -> str:
+    """Why one drawn sample fails: LinkState's own invariant message, or its
+    first channel outside the step's span."""
+    capacity, latency, jitter, loss, burst_level, coin = row.tolist()
+    try:
+        netsim.LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
+                         base_jitter_ms=jitter, loss_rate=loss,
+                         burst_active=coin < burst_level, burst_level=burst_level)
+    except ValueError as err:
+        return f"{spec.name} t={t}: {err}"
+    value, span = next((value, span) for value, span in
+                       zip(row[:5].tolist(), (c.at(t, t_len) for c in _channels(spec)))
+                       if not (span.lo - 1e-9 <= value <= span.hi + 1e-9))
+    return f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+
+
 def check_scenario_ranges(seed: int) -> tuple[bool, str]:
+    """Six reference channel tables; each scenario's 10,000 link states in
+    their step's spans and within LinkState's invariants, drawn as one block
+    whose first 40 samples ``sample_link_state`` must replay bit for bit."""
     specs = builtin_scenarios()
-    table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
-             for s in specs}
+    table = {s.name: _channels(s) for s in specs}
     bad = sorted(k for k in table.keys() | REFERENCE_SCENARIOS.keys()
                  if table.get(k) != REFERENCE_SCENARIOS.get(k))
     if bad:
@@ -302,24 +365,26 @@ def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/scenarios")
     t_len = 40
     n_samples = 10_000
+    n_replayed = 40
     for spec in specs:
-        for k in range(n_samples):
-            t = int(rng.uniform(0, t_len))
-            state = netsim.sample_link_state(spec, t, t_len, rng)
-            for value, channel in ((state.capacity_mbps, spec.bandwidth),
-                                   (state.base_latency_ms, spec.latency),
-                                   (state.base_jitter_ms, spec.jitter),
-                                   (state.loss_rate, spec.loss_rate),
-                                   (state.burst_level, spec.burst_loss)):
-                span = channel.at(t, t_len)
-                if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                    return False, f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+        lo, hi = _span_tables(spec, t_len)
+        replay = copy.copy(rng)
+        t, draws = _block_link_states(lo, hi, n_samples, rng)
+        k = _replay_mismatch(spec, t[:n_replayed], draws, t_len, replay)
+        if k is not None:
+            return False, f"{spec.name} sample {k}: sample_link_state differs from the block draw"
+        values = draws[:, :5]
+        ok = ((lo[t, :5] - 1e-9 <= values) & (values <= hi[t, :5] + 1e-9)).all(axis=1)
+        ok &= (values[:, 0] > 0) & (values[:, 3] >= 0.0) & (values[:, 3] <= 1.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            return False, _sample_failure(spec, int(t[k]), t_len, draws[k])
         # ramp endpoints must hit the arrow targets exactly (point ranges)
-        for t, end in ((0, "start"), (t_len - 1, "end")):
-            state = netsim.sample_link_state(spec, t, t_len, rng)
+        for t_end, end in ((0, "start"), (t_len - 1, "end")):
+            state = netsim.sample_link_state(spec, t_end, t_len, rng)
             for value, channel in ((state.capacity_mbps, spec.bandwidth),
                                    (state.base_latency_ms, spec.latency)):
-                span = channel.at(t, t_len)
+                span = channel.at(t_end, t_len)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
                     return False, f"{spec.name} {end} endpoint off: {value}"
     return True, (f"channels match the table; {n_samples} samples x 6 scenarios "

@@ -7,8 +7,8 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from asms import cli, qoe, training, verify
-from asms.core import Channel, QoECoefficients, RngStream
+from asms import cli, netsim, qoe, training, verify
+from asms.core import Channel, QoECoefficients, RngStream, builtin_scenarios
 from ratings_io import write_ratings_csv
 
 
@@ -441,6 +441,51 @@ class TestVerify:
         passed, detail = verify.check_scenario_ranges(0)
         assert not passed and "s3" in detail
 
+    @pytest.mark.parametrize("seed", [0, 29, 99])
+    def test_block_draw_equals_scalar_link_state_calls(self, seed):
+        block, scalar = RngStream(seed, "verify/scenarios"), RngStream(seed, "verify/scenarios")
+        for spec in builtin_scenarios():
+            t, draws = verify._block_link_states(*verify._span_tables(spec, 40), 10_000, block)
+            want = []
+            for _ in range(10_000):
+                step = int(scalar.uniform(0, 40))
+                s = netsim.sample_link_state(spec, step, 40, scalar)
+                want.append((step, s.capacity_mbps, s.base_latency_ms, s.base_jitter_ms,
+                             s.loss_rate, s.burst_level, s.burst_active))
+            got = [(step, *row[:5], row[5] < row[4])
+                   for step, row in zip(t.tolist(), draws.tolist())]
+            assert got == want, spec.name
+            assert block._counter == scalar._counter
+
+    def test_replay_guard_catches_swapped_channels(self, monkeypatch):
+        real = netsim.sample_link_state
+
+        def swapped(spec, t, episode_len, rng):
+            s = real(spec, t, episode_len, rng)
+            return dataclasses.replace(s, base_latency_ms=s.base_jitter_ms,
+                                       base_jitter_ms=s.base_latency_ms)
+
+        monkeypatch.setattr(netsim, "sample_link_state", swapped)
+        assert verify.check_scenario_ranges(0) == (
+            False, "s1 sample 0: sample_link_state differs from the block draw")
+
+    def test_forced_out_of_range_value_reads_as_before(self, monkeypatch):
+        # word 23 of the stream, sample 3's latency, maps to u = 1.5; the
+        # detail must equal the one the per-sample loop gave
+        monkeypatch.setattr(verify, "RngStream", _faulty_stream(23, 1.5))
+        passed, detail = verify.check_scenario_ranges(0)
+        assert not passed
+        assert detail == _scalar_range_failure(_faulty_stream(23, 1.5)(0, "verify/scenarios"))
+        assert detail.startswith("s1 t=") and detail.endswith(" outside [10.0, 30.0]")
+
+    def test_sample_breaking_link_state_invariants_is_named(self, monkeypatch):
+        # word 701, sample 100's capacity (past the replayed samples, whose
+        # LinkState would raise), maps to u = -2: capacity 100 - 200 < 0
+        monkeypatch.setattr(verify, "RngStream", _faulty_stream(701, -2.0))
+        passed, detail = verify.check_scenario_ranges(0)
+        assert not passed
+        assert detail.startswith("s1 t=") and detail.endswith(": capacity must be positive")
+
     def test_learning_check_details_on_fixed_scores(self, monkeypatch):
         monkeypatch.setattr(training, "train", _fake_train)
         monkeypatch.setattr(training, "evaluate_agents", _fake_eval)
@@ -453,6 +498,41 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
+
+
+def _faulty_stream(position, u):
+    """An RngStream class whose word at ``position`` maps to ``u`` instead of
+    its [0, 1) value, in every ``uniform`` call that draws it."""
+    class Faulty(RngStream):
+        def uniform(self, low=0.0, high=1.0, size=None):
+            start = self._counter
+            out = np.atleast_1d(super().uniform(low, high, size))
+            k = position - start
+            if 0 <= k < out.size:
+                lo = np.broadcast_to(low, out.shape)[k]
+                hi = np.broadcast_to(high, out.shape)[k]
+                out[k] = lo + (hi - lo) * u
+            return float(out[0]) if size is None else out
+
+    return Faulty
+
+
+def _scalar_range_failure(rng):
+    """The first failure of the per-sample scenario-ranges loop, a sample at
+    a time from ``rng``, in its own words (None when every sample passes)."""
+    for spec in builtin_scenarios():
+        for _ in range(10_000):
+            t = int(rng.uniform(0, 40))
+            state = netsim.sample_link_state(spec, t, 40, rng)
+            for value, channel in ((state.capacity_mbps, spec.bandwidth),
+                                   (state.base_latency_ms, spec.latency),
+                                   (state.base_jitter_ms, spec.jitter),
+                                   (state.loss_rate, spec.loss_rate),
+                                   (state.burst_level, spec.burst_loss)):
+                span = channel.at(t, 40)
+                if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
+                    return f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+    return None
 
 
 # Fixed stand-ins for training and evaluation, so the learning checks' report

@@ -216,9 +216,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"invalid value for '{key}': {key} must be finite"):
             parse_config_text(f"{key} = {value}\n")
 
-    def test_error_names_the_key_not_a_key_it_contains(self):
-        with pytest.raises(ConfigError, match="invalid value for 'gamma_discount'"):
-            parse_config_text("gamma = 0.3\ngamma_discount = nan\n")
+    # "need 0 < y_min <= x_init <= y_max" names every set key of the pair;
+    # the error blames the longest, and the first set in the file on a tie
+    @pytest.mark.parametrize("text, blamed", [
+        ("y_min = 50\nx_init = 3\n", "x_init"),
+        ("x_init = 3\ny_min = 50\n", "x_init"),
+        ("y_max = 1\ny_min = 2\n", "y_max"),
+        ("y_min = 2\ny_max = 1\n", "y_min")],
+        ids=["y_min,x_init", "x_init,y_min", "y_max,y_min", "y_min,y_max"])
+    def test_error_blames_the_longest_set_key_the_message_names(self, text, blamed):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == (f"invalid value for '{blamed}': "
+                                  "need 0 < y_min <= x_init <= y_max")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -243,11 +243,24 @@ class TestCriticUse:
         traj, _ = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
         assert calls == []
         batch = rl.build_batch(traj, 1, agents[1].critic, HP)
-        assert len(calls) == HP.episode_len + 1
-        assert all(args[0] is agents[1].critic for args in calls)
+        assert len(calls) == 1
+        critic, obs, value_scale = calls[0]
+        assert critic is agents[1].critic and value_scale == HP.value_scale
+        assert obs.shape == (HP.episode_len + 1, 6)
+        np.testing.assert_array_equal(obs, traj.observations[:, 1])
+        # each value equals its row's own batch-1 forward, bit for bit
+        values = np.array([float(nn.forward(critic, row)[0][0]) * HP.value_scale
+                           for row in obs])
+        np.testing.assert_array_equal(real(critic, obs, HP.value_scale), values)
         np.testing.assert_array_equal(batch.observations, traj.observations[:-1, 1])
-        bootstrap = real(agents[1].critic, traj.observations[-1, 1], HP.value_scale)
+        bootstrap = values[-1]
         assert batch.returns[-1] == traj.rewards[-1] + HP.gamma_discount * bootstrap
+        np.testing.assert_array_equal(
+            batch.returns, rl.compute_returns(traj.rewards, bootstrap, HP.gamma_discount))
+        np.testing.assert_array_equal(
+            batch.advantages,
+            rl.whiten(rl.compute_gae(traj.rewards, values[:-1], bootstrap,
+                                     HP.gamma_discount, HP.gae_lambda)))
 
 
 class TestControllerEpisode:
