@@ -188,8 +188,8 @@ def cmd_compare(args) -> int:
     print(f"wrote {matrix_path} ({len(methods)} methods x {len(scenarios)} scenarios)")
 
     for scen in scenarios:
-        series = {m: [cells.get((m, scen))] for m in methods}
-        svg = svgplot.grouped_bars([scen], series, f"QoE by method ({scen})")
+        values = {m: cells.get((m, scen)) for m in methods}
+        svg = svgplot.bar_chart(scen, values, f"QoE by method ({scen})")
         svg_path = out / f"compare_{scen}.svg"
         svg_path.write_text(svg, encoding="utf-8")
         print(f"wrote {svg_path}")

@@ -38,21 +38,29 @@ class LinkState:
             raise ValueError("capacity must be positive")
 
 
-def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
-                      rng: RngStream) -> LinkState:
-    """Draw the link conditions for step t.
+def link_draw_bounds(spec: ScenarioSpec, t: int, episode_len: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``lo``/``hi`` (6,) of the six uniforms that draw step t's link: the
+    bandwidth, latency, jitter, loss-rate and burst-loss spans, then the
+    burst coin's [0, 1].
 
-    Fixed channels sample uniformly from their range; ramp channels first
-    interpolate the range endpoints linearly from the start range at t=0 to
-    the end range at t=episode_len-1. The five channels and the burst coin
-    come from one block of six uniforms.
+    Fixed channels span their range; ramp channels interpolate the range
+    endpoints linearly from the start range at t=0 to the end range at
+    t=episode_len-1.
     """
     if not (0 <= t < episode_len):
         raise ValueError(f"step {t} outside [0, {episode_len})")
     spans = [channel.at(t, episode_len) for channel in
              (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)]
-    lo = np.array([span.lo for span in spans] + [0.0])
-    hi = np.array([span.hi for span in spans] + [1.0])
+    return (np.array([span.lo for span in spans] + [0.0]),
+            np.array([span.hi for span in spans] + [1.0]))
+
+
+def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
+                      rng: RngStream) -> LinkState:
+    """Draw the link conditions for step t from one block of six uniforms
+    within ``link_draw_bounds``."""
+    lo, hi = link_draw_bounds(spec, t, episode_len)
     capacity, latency, jitter, loss, burst_level, coin = rng.uniform(lo, hi, size=6).tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
@@ -181,4 +189,4 @@ class TraceWriter:
 
 
 __all__ = ["BottleneckSim", "LinkState", "TraceWriter",
-           "advance", "allocate_max_min", "sample_link_state"]
+           "advance", "allocate_max_min", "link_draw_bounds", "sample_link_state"]

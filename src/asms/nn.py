@@ -306,11 +306,18 @@ def params_from_bytes(data: bytes) -> ModelParams:
     if act_i >= len(ACTIVATIONS):
         raise CheckpointError("unknown activation tag")
     (n_layers,) = struct.unpack_from("<H", body, pos); pos += 2
+    if len(body) < pos + 8 * n_layers + 8:
+        raise CheckpointError("truncated checkpoint")
     shapes = []
     for _ in range(n_layers):
         i, o = struct.unpack_from("<II", body, pos); pos += 8
         shapes.append((i, o))
-    out_dim = shapes[-1][1] if shapes else 0
+    # forward() runs exactly three chained layers
+    if (len(shapes) != 3 or min(min(shape) for shape in shapes) < 1
+            or any(a[1] != b[0] for a, b in zip(shapes, shapes[1:]))):
+        raise CheckpointError(f"checkpoint layers {shapes} cannot run: a model has three "
+                              f"layers of sizes >= 1, each taking the previous one's output")
+    out_dim = shapes[-1][1]
     if head_i != _head_tag(out_dim):
         raise CheckpointError(f"head tag {head_i} does not match output size {out_dim}")
     (length,) = struct.unpack_from("<Q", body, pos); pos += 8

@@ -107,13 +107,17 @@ class RatingsRecord:
     mos: float
 
     def __post_init__(self) -> None:
-        if not (1.0 <= self.mos <= 5.0):
-            raise ValueError(f"mos must be within [1, 5], got {self.mos}")
+        _check_mos(self.mos)
         object.__setattr__(self, "rows", check_obs_rows(self.rows))
         t = len(self.rows)
         if self.rows.ndim != 2 or t == 0 or not self.frame_rate.shape == self.users.shape == (t,):
             raise ValueError("a trace needs T >= 1 rows, each with a frame rate and user count")
         _check_rates_users(self.frame_rate, self.users)
+
+
+def _check_mos(mos: float) -> None:
+    if not (1.0 <= mos <= 5.0):   # NaN fails too
+        raise ValueError(f"mos must be within [1, 5], got {mos}")
 
 
 def _check_rates_users(frame_rate: np.ndarray, users: np.ndarray) -> None:
@@ -293,6 +297,7 @@ def load_ratings_csv(path: str) -> list[RatingsRecord]:
                 *obs, f, u, mos = (float(v) for v in row[2:])
                 check_obs_rows(obs)
                 _check_rates_users(np.array([f]), np.array([u]))
+                _check_mos(mos)
             except ValueError as exc:
                 raise ValueError(f"{path!r} line {lineno}: {exc}") from None
             if scenario != cur_scenario or step <= prev_step:

@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, OBS_TARGET,
-                   HyperParams, QoECoefficients, RngStream)
+from .core import (OBS_DIM, OBS_RECEIVED, OBS_TARGET, HyperParams, QoECoefficients,
+                   RngStream)
 from .netsim import BottleneckSim
 from .qoe import compute_qoe
 
@@ -39,28 +39,36 @@ def normalize_obs(rows: np.ndarray, y_max: float = 200.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One episode of all N agents: everything the per-agent updates need."""
+class Episode:
+    """One finished episode of N users on one link: the only record rollouts
+    produce, read by training, evaluation and the update batches alike."""
 
+    rows: np.ndarray         # (T+1, N, 6) columns core.OBS_*; row 0 is the warm-up
+    frame_rate: np.ndarray   # (T, N) delivered frame rates
+    agent_qoe: np.ndarray    # (T, N) per-agent-step scores
+    rewards: np.ndarray      # (T,) pooled rewards, the mean of each step's N scores
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A policy episode plus the per-agent action record its updates need."""
+
+    episode: Episode
     observations: np.ndarray    # (T+1, N, 6) normalized features; row T is s_T
     actions: np.ndarray         # (T, N) int indices into the delta table
     log_probs: np.ndarray       # (T, N) behavior log-probs
-    rewards: np.ndarray         # (T,) shared global rewards
 
     def __post_init__(self) -> None:
         if self.observations.ndim != 3 or self.observations.shape[2] != OBS_DIM:
             raise ValueError(f"observations must have shape (T+1, N, {OBS_DIM})")
-        t, n = len(self), self.observations.shape[1]
+        t, n = self.observations.shape[0] - 1, self.observations.shape[1]
         for name in ("actions", "log_probs"):
             if getattr(self, name).shape != (t, n):
                 raise ValueError(f"{name} must have shape {(t, n)}")
-        if self.rewards.shape != (t,):
+        if self.episode.rewards.shape != (t,):
             raise ValueError(f"rewards must have length {t}")
         if np.any(self.log_probs > 1e-9):
             raise ValueError("log-probs must be <= 0")
-
-    def __len__(self) -> int:
-        return self.observations.shape[0] - 1
 
 
 def pick_actions(logits: np.ndarray, rng: RngStream | None,
@@ -151,15 +159,15 @@ def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams,
     for bit.
     """
     obs = traj.observations[:, i]
+    rewards = traj.episode.rewards
     values = critic_value(critic, obs, hp.value_scale)
-    adv = compute_gae(traj.rewards, values[:-1], values[-1], hp.gamma_discount,
-                      hp.gae_lambda)
+    adv = compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
     return TrainBatch(
         observations=obs[:-1],
         actions=traj.actions[:, i],
         old_log_probs=traj.log_probs[:, i],
         advantages=whiten(adv),
-        returns=compute_returns(traj.rewards, values[-1], hp.gamma_discount),
+        returns=compute_returns(rewards, values[-1], hp.gamma_discount),
     )
 
 
@@ -270,7 +278,7 @@ class PPOAgent:
     critic: nn.ModelParams
     actor_adam: nn.AdamState = field(init=False)
     critic_adam: nn.AdamState = field(init=False)
-    sample_count: int = field(init=False)   # steps collected since the last aggregation
+    sample_count: int = field(init=False)   # steps trained on since the last aggregation
 
     def __post_init__(self) -> None:
         self.actor_adam = nn.AdamState.zeros(self.actor.theta.size)
@@ -282,22 +290,6 @@ class PPOAgent:
          diag) = ppo_update(self.actor, self.critic, self.actor_adam,
                             self.critic_adam, batch, hp, rng)
         return diag
-
-
-@dataclass
-class EpisodeStats:
-    """Step-level aggregates of one episode, shared by training and eval."""
-
-    rewards: np.ndarray        # (T,) global reward per step
-    agent_qoe: np.ndarray      # (T, N)
-    received_mbps: np.ndarray  # (T, N)
-    latency_ms: np.ndarray     # (T, N)
-    lost_packets: np.ndarray   # (T, N)
-    frame_rate: np.ndarray     # (T, N)
-
-    @property
-    def mean_reward(self) -> float:
-        return float(self.rewards.mean())
 
 
 def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
@@ -321,14 +313,12 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
 
 
 def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
-            choose: Callable[[int, np.ndarray], np.ndarray],
-            ) -> tuple[np.ndarray, EpisodeStats]:
+            choose: Callable[[int, np.ndarray], np.ndarray]) -> Episode:
     """Roll and score one episode of ``hp.episode_len`` steps.
 
     Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to N
     deltas of their ``OBS_TARGET`` column; the new targets, clamped to [y_min,
-    y_max], are applied jointly to the link. Returns the (T+1, N, 6) rows,
-    the warm-up observation first, and the episode's statistics.
+    y_max], are applied jointly to the link.
     """
     cfg = sim.cfg
     t_len = hp.episode_len
@@ -339,23 +329,20 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
         targets = np.clip(rows[t, :, OBS_TARGET] + choose(t, rows[t]), cfg.y_min, cfg.y_max)
         rows[t + 1], frame_rate[t] = sim.step(targets)
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
-    stats = EpisodeStats(rewards=rewards, agent_qoe=agent_qoe,
-                         received_mbps=rows[1:, :, OBS_RECEIVED].copy(),
-                         latency_ms=rows[1:, :, OBS_LATENCY].copy(),
-                         lost_packets=rows[1:, :, OBS_LOST].copy(), frame_rate=frame_rate)
-    return rows, stats
+    return Episode(rows=rows, frame_rate=frame_rate, agent_qoe=agent_qoe, rewards=rewards)
 
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
                 coeffs: QoECoefficients, rng: RngStream, greedy: bool = False,
-                ) -> tuple[Trajectory, EpisodeStats]:
+                ) -> Trajectory:
     """Roll one episode: every agent picks a bitrate delta from its own
     observation, the link applies the joint targets, and all agents log the
     identical pooled reward.
 
-    Only the actors run; ``build_batch`` values the states at update time.
-    The fluctuation term of the final step's score reuses that step's own
-    bitrate (no look-ahead exists past the episode).
+    Only the actors run, and the agents are left as they were;
+    ``build_batch`` values the states at update time. The fluctuation term
+    of the final step's score reuses that step's own bitrate (no look-ahead
+    exists past the episode).
     """
     cfg = sim.cfg
     n = cfg.n_agents
@@ -366,29 +353,24 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
         if (actor.in_dim, actor.out_dim) != (OBS_DIM, table.size):
             raise ValueError(f"actor maps {actor.in_dim} inputs to {actor.out_dim} actions; the "
                              f"config needs {OBS_DIM} inputs to {table.size} actions")
-    t_len = hp.episode_len
-    features = np.zeros((t_len + 1, n, OBS_DIM))
-    actions = np.zeros((t_len, n), dtype=np.int64)
-    log_probs = np.zeros((t_len, n))
+    actions = np.zeros((hp.episode_len, n), dtype=np.int64)
+    log_probs = np.zeros((hp.episode_len, n))
 
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
-        features[t] = normalize_obs(rows, cfg.y_max)
         # batch-1 forwards: a stacked forward over the agents' actors would
         # hold a copy of every actor for the episode
         logits = np.stack([nn.forward(agent.actor, vec)[0]
-                           for agent, vec in zip(agents, features[t])])
+                           for agent, vec in zip(agents, normalize_obs(rows, cfg.y_max))])
         actions[t], log_probs[t] = pick_actions(logits, None if greedy else rng)
         return table[actions[t]]
 
-    rows, stats = rollout(sim, hp, coeffs, choose)
-    features[t_len] = normalize_obs(rows[t_len], cfg.y_max)
-    for agent in agents:
-        agent.sample_count += t_len
-    return Trajectory(features, actions, log_probs, stats.rewards), stats
+    episode = rollout(sim, hp, coeffs, choose)
+    # normalize_obs is elementwise, so these are the features the actors saw
+    return Trajectory(episode, normalize_obs(episode.rows, cfg.y_max), actions, log_probs)
 
 
 __all__ = [
-    "EpisodeStats", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
+    "Episode", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
     "UpdateDiagnostics", "build_batch", "clipped_objective", "compute_gae",
     "compute_returns", "critic_value", "normalize_obs", "pick_actions",
     "policy_loss_and_grad", "ppo_update", "rollout", "run_episode", "score_episode",

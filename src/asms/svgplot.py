@@ -73,38 +73,32 @@ def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], float, float]:
     return parts, lo, scale
 
 
-def grouped_bars(categories: Sequence[str], series: Mapping[str, Sequence[float | None]],
-                 title: str) -> str:
-    """Grouped bar chart of QoE values; None cells are simply not drawn."""
-    all_vals = [v for vals in series.values() for v in vals if v is not None]
-    lo, hi = _axis_bounds(all_vals)
+def bar_chart(category: str, values: Mapping[str, float | None], title: str) -> str:
+    """One QoE bar per series over a single category; None or non-finite
+    values are simply not drawn."""
+    lo, hi = _axis_bounds(list(values.values()))
     parts = _header(title)
     axis, lo, scale = _y_axis(lo, hi, "QoE")
     parts += axis
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
-    n_cat = max(1, len(categories))
-    n_ser = max(1, len(series))
-    group_w = plot_w / n_cat
-    bar_w = group_w * 0.8 / n_ser
+    bar_w = plot_w * 0.8 / max(1, len(values))
+    cx = MARGIN_L + plot_w * 0.5
     y_zero = HEIGHT - MARGIN_B - (0.0 - lo) * scale
 
     parts.append(f'<line x1="{MARGIN_L}" y1="{_fmt(y_zero)}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{_fmt(y_zero)}" stroke="black"/>')
-    for ci, cat in enumerate(categories):
-        cx = MARGIN_L + group_w * (ci + 0.5)
-        parts.append(f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 16}" '
-                     f'text-anchor="middle" font-size="11">{_escape(cat)}</text>')
-        for si, (name, vals) in enumerate(series.items()):
-            v = vals[ci] if ci < len(vals) else None
-            if v is None or not math.isfinite(v):
-                continue
-            x = cx - group_w * 0.4 + si * bar_w
-            y_v = HEIGHT - MARGIN_B - (v - lo) * scale
-            top, height = (y_v, y_zero - y_v) if v >= 0 else (y_zero, y_v - y_zero)
-            parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" width="{_fmt(bar_w * 0.92)}" '
-                         f'height="{_fmt(height)}" fill="{PALETTE[si % len(PALETTE)]}"/>')
-    for si, name in enumerate(series):
+    parts.append(f'<text x="{_fmt(cx)}" y="{HEIGHT - MARGIN_B + 16}" '
+                 f'text-anchor="middle" font-size="11">{_escape(category)}</text>')
+    for si, v in enumerate(values.values()):
+        if v is None or not math.isfinite(v):
+            continue
+        x = cx - plot_w * 0.4 + si * bar_w
+        y_v = HEIGHT - MARGIN_B - (v - lo) * scale
+        top, height = (y_v, y_zero - y_v) if v >= 0 else (y_zero, y_v - y_zero)
+        parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" width="{_fmt(bar_w * 0.92)}" '
+                     f'height="{_fmt(height)}" fill="{PALETTE[si % len(PALETTE)]}"/>')
+    for si, name in enumerate(values):
         x = MARGIN_L + 10 + si * 120
         parts.append(f'<rect x="{x}" y="{HEIGHT - 24}" width="12" height="12" '
                      f'fill="{PALETTE[si % len(PALETTE)]}"/>')
@@ -143,4 +137,4 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-__all__ = ["grouped_bars", "line_chart"]
+__all__ = ["bar_chart", "line_chart"]

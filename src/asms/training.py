@@ -26,10 +26,11 @@ import numpy as np
 
 from . import __version__, fed, nn, svgplot
 from .baselines import controller_step, new_controller_state
-from .core import (OBS_DIM, HyperParams, QoECoefficients, RngStream, ScenarioSpec,
-                   SimConfig, scenario_by_name, serialize_config)
+from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, HyperParams,
+                   QoECoefficients, RngStream, ScenarioSpec, SimConfig, scenario_by_name,
+                   serialize_config)
 from .netsim import BottleneckSim
-from .rl import EpisodeStats, PPOAgent, build_batch, rollout, run_episode
+from .rl import Episode, PPOAgent, build_batch, rollout, run_episode
 
 METHODS = ("fmappo", "ippo")
 
@@ -93,6 +94,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     if n_episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {n_episodes}")
     specs = [scenario_by_name(s) if isinstance(s, str) else s for s in scenarios]
+    if not specs:
+        raise ValueError("scenarios must name at least one scenario")
     names = [s.name for s in specs]
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None and out_path.exists() and any(out_path.iterdir()):
@@ -116,14 +119,16 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     for ep in range(n_episodes):
         spec = specs[ep % len(specs)]
         sim = BottleneckSim(spec, cfg, hp.episode_len, rng_env)
-        trajectory, stats = run_episode(sim, agents, hp, coeffs, rng_act)
+        trajectory = run_episode(sim, agents, hp, coeffs, rng_act)
+        record = trajectory.episode
         row = {"episode": ep, "scenario": spec.name,
-               "mean_reward": float(stats.rewards.mean())}
+               "mean_reward": float(record.rewards.mean())}
         for i in range(cfg.n_agents):
-            row[f"agent{i:02d}_qoe"] = float(stats.agent_qoe[:, i].mean())
+            row[f"agent{i:02d}_qoe"] = float(record.agent_qoe[:, i].mean())
         curve.append(row)
 
         for i, agent in enumerate(agents):
+            agent.sample_count += hp.episode_len   # FedAvg weights by steps trained on
             diag = agent.update(build_batch(trajectory, i, agent.critic, hp), hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
@@ -266,49 +271,65 @@ class EvalSummary:
 EVAL_COLUMNS = [f.name for f in dataclasses.fields(EvalSummary)]
 
 
-def _summarize(method: str, scenario: str, episode_stats: list[EpisodeStats]) -> EvalSummary:
-    rewards = np.concatenate([s.rewards for s in episode_stats])
-    per_episode = np.array([s.mean_reward for s in episode_stats])
+def _summarize(method: str, scenario: str, episodes: list[Episode]) -> EvalSummary:
+    rewards = np.concatenate([e.rewards for e in episodes])
+    per_episode = np.array([float(e.rewards.mean()) for e in episodes])
+
+    def mean_of_means(column: int) -> float:   # over the scored rows, not the warm-up
+        return float(np.mean([e.rows[1:, :, column].mean() for e in episodes]))
+
     return EvalSummary(
         method=method, scenario=scenario,
         qoe_mean=float(rewards.mean()), qoe_std=float(rewards.std()),
         qoe_episode_mean=float(per_episode.mean()),
         qoe_episode_std=float(per_episode.std()),
-        latency_ms_mean=float(np.mean([s.latency_ms.mean() for s in episode_stats])),
-        lost_packets_mean=float(np.mean([s.lost_packets.mean() for s in episode_stats])),
-        frame_rate_mean=float(np.mean([s.frame_rate.mean() for s in episode_stats])),
-        received_mbps_mean=float(np.mean([s.received_mbps.mean() for s in episode_stats])),
-        episodes=len(episode_stats), steps=int(rewards.size))
+        latency_ms_mean=mean_of_means(OBS_LATENCY),
+        lost_packets_mean=mean_of_means(OBS_LOST),
+        frame_rate_mean=float(np.mean([e.frame_rate.mean() for e in episodes])),
+        received_mbps_mean=mean_of_means(OBS_RECEIVED),
+        episodes=len(episodes), steps=int(rewards.size))
 
 
 def _evaluate(label: str, scenario: ScenarioSpec | str, episodes: int, seed: int,
               cfg: SimConfig, hp: HyperParams, trace,
-              episode: Callable[[BottleneckSim, RngStream], EpisodeStats]) -> EvalSummary:
+              episode: Callable[[BottleneckSim, RngStream], Episode]) -> EvalSummary:
     """The loop both evaluations share: ``episode(sim, rng_act)`` per episode."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
     rng_env = RngStream(seed, f"eval-env/{spec.name}")
     rng_act = RngStream(seed, f"eval-act/{spec.name}")
-    stats_list = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace),
-                          rng_act) for _ in range(episodes)]
-    return _summarize(label, spec.name, stats_list)
+    done = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace), rng_act)
+            for _ in range(episodes)]
+    return _summarize(label, spec.name, done)
 
 
 def evaluate_agents(agents: Sequence[PPOAgent], scenario: ScenarioSpec | str,
                     episodes: int, seed: int, cfg: SimConfig, hp: HyperParams,
                     coeffs: QoECoefficients, method: str = "fmappo",
                     greedy: bool = True, trace=None) -> EvalSummary:
-    """Greedy (argmax) rollouts of trained agents on one scenario."""
+    """Greedy (argmax) rollouts of trained agents on one scenario; the
+    agents are left unchanged."""
     return _evaluate(method, scenario, episodes, seed, cfg, hp, trace,
                      lambda sim, rng_act: run_episode(sim, agents, hp, coeffs, rng_act,
-                                                      greedy=greedy)[1])
+                                                      greedy=greedy).episode)
 
 
-def run_controller_episode(sim: BottleneckSim, choose: Callable, hp: HyperParams,
-                           coeffs: QoECoefficients) -> EpisodeStats:
-    """Roll one episode driven by ``choose(t, rows)``: (N, 6) rows -> N deltas."""
-    return rollout(sim, hp, coeffs, choose)[1]
+def run_controller_episode(sim: BottleneckSim, name: str, hp: HyperParams,
+                           coeffs: QoECoefficients, rng_act: RngStream) -> Episode:
+    """Roll one episode of the rule controller ``name`` from a fresh state,
+    or of one uniform delta-table draw per agent-step for ``random``."""
+    table = np.asarray(sim.cfg.delta_table, dtype=np.float64)
+    state = new_controller_state(sim.cfg.n_agents)
+
+    def choose(t: int, rows: np.ndarray) -> np.ndarray:
+        nonlocal state
+        if name == "random":
+            return table[rng_act.integers(table.size, size=len(rows))]
+        index, state = controller_step(name, state, rows, table, coeffs.p_threshold)
+        return table[index]
+
+    return rollout(sim, hp, coeffs, choose)
 
 
 def evaluate_controller(name: str, scenario: ScenarioSpec | str, episodes: int,
@@ -316,22 +337,10 @@ def evaluate_controller(name: str, scenario: ScenarioSpec | str, episodes: int,
                         coeffs: QoECoefficients, trace=None) -> EvalSummary:
     """Rule-based or random controller rollouts; label marks the rule
     controllers as simplified stand-ins."""
-    table = np.asarray(cfg.delta_table, dtype=np.float64)
-
-    def episode(sim: BottleneckSim, rng_act: RngStream) -> EpisodeStats:
-        state = new_controller_state(cfg.n_agents)
-
-        def choose(t: int, rows: np.ndarray) -> np.ndarray:
-            nonlocal state
-            if name == "random":
-                return table[rng_act.integers(table.size, size=len(rows))]
-            index, state = controller_step(name, state, rows, table, coeffs.p_threshold)
-            return table[index]
-
-        return run_controller_episode(sim, choose, hp, coeffs)
-
     label = name if name == "random" else f"{name}-simplified"
-    return _evaluate(label, scenario, episodes, seed, cfg, hp, trace, episode)
+    return _evaluate(label, scenario, episodes, seed, cfg, hp, trace,
+                     lambda sim, rng_act: run_controller_episode(sim, name, hp, coeffs,
+                                                                 rng_act))
 
 
 def write_eval_csv(path: str | Path, summaries: Sequence[EvalSummary]) -> None:

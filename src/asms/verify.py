@@ -292,25 +292,12 @@ def check_hyperparam_table(seed: int) -> tuple[bool, str]:
     return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
 
-def _channels(spec: ScenarioSpec) -> tuple[Channel, ...]:
-    """The five channels in ``sample_link_state``'s draw order."""
-    return (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)
-
-
-def _span_tables(spec: ScenarioSpec, t_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """``lo``/``hi`` tables (t_len, 6) of the uniforms ``sample_link_state``
-    draws at each step: the five channels' ``Channel.at`` spans, then the
-    burst coin's [0, 1]."""
-    spans = [[channel.at(t, t_len) for channel in _channels(spec)] for t in range(t_len)]
-    return (np.array([[span.lo for span in row] + [0.0] for row in spans]),
-            np.array([[span.hi for span in row] + [1.0] for row in spans]))
-
-
 def _block_link_states(lo: np.ndarray, hi: np.ndarray, n: int,
                        rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Steps (n,) and draws (n, 6) of n samples of ``t = int(rng.uniform(0,
     t_len))`` then ``sample_link_state(spec, t, t_len, rng)``, from one block
-    of 7n uniforms, given the spec's ``_span_tables``.
+    of 7n uniforms, given the (t_len, 6) tables of the spec's
+    ``netsim.link_draw_bounds`` at each step.
 
     The stream is counter-based and ``uniform`` maps each word as
     ``low + (high - low) * u``, so the block reproduces every value of the
@@ -346,10 +333,11 @@ def _sample_failure(spec: ScenarioSpec, t: int, t_len: int, row: np.ndarray) -> 
                          burst_active=coin < burst_level, burst_level=burst_level)
     except ValueError as err:
         return f"{spec.name} t={t}: {err}"
-    value, span = next((value, span) for value, span in
-                       zip(row[:5].tolist(), (c.at(t, t_len) for c in _channels(spec)))
-                       if not (span.lo - 1e-9 <= value <= span.hi + 1e-9))
-    return f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+    lo, hi = netsim.link_draw_bounds(spec, t, t_len)
+    value, low, high = next((value, low, high) for value, low, high in
+                            zip(row[:5].tolist(), lo.tolist(), hi.tolist())
+                            if not (low - 1e-9 <= value <= high + 1e-9))
+    return f"{spec.name} t={t}: {value} outside [{low}, {high}]"
 
 
 def check_scenario_ranges(seed: int) -> tuple[bool, str]:
@@ -357,7 +345,8 @@ def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     their step's spans and within LinkState's invariants, drawn as one block
     whose first 40 samples ``sample_link_state`` must replay bit for bit."""
     specs = builtin_scenarios()
-    table = {s.name: _channels(s) for s in specs}
+    table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
+             for s in specs}
     bad = sorted(k for k in table.keys() | REFERENCE_SCENARIOS.keys()
                  if table.get(k) != REFERENCE_SCENARIOS.get(k))
     if bad:
@@ -367,7 +356,8 @@ def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     n_samples = 10_000
     n_replayed = 40
     for spec in specs:
-        lo, hi = _span_tables(spec, t_len)
+        lo, hi = map(np.array, zip(*(netsim.link_draw_bounds(spec, t, t_len)
+                                     for t in range(t_len))))
         replay = copy.copy(rng)
         t, draws = _block_link_states(lo, hi, n_samples, rng)
         k = _replay_mismatch(spec, t[:n_replayed], draws, t_len, replay)

@@ -218,16 +218,16 @@ class TestRandomAction:
     def test_uniform_coverage(self, monkeypatch):
         # the random reference draws one table entry per agent-step
         seen = []
-        real = training.run_controller_episode
+        real = training.rollout
 
-        def spy(sim, choose, hp, coeffs):
+        def spy(sim, hp, coeffs, choose):
             def recording(t, rows):
                 deltas = choose(t, rows)
                 seen.extend(deltas.tolist())
                 return deltas
-            return real(sim, recording, hp, coeffs)
+            return real(sim, hp, coeffs, recording)
 
-        monkeypatch.setattr(training, "run_controller_episode", spy)
+        monkeypatch.setattr(training, "rollout", spy)
         training.evaluate_controller("random", "s1", 5, 4, SimConfig(n_agents=5),
                                      HyperParams(episode_len=200), QoECoefficients())
         counts = np.array([seen.count(d) for d in DEFAULT_DELTA_TABLE])

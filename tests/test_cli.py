@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import struct
 import types
+import zlib
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from asms import cli, netsim, qoe, training, verify
+from asms import cli, netsim, nn, qoe, training, verify
 from asms.core import Channel, QoECoefficients, RngStream, builtin_scenarios
 from ratings_io import write_ratings_csv
 
@@ -223,6 +225,16 @@ class TestEval:
                        "--config", tiny_cfg, "--scenarios", "s1")
         assert code == 2
         assert "CRC" in capsys.readouterr().err
+
+    def test_zero_layer_checkpoint_exits_2(self, trained_run, tiny_cfg, capsys):
+        final = trained_run / "checkpoints" / "final"
+        body = nn.CHECKPOINT_MAGIC + struct.pack("<HBBHQ", nn.CHECKPOINT_VERSION, 0, 1, 0, 0)
+        (final / "agent00.actor.fmap").write_bytes(
+            body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        code = run_cli("eval", "--checkpoint", str(final), "--config", tiny_cfg,
+                       "--scenarios", "s1")
+        assert code == 2
+        assert "checkpoint layers [] cannot run" in capsys.readouterr().err
 
     def test_checkpoint_missing_an_agent_exits_2(self, trained_run, tiny_cfg, capsys):
         final = trained_run / "checkpoints" / "final"
@@ -445,7 +457,9 @@ class TestVerify:
     def test_block_draw_equals_scalar_link_state_calls(self, seed):
         block, scalar = RngStream(seed, "verify/scenarios"), RngStream(seed, "verify/scenarios")
         for spec in builtin_scenarios():
-            t, draws = verify._block_link_states(*verify._span_tables(spec, 40), 10_000, block)
+            lo, hi = map(np.array, zip(*(netsim.link_draw_bounds(spec, t, 40)
+                                         for t in range(40))))
+            t, draws = verify._block_link_states(lo, hi, 10_000, block)
             want = []
             for _ in range(10_000):
                 step = int(scalar.uniform(0, 40))

@@ -6,7 +6,7 @@ import pytest
 from asms.core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
                        RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
-                         allocate_max_min, sample_link_state)
+                         allocate_max_min, link_draw_bounds, sample_link_state)
 
 CLEAN = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                      Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
@@ -49,6 +49,17 @@ class TestSampleLinkState:
         end = sample_link_state(s5, 39, 40, rng)
         assert start.capacity_mbps == pytest.approx(100.0)
         assert end.capacity_mbps == pytest.approx(30.0)
+
+    def test_draw_bounds_are_the_channel_spans_then_the_coin(self):
+        s5 = scenario_by_name("s5")
+        for t in (0, 17, 39):
+            lo, hi = link_draw_bounds(s5, t, 40)
+            spans = [c.at(t, 40) for c in (s5.bandwidth, s5.latency, s5.jitter,
+                                           s5.loss_rate, s5.burst_loss)]
+            assert lo.tolist() == [span.lo for span in spans] + [0.0]
+            assert hi.tolist() == [span.hi for span in spans] + [1.0]
+        with pytest.raises(ValueError, match="step 40 outside"):
+            link_draw_bounds(s5, 40, 40)
 
     def test_s6_latency_endpoint(self):
         rng = RngStream(1, "t")

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import zlib
 
@@ -11,6 +12,18 @@ from asms.core import RngStream
 
 def tiny_net(seed=0, hidden=8, out=3, activation="tanh"):
     return nn.init_mlp(6, hidden, out, activation, RngStream(seed, "net"))
+
+
+def crafted_checkpoint(shapes):
+    """A checkpoint with the given layer shapes, zero parameters, the head
+    tag of its output size and a valid CRC."""
+    out = shapes[-1][1] if shapes else 0
+    size = nn.flat_size(tuple(shapes))
+    body = (nn.CHECKPOINT_MAGIC
+            + struct.pack("<HBBH", nn.CHECKPOINT_VERSION, 0, 0 if out > 1 else 1, len(shapes))
+            + b"".join(struct.pack("<II", i, o) for i, o in shapes)
+            + struct.pack("<Q", size) + bytes(8 * size))
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 class TestInit:
@@ -291,6 +304,29 @@ class TestSerialization:
         blob = bytearray(nn.params_to_bytes(tiny_net()))
         blob[0] = ord("X")
         with pytest.raises(nn.CheckpointError):
+            nn.params_from_bytes(bytes(blob))
+
+    def test_crafted_three_layer_file_loads(self):
+        params = nn.params_from_bytes(crafted_checkpoint([(6, 4), (4, 4), (4, 5)]))
+        assert nn.forward(params, np.ones(6))[0].tolist() == [0.0] * 5
+
+    @pytest.mark.parametrize("shapes", [
+        [],                                          # no layers
+        [(6, 8), (8, 3)],                            # two layers
+        [(6, 8), (8, 8), (8, 8), (8, 3)],            # four layers
+        [(6, 8), (4, 8), (8, 3)],                    # sizes that do not chain
+        [(6, 0), (0, 8), (8, 3)],                    # an empty layer
+    ])
+    def test_layers_forward_cannot_run_are_rejected(self, shapes):
+        with pytest.raises(nn.CheckpointError,
+                           match=re.escape(f"checkpoint layers {shapes} cannot run")):
+            nn.params_from_bytes(crafted_checkpoint(shapes))
+
+    def test_layer_table_past_the_end_is_truncation(self):
+        blob = bytearray(crafted_checkpoint([]))
+        blob[8:10] = struct.pack("<H", 500)   # 500 layers, none present
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
+        with pytest.raises(nn.CheckpointError, match="truncated"):
             nn.params_from_bytes(bytes(blob))
 
     def test_file_round_trip(self, tmp_path):

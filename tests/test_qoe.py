@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def record_features_reference(record, c):
 
 def random_rollout(scenario, n, seed):
     """One 40-step episode at N=n under uniformly random bitrate moves:
-    the scored (T, N, 6) rows, the frame rates and the episode's stats."""
+    the scored (T, N, 6) rows, the frame rates and the episode record."""
     cfg = SimConfig(n_agents=n)
     sim = BottleneckSim(scenario_by_name(scenario), cfg, 40, RngStream(seed, f"env/{scenario}"))
     pick = RngStream(seed, f"pick/{scenario}")
@@ -71,8 +72,8 @@ def random_rollout(scenario, n, seed):
     def choose(t, rows):
         return table[pick.integers(len(table), size=len(rows))]
 
-    rows, stats = rl.rollout(sim, HyperParams(episode_len=40), C, choose)
-    return rows[1:], stats.frame_rate, stats
+    episode = rl.rollout(sim, HyperParams(episode_len=40), C, choose)
+    return episode.rows[1:], episode.frame_rate, episode
 
 
 class TestQuality:
@@ -213,13 +214,13 @@ class TestKernelMatchesScalarReference:
     def test_score_episode(self, n):
         below = 0
         for scenario in ("s1", "s2", "s3", "s4", "s5", "s6"):
-            rows, frame_rate, stats = random_rollout(scenario, n, seed=n)
+            rows, frame_rate, episode = random_rollout(scenario, n, seed=n)
             rewards, agent_qoe, clamps = score_episode_reference(rows, frame_rate, C)
             before = qoe.quality_clamp_count()
             got_rewards, got_qoe = rl.score_episode(rows, frame_rate, C)
             assert qoe.quality_clamp_count() - before == clamps
-            assert got_qoe.tobytes() == agent_qoe.tobytes() == stats.agent_qoe.tobytes()
-            assert got_rewards.tobytes() == rewards.tobytes() == stats.rewards.tobytes()
+            assert got_qoe.tobytes() == agent_qoe.tobytes() == episode.agent_qoe.tobytes()
+            assert got_rewards.tobytes() == rewards.tobytes() == episode.rewards.tobytes()
             below += int((rows[..., OBS_RECEIVED] < C.y_min).sum())
         if n >= 24:
             assert below > 0   # the crowded link starves some streams below y_min
@@ -384,4 +385,14 @@ class TestRatingsCsv:
                         "s1,0,10,8,20,2,0,0,60,3,4.0\n"
                         "s1,1,10,8,20,2,0,0,60,3,3.5\n")
         with pytest.raises(ValueError, match="MOS changed"):
+            qoe.load_ratings_csv(str(path))
+
+    @pytest.mark.parametrize("mos, shown", [("7", "7.0"), ("nan", "nan"), ("0.5", "0.5")])
+    def test_bad_mos_reports_path_and_line(self, tmp_path, mos, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(qoe.RATINGS_HEADER) + "\n"
+                        f"s1,0,10,8,20,2,0,0,60,3,{mos}\n"
+                        f"s1,1,10,8,20,2,0,0,60,3,{mos}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{str(path)!r} line 2: mos must be within [1, 5], got {shown}")):
             qoe.load_ratings_csv(str(path))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from asms import nn, qoe, rl
-from asms.core import (OBS_RECEIVED, Channel, HyperParams, QoECoefficients, RngStream,
-                       ScenarioSpec, SimConfig, default_hyperparams, scenario_by_name)
+from asms.core import (OBS_RECEIVED, OBS_TARGET, Channel, HyperParams, QoECoefficients,
+                       RngStream, ScenarioSpec, SimConfig, default_hyperparams,
+                       scenario_by_name)
 from asms.netsim import BottleneckSim
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
@@ -379,6 +380,24 @@ class TestScoreEpisode:
             assert (agent_qoe.tolist() == want) is same
 
 
+class TestRollout:
+    def test_rows_begin_with_the_warm_up_row(self):
+        cfg = SimConfig(n_agents=3, x_init=10.0)
+        hp = HyperParams(episode_len=6)
+        coeffs = QoECoefficients()
+        episode = rl.rollout(BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")), hp, coeffs,
+                             lambda t, rows: np.ones(len(rows)))
+        warm_up, _ = BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")).reset()
+        assert isinstance(episode, rl.Episode)
+        assert episode.rows.shape == (7, 3, 6)
+        np.testing.assert_array_equal(episode.rows[0], warm_up)
+        assert episode.rows[:, :, OBS_TARGET].tolist() == [[10.0 + t] * 3 for t in range(7)]
+        # only the T stepped rows are scored
+        rewards, agent_qoe = rl.score_episode(episode.rows[1:], episode.frame_rate, coeffs)
+        np.testing.assert_array_equal(episode.agent_qoe, agent_qoe)
+        np.testing.assert_array_equal(episode.rewards, rewards)
+
+
 class TestRunEpisode:
     def test_trajectory_lengths_and_shared_rewards(self):
         cfg = SimConfig(n_agents=3, x_init=10.0)
@@ -386,13 +405,17 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 40, RngStream(0, "env"))
         agents = make_agents(3)
-        traj, stats = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
-        assert len(traj) == 40
-        assert traj.observations.shape == (41, 3, 6)
+        traj = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
+        episode = traj.episode
+        assert traj.observations.shape == episode.rows.shape == (41, 3, 6)
         assert traj.actions.shape == traj.log_probs.shape == (40, 3)
-        np.testing.assert_array_equal(traj.rewards, stats.rewards)
-        assert stats.rewards.shape == (40,)
-        assert all(agent.sample_count == 40 for agent in agents)
+        assert episode.frame_rate.shape == episode.agent_qoe.shape == (40, 3)
+        assert episode.rewards.shape == (40,)
+        np.testing.assert_array_equal(episode.rewards, episode.agent_qoe.sum(axis=1) / 3)
+        np.testing.assert_array_equal(traj.observations,
+                                      rl.normalize_obs(episode.rows, cfg.y_max))
+        # samples are counted where training happens, not here
+        assert all(agent.sample_count == 0 for agent in agents)
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_matches_per_agent_reference_picks(self, greedy):
@@ -401,8 +424,8 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         agents = make_agents(6)
         s5 = scenario_by_name("s5")
-        traj, _ = rl.run_episode(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), agents, hp,
-                                 coeffs, RngStream(1, "act"), greedy=greedy)
+        traj = rl.run_episode(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), agents, hp,
+                              coeffs, RngStream(1, "act"), greedy=greedy)
         act_rng = RngStream(1, "act")
         table = np.asarray(cfg.delta_table)
         picks = []
@@ -425,9 +448,8 @@ class TestRunEpisode:
 
         def run(seed):
             sim = BottleneckSim(STEADY, cfg, 10, RngStream(seed, "env"))
-            traj, stats = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                         RngStream(seed, "act"))
-            return traj.actions.tolist(), stats.rewards.tolist()
+            traj = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(seed, "act"))
+            return traj.actions.tolist(), traj.episode.rewards.tolist()
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -439,8 +461,8 @@ class TestRunEpisode:
         out = []
         for act_seed in (1, 2):
             sim = BottleneckSim(STEADY, cfg, 8, RngStream(3, "env"))
-            traj, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                     RngStream(act_seed, "act"), greedy=True)
+            traj = rl.run_episode(sim, make_agents(2), hp, coeffs,
+                                  RngStream(act_seed, "act"), greedy=True)
             out.append(traj.actions.tolist())
         assert out[0] == out[1]
 
@@ -449,8 +471,7 @@ class TestRunEpisode:
         hp = HyperParams(episode_len=30, hidden_width=8)
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 30, RngStream(4, "env"))
-        traj, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                 RngStream(4, "act"))
+        traj = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(4, "act"))
         targets = traj.observations[..., 0] * cfg.y_max
         assert targets.min() >= cfg.y_min - 1e-9
         assert targets.max() <= cfg.y_max + 1e-9

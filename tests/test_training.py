@@ -150,6 +150,18 @@ class TestTrainLoop:
             tiny_train(out_dir=out)
         assert [p.name for p in out.iterdir()] == ["old.txt"]
 
+    def test_empty_scenario_list_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="at least one scenario"):
+            training.train(CFG, HP, COEFFS, "fmappo", [], seed=0, out_dir=out, episodes=2)
+        assert not out.exists()
+
+    def test_samples_counted_once_per_trained_episode(self):
+        # HP aggregates every 2 episodes: the round after episode 4 resets
+        # the counts, and episode 5 adds its T steps
+        result = tiny_train(episodes=5)
+        assert [agent.sample_count for agent in result.agents] == [HP.episode_len] * 2
+
     def test_empty_out_dir_accepted(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -189,6 +201,16 @@ class TestEvaluation:
         b = training.evaluate_agents(result.agents, "s1", 3, 7, CFG, HP, COEFFS)
         assert a == b
         assert a.episodes == 3 and a.steps == 3 * HP.episode_len
+
+    def test_eval_leaves_the_agents_unchanged(self):
+        agents = tiny_train(episodes=3).agents
+        before = [(agent.sample_count, agent.actor.theta.tobytes(),
+                   agent.critic.theta.tobytes()) for agent in agents]
+        assert before[0][0] == HP.episode_len
+        training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
+        training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
+        assert [(agent.sample_count, agent.actor.theta.tobytes(),
+                 agent.critic.theta.tobytes()) for agent in agents] == before
 
     def test_eval_summary_fields(self):
         result = tiny_train()
@@ -240,7 +262,8 @@ class TestCriticUse:
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
         sim = BottleneckSim(scenario_by_name("s1"), CFG, HP.episode_len,
                             RngStream(1, "env"))
-        traj, _ = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
+        traj = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
+        rewards = traj.episode.rewards
         assert calls == []
         batch = rl.build_batch(traj, 1, agents[1].critic, HP)
         assert len(calls) == 1
@@ -254,12 +277,12 @@ class TestCriticUse:
         np.testing.assert_array_equal(real(critic, obs, HP.value_scale), values)
         np.testing.assert_array_equal(batch.observations, traj.observations[:-1, 1])
         bootstrap = values[-1]
-        assert batch.returns[-1] == traj.rewards[-1] + HP.gamma_discount * bootstrap
+        assert batch.returns[-1] == rewards[-1] + HP.gamma_discount * bootstrap
         np.testing.assert_array_equal(
-            batch.returns, rl.compute_returns(traj.rewards, bootstrap, HP.gamma_discount))
+            batch.returns, rl.compute_returns(rewards, bootstrap, HP.gamma_discount))
         np.testing.assert_array_equal(
             batch.advantages,
-            rl.whiten(rl.compute_gae(traj.rewards, values[:-1], bootstrap,
+            rl.whiten(rl.compute_gae(rewards, values[:-1], bootstrap,
                                      HP.gamma_discount, HP.gae_lambda)))
 
 
@@ -269,8 +292,7 @@ class TestControllerEpisode:
         spec = scenario_by_name("s5")
         agents, _ = training.make_agents(cfg, HP, RngStream(0, "init"))
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
-        traj, want = training.run_episode(sim, agents, HP, COEFFS,
-                                          RngStream(4, "act"), greedy=True)
+        traj = training.run_episode(sim, agents, HP, COEFFS, RngStream(4, "act"), greedy=True)
         deltas = np.array(cfg.delta_table)[traj.actions]
         seen = []
 
@@ -279,11 +301,10 @@ class TestControllerEpisode:
             return deltas[t]
 
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
-        got = training.run_controller_episode(sim, choose, HP, COEFFS)
+        got = rl.rollout(sim, HP, COEFFS, choose)
         assert seen == [(t, (3, 6)) for t in range(HP.episode_len)]
-        for name in ("rewards", "agent_qoe", "received_mbps", "latency_ms",
-                     "lost_packets", "frame_rate"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+        for name in ("rows", "frame_rate", "agent_qoe", "rewards"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(traj.episode, name),
                                           err_msg=name)
 
 
