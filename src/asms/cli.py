@@ -204,11 +204,12 @@ def cmd_fit_qoe(args) -> int:
             raise ConfigError(f"--grid must be start:stop:step, got {args.grid!r}")
         if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0:
             raise ConfigError(f"--grid needs finite values and a step > 0, got {args.grid!r}")
-        axis = []
-        v = start
-        while v <= stop + 1e-12:
-            axis.append(round(v, 10))
-            v += step
+        steps = (stop - start) / step + 1e-9   # slack for rounding; inf past a float's range
+        n_axis = max(0, math.floor(steps) + 1) if math.isfinite(steps) else math.inf
+        if n_axis ** 5 > qoe.FIT_MAX_CANDIDATES:
+            raise ConfigError(f"--grid {args.grid!r} gives {n_axis ** 5} candidates; "
+                              f"at most {qoe.FIT_MAX_CANDIDATES} can be searched")
+        axis = [round(start + k * step, 10) for k in range(n_axis)]
         grid = tuple(tuple(axis) for _ in range(5))
     else:
         grid = qoe.DEFAULT_GRID

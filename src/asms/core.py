@@ -113,7 +113,7 @@ class Channel:
 
     @classmethod
     def fixed(cls, lo: float, hi: float | None = None) -> "Channel":
-        span = Span(lo, lo if hi is None else hi)
+        span = Span(float(lo), float(lo if hi is None else hi))   # floats, as ``at`` gives
         return cls(span, span)
 
     @classmethod
@@ -122,7 +122,7 @@ class Channel:
 
     def at(self, t: int, episode_len: int) -> Span:
         """Interpolated range at step t of an episode_len-step episode."""
-        if episode_len <= 1:
+        if episode_len <= 1 or self.start is self.end:   # ``fixed``: nothing to interpolate
             return self.start
         frac = min(max(t, 0), episode_len - 1) / (episode_len - 1)
         return Span(self.start.lo + frac * (self.end.lo - self.start.lo),

@@ -56,12 +56,26 @@ def link_draw_bounds(spec: ScenarioSpec, t: int, episode_len: int,
             np.array([span.hi for span in spans] + [1.0]))
 
 
+def link_draws(spec: ScenarioSpec, steps: int | np.ndarray, episode_len: int,
+               rng: RngStream) -> np.ndarray:
+    """The six uniforms within ``link_draw_bounds`` that draw a link, from one
+    block: (6,) for an int step, and for an (n,) int array of steps the (n, 6)
+    rows of n int-step calls in order, counter included."""
+    if isinstance(steps, np.ndarray):
+        uniq, inverse = np.unique(steps, return_inverse=True)
+        lo, hi = map(np.array, zip(*(link_draw_bounds(spec, t, episode_len)
+                                     for t in uniq.tolist())))
+        lo, hi = lo[inverse], hi[inverse]
+    else:
+        lo, hi = link_draw_bounds(spec, steps, episode_len)
+    return rng.uniform(lo.ravel(), hi.ravel(), size=lo.size).reshape(lo.shape)
+
+
 def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
                       rng: RngStream) -> LinkState:
-    """Draw the link conditions for step t from one block of six uniforms
-    within ``link_draw_bounds``."""
-    lo, hi = link_draw_bounds(spec, t, episode_len)
-    capacity, latency, jitter, loss, burst_level, coin = rng.uniform(lo, hi, size=6).tolist()
+    """Draw the link conditions for step t (``link_draws`` of one step)."""
+    capacity, latency, jitter, loss, burst_level, coin = link_draws(
+        spec, t, episode_len, rng).tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
                      burst_active=coin < burst_level, burst_level=burst_level)
@@ -188,5 +202,5 @@ class TraceWriter:
             ])
 
 
-__all__ = ["BottleneckSim", "LinkState", "TraceWriter",
-           "advance", "allocate_max_min", "link_draw_bounds", "sample_link_state"]
+__all__ = ["BottleneckSim", "LinkState", "TraceWriter", "advance", "allocate_max_min",
+           "link_draw_bounds", "link_draws", "sample_link_state"]

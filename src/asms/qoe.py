@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -142,6 +141,7 @@ def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
 DEFAULT_GRID: tuple[tuple[float, ...], ...] = tuple(
     tuple(round(0.1 * k, 1) for k in range(11)) for _ in range(5))
 FIT_BLOCK_ROWS = 4096   # candidates per product: bounds the fit's memory
+FIT_MAX_CANDIDATES = 21 ** 5   # a 0.05 step on [0, 1]: bounds the fit's time
 
 
 def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,13 +187,22 @@ def fit_coefficients(records: Sequence[RatingsRecord],
     grids = [tuple(float(v) for v in axis) for axis in grid]
     if len(grids) != 5 or any(len(axis) == 0 for axis in grids):
         raise ValueError("grid must provide a non-empty axis for each of the 5 weights")
+    shape = tuple(len(axis) for axis in grids)
+    n_candidates = math.prod(shape)
+    if n_candidates > FIT_MAX_CANDIDATES:
+        raise ValueError(f"grid has {n_candidates} candidates; at most "
+                         f"{FIT_MAX_CANDIDATES} can be searched")
     base = QoECoefficients()
 
     feats = np.stack([record_features(r, base) for r in records])   # (R, 5)
     mos = np.array([r.mos for r in records])
-    candidates = np.array(list(itertools.product(*grids)))          # (C, 5)
-    for start in range(0, len(candidates), FIT_BLOCK_ROWS):
-        predicted = candidates[start:start + FIT_BLOCK_ROWS] @ feats.T   # (block, R)
+    axes = [np.array(axis) for axis in grids]
+    for start in range(0, n_candidates, FIT_BLOCK_ROWS):
+        # candidates in lexicographic grid order, built a block at a time
+        index = np.unravel_index(np.arange(start, min(start + FIT_BLOCK_ROWS, n_candidates)),
+                                 shape)
+        candidates = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)  # (block, 5)
+        predicted = candidates @ feats.T   # (block, R)
         rmse, a, b = _affine_rmse(predicted, mos)
         k = int(np.argmin(rmse))   # the first minimum: lexicographic tie-break
         if start == 0 or rmse[k] < best_rmse:
@@ -203,7 +212,7 @@ def fit_coefficients(records: Sequence[RatingsRecord],
     ss_res = float(((aligned - mos) ** 2).sum())
     ss_tot = float(((mos - mos.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    w = candidates[best]
+    w = [axis[i] for axis, i in zip(axes, np.unravel_index(best, shape))]
     coeffs = dataclasses.replace(base, alpha=w[0], beta=w[1], gamma=w[2],
                                  delta1=w[3], delta2=w[4])
     return FitResult(coefficients=coeffs, rmse=float(best_rmse), r_squared=r2,

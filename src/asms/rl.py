@@ -7,6 +7,8 @@ their own observations and parameters.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +32,7 @@ class NonFiniteLossError(RuntimeError):
     """Raised when a training loss stops being finite; the update is aborted."""
 
 
-def normalize_obs(rows: np.ndarray, y_max: float = 200.0) -> np.ndarray:
+def normalize_obs(rows: np.ndarray, y_max: float) -> np.ndarray:
     """Affine-scale (..., 6) observation rows (columns ``core.OBS_*``) into
     bounded features."""
     scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS,
@@ -265,8 +267,10 @@ def ppo_update(actor: nn.ModelParams, critic: nn.ModelParams,
             critic, critic_adam = nn.adam_step(critic, critic_adam, vgrad, hp.lr, hp.grad_clip)
             per_batch.append((ploss, vloss, stats["entropy"], stats["clip_fraction"],
                               stats["mean_ratio"]))
-    # Python's sum, not np.mean, which adds 8 or more values in partial sums
-    diag = UpdateDiagnostics(*(sum(col) / len(per_batch) for col in zip(*per_batch)))
+    # left to right from 0.0: np.mean adds 8 or more values in partial sums,
+    # and the builtin sum is compensated from Python 3.12 on
+    diag = UpdateDiagnostics(*(functools.reduce(operator.add, col, 0.0) / len(per_batch)
+                               for col in zip(*per_batch)))
     return actor, critic, actor_adam, critic_adam, diag
 
 

@@ -12,7 +12,6 @@ exercised.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import os
@@ -292,37 +291,6 @@ def check_hyperparam_table(seed: int) -> tuple[bool, str]:
     return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
 
-def _block_link_states(lo: np.ndarray, hi: np.ndarray, n: int,
-                       rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Steps (n,) and draws (n, 6) of n samples of ``t = int(rng.uniform(0,
-    t_len))`` then ``sample_link_state(spec, t, t_len, rng)``, from one block
-    of 7n uniforms, given the (t_len, 6) tables of the spec's
-    ``netsim.link_draw_bounds`` at each step.
-
-    The stream is counter-based and ``uniform`` maps each word as
-    ``low + (high - low) * u``, so the block reproduces every value of the
-    scalar calls and their final counter.
-    """
-    u = rng.uniform(size=7 * n).reshape(n, 7)
-    t = (lo.shape[0] * u[:, 0]).astype(np.int64)
-    return t, lo[t] + (hi[t] - lo[t]) * u[:, 1:]
-
-
-def _replay_mismatch(spec: ScenarioSpec, t: np.ndarray, draws: np.ndarray, t_len: int,
-                     rng: RngStream) -> int | None:
-    """First of the block's samples that ``sample_link_state``, replayed
-    from ``rng`` (where the block began), does not give bit for bit."""
-    for k in range(t.size):
-        step = int(rng.uniform(0, t_len))
-        state = netsim.sample_link_state(spec, step, t_len, rng)
-        got = (state.capacity_mbps, state.base_latency_ms, state.base_jitter_ms,
-               state.loss_rate, state.burst_level)
-        row = draws[k].tolist()
-        if step != t[k] or got != tuple(row[:5]) or state.burst_active != (row[5] < row[4]):
-            return k
-    return None
-
-
 def _sample_failure(spec: ScenarioSpec, t: int, t_len: int, row: np.ndarray) -> str:
     """Why one drawn sample fails: LinkState's own invariant message, or its
     first channel outside the step's span."""
@@ -341,9 +309,10 @@ def _sample_failure(spec: ScenarioSpec, t: int, t_len: int, row: np.ndarray) -> 
 
 
 def check_scenario_ranges(seed: int) -> tuple[bool, str]:
-    """Six reference channel tables; each scenario's 10,000 link states in
-    their step's spans and within LinkState's invariants, drawn as one block
-    whose first 40 samples ``sample_link_state`` must replay bit for bit."""
+    """Six reference channel tables; each scenario's 10,000 link states,
+    drawn at random steps by one ``netsim.link_draws`` block, in their step's
+    spans and within LinkState's invariants; ``sample_link_state`` at both
+    ramp endpoints gives every named field within its channel's span."""
     specs = builtin_scenarios()
     table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
              for s in specs}
@@ -354,26 +323,26 @@ def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/scenarios")
     t_len = 40
     n_samples = 10_000
-    n_replayed = 40
     for spec in specs:
         lo, hi = map(np.array, zip(*(netsim.link_draw_bounds(spec, t, t_len)
                                      for t in range(t_len))))
-        replay = copy.copy(rng)
-        t, draws = _block_link_states(lo, hi, n_samples, rng)
-        k = _replay_mismatch(spec, t[:n_replayed], draws, t_len, replay)
-        if k is not None:
-            return False, f"{spec.name} sample {k}: sample_link_state differs from the block draw"
+        t = rng.uniform(0, t_len, size=n_samples).astype(np.int64)
+        draws = netsim.link_draws(spec, t, t_len, rng)
         values = draws[:, :5]
         ok = ((lo[t, :5] - 1e-9 <= values) & (values <= hi[t, :5] + 1e-9)).all(axis=1)
         ok &= (values[:, 0] > 0) & (values[:, 3] >= 0.0) & (values[:, 3] <= 1.0)
         if not ok.all():
             k = int(np.argmin(ok))
             return False, _sample_failure(spec, int(t[k]), t_len, draws[k])
-        # ramp endpoints must hit the arrow targets exactly (point ranges)
+        # ramp endpoints must hit the arrow targets exactly (point ranges);
+        # every named field is tested, so a draw given the wrong field fails
         for t_end, end in ((0, "start"), (t_len - 1, "end")):
             state = netsim.sample_link_state(spec, t_end, t_len, rng)
             for value, channel in ((state.capacity_mbps, spec.bandwidth),
-                                   (state.base_latency_ms, spec.latency)):
+                                   (state.base_latency_ms, spec.latency),
+                                   (state.base_jitter_ms, spec.jitter),
+                                   (state.loss_rate, spec.loss_rate),
+                                   (state.burst_level, spec.burst_loss)):
                 span = channel.at(t_end, t_len)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
                     return False, f"{spec.name} {end} endpoint off: {value}"

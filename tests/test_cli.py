@@ -367,6 +367,19 @@ class TestFitQoe:
         assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
         assert "step > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, count", [("0:1:0.01", str(101 ** 5)),
+                                             ("0:1e9:1e-9", str((10 ** 18 + 1) ** 5)),
+                                             ("0:1e300:1e-300", "inf"),
+                                             ("0:1.05:0.05", str(22 ** 5))])
+    def test_grid_too_large_to_search_exits_2_naming_the_count(self, tmp_path, capsys,
+                                                              grid, count):
+        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
+                                        n_records=4, trace_len=3)
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv(str(ratings), records)
+        assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
+        assert f"gives {count} candidates; at most 4084101" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("column,value", [(8, "nan"), (9, "-40"), (9, "2.5")])
     def test_bad_frame_rate_or_user_count_exits_2_naming_line(self, tmp_path, capsys,
@@ -453,49 +466,39 @@ class TestVerify:
         passed, detail = verify.check_scenario_ranges(0)
         assert not passed and "s3" in detail
 
-    @pytest.mark.parametrize("seed", [0, 29, 99])
-    def test_block_draw_equals_scalar_link_state_calls(self, seed):
-        block, scalar = RngStream(seed, "verify/scenarios"), RngStream(seed, "verify/scenarios")
-        for spec in builtin_scenarios():
-            lo, hi = map(np.array, zip(*(netsim.link_draw_bounds(spec, t, 40)
-                                         for t in range(40))))
-            t, draws = verify._block_link_states(lo, hi, 10_000, block)
-            want = []
-            for _ in range(10_000):
-                step = int(scalar.uniform(0, 40))
-                s = netsim.sample_link_state(spec, step, 40, scalar)
-                want.append((step, s.capacity_mbps, s.base_latency_ms, s.base_jitter_ms,
-                             s.loss_rate, s.burst_level, s.burst_active))
-            got = [(step, *row[:5], row[5] < row[4])
-                   for step, row in zip(t.tolist(), draws.tolist())]
-            assert got == want, spec.name
-            assert block._counter == scalar._counter
-
-    def test_replay_guard_catches_swapped_channels(self, monkeypatch):
+    @pytest.mark.parametrize("first, second, at_s1_start", [
+        ("base_latency_ms", "base_jitter_ms", (2.0, 5.0)),
+        ("loss_rate", "burst_level", (0.0, 0.0)),
+    ], ids=["latency-jitter", "loss-burst"])
+    def test_endpoint_draws_catch_swapped_fields(self, monkeypatch, first, second, at_s1_start):
         real = netsim.sample_link_state
 
         def swapped(spec, t, episode_len, rng):
             s = real(spec, t, episode_len, rng)
-            return dataclasses.replace(s, base_latency_ms=s.base_jitter_ms,
-                                       base_jitter_ms=s.base_latency_ms)
+            return dataclasses.replace(s, **{first: getattr(s, second),
+                                             second: getattr(s, first)})
 
         monkeypatch.setattr(netsim, "sample_link_state", swapped)
-        assert verify.check_scenario_ranges(0) == (
-            False, "s1 sample 0: sample_link_state differs from the block draw")
+        passed, detail = verify.check_scenario_ranges(0)
+        # s1's first endpoint reads the second field's draw where the first belongs
+        where, value = detail.rsplit(": ", 1)
+        assert not passed and where == "s1 start endpoint off"
+        assert at_s1_start[0] <= float(value) <= at_s1_start[1]
 
     def test_forced_out_of_range_value_reads_as_before(self, monkeypatch):
-        # word 23 of the stream, sample 3's latency, maps to u = 1.5; the
-        # detail must equal the one the per-sample loop gave
-        monkeypatch.setattr(verify, "RngStream", _faulty_stream(23, 1.5))
+        # word 10,019 of the stream, past s1's 10,000 steps, is sample 3's
+        # latency and maps to u = 1.5; the detail must equal the one the
+        # per-sample loop gives
+        monkeypatch.setattr(verify, "RngStream", _faulty_stream(10_019, 1.5))
         passed, detail = verify.check_scenario_ranges(0)
         assert not passed
-        assert detail == _scalar_range_failure(_faulty_stream(23, 1.5)(0, "verify/scenarios"))
+        assert detail == _scalar_range_failure(_faulty_stream(10_019, 1.5)(0, "verify/scenarios"))
         assert detail.startswith("s1 t=") and detail.endswith(" outside [10.0, 30.0]")
 
     def test_sample_breaking_link_state_invariants_is_named(self, monkeypatch):
-        # word 701, sample 100's capacity (past the replayed samples, whose
-        # LinkState would raise), maps to u = -2: capacity 100 - 200 < 0
-        monkeypatch.setattr(verify, "RngStream", _faulty_stream(701, -2.0))
+        # word 10,600, sample 100's capacity, maps to u = -2: capacity
+        # 100 - 200 < 0
+        monkeypatch.setattr(verify, "RngStream", _faulty_stream(10_600, -2.0))
         passed, detail = verify.check_scenario_ranges(0)
         assert not passed
         assert detail.startswith("s1 t=") and detail.endswith(": capacity must be positive")
@@ -532,11 +535,13 @@ def _faulty_stream(position, u):
 
 
 def _scalar_range_failure(rng):
-    """The first failure of the per-sample scenario-ranges loop, a sample at
-    a time from ``rng``, in its own words (None when every sample passes)."""
+    """The first failure of the per-sample scenario-ranges loop, a call at a
+    time from ``rng`` (a scenario's 10,000 steps, then its link states, then
+    its two endpoint states), in its own words (None when every sample
+    passes)."""
     for spec in builtin_scenarios():
-        for _ in range(10_000):
-            t = int(rng.uniform(0, 40))
+        steps = [int(rng.uniform(0, 40)) for _ in range(10_000)]
+        for t in steps:
             state = netsim.sample_link_state(spec, t, 40, rng)
             for value, channel in ((state.capacity_mbps, spec.bandwidth),
                                    (state.base_latency_ms, spec.latency),
@@ -546,6 +551,8 @@ def _scalar_range_failure(rng):
                 span = channel.at(t, 40)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
                     return f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+        for t in (0, 39):
+            netsim.sample_link_state(spec, t, 40, rng)
     return None
 
 

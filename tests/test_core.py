@@ -114,6 +114,13 @@ class TestScenarios:
         s4 = scenario_by_name("s4")
         assert (s4.latency.start.lo, s4.latency.start.hi) == (5, 10)
 
+    def test_fixed_channel_spans_are_floats_at_every_step(self):
+        s1 = scenario_by_name("s1")
+        for t in (0, 17, 39):
+            span = s1.latency.at(t, 40)
+            assert (span.lo, span.hi) == (10.0, 30.0)
+            assert type(span.lo) is float and type(span.hi) is float
+
     def test_s5_bandwidth_ramps_down(self):
         s5 = scenario_by_name("s5")
         assert s5.bandwidth.start != s5.bandwidth.end

@@ -6,7 +6,8 @@ import pytest
 from asms.core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
                        RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
-                         allocate_max_min, link_draw_bounds, sample_link_state)
+                         allocate_max_min, link_draw_bounds, link_draws,
+                         sample_link_state)
 
 CLEAN = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                      Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
@@ -88,6 +89,27 @@ class TestSampleLinkState:
                                       burst_active, burst_level)
             assert type(state.capacity_mbps) is float
             assert block.uniform() == rng.uniform()
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "s3", "s4", "s5", "s6"])
+    def test_step_block_equals_per_step_calls(self, name):
+        spec = scenario_by_name(name)
+        steps = RngStream(5, "steps").integers(40, size=300)
+        block, scalar = RngStream(7, name), RngStream(7, name)
+        rows = link_draws(spec, steps, 40, block)
+        assert rows.shape == (300, 6)
+        want = []
+        for t in steps.tolist():
+            s = sample_link_state(spec, t, 40, scalar)
+            want.append((s.capacity_mbps, s.base_latency_ms, s.base_jitter_ms,
+                         s.loss_rate, s.burst_level, s.burst_active))
+        assert [(*row[:5], row[5] < row[4]) for row in rows.tolist()] == want
+        assert block._counter == scalar._counter == 6 * 300
+
+    def test_steps_outside_the_episode_rejected(self):
+        s1 = scenario_by_name("s1")
+        for steps, bad in ((np.array([0, 40]), 40), (np.array([3, -1]), -1)):
+            with pytest.raises(ValueError, match=f"step {bad} outside"):
+                link_draws(s1, steps, 40, RngStream(0, "t"))
 
     def test_determinism(self):
         s3 = scenario_by_name("s3")

@@ -275,6 +275,12 @@ class TestFitting:
         with pytest.raises(ValueError):
             qoe.fit_coefficients(records, grid=((), (), (), (), ()))
 
+    def test_grid_past_the_candidate_bound_rejected(self):
+        records = qoe.synthetic_ratings(TRUTH, RngStream(0, "fit"), n_records=4)
+        axis = tuple(0.05 * k for k in range(22))
+        with pytest.raises(ValueError, match="grid has 5153632 candidates; at most 4084101"):
+            qoe.fit_coefficients(records, grid=(axis,) * 5)
+
     def test_tie_break_lexicographic(self):
         # constant ratings make every candidate equal-RMSE; first grid point wins
         records = qoe.synthetic_ratings(TRUTH, RngStream(2, "fit"), n_records=6)

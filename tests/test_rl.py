@@ -15,7 +15,7 @@ STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
 
 class TestNormalizeObs:
     def test_zero_observation(self):
-        assert np.array_equal(rl.normalize_obs(np.zeros(6)), np.zeros(6))
+        assert np.array_equal(rl.normalize_obs(np.zeros(6), y_max=200.0), np.zeros(6))
 
     def test_scale_anchor(self):
         vec = rl.normalize_obs([200.0, 100.0, 0.0, 0.0, 0.0, 0.0], y_max=200.0)
@@ -28,7 +28,7 @@ class TestNormalizeObs:
             vec, [100 / 200, 50 / 200, 100 / 200, 25 / 50, 50 / 100, 40 / 100])
 
     def test_clipped_at_five(self):
-        vec = rl.normalize_obs([100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0])
+        vec = rl.normalize_obs([100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0], y_max=200.0)
         assert vec.max() == 5.0
 
 
@@ -330,6 +330,23 @@ class TestPpoUpdate:
                   diag.clip_fraction, diag.mean_ratio):
             assert math.isfinite(v)
         assert not np.array_equal(a2.theta, actor.theta)
+
+    def test_diagnostics_average_left_to_right(self, monkeypatch):
+        # a compensated sum of [1e16, 1.0, -1e16] gives 1.0, so a mean of 1/3
+        losses = iter([1e16, 1.0, -1e16])
+        real = rl.policy_loss_and_grad
+
+        def stub(*args):
+            _, grad, stats = real(*args)
+            return next(losses), grad, stats
+
+        monkeypatch.setattr(rl, "policy_loss_and_grad", stub)
+        actor, critic, batch = synthetic_batch(seed=6, n=30)
+        hp = HyperParams(minibatch=10, epochs=1)
+        *_, diag = rl.ppo_update(
+            actor, critic, nn.AdamState.zeros(actor.theta.size),
+            nn.AdamState.zeros(critic.theta.size), batch, hp, RngStream(1, "u"))
+        assert diag.policy_loss == 0.0
 
     def test_empty_batch_rejected(self):
         actor, critic, _ = synthetic_batch()
