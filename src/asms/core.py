@@ -424,6 +424,7 @@ def serialize_config(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients) -
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _UINT = np.uint64
+_BLOCK = 1024   # words a stream computes ahead of its counter
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -455,26 +456,48 @@ class RngStream:
         base = np.array([self.seed ^ _fnv1a64(stream.encode("utf-8"))], dtype=_UINT)
         self._key = _mix64(base)[0]
         self._counter = 0
+        # derived data, not state: the words at counters block_start onwards
+        self._block = np.empty(0, dtype=_UINT)
+        self._block_start = 0
 
     def spawn(self, label: str) -> "RngStream":
         """Independent child stream; does not consume from this stream."""
         return RngStream(self.seed, f"{self.stream}/{label}")
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next n raw uint64 words."""
-        idx = np.arange(self._counter, self._counter + n, dtype=_UINT)
-        self._counter += n
+    def _words(self, start: int, n: int) -> np.ndarray:
+        idx = np.arange(start, start + n, dtype=_UINT)
         return _mix64(self._key + idx * _UINT(_GAMMA))
+
+    def raw(self, n: int) -> np.ndarray:
+        """Next n raw uint64 words, as a fresh array.
+
+        A request shorter than ``_BLOCK`` is served from a block of words
+        computed ahead, refilled at the request's counter when the rest of
+        the block cannot hold it. Word i depends on (seed, stream, i) alone,
+        so the block changes no draw.
+        """
+        if n < 0:
+            raise ValueError(f"cannot draw a negative number of words, got {n}")
+        start = self._counter
+        self._counter = start + n
+        if n >= _BLOCK:
+            return self._words(start, n)
+        off = start - self._block_start
+        if off < 0 or off + n > self._block.size:
+            self._block, self._block_start, off = self._words(start, _BLOCK), start, 0
+        return self._block[off:off + n].copy()
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
         """Uniform draws in [low, high); scalar when size is None."""
-        n = 1 if size is None else size
-        u01 = (self.raw(n) >> _UINT(11)).astype(np.float64) * (2.0 ** -53)
-        out = low + (high - low) * u01
-        return float(out[0]) if size is None else out
+        if size is None:   # the array path's arithmetic, in Python numbers
+            return float(low + (high - low) * ((int(self.raw(1)[0]) >> 11) * 2.0 ** -53))
+        u01 = (self.raw(size) >> _UINT(11)).astype(np.float64) * (2.0 ** -53)
+        return low + (high - low) * u01
 
     def integers(self, n_exclusive: int, size: int | None = None):
         """Uniform integers in [0, n_exclusive)."""
+        if n_exclusive < 1:
+            raise ValueError(f"n_exclusive must be >= 1, got {n_exclusive}")
         n = 1 if size is None else size
         out = (self.raw(n) % _UINT(n_exclusive)).astype(np.int64)
         return int(out[0]) if size is None else out

@@ -95,17 +95,17 @@ def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
         raise ValueError("targets and capacity must be >= 0")
     if demands.sum() <= capacity:
         return demands.copy()
-    alloc = np.zeros_like(demands)
+    # the fill runs over Python floats: numpy scalars cost more per operation
+    wants = demands.tolist()
+    alloc = [0.0] * len(wants)
     remaining = float(capacity)
-    order = np.argsort(demands, kind="stable")
-    left = demands.size
-    for idx in order:
-        share = remaining / left
-        give = min(float(demands[idx]), share)
+    left = len(wants)
+    for idx in np.argsort(demands, kind="stable").tolist():
+        give = min(wants[idx], remaining / left)
         alloc[idx] = give
         remaining -= give
         left -= 1
-    return alloc
+    return np.array(alloc)
 
 
 def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,

@@ -9,9 +9,10 @@ single input vector or a batch.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,18 @@ class ModelParams:
             raise ValueError(f"flat vector length {self.theta.shape} != {expected}")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("parameters must be finite")
+        views, pos = [], 0
+        for i, o in self.shapes:
+            w = self.theta[pos:pos + i * o].reshape(i, o)
+            pos += i * o
+            views.append((w, self.theta[pos:pos + o]))
+            pos += o
+        object.__setattr__(self, "_layers", tuple(views))
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, so the layer
+        # views stay views of the copied vector
+        return type(self), (self.shapes, self.theta, self.activation)
 
     @property
     def in_dim(self) -> int:
@@ -59,20 +72,13 @@ class ModelParams:
     def out_dim(self) -> int:
         return self.shapes[-1][1]
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) views into the flat vector, W laid out (in, out)."""
-        out = []
-        pos = 0
-        for i, o in self.shapes:
-            w = self.theta[pos:pos + i * o].reshape(i, o)
-            pos += i * o
-            b = self.theta[pos:pos + o]
-            pos += o
-            out.append((w, b))
-        return out
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(W, b) views into the flat vector, W laid out (in, out), built
+        once per object; an in-place write to ``theta`` shows through them."""
+        return self._layers
 
     def with_theta(self, theta: np.ndarray) -> "ModelParams":
-        return replace(self, theta=theta)
+        return type(self)(self.shapes, theta, self.activation)
 
 
 def flat_size(shapes: tuple[tuple[int, int], ...]) -> int:
@@ -190,10 +196,11 @@ def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float
     """
     if grad.shape != params.theta.shape:
         raise ValueError("gradient length does not match parameters")
-    if not np.all(np.isfinite(grad)):
+    norm = float(np.linalg.norm(grad))
+    # an infinite norm can also be finite entries whose squares overflow
+    if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
         log.warning("non-finite gradient; Adam step skipped")
         return params, state
-    norm = float(np.linalg.norm(grad))
     scale = grad_clip / norm if (grad_clip > 0 and norm > grad_clip) else 1.0
     t = state.step + 1
 

@@ -116,16 +116,17 @@ def compute_returns(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.n
 
 def clipped_objective(new_log_prob: np.ndarray, old_log_prob: np.ndarray,
                       advantage: np.ndarray, clip_eps: float,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample clipped surrogate, the min of the ratio-weighted advantage
-    and its clipped-band bound, and the mask of samples on the unclipped
-    branch (the only ones with a policy gradient)."""
+    and its clipped-band bound; the mask of samples on the unclipped branch
+    (the only ones with a policy gradient); and the probability ratio."""
     if not (0.0 < clip_eps < 1.0):
         raise ValueError("clip_eps must be in (0, 1)")
-    ratio_adv = np.exp(new_log_prob - old_log_prob) * advantage
+    ratio = np.exp(new_log_prob - old_log_prob)
+    ratio_adv = ratio * advantage
     bound = np.where(advantage >= 0, (1.0 + clip_eps) * advantage,
                      (1.0 - clip_eps) * advantage)
-    return np.minimum(ratio_adv, bound), ratio_adv <= bound
+    return np.minimum(ratio_adv, bound), ratio_adv <= bound, ratio
 
 
 def whiten(values: np.ndarray) -> np.ndarray:
@@ -184,10 +185,11 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
     probs, logp, entropy = nn.categorical_head(logits)
     rows = np.arange(n)
     lp_taken = logp[rows, actions]
-    objective, unclipped = clipped_objective(lp_taken, old_log_probs, advantages,
-                                             clip_eps)
-    ratio = np.exp(lp_taken - old_log_probs)
-    loss = -float(objective.mean()) - entropy_coef * float(entropy.mean())
+    objective, unclipped, ratio = clipped_objective(lp_taken, old_log_probs, advantages,
+                                                    clip_eps)
+    # x.sum() / n is ndarray.mean's arithmetic without its Python wrapper
+    mean_entropy = float(entropy.sum() / n)
+    loss = -float(objective.sum() / n) - entropy_coef * mean_entropy
 
     # d(-mean objective)/d logp_taken, zero where the clip bound is active
     dlp = -(ratio * advantages * unclipped) / n
@@ -198,9 +200,9 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
 
     grad = nn.backward(actor, cache, dlogits)
     stats = {
-        "mean_ratio": float(ratio.mean()),
-        "clip_fraction": float(1.0 - unclipped.mean()),
-        "entropy": float(entropy.mean()),
+        "mean_ratio": float(ratio.sum() / n),
+        "clip_fraction": 1.0 - np.count_nonzero(unclipped) / n,
+        "entropy": mean_entropy,
     }
     return loss, grad, stats
 
@@ -217,7 +219,7 @@ def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
     out, cache = nn.forward(critic, obs)
     v = out[:, 0]
     err = v - returns / value_scale
-    loss = float((err ** 2).mean())
+    loss = float((err ** 2).sum() / err.size)
     grad = nn.backward(critic, cache, (2.0 * err / err.size)[:, None])
     return loss, grad
 

@@ -169,7 +169,7 @@ def check_clip_function(seed: int) -> tuple[bool, str]:
         (1.0, -1.0, -1.0, 1),   # adv<0, inside: r*adv
         (1.5, -1.0, -1.5, 1),   # adv<0, above: r*adv
     ]).T
-    got, mask = rl.clipped_objective(np.log(ratio), np.zeros(6), adv, 0.2)
+    got, mask, _ = rl.clipped_objective(np.log(ratio), np.zeros(6), adv, 0.2)
     worst = float(np.abs(got - expected).max())
     masks_ok = np.array_equal(mask, unclipped == 1)
     return (worst < 1e-12 and masks_ok,

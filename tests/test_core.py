@@ -1,8 +1,11 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from asms import core
 from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        QoECoefficients, RngStream, SimConfig, Span,
                        builtin_scenarios, check_obs_rows, default_hyperparams,
@@ -314,6 +317,25 @@ class TestRngStream:
         assert abs(float(draws.mean())) < 0.02
         assert abs(float(draws.std()) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("draw", [lambda r: r.raw(-3), lambda r: r.uniform(size=-1),
+                                      lambda r: r.permutation(-1)])
+    def test_negative_sizes_rejected_before_drawing(self, draw):
+        r = RngStream(2, "neg")
+        first = r.raw(4)
+        with pytest.raises(ValueError, match="negative"):
+            draw(r)
+        assert r._counter == 4
+        assert not np.isin(r.raw(3), first).any()   # no word is handed out twice
+
+    @pytest.mark.parametrize("bound", [0, -2])
+    def test_integers_bound_below_one_rejected_before_drawing(self, bound):
+        r = RngStream(2, "int")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_exclusive"):
+                r.integers(bound)
+        assert r._counter == 0
+
 
 def reference_binomial(rng, n, p):
     """One binomial draw as a scalar call made it before draws were blocked:
@@ -406,3 +428,87 @@ class TestBlockBinomial:
         assert r.binomial(np.array([0, -1, 5]), 0.0).tolist() == [0, 0, 0]
         assert r.binomial(np.array([0, -1]), 0.5).tolist() == [0, 0]
         assert r._counter == before   # nothing drawn
+
+
+def direct_words(rng, start, n):
+    """Words start..start+n-1 of ``rng``'s stream from one _mix64 evaluation:
+    the reference every block-served draw must equal."""
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    return core._mix64(rng._key + idx * np.uint64(core._GAMMA))
+
+
+class DirectRaw(RngStream):
+    """A stream that computes every request directly, as raw did before it
+    served words from a block."""
+
+    def raw(self, n):
+        words = direct_words(self, self._counter, n)
+        self._counter += n
+        return words
+
+
+class DirectZeroRun(ZeroRun, DirectRaw):
+    """ZeroRun over direct words: its ``super().raw`` is DirectRaw's."""
+
+
+class TestWordBlock:
+    def test_any_chunking_equals_one_mix(self):
+        sizes = [0, 1000, 30, core._BLOCK, core._BLOCK - 1, 2, 3000, 1]
+        sizes += RngStream(11, "sizes").integers(3001, size=60).tolist()
+        sizes += RngStream(12, "sizes").integers(200, size=60).tolist()
+        for seed in range(3):
+            r = RngStream(seed, "block")
+            got = np.concatenate([r.raw(n) for n in sizes])
+            assert r._counter == sum(sizes)
+            assert np.array_equal(got, direct_words(r, 0, sum(sizes)))
+
+    @pytest.mark.parametrize("offset", [0, 500, 1000, 1020])
+    @pytest.mark.parametrize("counts", [[100, 50, 80], [400, 9000, 30]])
+    def test_binomial_rewind_keeps_results_and_counter(self, offset, counts):
+        # zeros fill entry 0's first chunk, so the block draw rewinds to it;
+        # at offset 1000 that draw straddles the block's end and refills it,
+        # and 9000 trials make a first draw of 1,024 words or more
+        make = lambda cls: cls(0, offset, offset + 200)
+        block_rng, direct_rng = make(ZeroRun), make(DirectZeroRun)
+        for rng in (block_rng, direct_rng):
+            rng.raw(offset)
+        block = block_rng.binomial(np.array(counts), 0.3)
+        direct = direct_rng.binomial(np.array(counts), 0.3)
+        assert block.tolist() == direct.tolist()
+        assert block[0] >= int(counts[0] * 0.3 * 1.3) + 16   # entry 0's first chunk overflowed
+        assert block_rng._counter == direct_rng._counter
+
+    def test_copy_mid_block_draws_the_next_words(self):
+        r = RngStream(5, "copy")
+        r.raw(300)
+        twin = copy.copy(r)
+        fresh = RngStream(5, "copy")
+        fresh._counter = 300
+        for n in (10, 20, 900, 5, 2000):
+            want = direct_words(fresh, fresh._counter, n)
+            assert np.array_equal(fresh.raw(n), want) and np.array_equal(twin.raw(n), want)
+        assert np.array_equal(r.raw(10), direct_words(r, 300, 10))   # r did not move
+
+    def test_counter_set_back_before_the_block(self):
+        r = RngStream(5, "back")
+        r.raw(1000)
+        r.raw(100)   # refills the block at counter 1000
+        r._counter = 10
+        assert np.array_equal(r.raw(5), direct_words(r, 10, 5))
+
+    def test_raw_returns_its_own_writable_array(self):
+        r = ZeroRun(6, lo=0, hi=4)
+        words = r.raw(8)
+        assert words.flags.writeable and not np.shares_memory(words, r._block)
+        assert words[:4].tolist() == [0] * 4
+        assert np.array_equal(r.raw(8), direct_words(r, 8, 8))
+        r._counter = 0
+        assert r.raw(1)[0] == 0   # the zeros went into the copy, not the block
+
+    def test_scalar_uniform_is_the_one_word_array_draw(self):
+        bounds = [(0.0, 1.0), (-2, 2), (0, 40), (1, 300), (2.5, 80.0), (-0.3, 0.3), (5, 5)]
+        for seed in range(200):
+            for lo, hi in bounds:
+                scalar = RngStream(seed, "scalar").uniform(lo, hi)
+                block = RngStream(seed, "scalar").uniform(lo, hi, size=1)[0]
+                assert type(scalar) is float and scalar.hex() == float(block).hex()

@@ -126,6 +126,20 @@ class TestSampleLinkState:
             LinkState(0, 100.0, 10.0, 2.0, 1.5, False, 0.0)
 
 
+def numpy_fill(demands, capacity):
+    """The progressive fill over numpy scalars, as allocate_max_min ran it
+    before it moved to Python floats: the bit-for-bit reference."""
+    alloc = np.zeros_like(demands)
+    remaining = float(capacity)
+    left = demands.size
+    for idx in np.argsort(demands, kind="stable"):
+        give = min(float(demands[idx]), remaining / left)
+        alloc[idx] = give
+        remaining -= give
+        left -= 1
+    return alloc
+
+
 class TestAllocateMaxMin:
     def test_demand_under_capacity(self):
         assert allocate_max_min([10, 20, 30], 100).tolist() == [10, 20, 30]
@@ -159,6 +173,16 @@ class TestAllocateMaxMin:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             allocate_max_min([-1.0, 5.0], 10)
+
+    @pytest.mark.parametrize("n", [1, 6, 24, 100])
+    def test_equals_the_numpy_fill_bit_for_bit(self, n):
+        rng = RngStream(n, "alloc")
+        for _ in range(50):
+            targets = rng.uniform(0, 200, size=n)
+            targets[:n // 3] = targets[n // 2]   # ties
+            capacity = rng.uniform(0.0, 0.9) * targets.sum()   # overloaded
+            assert allocate_max_min(targets, capacity).tobytes() == \
+                numpy_fill(targets, capacity).tobytes()
 
 
 class TestAdvance:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import struct
 import zlib
@@ -56,6 +58,45 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             nn.init_mlp(0, 8, 2, "tanh", RngStream(0, "x"))
+
+    def test_with_theta_checks_the_vector(self):
+        params = tiny_net()
+        with pytest.raises(ValueError, match="length"):
+            params.with_theta(params.theta[:-1])
+        bad = params.theta.copy()
+        bad[3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            params.with_theta(bad)
+
+
+def forwards_like_a_fresh_copy(params):
+    """Whether ``params`` forwards as a model built from a copy of its
+    current vector does."""
+    x = np.linspace(0.1, 0.9, 6)
+    fresh = nn.ModelParams(params.shapes, params.theta.copy(), params.activation)
+    return np.array_equal(nn.forward(params, x)[0], nn.forward(fresh, x)[0])
+
+
+class TestLayerViews:
+    def test_views_see_in_place_writes(self):
+        # grad_check's pattern: wrap a vector, then write into it
+        bumped = tiny_net().theta.copy()
+        params = tiny_net().with_theta(bumped)
+        before = nn.forward(params, np.ones(6))[0]
+        bumped[:] += 0.25
+        (w1, _), _, (_, b3) = params.layers()
+        assert w1[0, 0] == bumped[0] and b3[-1] == bumped[-1]
+        assert forwards_like_a_fresh_copy(params)
+        assert not np.array_equal(nn.forward(params, np.ones(6))[0], before)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_view_their_own_vector(self, clone):
+        original = tiny_net()
+        params = clone(original)
+        params.theta[:] += 0.5
+        assert forwards_like_a_fresh_copy(params)
+        assert not np.shares_memory(params.theta, original.theta)
+        assert not np.array_equal(params.theta, original.theta)
 
 
 class TestForward:
@@ -216,6 +257,28 @@ class TestAdam:
         assert np.array_equal(after.theta, params.theta)
         assert state2.step == 0
         assert "non-finite" in caplog.text
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_gradient_skips_step(self, caplog, value):
+        params = tiny_net(seed=6)
+        bad = np.zeros_like(params.theta)
+        bad[-1] = value
+        with caplog.at_level("WARNING"):
+            after, state = nn.adam_step(params, nn.AdamState.zeros(params.theta.size), bad, 0.01)
+        assert after is params and state.step == 0
+        assert "non-finite" in caplog.text
+
+    def test_finite_gradient_overflowing_the_norm_steps_with_scale_zero(self, caplog):
+        params = tiny_net(seed=6)
+        state = nn.AdamState.zeros(params.theta.size)
+        grad = np.zeros_like(params.theta)
+        grad[:4] = 1e154   # each square is finite, their sum is not
+        with caplog.at_level("WARNING"), np.errstate(over="ignore"):
+            after, state2 = nn.adam_step(params, state, grad, 0.01)
+        assert after is not params and state2.step == 1
+        assert np.array_equal(after.theta, params.theta)
+        assert not state2.m.any() and not state2.v.any()
+        assert "non-finite" not in caplog.text
 
 
 class TestCategoricalHead:

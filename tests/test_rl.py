@@ -214,15 +214,15 @@ class TestReturns:
 
 class TestClippedObjective:
     def test_on_policy_point(self):
-        val, unclipped = rl.clipped_objective(-1.0, -1.0, 1.7, 0.2)
+        val, unclipped, _ = rl.clipped_objective(-1.0, -1.0, 1.7, 0.2)
         assert val == pytest.approx(1.7) and unclipped
 
     def test_positive_advantage_clipped(self):
-        val, unclipped = rl.clipped_objective(math.log(1.5), 0.0, 2.0, 0.2)
+        val, unclipped, _ = rl.clipped_objective(math.log(1.5), 0.0, 2.0, 0.2)
         assert val == pytest.approx(2.4) and not unclipped
 
     def test_negative_advantage_branch(self):
-        val, unclipped = rl.clipped_objective(math.log(0.5), 0.0, -1.0, 0.2)
+        val, unclipped, _ = rl.clipped_objective(math.log(0.5), 0.0, -1.0, 0.2)
         assert val == pytest.approx(-0.8) and not unclipped
 
     def test_eps_bounds(self):
