@@ -94,7 +94,9 @@ def make_local_update(actor: nn.ModelParams, critic: nn.ModelParams,
                       rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """The agent's upload: each part's drift from the reference model clipped
     and perturbed, actor first; with LDP disabled the raw parameters ship
-    unchanged (uncopied: nothing writes into an upload)."""
+    unchanged and uncopied. Such an upload is the agent's live parameter
+    vector, which its next update rewrites in place, so it must be consumed
+    before that (``fed_round`` averages it at once)."""
     if not hp.ldp_enabled:
         return actor.theta, critic.theta
     return tuple(ldp_perturb(clip_update(new.theta, old.theta, hp.ldp_clip),
@@ -103,7 +105,14 @@ def make_local_update(actor: nn.ModelParams, critic: nn.ModelParams,
 
 
 def broadcast(model: GlobalModel, agents: Sequence) -> None:
-    """Copy the global parameters into every agent."""
+    """Give every agent its own copy of the global parameters.
+
+    Updates write into an agent's parameters in place, so a shared array
+    would let one agent's update move the others and the global model, which
+    the next round's uploads are clipped against. Each agent gets fresh
+    arrays rather than a write into its old ones, which callers holding the
+    pre-round parameters may still read.
+    """
     for agent in agents:
         agent.actor = model.actor.with_theta(model.actor.theta.copy())
         agent.critic = model.critic.with_theta(model.critic.theta.copy())

@@ -13,7 +13,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,13 +51,7 @@ class ModelParams:
             raise ValueError(f"flat vector length {self.theta.shape} != {expected}")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("parameters must be finite")
-        views, pos = [], 0
-        for i, o in self.shapes:
-            w = self.theta[pos:pos + i * o].reshape(i, o)
-            pos += i * o
-            views.append((w, self.theta[pos:pos + o]))
-            pos += o
-        object.__setattr__(self, "_layers", tuple(views))
+        object.__setattr__(self, "_layers", _layer_views(self.theta, self.shapes))
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the constructor, so the layer
@@ -83,6 +77,19 @@ class ModelParams:
 
 def flat_size(shapes: tuple[tuple[int, int], ...]) -> int:
     return sum(i * o + o for i, o in shapes)
+
+
+def _layer_views(flat: np.ndarray, shapes: tuple[tuple[int, int], ...],
+                 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(W, b) views into a flat vector laid out per layer as weights (in, out)
+    then biases."""
+    views, pos = [], 0
+    for i, o in shapes:
+        w = flat[pos:pos + i * o].reshape(i, o)
+        pos += i * o
+        views.append((w, flat[pos:pos + o]))
+        pos += o
+    return tuple(views)
 
 
 def init_mlp(in_dim: int, hidden: int, out_dim: int, activation: str,
@@ -147,36 +154,46 @@ def forward_rows(params: ModelParams, rows: np.ndarray) -> np.ndarray:
     return (np.matmul(a2, w3) + b3)[:, 0, :]
 
 
-def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray) -> np.ndarray:
+def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
 
     grad_out must match the forward call's output shape; batch entries are
     summed (supply per-sample dLoss/dOutput for a mean loss already divided
-    by the batch size).
+    by the batch size). The gradient is written into ``out``, a float64
+    vector of the flat length, and returned; without one a fresh vector is
+    allocated.
     """
     batch, z1, a1, z2, a2, single = cache
     g = np.asarray(grad_out, dtype=np.float64)
     g = g[None, :] if single else g
     if g.shape != (batch.shape[0], params.out_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match cached batch")
-    (w1, b1), (w2, b2), (w3, b3) = params.layers()
+    if out is None:
+        out = np.empty(params.theta.size)
+    elif out.shape != params.theta.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 vector of length {params.theta.size}")
+    (w1, _), (w2, _), (w3, _) = params.layers()
+    (dw1, db1), (dw2, db2), (dw3, db3) = _layer_views(out, params.shapes)
 
-    dw3 = a2.T @ g
-    db3 = g.sum(axis=0)
+    np.matmul(a2.T, g, out=dw3)
+    g.sum(axis=0, out=db3)
     da2 = g @ w3.T
     dz2 = da2 * _act_grad(z2, a2, params.activation)
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
+    np.matmul(a1.T, dz2, out=dw2)
+    dz2.sum(axis=0, out=db2)
     da1 = dz2 @ w2.T
     dz1 = da1 * _act_grad(z1, a1, params.activation)
-    dw1 = batch.T @ dz1
-    db1 = dz1.sum(axis=0)
+    np.matmul(batch.T, dz1, out=dw1)
+    dz1.sum(axis=0, out=db1)
+    return out
 
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3])
 
-
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """First and second moment estimates and the step count; adam_step
+    updates all three in place."""
+
     m: np.ndarray
     v: np.ndarray
     step: int = 0
@@ -186,30 +203,52 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0)
 
 
-def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float,
-              grad_clip: float = 0.5) -> tuple[ModelParams, AdamState]:
-    """One Adam update after global-norm clipping the gradient.
+class AdamReport(NamedTuple):
+    """What one adam_step did: the gradient's global norm before clipping,
+    whether clipping scaled it, and whether the step was skipped."""
 
-    Non-finite gradients skip the step (logged) rather than poisoning the
-    parameters. Inputs are not mutated; the heavy vector work runs in-place
-    on the three freshly allocated outputs.
+    grad_norm: float
+    clipped: bool
+    skipped: bool
+
+
+def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float,
+              grad_clip: float = 0.5) -> AdamReport:
+    """One Adam update after global-norm clipping the gradient, written in
+    place into ``params.theta`` and ``state``; ``grad`` is only read.
+
+    A gradient with a NaN or infinite entry skips the step (logged) and
+    leaves params and state as they were. Finite entries whose squares
+    overflow the norm are clipped from a norm taken on the gradient scaled
+    by its largest entry, so they step like any clipped gradient; without a
+    clip bound such a gradient is skipped too.
     """
     if grad.shape != params.theta.shape:
         raise ValueError("gradient length does not match parameters")
     norm = float(np.linalg.norm(grad))
-    # an infinite norm can also be finite entries whose squares overflow
-    if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
-        log.warning("non-finite gradient; Adam step skipped")
-        return params, state
-    scale = grad_clip / norm if (grad_clip > 0 and norm > grad_clip) else 1.0
-    t = state.step + 1
+    if math.isfinite(norm):
+        clipped = grad_clip > 0 and norm > grad_clip
+        scale = grad_clip / norm if clipped else 1.0
+    elif grad_clip > 0 and np.all(np.isfinite(grad)):
+        # grad_clip-long copy of the direction; nothing is squared unscaled
+        peak = float(np.abs(grad).max())
+        grad = grad / peak
+        unit_norm = float(np.linalg.norm(grad))
+        grad *= grad_clip / unit_norm
+        norm, clipped, scale = peak * unit_norm, True, 1.0
+    else:
+        log.warning("non-finite gradient norm; Adam step skipped")
+        return AdamReport(norm, False, True)
+    state.step += 1
+    t = state.step
 
-    m = np.multiply(state.m, ADAM_BETA1)
+    m, v, theta = state.m, state.v, params.theta
+    m *= ADAM_BETA1
     scratch = np.multiply(grad, (1.0 - ADAM_BETA1) * scale)
     m += scratch
     np.multiply(grad, grad, out=scratch)
     scratch *= (1.0 - ADAM_BETA2) * scale * scale
-    v = np.multiply(state.v, ADAM_BETA2)
+    v *= ADAM_BETA2
     v += scratch
     # scratch <- lr * m_hat / (sqrt(v_hat) + eps), reusing the buffer
     np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
@@ -217,8 +256,8 @@ def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float
     scratch += ADAM_EPS
     np.divide(m, scratch, out=scratch)
     scratch *= -lr / (1.0 - ADAM_BETA1 ** t)
-    scratch += params.theta
-    return params.with_theta(scratch), AdamState(m=m, v=v, step=t)
+    theta += scratch
+    return AdamReport(norm, clipped, False)
 
 
 def categorical_head(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,7 +391,7 @@ def load_params(path: str) -> ModelParams:
 
 
 __all__ = [
-    "ACTIVATIONS", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "AdamState",
+    "ACTIVATIONS", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "AdamReport", "AdamState",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError",
     "ModelParams", "adam_step", "backward", "categorical_head",
     "flat_size", "forward", "forward_rows", "grad_check", "init_mlp", "load_params",

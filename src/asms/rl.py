@@ -177,9 +177,11 @@ def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams,
 def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.ndarray,
                          old_log_probs: np.ndarray, advantages: np.ndarray,
                          clip_eps: float, entropy_coef: float,
+                         out: np.ndarray | None = None,
                          ) -> tuple[float, np.ndarray, dict]:
     """Mean clipped-surrogate loss (negated, plus entropy bonus) and its exact
-    gradient. Samples on the clipped branch contribute no policy gradient."""
+    gradient, written into ``out`` when given (as ``nn.backward`` does).
+    Samples on the clipped branch contribute no policy gradient."""
     n = obs.shape[0]
     logits, cache = nn.forward(actor, obs)
     probs, logp, entropy = nn.categorical_head(logits)
@@ -198,7 +200,7 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
     # entropy bonus: dH/dz_k = -p_k (log p_k + H)
     dlogits += (entropy_coef / n) * probs * (logp + entropy[:, None])
 
-    grad = nn.backward(actor, cache, dlogits)
+    grad = nn.backward(actor, cache, dlogits, out)
     stats = {
         "mean_ratio": float(ratio.sum() / n),
         "clip_fraction": 1.0 - np.count_nonzero(unclipped) / n,
@@ -209,18 +211,19 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
 
 def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
                         returns: np.ndarray, value_scale: float = 1.0,
+                        out: np.ndarray | None = None,
                         ) -> tuple[float, np.ndarray]:
-    """Mean squared error of the value head against the return targets.
+    """Mean squared error of the value head against the return targets, and
+    its gradient, written into ``out`` when given (as ``nn.backward`` does).
 
     The head predicts returns / value_scale; minimizing in the scaled space
     has the same argmin but keeps gradient norms commensurate with the
     clipping threshold when returns span hundreds of reward units.
     """
-    out, cache = nn.forward(critic, obs)
-    v = out[:, 0]
-    err = v - returns / value_scale
+    values, cache = nn.forward(critic, obs)
+    err = values[:, 0] - returns / value_scale
     loss = float((err ** 2).sum() / err.size)
-    grad = nn.backward(critic, cache, (2.0 * err / err.size)[:, None])
+    grad = nn.backward(critic, cache, (2.0 * err / err.size)[:, None], out)
     return loss, grad
 
 
@@ -240,45 +243,49 @@ class UpdateDiagnostics:
     mean_ratio: float
 
 
-def ppo_update(actor: nn.ModelParams, critic: nn.ModelParams,
-               actor_adam: nn.AdamState, critic_adam: nn.AdamState,
-               batch: TrainBatch, hp: HyperParams, rng: RngStream,
-               ) -> tuple[nn.ModelParams, nn.ModelParams, nn.AdamState,
-                          nn.AdamState, UpdateDiagnostics]:
+def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
+               rng: RngStream) -> UpdateDiagnostics:
     """Several epochs of shuffled minibatch ascent on the clipped surrogate
-    (plus entropy bonus) and descent on the value MSE."""
+    (plus entropy bonus) and descent on the value MSE, written in place into
+    the agent's parameters and Adam states.
+
+    Each minibatch's gradients go into one actor and one critic buffer held
+    for this call only.
+    """
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
+    actor_grad = np.empty(agent.actor.theta.size)
+    critic_grad = np.empty(agent.critic.theta.size)
     per_batch = []   # one UpdateDiagnostics-ordered tuple per minibatch
     for _ in range(hp.epochs):
         order = rng.permutation(n)
         for start in range(0, n, hp.minibatch):
             sel = order[start:start + hp.minibatch]
             ploss, pgrad, stats = policy_loss_and_grad(
-                actor, batch.observations[sel], batch.actions[sel],
+                agent.actor, batch.observations[sel], batch.actions[sel],
                 batch.old_log_probs[sel], batch.advantages[sel],
-                hp.clip_eps, hp.entropy_coef)
+                hp.clip_eps, hp.entropy_coef, actor_grad)
             vloss, vgrad = value_loss_and_grad(
-                critic, batch.observations[sel], batch.returns[sel],
-                hp.value_scale)
+                agent.critic, batch.observations[sel], batch.returns[sel],
+                hp.value_scale, critic_grad)
             if not (np.isfinite(ploss) and np.isfinite(vloss)):
                 raise NonFiniteLossError(
                     f"non-finite loss (policy={ploss}, value={vloss})")
-            actor, actor_adam = nn.adam_step(actor, actor_adam, pgrad, hp.lr, hp.grad_clip)
-            critic, critic_adam = nn.adam_step(critic, critic_adam, vgrad, hp.lr, hp.grad_clip)
+            nn.adam_step(agent.actor, agent.actor_adam, pgrad, hp.lr, hp.grad_clip)
+            nn.adam_step(agent.critic, agent.critic_adam, vgrad, hp.lr, hp.grad_clip)
             per_batch.append((ploss, vloss, stats["entropy"], stats["clip_fraction"],
                               stats["mean_ratio"]))
     # left to right from 0.0: np.mean adds 8 or more values in partial sums,
     # and the builtin sum is compensated from Python 3.12 on
-    diag = UpdateDiagnostics(*(functools.reduce(operator.add, col, 0.0) / len(per_batch)
+    return UpdateDiagnostics(*(functools.reduce(operator.add, col, 0.0) / len(per_batch)
                                for col in zip(*per_batch)))
-    return actor, critic, actor_adam, critic_adam, diag
 
 
 @dataclass
 class PPOAgent:
-    """Actor/critic pair plus optimizer state for one streaming client."""
+    """Actor/critic pair plus optimizer state for one streaming client;
+    ``ppo_update`` trains it in place."""
 
     actor: nn.ModelParams
     critic: nn.ModelParams
@@ -290,12 +297,6 @@ class PPOAgent:
         self.actor_adam = nn.AdamState.zeros(self.actor.theta.size)
         self.critic_adam = nn.AdamState.zeros(self.critic.theta.size)
         self.sample_count = 0
-
-    def update(self, batch: TrainBatch, hp: HyperParams, rng: RngStream) -> UpdateDiagnostics:
-        (self.actor, self.critic, self.actor_adam, self.critic_adam,
-         diag) = ppo_update(self.actor, self.critic, self.actor_adam,
-                            self.critic_adam, batch, hp, rng)
-        return diag
 
 
 def score_episode(rows: np.ndarray, frame_rate: np.ndarray,

@@ -30,7 +30,7 @@ from .core import (OBS_DIM, OBS_LATENCY, OBS_LOST, OBS_RECEIVED, HyperParams,
                    QoECoefficients, RngStream, ScenarioSpec, SimConfig, scenario_by_name,
                    serialize_config)
 from .netsim import BottleneckSim
-from .rl import Episode, PPOAgent, build_batch, rollout, run_episode
+from .rl import Episode, PPOAgent, build_batch, ppo_update, rollout, run_episode
 
 METHODS = ("fmappo", "ippo")
 
@@ -69,7 +69,8 @@ class TrainResult:
 def make_agents(cfg: SimConfig, hp: HyperParams, rng_init: RngStream,
                 ) -> tuple[list[PPOAgent], fed.GlobalModel]:
     """One shared initial model broadcast to all agents (both methods start
-    identically; only aggregation afterwards differs)."""
+    identically; only aggregation afterwards differs). Each agent gets its
+    own copy of the parameters, which its updates write in place."""
     model = fed.init_global(OBS_DIM, hp.hidden_width, len(cfg.delta_table), rng_init)
     agents = [PPOAgent(actor=model.actor.with_theta(model.actor.theta.copy()),
                        critic=model.critic.with_theta(model.critic.theta.copy()))
@@ -129,7 +130,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
 
         for i, agent in enumerate(agents):
             agent.sample_count += hp.episode_len   # FedAvg weights by steps trained on
-            diag = agent.update(build_batch(trajectory, i, agent.critic, hp), hp, rng_upd)
+            diag = ppo_update(agent, build_batch(trajectory, i, agent.critic, hp), hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
         if federate and (ep + 1) % hp.fedavg_freq == 0:

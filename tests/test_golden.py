@@ -5,9 +5,9 @@ Pinned (sha256 of the files' relative paths and bytes):
 
 - a 12-episode ``fmappo`` run at N=2, hidden width 8, LDP on at eps=1;
 - the same run as ``ippo``;
-- ``eval_<label>.csv`` of the fmappo agents, greedy and stochastic, and of
-  the ``delay``, ``probe`` and ``random`` controllers, on s1 and s5 with 3
-  episodes each.
+- ``eval_<label>.csv`` of the fmappo run's final checkpoint, greedy and
+  stochastic, and of the ``delay``, ``probe`` and ``random`` controllers,
+  on s1 and s5 with 3 episodes each.
 
 Float results can move with the Python, numpy or BLAS build, so
 ``golden.json`` records the versions it was made with. After a change that
@@ -61,13 +61,13 @@ def platform_versions() -> dict:
 
 def compute_digests(work: Path) -> dict[str, str]:
     digests = {}
-    runs = {}
     for method in training.METHODS:
         run_dir = work / method
-        runs[method] = training.train(CFG, HP, COEFFS, method, TRAIN_SCENARIOS, seed=0,
-                                      out_dir=run_dir, episodes=12)
+        training.train(CFG, HP, COEFFS, method, TRAIN_SCENARIOS, seed=0,
+                       out_dir=run_dir, episodes=12)
         digests[f"train-{method}"] = tree_digest(run_dir)
-    agents = runs["fmappo"].agents
+    agents = training.load_checkpoint_agents(
+        work / "fmappo" / training.CHECKPOINT_DIR / "final")
     evaluations = {
         "fmappo-greedy": lambda s: training.evaluate_agents(
             agents, s, EVAL_EPISODES, EVAL_SEED, CFG, HP, COEFFS,

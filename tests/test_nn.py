@@ -219,21 +219,109 @@ class TestBackward:
             nn.backward(params, cache, np.zeros((4, 3)))
 
 
+def backward_concatenated(params, cache, grad_out):
+    """The gradient arithmetic of backward() as it was before it wrote into
+    per-layer views: fresh layer products, joined by one concatenate."""
+    batch, z1, a1, z2, a2, single = cache
+    g = np.asarray(grad_out, dtype=np.float64)
+    g = g[None, :] if single else g
+    (w1, b1), (w2, b2), (w3, b3) = params.layers()
+    act_grad = ((lambda z, a: 1.0 - a * a) if params.activation == "tanh"
+                else (lambda z, a: (z > 0).astype(np.float64)))
+    dw3 = a2.T @ g
+    db3 = g.sum(axis=0)
+    dz2 = (g @ w3.T) * act_grad(z2, a2)
+    dw2 = a1.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ w2.T) * act_grad(z1, a1)
+    dw1 = batch.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3])
+
+
+class TestBackwardInto:
+    @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("hidden", [8, 128])
+    @pytest.mark.parametrize("rows", [1, 40])
+    def test_written_gradient_is_bit_equal_to_the_fresh_one(self, activation, hidden, rows):
+        rng = RngStream(rows * 1000 + hidden, activation)
+        params = nn.init_mlp(6, hidden, 5, activation, rng.spawn("net"))
+        params = params.with_theta(params.theta + rng.uniform(-0.1, 0.1, size=params.theta.size))
+        x = rng.uniform(-1.5, 1.5, size=rows * 6).reshape(rows, 6)
+        _, cache = nn.forward(params, x)
+        grad_out = rng.uniform(-1, 1, size=rows * 5).reshape(rows, 5)
+        buf = np.full(params.theta.size, np.nan)
+        written = nn.backward(params, cache, grad_out, buf)
+        fresh = nn.backward(params, cache, grad_out)
+        assert written is buf and fresh is not buf
+        assert written.tobytes() == fresh.tobytes()
+        assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
+
+    def test_single_input_gradient_is_bit_equal_to_the_fresh_one(self):
+        params = tiny_net(seed=3, hidden=16, out=5)
+        _, cache = nn.forward(params, np.linspace(-1, 1, 6))
+        grad_out = np.linspace(-0.5, 0.5, 5)
+        written = nn.backward(params, cache, grad_out, np.full(params.theta.size, np.nan))
+        assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
+
+    def test_calls_without_out_return_distinct_arrays(self):
+        params = tiny_net(seed=5)
+        _, cache = nn.forward(params, np.ones((3, 6)))
+        first = nn.backward(params, cache, np.ones((3, 3)))
+        second = nn.backward(params, cache, np.ones((3, 3)))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, params.theta)
+
+    def test_wrong_length_out_rejected(self):
+        params = tiny_net()
+        _, cache = nn.forward(params, np.ones(6))
+        with pytest.raises(ValueError, match="out must be"):
+            nn.backward(params, cache, np.zeros(3), np.empty(params.theta.size - 1))
+
+
+def functional_adam(theta, m, v, step, grad, lr, grad_clip):
+    """The arithmetic of adam_step as it was when it returned new arrays
+    instead of writing in place: (theta, m, v, step) after one step."""
+    norm = float(np.linalg.norm(grad))
+    scale = grad_clip / norm if (grad_clip > 0 and norm > grad_clip) else 1.0
+    t = step + 1
+    m = np.multiply(m, nn.ADAM_BETA1)
+    scratch = np.multiply(grad, (1.0 - nn.ADAM_BETA1) * scale)
+    m += scratch
+    np.multiply(grad, grad, out=scratch)
+    scratch *= (1.0 - nn.ADAM_BETA2) * scale * scale
+    v = np.multiply(v, nn.ADAM_BETA2)
+    v += scratch
+    np.divide(v, 1.0 - nn.ADAM_BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += nn.ADAM_EPS
+    np.divide(m, scratch, out=scratch)
+    scratch *= -lr / (1.0 - nn.ADAM_BETA1 ** t)
+    scratch += theta
+    return scratch, m, v, t
+
+
+def snapshot(params, state):
+    return params.theta.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = tiny_net(seed=4)
+        before = params.theta.copy()
         state = nn.AdamState.zeros(params.theta.size)
-        after, state2 = nn.adam_step(params, state, np.zeros_like(params.theta), 0.01)
-        assert np.array_equal(after.theta, params.theta)
-        assert state2.step == 1
+        report = nn.adam_step(params, state, np.zeros_like(params.theta), 0.01)
+        assert np.array_equal(params.theta, before)
+        assert state.step == 1
+        assert report == (0.0, False, False)
 
     def test_first_step_is_signed_lr(self):
         theta = np.array([0.5, -0.5, 0.1, 0.0, 0.0, 0.0])
-        params = nn.ModelParams(shapes=((2, 2),), theta=theta,
+        params = nn.ModelParams(shapes=((2, 2),), theta=theta.copy(),
                                 activation="tanh")
         grad = np.array([1e-4, -2e-4, 5e-5, 0.0, 0.0, 0.0])
-        after, _ = nn.adam_step(params, nn.AdamState.zeros(6), grad, lr=0.01)
-        step = after.theta - theta
+        nn.adam_step(params, nn.AdamState.zeros(6), grad, lr=0.01)
+        step = params.theta - theta
         # bias-corrected first step is ~ -lr * sign(g) wherever g != 0
         np.testing.assert_allclose(step[:3], [-0.01, 0.01, -0.01], rtol=1e-3)
         assert np.all(step[3:] == 0.0)
@@ -244,41 +332,87 @@ class TestAdam:
         state = nn.AdamState.zeros(2)
         for _ in range(200):
             grad = np.array([2.0 * params.theta[0], 0.0])
-            params, state = nn.adam_step(params, state, grad, lr=0.1)
+            nn.adam_step(params, state, grad, lr=0.1)
         assert abs(params.theta[0]) < 1e-2
 
-    def test_non_finite_gradient_skips_step(self, caplog):
+    def test_in_place_steps_are_bit_equal_to_the_functional_arithmetic(self):
+        rng = RngStream(21, "adam")
+        params = nn.init_mlp(6, 32, 5, "tanh", rng.spawn("net"))
+        state = nn.AdamState.zeros(params.theta.size)
+        theta, m, v, step = params.theta.copy(), state.m.copy(), state.v.copy(), 0
+        for k in range(50):
+            # norms from about 0.03 to 30, so clipping at 0.5 fires on some steps only
+            grad = rng.uniform(-1, 1, size=theta.size) * 10.0 ** (k % 4 - 2.5)
+            report = nn.adam_step(params, state, grad, 3e-3, 0.5)
+            theta, m, v, step = functional_adam(theta, m, v, step, grad, 3e-3, 0.5)
+            assert snapshot(params, state) == (theta.tobytes(), m.tobytes(), v.tobytes(), step)
+            assert report.clipped == (report.grad_norm > 0.5) and not report.skipped
+        assert all(np.shares_memory(w, params.theta) for w, _ in params.layers())
+
+    def test_gradient_is_only_read(self):
+        params = tiny_net(seed=8)
+        grad = RngStream(8, "g").uniform(-5, 5, size=params.theta.size)
+        kept = grad.copy()
+        nn.adam_step(params, nn.AdamState.zeros(params.theta.size), grad, 0.01)
+        assert np.array_equal(grad, kept)
+
+    @staticmethod
+    def assert_skipped(caplog, bad_entry, index):
         params = tiny_net(seed=6)
         state = nn.AdamState.zeros(params.theta.size)
+        rng = RngStream(6, "warm")
+        for _ in range(3):   # non-zero moments, so a partial write would show
+            nn.adam_step(params, state, rng.uniform(-1, 1, size=params.theta.size), 0.01)
+        before = snapshot(params, state)
         bad = np.zeros_like(params.theta)
-        bad[0] = np.nan
+        bad[index] = bad_entry
         with caplog.at_level("WARNING"):
-            after, state2 = nn.adam_step(params, state, bad, 0.01)
-        assert np.array_equal(after.theta, params.theta)
-        assert state2.step == 0
+            report = nn.adam_step(params, state, bad, 0.01)
+        assert snapshot(params, state) == before
+        assert report.skipped and not report.clipped
         assert "non-finite" in caplog.text
+
+    def test_non_finite_gradient_skips_step(self, caplog):
+        self.assert_skipped(caplog, np.nan, 0)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_gradient_skips_step(self, caplog, value):
-        params = tiny_net(seed=6)
-        bad = np.zeros_like(params.theta)
-        bad[-1] = value
-        with caplog.at_level("WARNING"):
-            after, state = nn.adam_step(params, nn.AdamState.zeros(params.theta.size), bad, 0.01)
-        assert after is params and state.step == 0
-        assert "non-finite" in caplog.text
+        self.assert_skipped(caplog, value, -1)
 
-    def test_finite_gradient_overflowing_the_norm_steps_with_scale_zero(self, caplog):
+    def test_finite_gradient_overflowing_the_norm_takes_a_clipped_step(self, caplog):
+        # each square of 1e154 is finite and their sum is not; the square of
+        # 1e200 overflows on its own. Either way the step is that of the same
+        # direction at length grad_clip.
+        for entries, value, clipped_entry in ((4, 1e154, 0.25), (1, -1e200, -0.5)):
+            params, reference = tiny_net(seed=6), tiny_net(seed=6)
+            state = nn.AdamState.zeros(params.theta.size)
+            ref_state = nn.AdamState.zeros(params.theta.size)
+            grad = np.zeros_like(params.theta)
+            grad[:entries] = value
+            kept = grad.copy()
+            with caplog.at_level("WARNING"), np.errstate(over="ignore"):
+                report = nn.adam_step(params, state, grad, 0.01, 0.5)
+            rescaled = np.zeros_like(grad)
+            rescaled[:entries] = clipped_entry
+            nn.adam_step(reference, ref_state, rescaled, 0.01, 0.5)
+            assert report.clipped and not report.skipped
+            assert report.grad_norm == pytest.approx(abs(value) * entries ** 0.5)
+            assert np.all(np.isfinite(params.theta)) and state.step == 1
+            assert not np.array_equal(params.theta, tiny_net(seed=6).theta)
+            assert snapshot(params, state) == snapshot(reference, ref_state)
+            assert np.array_equal(grad, kept)
+        assert "non-finite" not in caplog.text
+
+    def test_overflowing_norm_without_a_clip_bound_skips_step(self, caplog):
         params = tiny_net(seed=6)
         state = nn.AdamState.zeros(params.theta.size)
+        before = snapshot(params, state)
         grad = np.zeros_like(params.theta)
-        grad[:4] = 1e154   # each square is finite, their sum is not
+        grad[0] = 1e200
         with caplog.at_level("WARNING"), np.errstate(over="ignore"):
-            after, state2 = nn.adam_step(params, state, grad, 0.01)
-        assert after is not params and state2.step == 1
-        assert np.array_equal(after.theta, params.theta)
-        assert not state2.m.any() and not state2.v.any()
-        assert "non-finite" not in caplog.text
+            report = nn.adam_step(params, state, grad, 0.01, 0.0)
+        assert report.skipped and snapshot(params, state) == before
+        assert "non-finite" in caplog.text
 
 
 class TestCategoricalHead:

@@ -302,10 +302,9 @@ class TestPpoUpdate:
                               old_log_probs=np.array([float(logp_before[0, 1])]),
                               advantages=np.array([2.0]),
                               returns=np.array([0.0]))
-        actor2, _, _, _, _ = rl.ppo_update(
-            actor, critic, nn.AdamState.zeros(actor.theta.size),
-            nn.AdamState.zeros(critic.theta.size), batch, hp, RngStream(0, "u"))
-        logits2, _ = nn.forward(actor2, obs)
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        rl.ppo_update(agent, batch, hp, RngStream(0, "u"))
+        logits2, _ = nn.forward(agent.actor, obs)
         _, logp_after, _ = nn.categorical_head(logits2)
         assert float(logp_after[0, 1]) > float(logp_before[0, 1])
 
@@ -317,19 +316,21 @@ class TestPpoUpdate:
             loss, grad = rl.value_loss_and_grad(critic, batch.observations,
                                                 batch.returns)
             losses.append(loss)
-            critic, state = nn.adam_step(critic, state, grad, 3e-4)
+            nn.adam_step(critic, state, grad, 3e-4)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_update_diagnostics_finite(self):
         actor, critic, batch = synthetic_batch(seed=6)
         hp = default_hyperparams()
-        a2, c2, _, _, diag = rl.ppo_update(
-            actor, critic, nn.AdamState.zeros(actor.theta.size),
-            nn.AdamState.zeros(critic.theta.size), batch, hp, RngStream(1, "u"))
+        before = actor.theta.copy()
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        diag = rl.ppo_update(agent, batch, hp, RngStream(1, "u"))
         for v in (diag.policy_loss, diag.value_loss, diag.entropy,
                   diag.clip_fraction, diag.mean_ratio):
             assert math.isfinite(v)
-        assert not np.array_equal(a2.theta, actor.theta)
+        assert not np.array_equal(agent.actor.theta, before)
+        steps = -(-len(batch) // hp.minibatch) * hp.epochs
+        assert agent.actor_adam.step == agent.critic_adam.step == steps
 
     def test_diagnostics_average_left_to_right(self, monkeypatch):
         # a compensated sum of [1e16, 1.0, -1e16] gives 1.0, so a mean of 1/3
@@ -343,10 +344,36 @@ class TestPpoUpdate:
         monkeypatch.setattr(rl, "policy_loss_and_grad", stub)
         actor, critic, batch = synthetic_batch(seed=6, n=30)
         hp = HyperParams(minibatch=10, epochs=1)
-        *_, diag = rl.ppo_update(
-            actor, critic, nn.AdamState.zeros(actor.theta.size),
-            nn.AdamState.zeros(critic.theta.size), batch, hp, RngStream(1, "u"))
+        diag = rl.ppo_update(rl.PPOAgent(actor=actor, critic=critic), batch, hp,
+                             RngStream(1, "u"))
         assert diag.policy_loss == 0.0
+
+    def test_update_writes_into_the_agents_own_arrays(self):
+        actor, critic, batch = synthetic_batch(seed=7)
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        arrays = (actor.theta, critic.theta, agent.actor_adam.m, agent.critic_adam.v)
+        kept = [a.copy() for a in arrays]
+        rl.ppo_update(agent, batch, HyperParams(minibatch=16, epochs=2), RngStream(2, "u"))
+        assert agent.actor is actor and agent.critic is critic
+        now = (agent.actor.theta, agent.critic.theta, agent.actor_adam.m, agent.critic_adam.v)
+        assert all(a is b for a, b in zip(now, arrays))   # the same objects ...
+        assert not any(np.array_equal(a, k) for a, k in zip(arrays, kept))   # ... rewritten
+
+    def test_losses_write_gradients_into_out_bit_equal(self):
+        actor, critic, batch = synthetic_batch(seed=8)
+        policy_args = (actor, batch.observations, batch.actions, batch.old_log_probs,
+                       batch.advantages, 0.2, 0.01)
+        loss, fresh, stats = rl.policy_loss_and_grad(*policy_args)
+        _, again, _ = rl.policy_loss_and_grad(*policy_args)
+        buf = np.full(actor.theta.size, np.nan)
+        loss2, written, stats2 = rl.policy_loss_and_grad(*policy_args, buf)
+        assert written is buf and not np.shares_memory(fresh, again)
+        assert (loss2, written.tobytes(), stats2) == (loss, fresh.tobytes(), stats)
+        vloss, vfresh = rl.value_loss_and_grad(critic, batch.observations, batch.returns, 2.0)
+        vbuf = np.full(critic.theta.size, np.nan)
+        vloss2, vwritten = rl.value_loss_and_grad(critic, batch.observations,
+                                                  batch.returns, 2.0, vbuf)
+        assert vwritten is vbuf and (vloss2, vwritten.tobytes()) == (vloss, vfresh.tobytes())
 
     def test_empty_batch_rejected(self):
         actor, critic, _ = synthetic_batch()
@@ -355,8 +382,7 @@ class TestPpoUpdate:
                               old_log_probs=np.zeros(0), advantages=np.zeros(0),
                               returns=np.zeros(0))
         with pytest.raises(ValueError):
-            rl.ppo_update(actor, critic, nn.AdamState.zeros(actor.theta.size),
-                          nn.AdamState.zeros(critic.theta.size), empty,
+            rl.ppo_update(rl.PPOAgent(actor=actor, critic=critic), empty,
                           default_hyperparams(), RngStream(0, "u"))
 
 

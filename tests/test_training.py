@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from asms import nn, rl, training
+from asms import fed, nn, rl, training
 from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig,
                        scenario_by_name)
 from asms.netsim import BottleneckSim
@@ -204,13 +204,17 @@ class TestEvaluation:
 
     def test_eval_leaves_the_agents_unchanged(self):
         agents = tiny_train(episodes=3).agents
-        before = [(agent.sample_count, agent.actor.theta.tobytes(),
-                   agent.critic.theta.tobytes()) for agent in agents]
-        assert before[0][0] == HP.episode_len
+
+        def state(agent):
+            return (agent.sample_count, agent.actor.theta.tobytes(), agent.critic.theta.tobytes(),
+                    *((adam.m.tobytes(), adam.v.tobytes(), adam.step)
+                      for adam in (agent.actor_adam, agent.critic_adam)))
+
+        before = [state(agent) for agent in agents]
+        assert agents[0].sample_count == HP.episode_len and agents[0].actor_adam.step > 0
         training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
-        assert [(agent.sample_count, agent.actor.theta.tobytes(),
-                 agent.critic.theta.tobytes()) for agent in agents] == before
+        assert [state(agent) for agent in agents] == before
 
     def test_eval_summary_fields(self):
         result = tiny_train()
@@ -322,3 +326,39 @@ class TestFederationIdentity:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         ckpt = "checkpoints/final/agent00.actor.fmap"
         assert (out_a / ckpt).read_bytes() == (out_b / ckpt).read_bytes()
+
+
+class TestParameterOwnership:
+    """Updates write into the agents' parameters in place, so no agent may
+    share an array with another agent or with a global model."""
+
+    def test_made_agents_share_no_memory(self):
+        agents, model = training.make_agents(SimConfig(n_agents=3), HP, RngStream(0, "init"))
+        arrays = [model.actor.theta, model.critic.theta]
+        for agent in agents:
+            arrays += [agent.actor.theta, agent.critic.theta]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("ldp_enabled", [True, False])
+    def test_updates_after_a_round_leave_its_global_model_unchanged(self, ldp_enabled):
+        hp = HyperParams(hidden_width=8, ldp_enabled=ldp_enabled)
+        agents, model = training.make_agents(CFG, hp, RngStream(0, "init"))
+        rng_env, rng_act, rng_upd = (RngStream(0, label) for label in ("env", "act", "upd"))
+
+        def train_episode():
+            sim = BottleneckSim(scenario_by_name("s1"), CFG, hp.episode_len, rng_env)
+            trajectory = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
+            for i, agent in enumerate(agents):
+                agent.sample_count += hp.episode_len
+                rl.ppo_update(agent, rl.build_batch(trajectory, i, agent.critic, hp), hp,
+                              rng_upd)
+
+        train_episode()
+        result = fed.fed_round(agents, model, hp, RngStream(0, "fed"))
+        pinned = (result.model.actor.theta.tobytes(), result.model.critic.theta.tobytes())
+        assert agents[0].actor.theta.tobytes() == pinned[0]
+        train_episode()
+        assert agents[0].actor.theta.tobytes() != pinned[0]
+        assert (result.model.actor.theta.tobytes(), result.model.critic.theta.tobytes()) == pinned
