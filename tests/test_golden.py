@@ -7,7 +7,10 @@ Pinned (sha256 of the files' relative paths and bytes):
 - the same run as ``ippo``;
 - ``eval_<label>.csv`` of the fmappo run's final checkpoint, greedy and
   stochastic, and of the ``delay``, ``probe`` and ``random`` controllers,
-  on s1 and s5 with 3 episodes each.
+  on s1 and s5 with 3 episodes each;
+- ``eval_delay.csv`` of the ``delay`` controller on every stock scenario,
+  s1 to s6, with 1 episode each, so that each scenario's link draws are
+  pinned, s6's ramped burst channel among them.
 
 Float results can move with the Python, numpy or BLAS build, so
 ``golden.json`` records the versions it was made with. After a change that
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from asms import training
-from asms.core import HyperParams, QoECoefficients, SimConfig
+from asms.core import HyperParams, QoECoefficients, SimConfig, builtin_scenarios
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 CFG = SimConfig(n_agents=2)
@@ -38,6 +41,7 @@ TRAIN_SCENARIOS = ("s1", "s3", "s5")
 EVAL_SCENARIOS = ("s1", "s5")
 EVAL_EPISODES = 3
 EVAL_SEED = 7
+ALL_SCENARIOS = tuple(s.name for s in builtin_scenarios())
 
 
 def tree_digest(root: Path) -> str:
@@ -80,12 +84,20 @@ def compute_digests(work: Path) -> dict[str, str]:
            for name in ("delay", "probe", "random")},
     }
     for label, evaluate in evaluations.items():
-        eval_dir = work / f"eval-{label}"
-        eval_dir.mkdir()
-        training.write_eval_csv(eval_dir / f"eval_{label}.csv",
-                                [evaluate(s) for s in EVAL_SCENARIOS])
-        digests[f"eval-{label}"] = tree_digest(eval_dir)
+        digests[f"eval-{label}"] = eval_digest(
+            work / f"eval-{label}", label, [evaluate(s) for s in EVAL_SCENARIOS])
+    digests["eval-delay-all-scenarios"] = eval_digest(
+        work / "eval-delay-all-scenarios", "delay",
+        [training.evaluate_controller("delay", s, 1, EVAL_SEED, CFG, HP, COEFFS)
+         for s in ALL_SCENARIOS])
     return digests
+
+
+def eval_digest(eval_dir: Path, label: str, summaries) -> str:
+    """Digest of ``eval_<label>.csv`` written alone into eval_dir."""
+    eval_dir.mkdir()
+    training.write_eval_csv(eval_dir / f"eval_{label}.csv", summaries)
+    return tree_digest(eval_dir)
 
 
 def test_seeded_outputs_match_the_golden_digests(tmp_path):
