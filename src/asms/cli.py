@@ -68,11 +68,14 @@ def cmd_eval(args) -> int:
     scenarios = _scenario_list(args.scenarios)
     if args.episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {args.episodes}")
-    if args.label is not None and (args.label in ("", ".", "..") or "/" in args.label):
-        raise ValueError(f"--label {args.label!r} is not a plain file name")
+    label, origin = args.label, "--label"
+    if label is None and not args.controller:
+        label, origin = _method_from_manifest(args.checkpoint), "the checkpoint manifest's method"
+    if label is not None and (not isinstance(label, str) or label in ("", ".", "..")
+                              or "/" in label):   # it names eval_<label>.csv
+        raise ValueError(f"{origin} {label!r} is not a plain file name")
     if not args.controller:
         agents = training.load_checkpoint_agents(args.checkpoint)
-        label = args.label or _method_from_manifest(args.checkpoint)
     trace_fh = open(args.trace, "w", encoding="utf-8", newline="") if args.trace else None
     trace = TraceWriter(trace_fh) if trace_fh is not None else None
     finished = False

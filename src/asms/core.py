@@ -106,27 +106,20 @@ class Span:
 @dataclass(frozen=True)
 class Channel:
     """A scenario quantity: a fixed range, or a range drifting linearly
-    from ``start`` at step 0 to ``end`` at step T-1 (ramp)."""
+    from ``start`` at step 0 to ``end`` at step T-1 (ramp); the simulator
+    tabulates it per step with ``netsim.link_bounds``."""
 
     start: Span
     end: Span
 
     @classmethod
     def fixed(cls, lo: float, hi: float | None = None) -> "Channel":
-        span = Span(float(lo), float(lo if hi is None else hi))   # floats, as ``at`` gives
+        span = Span(lo, lo if hi is None else hi)
         return cls(span, span)
 
     @classmethod
     def ramp(cls, start: float, end: float) -> "Channel":
         return cls(Span(start, start), Span(end, end))
-
-    def at(self, t: int, episode_len: int) -> Span:
-        """Interpolated range at step t of an episode_len-step episode."""
-        if episode_len <= 1 or self.start is self.end:   # ``fixed``: nothing to interpolate
-            return self.start
-        frac = min(max(t, 0), episode_len - 1) / (episode_len - 1)
-        return Span(self.start.lo + frac * (self.end.lo - self.start.lo),
-                    self.start.hi + frac * (self.end.hi - self.start.hi))
 
 
 @dataclass(frozen=True)

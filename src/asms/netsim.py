@@ -38,44 +38,41 @@ class LinkState:
             raise ValueError("capacity must be positive")
 
 
-def link_draw_bounds(spec: ScenarioSpec, t: int, episode_len: int,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``lo``/``hi`` (6,) of the six uniforms that draw step t's link: the
-    bandwidth, latency, jitter, loss-rate and burst-loss spans, then the
+def link_bounds(spec: ScenarioSpec, episode_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lo``/``hi`` (T, 6) of the six uniforms that draw each step's link:
+    the bandwidth, latency, jitter, loss-rate and burst-loss spans, then the
     burst coin's [0, 1].
 
-    Fixed channels span their range; ramp channels interpolate the range
-    endpoints linearly from the start range at t=0 to the end range at
-    t=episode_len-1.
+    Each channel's range moves linearly from its start range at t=0 to its
+    end range at t=T-1 (a fixed channel's two are equal).
     """
-    if not (0 <= t < episode_len):
-        raise ValueError(f"step {t} outside [0, {episode_len})")
-    spans = [channel.at(t, episode_len) for channel in
-             (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)]
-    return (np.array([span.lo for span in spans] + [0.0]),
-            np.array([span.hi for span in spans] + [1.0]))
+    channels = (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)
+    start, end = (np.array([[getattr(c, side).lo for c in channels] + [0.0],
+                            [getattr(c, side).hi for c in channels] + [1.0]])
+                  for side in ("start", "end"))
+    frac = np.arange(episode_len)[:, None, None] / max(episode_len - 1, 1)
+    lo, hi = (start + frac * (end - start)).transpose(1, 0, 2)
+    return lo, hi
 
 
-def link_draws(spec: ScenarioSpec, steps: int | np.ndarray, episode_len: int,
+def link_draws(bounds: tuple[np.ndarray, np.ndarray], steps: int | np.ndarray,
                rng: RngStream) -> np.ndarray:
-    """The six uniforms within ``link_draw_bounds`` that draw a link, from one
-    block: (6,) for an int step, and for an (n,) int array of steps the (n, 6)
-    rows of n int-step calls in order, counter included."""
-    if isinstance(steps, np.ndarray):
-        uniq, inverse = np.unique(steps, return_inverse=True)
-        lo, hi = map(np.array, zip(*(link_draw_bounds(spec, t, episode_len)
-                                     for t in uniq.tolist())))
-        lo, hi = lo[inverse], hi[inverse]
-    else:
-        lo, hi = link_draw_bounds(spec, steps, episode_len)
+    """The six uniforms within rows ``steps`` of ``link_bounds`` that draw a
+    link, from one block: (6,) for an int step, and for an (n,) int array of
+    steps the (n, 6) rows of n int-step calls in order, counter included."""
+    lo, hi = bounds
+    t = np.asarray(steps)
+    outside = t[(t < 0) | (t >= len(lo))]
+    if outside.size:
+        raise ValueError(f"step {outside[0]} outside [0, {len(lo)})")
+    lo, hi = lo[t], hi[t]
     return rng.uniform(lo.ravel(), hi.ravel(), size=lo.size).reshape(lo.shape)
 
 
-def sample_link_state(spec: ScenarioSpec, t: int, episode_len: int,
+def sample_link_state(bounds: tuple[np.ndarray, np.ndarray], t: int,
                       rng: RngStream) -> LinkState:
     """Draw the link conditions for step t (``link_draws`` of one step)."""
-    capacity, latency, jitter, loss, burst_level, coin = link_draws(
-        spec, t, episode_len, rng).tolist()
+    capacity, latency, jitter, loss, burst_level, coin = link_draws(bounds, t, rng).tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
                      burst_active=coin < burst_level, burst_level=burst_level)
@@ -159,13 +156,14 @@ class BottleneckSim:
         self.episode_len = episode_len
         self.rng = rng
         self.trace = trace
+        self.bounds = link_bounds(spec, episode_len)
         self.t = 0
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         """Start an episode: a warmup step at t=0 with every target at x_init
         produces the first rows and frame rates."""
         self.t = 0
-        state = sample_link_state(self.spec, 0, self.episode_len, self.rng)
+        state = sample_link_state(self.bounds, 0, self.rng)
         return advance(state, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
 
     def step(self, targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +173,7 @@ class BottleneckSim:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
-        state = sample_link_state(self.spec, self.t, self.episode_len, self.rng)
+        state = sample_link_state(self.bounds, self.t, self.rng)
         rows, frame_rate = advance(state, targets, self.cfg, self.rng)
         if self.trace is not None:
             self.trace.record(state, rows, frame_rate)
@@ -203,4 +201,4 @@ class TraceWriter:
 
 
 __all__ = ["BottleneckSim", "LinkState", "TraceWriter", "advance", "allocate_max_min",
-           "link_draw_bounds", "link_draws", "sample_link_state"]
+           "link_bounds", "link_draws", "sample_link_state"]

@@ -69,12 +69,11 @@ class TrainResult:
 def make_agents(cfg: SimConfig, hp: HyperParams, rng_init: RngStream,
                 ) -> tuple[list[PPOAgent], fed.GlobalModel]:
     """One shared initial model broadcast to all agents (both methods start
-    identically; only aggregation afterwards differs). Each agent gets its
-    own copy of the parameters, which its updates write in place."""
+    identically; only aggregation afterwards differs). ``fed.broadcast``
+    gives each agent its own copy, which its updates write in place."""
     model = fed.init_global(OBS_DIM, hp.hidden_width, len(cfg.delta_table), rng_init)
-    agents = [PPOAgent(actor=model.actor.with_theta(model.actor.theta.copy()),
-                       critic=model.critic.with_theta(model.critic.theta.copy()))
-              for _ in range(cfg.n_agents)]
+    agents = [PPOAgent(actor=model.actor, critic=model.critic) for _ in range(cfg.n_agents)]
+    fed.broadcast(model, agents)
     return agents, model
 
 

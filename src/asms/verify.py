@@ -291,28 +291,29 @@ def check_hyperparam_table(seed: int) -> tuple[bool, str]:
     return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
 
-def _sample_failure(spec: ScenarioSpec, t: int, t_len: int, row: np.ndarray) -> str:
+def _sample_failure(name: str, bounds: tuple[np.ndarray, np.ndarray], t: int,
+                    row: np.ndarray) -> str:
     """Why one drawn sample fails: LinkState's own invariant message, or its
-    first channel outside the step's span."""
+    first channel outside row t of its scenario's ``netsim.link_bounds``."""
     capacity, latency, jitter, loss, burst_level, coin = row.tolist()
     try:
         netsim.LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                          base_jitter_ms=jitter, loss_rate=loss,
                          burst_active=coin < burst_level, burst_level=burst_level)
     except ValueError as err:
-        return f"{spec.name} t={t}: {err}"
-    lo, hi = netsim.link_draw_bounds(spec, t, t_len)
+        return f"{name} t={t}: {err}"
     value, low, high = next((value, low, high) for value, low, high in
-                            zip(row[:5].tolist(), lo.tolist(), hi.tolist())
+                            zip(row[:5].tolist(), bounds[0][t].tolist(),
+                                bounds[1][t].tolist())
                             if not (low - 1e-9 <= value <= high + 1e-9))
-    return f"{spec.name} t={t}: {value} outside [{low}, {high}]"
+    return f"{name} t={t}: {value} outside [{low}, {high}]"
 
 
 def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     """Six reference channel tables; each scenario's 10,000 link states,
     drawn at random steps by one ``netsim.link_draws`` block, in their step's
-    spans and within LinkState's invariants; ``sample_link_state`` at both
-    ramp endpoints gives every named field within its channel's span."""
+    bounds and within LinkState's invariants; ``sample_link_state`` at t=0
+    and t=T-1 gives every named field within its channel's start/end span."""
     specs = builtin_scenarios()
     table = {s.name: (s.bandwidth, s.latency, s.jitter, s.loss_rate, s.burst_loss)
              for s in specs}
@@ -324,26 +325,25 @@ def check_scenario_ranges(seed: int) -> tuple[bool, str]:
     t_len = 40
     n_samples = 10_000
     for spec in specs:
-        lo, hi = map(np.array, zip(*(netsim.link_draw_bounds(spec, t, t_len)
-                                     for t in range(t_len))))
+        lo, hi = bounds = netsim.link_bounds(spec, t_len)
         t = rng.uniform(0, t_len, size=n_samples).astype(np.int64)
-        draws = netsim.link_draws(spec, t, t_len, rng)
+        draws = netsim.link_draws(bounds, t, rng)
         values = draws[:, :5]
         ok = ((lo[t, :5] - 1e-9 <= values) & (values <= hi[t, :5] + 1e-9)).all(axis=1)
         ok &= (values[:, 0] > 0) & (values[:, 3] >= 0.0) & (values[:, 3] <= 1.0)
         if not ok.all():
             k = int(np.argmin(ok))
-            return False, _sample_failure(spec, int(t[k]), t_len, draws[k])
+            return False, _sample_failure(spec.name, bounds, int(t[k]), draws[k])
         # ramp endpoints must hit the arrow targets exactly (point ranges);
         # every named field is tested, so a draw given the wrong field fails
         for t_end, end in ((0, "start"), (t_len - 1, "end")):
-            state = netsim.sample_link_state(spec, t_end, t_len, rng)
+            state = netsim.sample_link_state(bounds, t_end, rng)
             for value, channel in ((state.capacity_mbps, spec.bandwidth),
                                    (state.base_latency_ms, spec.latency),
                                    (state.base_jitter_ms, spec.jitter),
                                    (state.loss_rate, spec.loss_rate),
                                    (state.burst_level, spec.burst_loss)):
-                span = channel.at(t_end, t_len)
+                span = getattr(channel, end)
                 if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
                     return False, f"{spec.name} {end} endpoint off: {value}"
     return True, (f"channels match the table; {n_samples} samples x 6 scenarios "
@@ -437,11 +437,10 @@ def check_checkpoint_roundtrip(seed: int) -> tuple[bool, str]:
 def check_netsim_invariants(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/netsim")
     cfg = SimConfig(n_agents=4)
-    specs = builtin_scenarios()
+    bounds = [netsim.link_bounds(spec, 40) for spec in builtin_scenarios()]
     worst_excess = 0.0
     for k in range(1000):
-        spec = specs[k % len(specs)]
-        state = netsim.sample_link_state(spec, k % 40, 40, rng)
+        state = netsim.sample_link_state(bounds[k % len(bounds)], k % 40, rng)
         targets = rng.uniform(1, 200, size=4)
         rows, _ = netsim.advance(state, targets, cfg, rng)
         received = rows[:, OBS_RECEIVED]
@@ -454,7 +453,7 @@ def check_netsim_invariants(seed: int) -> tuple[bool, str]:
     # lossless uncongested link must deliver perfectly
     clean = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                          Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
-    state = netsim.sample_link_state(clean, 0, 40, rng)
+    state = netsim.sample_link_state(netsim.link_bounds(clean, 1), 0, rng)
     rows, _ = netsim.advance(state, [10.0, 20.0], SimConfig(n_agents=2), rng)
     lossless = rows[:, OBS_LOST].sum() == 0 and np.allclose(
         rows[:, OBS_RECEIVED], [10.0, 20.0])

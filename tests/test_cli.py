@@ -205,6 +205,23 @@ class TestEval:
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("method", ["x/y", ""])
+    def test_manifest_label_that_is_not_a_file_name_exits_2_before_any_episode(
+            self, trained_run, tiny_cfg, tmp_path, capsys, method):
+        manifest = trained_run / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "method": method}))
+        capsys.readouterr()
+        out = tmp_path / "D"
+        args = ["eval", "--checkpoint", str(trained_run / "checkpoints" / "final"),
+                "--config", tiny_cfg, "--episodes", "1", "--out", str(out)]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert f"manifest's method {method!r} is not a plain file name" in captured.err
+        assert captured.out == "" and not out.exists()
+        # an explicit --label stands in for the manifest's
+        assert run_cli(*args, "--label", "X") == 0
+        assert (out / "eval_X.csv").exists()
+
     def test_checkpoint_loads_once_for_all_scenarios(self, trained_run, tiny_cfg,
                                                      monkeypatch):
         loads = []
@@ -473,8 +490,8 @@ class TestVerify:
     def test_endpoint_draws_catch_swapped_fields(self, monkeypatch, first, second, at_s1_start):
         real = netsim.sample_link_state
 
-        def swapped(spec, t, episode_len, rng):
-            s = real(spec, t, episode_len, rng)
+        def swapped(bounds, t, rng):
+            s = real(bounds, t, rng)
             return dataclasses.replace(s, **{first: getattr(s, second),
                                              second: getattr(s, first)})
 
@@ -540,19 +557,18 @@ def _scalar_range_failure(rng):
     its two endpoint states), in its own words (None when every sample
     passes)."""
     for spec in builtin_scenarios():
+        bounds = netsim.link_bounds(spec, 40)
         steps = [int(rng.uniform(0, 40)) for _ in range(10_000)]
         for t in steps:
-            state = netsim.sample_link_state(spec, t, 40, rng)
-            for value, channel in ((state.capacity_mbps, spec.bandwidth),
-                                   (state.base_latency_ms, spec.latency),
-                                   (state.base_jitter_ms, spec.jitter),
-                                   (state.loss_rate, spec.loss_rate),
-                                   (state.burst_level, spec.burst_loss)):
-                span = channel.at(t, 40)
-                if not (span.lo - 1e-9 <= value <= span.hi + 1e-9):
-                    return f"{spec.name} t={t}: {value} outside [{span.lo}, {span.hi}]"
+            state = netsim.sample_link_state(bounds, t, rng)
+            for value, lo, hi in zip((state.capacity_mbps, state.base_latency_ms,
+                                      state.base_jitter_ms, state.loss_rate,
+                                      state.burst_level),
+                                     bounds[0][t].tolist(), bounds[1][t].tolist()):
+                if not (lo - 1e-9 <= value <= hi + 1e-9):
+                    return f"{spec.name} t={t}: {value} outside [{lo}, {hi}]"
         for t in (0, 39):
-            netsim.sample_link_state(spec, t, 40, rng)
+            netsim.sample_link_state(bounds, t, rng)
     return None
 
 

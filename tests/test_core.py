@@ -12,6 +12,7 @@ from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        default_qoe_coefficients, default_sim_config,
                        load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
+from asms.netsim import link_bounds
 
 
 class TestObsRows:
@@ -118,21 +119,24 @@ class TestScenarios:
         assert (s4.latency.start.lo, s4.latency.start.hi) == (5, 10)
 
     def test_fixed_channel_spans_are_floats_at_every_step(self):
-        s1 = scenario_by_name("s1")
+        lo, hi = link_bounds(scenario_by_name("s1"), 40)
+        assert lo.dtype == hi.dtype == np.float64
         for t in (0, 17, 39):
-            span = s1.latency.at(t, 40)
-            assert (span.lo, span.hi) == (10.0, 30.0)
-            assert type(span.lo) is float and type(span.hi) is float
+            assert (lo[t, 1], hi[t, 1]) == (10.0, 30.0)
 
     def test_s5_bandwidth_ramps_down(self):
         s5 = scenario_by_name("s5")
         assert s5.bandwidth.start != s5.bandwidth.end
-        assert s5.bandwidth.at(0, 40) == Span(100, 100)
-        assert s5.bandwidth.at(39, 40) == Span(30, 30)
+        assert (s5.bandwidth.start, s5.bandwidth.end) == (Span(100, 100), Span(30, 30))
+        lo, hi = link_bounds(s5, 40)
+        assert (lo[0, 0], hi[0, 0], lo[39, 0], hi[39, 0]) == (100, 100, 30, 30)
+        assert np.all(np.diff(lo[:, 0]) < 0)
 
     def test_s6_latency_ramps_to_20(self):
         s6 = scenario_by_name("s6")
-        assert s6.latency.at(39, 40) == Span(20, 20)
+        assert s6.latency.end == Span(20, 20)
+        lo, hi = link_bounds(s6, 40)
+        assert (lo[39, 1], hi[39, 1]) == (20, 20)
 
     def test_loss_rates_are_fractions(self):
         for spec in builtin_scenarios():

@@ -3,14 +3,36 @@ import math
 import numpy as np
 import pytest
 
+from asms import netsim
 from asms.core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
                        RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
-                         allocate_max_min, link_draw_bounds, link_draws,
+                         allocate_max_min, link_bounds, link_draws,
                          sample_link_state)
 
 CLEAN = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
                      Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
+SCENARIOS = ["s1", "s2", "s3", "s4", "s5", "s6"]
+
+
+def span_at(channel, t, episode_len):
+    """A channel's (lo, hi) at step t, by the per-step arithmetic that drew
+    links before the simulator built its bound table once per episode: the
+    table's bit-for-bit reference."""
+    if episode_len <= 1 or channel.start is channel.end:
+        return channel.start.lo, channel.start.hi
+    frac = min(max(t, 0), episode_len - 1) / (episode_len - 1)
+    return (channel.start.lo + frac * (channel.end.lo - channel.start.lo),
+            channel.start.hi + frac * (channel.end.hi - channel.start.hi))
+
+
+def channels(spec):
+    return (spec.bandwidth, spec.latency, spec.jitter, spec.loss_rate, spec.burst_loss)
+
+
+def draw(spec, t, rng, episode_len=40):
+    """One step's link from a fresh table of the scenario."""
+    return sample_link_state(link_bounds(spec, episode_len), t, rng)
 
 
 def water_level_oracle(targets, capacity):
@@ -38,34 +60,45 @@ def water_level_oracle(targets, capacity):
 class TestSampleLinkState:
     def test_s1_capacity_in_range(self):
         rng = RngStream(0, "t")
-        s1 = scenario_by_name("s1")
+        bounds = link_bounds(scenario_by_name("s1"), 40)
         for t in range(40):
-            state = sample_link_state(s1, t, 40, rng)
+            state = sample_link_state(bounds, t, rng)
             assert 100 <= state.capacity_mbps <= 200
 
     def test_s5_ramp_endpoints(self):
         rng = RngStream(0, "t")
         s5 = scenario_by_name("s5")
-        start = sample_link_state(s5, 0, 40, rng)
-        end = sample_link_state(s5, 39, 40, rng)
+        start = draw(s5, 0, rng)
+        end = draw(s5, 39, rng)
         assert start.capacity_mbps == pytest.approx(100.0)
         assert end.capacity_mbps == pytest.approx(30.0)
 
     def test_draw_bounds_are_the_channel_spans_then_the_coin(self):
         s5 = scenario_by_name("s5")
+        lo, hi = link_bounds(s5, 40)
+        assert lo.shape == hi.shape == (40, 6)
         for t in (0, 17, 39):
-            lo, hi = link_draw_bounds(s5, t, 40)
-            spans = [c.at(t, 40) for c in (s5.bandwidth, s5.latency, s5.jitter,
-                                           s5.loss_rate, s5.burst_loss)]
-            assert lo.tolist() == [span.lo for span in spans] + [0.0]
-            assert hi.tolist() == [span.hi for span in spans] + [1.0]
+            spans = [span_at(c, t, 40) for c in channels(s5)]
+            assert lo[t].tolist() == [span[0] for span in spans] + [0.0]
+            assert hi[t].tolist() == [span[1] for span in spans] + [1.0]
         with pytest.raises(ValueError, match="step 40 outside"):
-            link_draw_bounds(s5, 40, 40)
+            link_draws((lo, hi), 40, RngStream(0, "t"))
+
+    @pytest.mark.parametrize("episode_len", [1, 2, 40])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bound_rows_equal_the_per_step_arithmetic_bit_for_bit(self, name, episode_len):
+        spec = scenario_by_name(name)
+        lo, hi = link_bounds(spec, episode_len)
+        assert lo.shape == hi.shape == (episode_len, 6)
+        for t in range(episode_len):
+            spans = [span_at(c, t, episode_len) for c in channels(spec)]
+            assert lo[t].tobytes() == np.array([s[0] for s in spans] + [0.0]).tobytes()
+            assert hi[t].tobytes() == np.array([s[1] for s in spans] + [1.0]).tobytes()
 
     def test_s6_latency_endpoint(self):
         rng = RngStream(1, "t")
         s6 = scenario_by_name("s6")
-        end = sample_link_state(s6, 39, 40, rng)
+        end = draw(s6, 39, rng)
         assert end.base_latency_ms == pytest.approx(20.0)
 
     def test_block_draw_matches_scalar_draws(self):
@@ -73,53 +106,57 @@ class TestSampleLinkState:
         for t in (0, 17, 39):
             rng = RngStream(3, "env")
 
-            def draw(channel):
-                span = channel.at(t, 40)
-                return rng.uniform(span.lo, span.hi)
+            def draw_channel(channel):
+                return rng.uniform(*span_at(channel, t, 40))
 
-            capacity = draw(s5.bandwidth)
-            latency = draw(s5.latency)
-            jitter = draw(s5.jitter)
-            loss = draw(s5.loss_rate)
-            burst_level = draw(s5.burst_loss)
+            capacity = draw_channel(s5.bandwidth)
+            latency = draw_channel(s5.latency)
+            jitter = draw_channel(s5.jitter)
+            loss = draw_channel(s5.loss_rate)
+            burst_level = draw_channel(s5.burst_loss)
             burst_active = rng.uniform() < burst_level
             block = RngStream(3, "env")
-            state = sample_link_state(s5, t, 40, block)
+            state = draw(s5, t, block)
             assert state == LinkState(t, capacity, latency, jitter, loss,
                                       burst_active, burst_level)
             assert type(state.capacity_mbps) is float
             assert block.uniform() == rng.uniform()
 
-    @pytest.mark.parametrize("name", ["s1", "s2", "s3", "s4", "s5", "s6"])
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_step_block_equals_per_step_calls(self, name):
-        spec = scenario_by_name(name)
+        bounds = link_bounds(scenario_by_name(name), 40)
         steps = RngStream(5, "steps").integers(40, size=300)
         block, scalar = RngStream(7, name), RngStream(7, name)
-        rows = link_draws(spec, steps, 40, block)
+        rows = link_draws(bounds, steps, block)
         assert rows.shape == (300, 6)
         want = []
         for t in steps.tolist():
-            s = sample_link_state(spec, t, 40, scalar)
+            s = sample_link_state(bounds, t, scalar)
             want.append((s.capacity_mbps, s.base_latency_ms, s.base_jitter_ms,
                          s.loss_rate, s.burst_level, s.burst_active))
         assert [(*row[:5], row[5] < row[4]) for row in rows.tolist()] == want
         assert block._counter == scalar._counter == 6 * 300
 
     def test_steps_outside_the_episode_rejected(self):
-        s1 = scenario_by_name("s1")
-        for steps, bad in ((np.array([0, 40]), 40), (np.array([3, -1]), -1)):
-            with pytest.raises(ValueError, match=f"step {bad} outside"):
-                link_draws(s1, steps, 40, RngStream(0, "t"))
+        # negative steps too, which indexing the table would wrap silently
+        bounds = link_bounds(scenario_by_name("s1"), 40)
+        for steps, bad in ((np.array([0, 40]), 40), (np.array([3, -1]), -1),
+                           (40, 40), (-1, -1)):
+            rng = RngStream(0, "t")
+            with pytest.raises(ValueError, match=f"step {bad} outside \\[0, 40\\)"):
+                link_draws(bounds, steps, rng)
+            assert rng._counter == 0
 
     def test_determinism(self):
         s3 = scenario_by_name("s3")
-        a = sample_link_state(s3, 5, 40, RngStream(9, "env"))
-        b = sample_link_state(s3, 5, 40, RngStream(9, "env"))
+        a = draw(s3, 5, RngStream(9, "env"))
+        b = draw(s3, 5, RngStream(9, "env"))
         assert a == b
 
     def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            sample_link_state(CLEAN, 40, 40, RngStream(0, "t"))
+        for t in (40, -1):
+            with pytest.raises(ValueError, match="outside"):
+                draw(CLEAN, t, RngStream(0, "t"))
 
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):
@@ -188,7 +225,7 @@ class TestAllocateMaxMin:
 class TestAdvance:
     def test_uncongested_lossless(self):
         cfg = SimConfig(n_agents=1)
-        state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
+        state = draw(CLEAN, 0, RngStream(0, "e"))
         rows, frame_rate = advance(state, [10.0], cfg, RngStream(0, "e2"))
         assert rows[0, OBS_RECEIVED] == pytest.approx(10.0)
         assert rows[0, OBS_LOST] == 0
@@ -198,14 +235,14 @@ class TestAdvance:
         spec = ScenarioSpec("tight", Channel.fixed(60), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=2)
-        state = sample_link_state(spec, 0, 40, RngStream(0, "e"))
+        state = draw(spec, 0, RngStream(0, "e"))
         rows, frame_rate = advance(state, [50.0, 50.0], cfg, RngStream(0, "e2"))
         np.testing.assert_allclose(rows[:, OBS_RECEIVED], [30.0, 30.0])
         np.testing.assert_allclose(frame_rate, 0.6 * cfg.f_target)
 
     def test_latency_grows_with_utilization(self):
         cfg = SimConfig(n_agents=1)
-        state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
+        state = draw(CLEAN, 0, RngStream(0, "e"))
         low, _ = advance(state, [10.0], cfg, RngStream(0, "a"))
         high, _ = advance(state, [100.0], cfg, RngStream(0, "b"))
         assert high[0, OBS_LATENCY] > low[0, OBS_LATENCY]
@@ -216,7 +253,7 @@ class TestAdvance:
         cfg = SimConfig(n_agents=5)
         for k in range(200):
             spec = scenario_by_name(f"s{1 + k % 6}")
-            state = sample_link_state(spec, k % 40, 40, rng)
+            state = draw(spec, k % 40, rng)
             targets = rng.uniform(1, 200, size=5)
             rows, _ = advance(state, targets, cfg, rng)
             assert rows[:, OBS_RECEIVED].sum() <= state.capacity_mbps + 1e-9
@@ -244,7 +281,7 @@ class TestAdvance:
         spec = ScenarioSpec("lossy", Channel.fixed(50), Channel.fixed(10),
                             Channel.fixed(2), Channel.fixed(0.01), Channel.fixed(0.0))
         cfg = SimConfig(n_agents=1)
-        state = sample_link_state(spec, 0, 40, RngStream(1, "e"))
+        state = draw(spec, 0, RngStream(1, "e"))
         calm, _ = advance(state, [40.0], cfg, RngStream(5, "x"))
         bursty_state = LinkState(state.t, state.capacity_mbps, state.base_latency_ms,
                                  state.base_jitter_ms, state.loss_rate, True, 0.2)
@@ -252,7 +289,7 @@ class TestAdvance:
         assert bursty[0, OBS_LOST] > calm[0, OBS_LOST]
 
     def test_dimension_mismatch(self):
-        state = sample_link_state(CLEAN, 0, 40, RngStream(0, "e"))
+        state = draw(CLEAN, 0, RngStream(0, "e"))
         with pytest.raises(ValueError):
             advance(state, np.zeros((2, 2)), SimConfig(), RngStream(0, "x"))
 
@@ -275,6 +312,20 @@ class TestBottleneckSim:
 
         assert run(11) == run(11)
         assert run(11) != run(12)
+
+    def test_bound_table_is_built_once_per_simulator(self, monkeypatch):
+        spec = scenario_by_name("s6")
+        built = []
+        monkeypatch.setattr(netsim, "link_bounds",
+                            lambda *args: built.append(args) or link_bounds(*args))
+        sim = BottleneckSim(spec, SimConfig(n_agents=2), 40, RngStream(0, "env"))
+        for _ in range(2):
+            sim.reset()
+            for _ in range(40):
+                sim.step([10.0, 20.0])
+        assert built == [(spec, 40)]
+        for got, want in zip(sim.bounds, link_bounds(spec, 40)):
+            assert got.tobytes() == want.tobytes()
 
     def test_episode_exhaustion(self):
         sim = BottleneckSim(CLEAN, SimConfig(n_agents=1), 2, RngStream(0, "env"))
