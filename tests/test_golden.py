@@ -10,7 +10,11 @@ Pinned (sha256 of the files' relative paths and bytes):
   on s1 and s5 with 3 episodes each;
 - ``eval_delay.csv`` of the ``delay`` controller on every stock scenario,
   s1 to s6, with 1 episode each, so that each scenario's link draws are
-  pinned, s6's ramped burst channel among them.
+  pinned, s6's ramped burst channel among them;
+- ``eval_n24.csv`` at N=24 (hidden width 8): stochastic ``evaluate_agents``
+  of freshly made agents and the ``delay`` controller, on s1 and s5 with 1
+  episode each, so that the large-N paths (an overloaded link's high-loss
+  ``binomial`` draws among them) are pinned too.
 
 Float results can move with the Python, numpy or BLAS build, so
 ``golden.json`` records the versions it was made with. After a change that
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from asms import training
-from asms.core import HyperParams, QoECoefficients, SimConfig, builtin_scenarios
+from asms.core import HyperParams, QoECoefficients, RngStream, SimConfig, builtin_scenarios
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
 CFG = SimConfig(n_agents=2)
@@ -42,6 +46,7 @@ EVAL_SCENARIOS = ("s1", "s5")
 EVAL_EPISODES = 3
 EVAL_SEED = 7
 ALL_SCENARIOS = tuple(s.name for s in builtin_scenarios())
+CFG_N24 = SimConfig(n_agents=24)
 
 
 def tree_digest(root: Path) -> str:
@@ -90,6 +95,14 @@ def compute_digests(work: Path) -> dict[str, str]:
         work / "eval-delay-all-scenarios", "delay",
         [training.evaluate_controller("delay", s, 1, EVAL_SEED, CFG, HP, COEFFS)
          for s in ALL_SCENARIOS])
+    agents_n24, _ = training.make_agents(CFG_N24, HP, RngStream(0, "init"))
+    digests["eval-n24"] = eval_digest(
+        work / "eval-n24", "n24",
+        [training.evaluate_agents(agents_n24, s, 1, EVAL_SEED, CFG_N24, HP, COEFFS,
+                                  method="init-stochastic", greedy=False)
+         for s in EVAL_SCENARIOS]
+        + [training.evaluate_controller("delay", s, 1, EVAL_SEED, CFG_N24, HP, COEFFS)
+           for s in EVAL_SCENARIOS])
     return digests
 
 
