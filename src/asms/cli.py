@@ -71,8 +71,7 @@ def cmd_eval(args) -> int:
     label, origin = args.label, "--label"
     if label is None and not args.controller:
         label, origin = _method_from_manifest(args.checkpoint), "the checkpoint manifest's method"
-    if label is not None and (not isinstance(label, str) or label in ("", ".", "..")
-                              or "/" in label):   # it names eval_<label>.csv
+    if label is not None and (label in ("", ".", "..") or "/" in label):   # eval_<label>.csv
         raise ValueError(f"{origin} {label!r} is not a plain file name")
     if not args.controller:
         agents = training.load_checkpoint_agents(args.checkpoint)
@@ -115,16 +114,22 @@ def cmd_eval(args) -> int:
 
 
 def _method_from_manifest(checkpoint_dir: str) -> str:
+    """The run's training method, which labels an evaluation of its
+    checkpoint; a missing or unusable manifest asks for --label instead."""
     # checkpoint dirs live at <run>/checkpoints/<tag>; the manifest sits at
     # the run root
+    ask = "; name the evaluation with --label"
     for parent in (Path(checkpoint_dir), *Path(checkpoint_dir).parents):
         manifest = parent / training.MANIFEST_FILE
         if manifest.exists():
             try:
-                return json.loads(manifest.read_text(encoding="utf-8"))["method"]
-            except (ValueError, KeyError):
-                return "unknown"
-    return "unknown"
+                data = json.loads(manifest.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read the run manifest {manifest} ({exc}){ask}") from None
+            if isinstance(data, dict) and isinstance(data.get("method"), str):
+                return data["method"]
+            raise ValueError(f"the run manifest {manifest} has no string 'method'{ask}")
+    raise ValueError(f"no {training.MANIFEST_FILE} in {checkpoint_dir} or above it{ask}")
 
 
 def _read_eval_source(path: Path) -> list[dict]:

@@ -16,6 +16,7 @@ triggers exactly one NACK). The simulator emits (N, 6) rows per step, and
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -418,6 +419,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _UINT = np.uint64
 _BLOCK = 1024   # words a stream computes ahead of its counter
+_FEW_ENTRIES = 4   # binomial's measured crossover from bisect to one numpy search
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -485,6 +487,8 @@ class RngStream:
         if size is None:   # the array path's arithmetic, in Python numbers
             return float(low + (high - low) * ((int(self.raw(1)[0]) >> 11) * 2.0 ** -53))
         u01 = (self.raw(size) >> _UINT(11)).astype(np.float64) * (2.0 ** -53)
+        if isinstance(low, float) and isinstance(high, float) and low == 0.0 and high == 1.0:
+            return u01   # 0.0 + 1.0 * u01 is u01 itself
         return low + (high - low) * u01
 
     def integers(self, n_exclusive: int, size: int | None = None):
@@ -532,25 +536,26 @@ class RngStream:
         once; from the first entry whose successes fill its first chunk, the
         counter rewinds to that chunk and the rest run one entry at a time.
         """
-        counts = np.atleast_1d(np.asarray(n, dtype=np.int64))
+        counts = np.asarray(n, dtype=np.int64)
+        if counts.size <= _FEW_ENTRIES:
+            out = self._binomial_few(counts.ravel().tolist(), p)
+            return out[0] if counts.ndim == 0 else np.array(out, dtype=np.int64)
         out = np.zeros(counts.shape, dtype=np.int64)
-        live = np.flatnonzero(counts > 0)
+        live = (counts > 0).nonzero()[0]
         if p >= 1.0:
             out[live] = counts[live]
         elif p > 0.0 and live.size:
             log_q = math.log1p(-p)
             trials = counts[live]
             chunks = np.maximum(16, (trials * p * 1.3).astype(np.int64) + 16)
-            ends = np.cumsum(chunks)
+            ends = np.add.accumulate(chunks)
             starts = ends - chunks
             counter = self._counter
-            u = self.uniform(size=int(ends[-1]))
-            # every skip is >= 1, so the running positions strictly increase;
+            pos = self._skip_positions(int(ends[-1]), log_q)
             # entry i's trials succeed at pos[starts[i]:ends[i]] - base[i]
-            pos = np.cumsum(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
             base = pos[starts - 1]
             base[0] = 0
-            inside = np.searchsorted(pos, base + trials, side="right") - starts
+            inside = pos.searchsorted(base + trials, side="right") - starts
             out[live] = inside
             full = inside >= chunks
             if full.any():
@@ -558,7 +563,35 @@ class RngStream:
                 self._counter = counter + int(starts[j])
                 for i in range(int(live[j]), counts.size):
                     out[i] = self._binomial_one(int(counts[i]), p, log_q)
-        return int(out[0]) if np.ndim(n) == 0 else out
+        return out
+
+    def _binomial_few(self, counts: list[int], p: float) -> list[int]:
+        """``binomial`` of a few entries: the same chunks, block and rewind,
+        each entry's chunk searched with bisect over Python ints."""
+        if p >= 1.0:
+            return [max(c, 0) for c in counts]
+        out = [0] * len(counts)
+        live = [i for i, c in enumerate(counts) if c > 0]
+        if p > 0.0 and live:
+            log_q = math.log1p(-p)
+            chunks = [max(16, int(counts[i] * p * 1.3) + 16) for i in live]
+            counter = self._counter
+            pos = self._skip_positions(sum(chunks), log_q).tolist()
+            start = base = 0
+            for i, chunk in zip(live, chunks):
+                out[i] = bisect.bisect_right(pos, base + counts[i], start, start + chunk) - start
+                if out[i] == chunk:
+                    self._counter = counter + start
+                    out[i:] = [self._binomial_one(c, p, log_q) for c in counts[i:]]
+                    break
+                start += chunk
+                base = pos[start - 1]
+        return out
+
+    def _skip_positions(self, words: int, log_q: float) -> np.ndarray:
+        """Strictly increasing success positions: cumulative skips >= 1."""
+        u = self.uniform(size=words)
+        return np.add.accumulate(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
 
     def _binomial_one(self, n: int, p: float, log_q: float) -> int:
         """One entry of ``binomial`` for 0 < p < 1, chunk after chunk."""

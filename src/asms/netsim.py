@@ -61,6 +61,10 @@ def link_draws(bounds: tuple[np.ndarray, np.ndarray], steps: int | np.ndarray,
     link, from one block: (6,) for an int step, and for an (n,) int array of
     steps the (n, 6) rows of n int-step calls in order, counter included."""
     lo, hi = bounds
+    if isinstance(steps, (int, np.integer)):   # one step, checked in Python
+        if not 0 <= steps < len(lo):
+            raise ValueError(f"step {steps} outside [0, {len(lo)})")
+        return rng.uniform(lo[steps], hi[steps], size=lo.shape[1])
     t = np.asarray(steps)
     outside = t[(t < 0) | (t >= len(lo))]
     if outside.size:
@@ -121,8 +125,10 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
     if x.ndim != 1 or x.size == 0:
         raise ValueError("targets must be a non-empty 1-D sequence")
 
-    y = allocate_max_min(x, state.capacity_mbps)
-    total_demand = float(x.sum())
+    total_demand = float(np.add.reduce(x))
+    # demand that fits is received in full; fmin.reduce < 0 iff any target < 0
+    y = (x if total_demand <= state.capacity_mbps and np.fmin.reduce(x) >= 0
+         else allocate_max_min(x, state.capacity_mbps))
     utilization = min(1.0, total_demand / state.capacity_mbps)
     overload = max(0.0, total_demand / state.capacity_mbps - 1.0)
     eff_loss = state.loss_rate + cfg.congestion_loss_coef * overload

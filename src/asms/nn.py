@@ -177,15 +177,15 @@ def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
     (dw1, db1), (dw2, db2), (dw3, db3) = _layer_views(out, params.shapes)
 
     np.matmul(a2.T, g, out=dw3)
-    g.sum(axis=0, out=db3)
+    np.add.reduce(g, axis=0, out=db3)
     da2 = g @ w3.T
     dz2 = da2 * _act_grad(z2, a2, params.activation)
     np.matmul(a1.T, dz2, out=dw2)
-    dz2.sum(axis=0, out=db2)
+    np.add.reduce(dz2, axis=0, out=db2)
     da1 = dz2 @ w2.T
     dz1 = da1 * _act_grad(z1, a1, params.activation)
     np.matmul(batch.T, dz1, out=dw1)
-    dz1.sum(axis=0, out=db1)
+    np.add.reduce(dz1, axis=0, out=db1)
     return out
 
 
@@ -225,7 +225,8 @@ def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float
     """
     if grad.shape != params.theta.shape:
         raise ValueError("gradient length does not match parameters")
-    norm = float(np.linalg.norm(grad))
+    # np.linalg.norm's own arithmetic for a 1-D float64 vector
+    norm = math.sqrt(grad.dot(grad))
     if math.isfinite(norm):
         clipped = grad_clip > 0 and norm > grad_clip
         scale = grad_clip / norm if clipped else 1.0
@@ -233,7 +234,7 @@ def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float
         # grad_clip-long copy of the direction; nothing is squared unscaled
         peak = float(np.abs(grad).max())
         grad = grad / peak
-        unit_norm = float(np.linalg.norm(grad))
+        unit_norm = math.sqrt(grad.dot(grad))
         grad *= grad_clip / unit_norm
         norm, clipped, scale = peak * unit_norm, True, 1.0
     else:
@@ -268,12 +269,12 @@ def categorical_head(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     z = np.asarray(logits, dtype=np.float64)
     single = z.ndim == 1
     zz = z[None, :] if single else z
-    shifted = zz - zz.max(axis=1, keepdims=True)
+    shifted = zz - np.maximum.reduce(zz, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
+    total = np.add.reduce(exp, axis=1, keepdims=True)
     probs = exp / total
     logp = shifted - np.log(total)
-    entropy = -(probs * logp).sum(axis=1)
+    entropy = -np.add.reduce(probs * logp, axis=1)
     if single:
         return probs[0], logp[0], float(entropy[0])
     return probs, logp, entropy

@@ -35,9 +35,14 @@ class NonFiniteLossError(RuntimeError):
 def normalize_obs(rows: np.ndarray, y_max: float) -> np.ndarray:
     """Affine-scale (..., 6) observation rows (columns ``core.OBS_*``) into
     bounded features."""
-    scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS,
-                      PACKET_SCALE, PACKET_SCALE])
-    return np.clip(np.asarray(rows, dtype=np.float64) / scale, 0.0, OBS_CLIP)
+    return (np.asarray(rows, dtype=np.float64) / _obs_scale(y_max)).clip(0.0, OBS_CLIP)
+
+
+@functools.lru_cache(maxsize=8)
+def _obs_scale(y_max: float) -> np.ndarray:
+    scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS, PACKET_SCALE, PACKET_SCALE])
+    scale.flags.writeable = False   # one array serves every call with this y_max
+    return scale
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,13 @@ def pick_actions(logits: np.ndarray, rng: RngStream | None,
     inverse CDF from one block of N uniforms, row i taking the i-th."""
     probs, logp, _ = nn.categorical_head(logits)
     if rng is None:
-        idx = np.argmax(logits, axis=1)
+        idx = np.asarray(logits).argmax(axis=1)
     else:
         u = rng.uniform(size=probs.shape[0])
         # the count of cumulative probabilities <= u is searchsorted(side="right");
         # rounding can leave the last one below 1, hence the clip
-        idx = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1),
-                         probs.shape[1] - 1)
+        below = np.add.accumulate(probs, axis=1) <= u[:, None]
+        idx = np.minimum(np.add.reduce(below, axis=1), probs.shape[1] - 1)
     return idx, logp[np.arange(idx.size), idx]
 
 
@@ -333,7 +338,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     frame_rate = np.zeros((t_len, cfg.n_agents))
     rows[0], _ = sim.reset()
     for t in range(t_len):
-        targets = np.clip(rows[t, :, OBS_TARGET] + choose(t, rows[t]), cfg.y_min, cfg.y_max)
+        targets = (rows[t, :, OBS_TARGET] + choose(t, rows[t])).clip(cfg.y_min, cfg.y_max)
         rows[t + 1], frame_rate[t] = sim.step(targets)
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
     return Episode(rows=rows, frame_rate=frame_rate, agent_qoe=agent_qoe, rewards=rewards)
@@ -366,7 +371,7 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
         # batch-1 forwards: a stacked forward over the agents' actors would
         # hold a copy of every actor for the episode
-        logits = np.stack([nn.forward(agent.actor, vec)[0]
+        logits = np.array([nn.forward(agent.actor, vec)[0]
                            for agent, vec in zip(agents, normalize_obs(rows, cfg.y_max))])
         actions[t], log_probs[t] = pick_actions(logits, None if greedy else rng)
         return table[actions[t]]

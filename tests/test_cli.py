@@ -222,6 +222,31 @@ class TestEval:
         assert run_cli(*args, "--label", "X") == 0
         assert (out / "eval_X.csv").exists()
 
+    @pytest.mark.parametrize("manifest_text, problem", [
+        (None, "no manifest.json in "),
+        ("{not json", "cannot read the run manifest "),
+        ("[1]", "has no string 'method'"),
+        ('{"method": 5}', "has no string 'method'"),
+    ])
+    def test_manifest_without_a_method_exits_2_asking_for_a_label(
+            self, trained_run, tiny_cfg, tmp_path, capsys, manifest_text, problem):
+        manifest = trained_run / "manifest.json"
+        if manifest_text is None:
+            manifest.unlink()
+        else:
+            manifest.write_text(manifest_text)
+        capsys.readouterr()
+        out = tmp_path / "D"
+        args = ["eval", "--checkpoint", str(trained_run / "checkpoints" / "final"),
+                "--config", tiny_cfg, "--episodes", "1", "--out", str(out),
+                "--trace", str(tmp_path / "t.csv")]
+        assert run_cli(*args) == 2
+        captured = capsys.readouterr()
+        assert problem in captured.err and "--label" in captured.err
+        assert captured.out == "" and not out.exists() and not (tmp_path / "t.csv").exists()
+        assert run_cli(*args, "--label", "X") == 0
+        assert (out / "eval_X.csv").exists()
+
     def test_checkpoint_loads_once_for_all_scenarios(self, trained_run, tiny_cfg,
                                                      monkeypatch):
         loads = []

@@ -362,6 +362,43 @@ def reference_binomial(rng, n, p):
         pos = int(positions[-1])
 
 
+def old_unit_uniform(rng, size):
+    """``uniform(size=...)`` at bounds 0 and 1 by the general arithmetic."""
+    u01 = (rng.raw(size) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return 0.0 + (1.0 - 0.0) * u01
+
+
+def old_block_binomial(rng, n, p):
+    """``binomial`` as one numpy search over every entry, as it ran before
+    calls of a few entries were resolved in Python ints: the reference both
+    branches must equal, results and counter."""
+    counts = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    out = np.zeros(counts.shape, dtype=np.int64)
+    live = np.flatnonzero(counts > 0)
+    if p >= 1.0:
+        out[live] = counts[live]
+    elif p > 0.0 and live.size:
+        log_q = math.log1p(-p)
+        trials = counts[live]
+        chunks = np.maximum(16, (trials * p * 1.3).astype(np.int64) + 16)
+        ends = np.cumsum(chunks)
+        starts = ends - chunks
+        counter = rng._counter
+        u = old_unit_uniform(rng, int(ends[-1]))
+        pos = np.cumsum(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
+        base = pos[starts - 1]
+        base[0] = 0
+        inside = np.searchsorted(pos, base + trials, side="right") - starts
+        out[live] = inside
+        full = inside >= chunks
+        if full.any():
+            j = int(full.argmax())
+            rng._counter = counter + int(starts[j])
+            for i in range(int(live[j]), counts.size):
+                out[i] = reference_binomial(rng, int(counts[i]), p)
+    return int(out[0]) if np.ndim(n) == 0 else out
+
+
 class ZeroRun(RngStream):
     """A stream whose raw words are 0 at counters in [lo, hi): those
     uniforms are 0, so every trial they decide succeeds. Counts its draws."""
@@ -432,6 +469,48 @@ class TestBlockBinomial:
         assert r.binomial(np.array([0, -1, 5]), 0.0).tolist() == [0, 0, 0]
         assert r.binomial(np.array([0, -1]), 0.5).tolist() == [0, 0]
         assert r._counter == before   # nothing drawn
+
+
+class TestBinomialBranches:
+    """Both branches of ``binomial`` (Python ints up to _FEW_ENTRIES
+    entries, one numpy search above) against the one-search arithmetic."""
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.3, 0.77, 0.99, 1.0, 1.5])
+    def test_equals_the_one_search_arithmetic(self, p):
+        for n_entries in range(1, 31):
+            counts = RngStream(n_entries, "counts").integers(700, size=n_entries) - 200
+            counts[n_entries // 2] = 0
+            got_rng, want_rng = RngStream(n_entries, "b"), RngStream(n_entries, "b")
+            for _ in range(3):
+                got = got_rng.binomial(counts, p)
+                want = old_block_binomial(want_rng, counts, p)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                assert got_rng._counter == want_rng._counter
+        for n in (-5, 0, 1, 40, 1000, np.int64(300)):   # scalar n
+            got_rng, want_rng = RngStream(7, "s"), RngStream(7, "s")
+            got = got_rng.binomial(n, p)
+            assert type(got) is int and got == old_block_binomial(want_rng, n, p)
+            assert got_rng._counter == want_rng._counter
+
+    @pytest.mark.parametrize("offset", [0, 500, 1000, 1020])
+    @pytest.mark.parametrize("counts", [[100], [100, 50, 80], [0, 100, -4, 80],
+                                        [100, 50, 80, 7, 300, 20], [400, 9000, 30, 0, 5]])
+    def test_forced_rewinds_equal_the_one_search_arithmetic(self, offset, counts):
+        # zeros fill the first live entry's first chunk, so it rewinds there
+        got_rng, want_rng = ZeroRun(0, offset, offset + 200), ZeroRun(0, offset, offset + 200)
+        for rng in (got_rng, want_rng):
+            rng.raw(offset)
+        got = got_rng.binomial(np.array(counts), 0.3)
+        want = old_block_binomial(want_rng, np.array(counts), 0.3)
+        assert got.tolist() == want.tolist() and got_rng._counter == want_rng._counter
+        first = next(n for n in counts if n > 0)
+        assert max(got) >= int(first * 0.3 * 1.3) + 16   # a first chunk overflowed
+
+    def test_unit_uniform_is_the_general_arithmetic(self):
+        for size in (1, 2, 6, 40, 1500):
+            want = old_unit_uniform(RngStream(size, "u"), size).tobytes()
+            for bounds in ((), (0.0, 1.0), (0, 1), (np.float64(0.0), np.float64(1.0))):
+                assert RngStream(size, "u").uniform(*bounds, size=size).tobytes() == want
 
 
 def direct_words(rng, start, n):

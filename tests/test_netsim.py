@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from asms import netsim
-from asms.core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
-                       RngStream, ScenarioSpec, SimConfig, scenario_by_name)
+from asms.core import (OBS_JITTER, OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED,
+                       OBS_TARGET, Channel, RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
                          allocate_max_min, link_bounds, link_draws,
                          sample_link_state)
@@ -154,9 +154,19 @@ class TestSampleLinkState:
         assert a == b
 
     def test_step_bounds(self):
-        for t in (40, -1):
-            with pytest.raises(ValueError, match="outside"):
-                draw(CLEAN, t, RngStream(0, "t"))
+        for t in (40, -1, np.int64(40)):
+            rng = RngStream(0, "t")
+            with pytest.raises(ValueError, match=f"step {t} outside"):
+                draw(CLEAN, t, rng)
+            assert rng._counter == 0
+
+    def test_numpy_int_step_is_the_int_step(self):
+        bounds = link_bounds(scenario_by_name("s6"), 40)
+        for t in (0, 17, 39):
+            a, b, c = RngStream(t, "d"), RngStream(t, "d"), RngStream(t, "d")
+            want = link_draws(bounds, t, a).tobytes()
+            assert link_draws(bounds, np.int64(t), b).tobytes() == want
+            assert link_draws(bounds, np.array([t]), c)[0].tobytes() == want
 
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):
@@ -222,7 +232,56 @@ class TestAllocateMaxMin:
                 numpy_fill(targets, capacity).tobytes()
 
 
+def advance_reference(state, targets, cfg, rng):
+    """advance's arithmetic with every step's demand through allocate_max_min,
+    as it ran before demand that fits the link skipped it."""
+    x = np.asarray(targets, dtype=np.float64)
+    y = allocate_max_min(x, state.capacity_mbps)
+    total_demand = float(x.sum())
+    utilization = min(1.0, total_demand / state.capacity_mbps)
+    overload = max(0.0, total_demand / state.capacity_mbps - 1.0)
+    eff_loss = state.loss_rate + cfg.congestion_loss_coef * overload
+    if state.burst_active:
+        eff_loss += state.burst_level
+    eff_loss = min(1.0, eff_loss)
+    rows = np.empty((x.size, 6))
+    rows[:, OBS_TARGET] = x
+    rows[:, OBS_RECEIVED] = y
+    rows[:, OBS_LATENCY] = state.base_latency_ms * (1.0 + cfg.queue_delay_coef * utilization ** 2)
+    rows[:, OBS_JITTER] = state.base_jitter_ms
+    sent = np.ceil(y * 1e6 / (8.0 * cfg.packet_size_bytes)).astype(np.int64)
+    rows[:, OBS_LOST] = rng.binomial(sent, eff_loss)
+    rows[:, OBS_NACKS] = rows[:, OBS_LOST]
+    return rows, cfg.f_target * np.minimum(1.0, y / np.maximum(x, 1e-12))
+
+
 class TestAdvance:
+    @pytest.mark.parametrize("n", [1, 2, 6, 24])
+    def test_equals_the_fill_path_bit_for_bit(self, n):
+        cfg = SimConfig(n_agents=n)
+        rng, ref = RngStream(n, "adv"), RngStream(n, "adv")
+        for k in range(60):
+            spec = scenario_by_name(SCENARIOS[k % 6])
+            state = draw(spec, k % 40, rng)
+            draw(spec, k % 40, ref)
+            targets = rng.uniform(0, 2.5 * state.capacity_mbps / n, size=n)
+            ref.uniform(size=n)
+            targets[: k % 3] = 0.0
+            if k % 5 == 0 and targets.sum() > 0:   # demand at capacity
+                targets *= state.capacity_mbps / targets.sum()
+            got = advance(state, targets, cfg, rng)
+            want = advance_reference(state, targets, cfg, ref)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert rng._counter == ref._counter
+
+    def test_negative_target_rejected_on_an_underloaded_link(self):
+        state = LinkState(0, 100.0, 10.0, 2.0, 0.01, False, 0.0)
+        for targets in ([-1.0, 5.0], [np.nan, -1.0], [-np.inf, 3.0]):
+            rng = RngStream(0, "neg")
+            with pytest.raises(ValueError, match="must be >= 0"):
+                advance(state, targets, SimConfig(n_agents=2), rng)
+            assert rng._counter == 0
+
     def test_uncongested_lossless(self):
         cfg = SimConfig(n_agents=1)
         state = draw(CLEAN, 0, RngStream(0, "e"))

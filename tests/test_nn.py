@@ -403,6 +403,20 @@ class TestAdam:
             assert np.array_equal(grad, kept)
         assert "non-finite" not in caplog.text
 
+    def test_norm_is_the_linalg_norm(self):
+        rng = RngStream(9, "norm")
+        for k in range(40):
+            params = tiny_net(seed=k % 3)
+            grad = rng.uniform(-1, 1, size=params.theta.size) * 10.0 ** (k % 8 - 4)
+            grad[: k % 5] = 1e154   # up to 2 such entries keep the norm finite
+            with np.errstate(over="ignore"):
+                report = nn.adam_step(params, nn.AdamState.zeros(grad.size), grad, 0.01, 0.5)
+                norm = float(np.linalg.norm(grad))
+            if not math.isfinite(norm):   # clipped from the norm of grad / peak
+                peak = float(np.abs(grad).max())
+                norm = peak * float(np.linalg.norm(grad / peak))
+            assert report.grad_norm.hex() == norm.hex()
+
     def test_overflowing_norm_without_a_clip_bound_skips_step(self, caplog):
         params = tiny_net(seed=6)
         state = nn.AdamState.zeros(params.theta.size)
@@ -415,7 +429,34 @@ class TestAdam:
         assert "non-finite" in caplog.text
 
 
+def categorical_head_reference(logits):
+    """categorical_head's arithmetic through ndarray.max and ndarray.sum,
+    as it ran before it called the ufunc reductions directly."""
+    z = np.asarray(logits, dtype=np.float64)
+    zz = z[None, :] if z.ndim == 1 else z
+    shifted = zz - zz.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
+    logp = shifted - np.log(total)
+    entropy = -(probs * logp).sum(axis=1)
+    if z.ndim == 1:
+        return probs[0], logp[0], float(entropy[0])
+    return probs, logp, entropy
+
+
 class TestCategoricalHead:
+    def test_equals_the_method_reductions_bit_for_bit(self):
+        rng = RngStream(4, "head")
+        blocks = [rng.uniform(-30, 30, size=k * 5).reshape(k, 5) for k in (1, 2, 24, 40)]
+        blocks += [rng.uniform(-3, 3, size=5), np.array([[1000.0, 0.0, -1000.0]]),
+                   np.array([[np.inf, 0.0], [np.nan, 1.0]])]
+        with np.errstate(invalid="ignore"):
+            for logits in blocks:
+                got, want = nn.categorical_head(logits), categorical_head_reference(logits)
+                for a, b in zip(got, want):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
     def test_uniform_logits(self):
         p, lp, ent = nn.categorical_head(np.zeros(5))
         np.testing.assert_allclose(p, 0.2, atol=1e-15)

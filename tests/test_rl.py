@@ -31,6 +31,16 @@ class TestNormalizeObs:
         vec = rl.normalize_obs([100.0, 1.0, 5000.0, 1000.0, 5000.0, 5000.0], y_max=200.0)
         assert vec.max() == 5.0
 
+    def test_equals_the_per_call_scale_arithmetic_bit_for_bit(self):
+        rows = RngStream(3, "obs").uniform(0, 900, size=240).reshape(10, 4, 6)
+        rows[0, 0] = [-0.0, 0.0, np.nan, np.inf, -3.0, 1e-300]
+        for y_max in (200.0, 100, 37.5, 200.0):
+            scale = np.array([y_max, y_max, rl.LATENCY_SCALE_MS, rl.JITTER_SCALE_MS,
+                              rl.PACKET_SCALE, rl.PACKET_SCALE])
+            want = np.clip(rows / scale, 0.0, rl.OBS_CLIP)
+            assert rl.normalize_obs(rows, y_max).tobytes() == want.tobytes()
+            assert rl.normalize_obs(rows[3, 1], y_max).tobytes() == want[3, 1].tobytes()
+
 
 def select_action_reference(policy, obs_vec, rng):
     """The per-agent stochastic pick that run_episode made one agent at a
@@ -48,6 +58,19 @@ def greedy_action_reference(policy, obs_vec):
     _, logp, _ = nn.categorical_head(logits)
     idx = int(np.argmax(logits))
     return idx, float(logp[idx])
+
+
+def pick_actions_reference(logits, rng):
+    """pick_actions' arithmetic through np.argmax, np.cumsum and
+    ndarray.sum, as it ran before it called the ufuncs directly."""
+    probs, logp, _ = nn.categorical_head(logits)
+    if rng is None:
+        idx = np.argmax(logits, axis=1)
+    else:
+        u = rng.uniform(size=probs.shape[0])
+        idx = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1),
+                         probs.shape[1] - 1)
+    return idx, logp[np.arange(idx.size), idx]
 
 
 class FixedUniforms:
@@ -106,6 +129,18 @@ class TestSelectAction:
         idx, lp = rl.pick_actions(logits, None)
         assert idx.tolist() == [int(np.argmax(row)) for row in logits]
         assert lp.tolist() == [logp[i, k] for i, k in enumerate(idx)]
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 24])
+    def test_equals_the_wrapped_arithmetic_bit_for_bit(self, n):
+        for seed in range(30):
+            logits = logits_block(n, seed) * (1 + seed % 4) ** 3
+            for stochastic in (True, False):
+                got_rng, want_rng = RngStream(seed, "act"), RngStream(seed, "act")
+                got = rl.pick_actions(logits, got_rng if stochastic else None)
+                want = pick_actions_reference(logits, want_rng if stochastic else None)
+                assert [a.dtype for a in got] == [a.dtype for a in want]
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                assert got_rng._counter == want_rng._counter
 
     def test_uniform_logits_frequencies(self):
         # a zero-weight net gives uniform logits over 5 actions
