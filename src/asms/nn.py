@@ -2,8 +2,8 @@
 
 Parameters live in one flat float64 vector (per layer: weights then biases)
 so models can be averaged, perturbed, serialized, and finite-difference
-checked without touching layer structure. Forward/backward operate on a
-single input vector or a batch.
+checked without touching layer structure. ``forward`` takes a single
+input vector or a batch; ``backward`` and the categorical head take batches.
 """
 
 from __future__ import annotations
@@ -119,11 +119,10 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Network output and the activation cache needed by backward().
 
     Accepts one input vector (in_dim,) or a batch (B, in_dim); the output
-    mirrors the input's batching.
+    mirrors the input's batching, and the cache always holds a batch.
     """
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
+    batch = arr[None, :] if arr.ndim == 1 else arr
     if batch.ndim != 2 or batch.shape[1] != params.in_dim:
         raise ValueError(f"input shape {arr.shape} incompatible with in_dim {params.in_dim}")
     (w1, b1), (w2, b2), (w3, b3) = params.layers()
@@ -132,8 +131,7 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     z2 = a1 @ w2 + b2
     a2 = _act(z2, params.activation)
     out = a2 @ w3 + b3
-    cache = (batch, z1, a1, z2, a2, single)
-    return (out[0] if single else out), cache
+    return (out[0] if arr.ndim == 1 else out), (batch, z1, a1, z2, a2)
 
 
 def forward_rows(params: ModelParams, rows: np.ndarray) -> np.ndarray:
@@ -158,15 +156,14 @@ def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
 
-    grad_out must match the forward call's output shape; batch entries are
-    summed (supply per-sample dLoss/dOutput for a mean loss already divided
-    by the batch size). The gradient is written into ``out``, a float64
-    vector of the flat length, and returned; without one a fresh vector is
-    allocated.
+    grad_out is (B, out_dim) for the cached batch of B inputs (B = 1 after a
+    forward of one input vector); batch entries are summed (supply
+    per-sample dLoss/dOutput for a mean loss already divided by the batch
+    size). The gradient is written into ``out``, a float64 vector of the
+    flat length, and returned; without one a fresh vector is allocated.
     """
-    batch, z1, a1, z2, a2, single = cache
+    batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    g = g[None, :] if single else g
     if g.shape != (batch.shape[0], params.out_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match cached batch")
     if out is None:
@@ -261,23 +258,14 @@ def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float
     return AdamReport(norm, clipped, False)
 
 
-def categorical_head(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shifted softmax: (probabilities, log-probabilities, entropy).
-
-    Works on (K,) logits or a (B, K) batch; entropy is scalar or (B,).
-    """
+def categorical_head(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted softmax of (B, K) logits: (probabilities, log-probabilities),
+    each (B, K)."""
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    zz = z[None, :] if single else z
-    shifted = zz - np.maximum.reduce(zz, axis=1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = np.add.reduce(exp, axis=1, keepdims=True)
-    probs = exp / total
-    logp = shifted - np.log(total)
-    entropy = -np.add.reduce(probs * logp, axis=1)
-    if single:
-        return probs[0], logp[0], float(entropy[0])
-    return probs, logp, entropy
+    return exp / total, shifted - np.log(total)
 
 
 def grad_check(params: ModelParams,

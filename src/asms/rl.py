@@ -61,14 +61,14 @@ class Trajectory:
     """A policy episode plus the per-agent action record its updates need."""
 
     episode: Episode
-    observations: np.ndarray    # (T+1, N, 6) normalized features; row T is s_T
     actions: np.ndarray         # (T, N) int indices into the delta table
     log_probs: np.ndarray       # (T, N) behavior log-probs
 
     def __post_init__(self) -> None:
-        if self.observations.ndim != 3 or self.observations.shape[2] != OBS_DIM:
-            raise ValueError(f"observations must have shape (T+1, N, {OBS_DIM})")
-        t, n = self.observations.shape[0] - 1, self.observations.shape[1]
+        rows = self.episode.rows
+        if rows.ndim != 3 or rows.shape[2] != OBS_DIM:
+            raise ValueError(f"episode rows must have shape (T+1, N, {OBS_DIM})")
+        t, n = rows.shape[0] - 1, rows.shape[1]
         for name in ("actions", "log_probs"):
             if getattr(self, name).shape != (t, n):
                 raise ValueError(f"{name} must have shape {(t, n)}")
@@ -83,7 +83,7 @@ def pick_actions(logits: np.ndarray, rng: RngStream | None,
     """One action per row of (N, K) logits and its log-prob under the
     categorical head: each row's argmax when ``rng`` is None, else a draw by
     inverse CDF from one block of N uniforms, row i taking the i-th."""
-    probs, logp, _ = nn.categorical_head(logits)
+    probs, logp = nn.categorical_head(logits)
     if rng is None:
         idx = np.asarray(logits).argmax(axis=1)
     else:
@@ -157,18 +157,20 @@ class TrainBatch:
         return self.observations.shape[0]
 
 
-def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams,
+def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams, y_max: float,
                 hp: HyperParams) -> TrainBatch:
     """Agent i's update batch, with whitened advantages from its critic.
 
-    The critic values the agent's T+1 states in one stacked pass, each row
-    bit-equal to its own batch-1 forward. Advantages and returns are
-    per-agent 1-D recursions, which a batched form would not reproduce bit
-    for bit.
+    Agent i's T+1 rows are normalized here; ``normalize_obs`` is elementwise,
+    so these are the features its actor saw. The critic values them in one
+    stacked pass, each row bit-equal to its own batch-1 forward, and its
+    scaled output is returned to reward units. Advantages and returns are
+    per-agent 1-D recursions for speed: a (T, N) recursion over all agents
+    gives the same bits but is slower at these agent counts.
     """
-    obs = traj.observations[:, i]
+    obs = normalize_obs(traj.episode.rows[:, i], y_max)
     rewards = traj.episode.rewards
-    values = critic_value(critic, obs, hp.value_scale)
+    values = nn.forward_rows(critic, obs)[:, 0] * hp.value_scale
     adv = compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
     return TrainBatch(
         observations=obs[:-1],
@@ -189,7 +191,8 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
     Samples on the clipped branch contribute no policy gradient."""
     n = obs.shape[0]
     logits, cache = nn.forward(actor, obs)
-    probs, logp, entropy = nn.categorical_head(logits)
+    probs, logp = nn.categorical_head(logits)
+    entropy = -np.add.reduce(probs * logp, axis=1)
     rows = np.arange(n)
     lp_taken = logp[rows, actions]
     objective, unclipped, ratio = clipped_objective(lp_taken, old_log_probs, advantages,
@@ -230,13 +233,6 @@ def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
     loss = float((err ** 2).sum() / err.size)
     grad = nn.backward(critic, cache, (2.0 * err / err.size)[:, None], out)
     return loss, grad
-
-
-def critic_value(critic: nn.ModelParams, obs: np.ndarray,
-                 value_scale: float) -> np.ndarray:
-    """State values (R,) of observation rows (R, 6) in reward units (undoes
-    the critic's internal scaling)."""
-    return nn.forward_rows(critic, obs)[:, 0] * value_scale
 
 
 @dataclass
@@ -376,15 +372,13 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
         actions[t], log_probs[t] = pick_actions(logits, None if greedy else rng)
         return table[actions[t]]
 
-    episode = rollout(sim, hp, coeffs, choose)
-    # normalize_obs is elementwise, so these are the features the actors saw
-    return Trajectory(episode, normalize_obs(episode.rows, cfg.y_max), actions, log_probs)
+    return Trajectory(rollout(sim, hp, coeffs, choose), actions, log_probs)
 
 
 __all__ = [
     "Episode", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
     "UpdateDiagnostics", "build_batch", "clipped_objective", "compute_gae",
-    "compute_returns", "critic_value", "normalize_obs", "pick_actions",
+    "compute_returns", "normalize_obs", "pick_actions",
     "policy_loss_and_grad", "ppo_update", "rollout", "run_episode", "score_episode",
     "value_loss_and_grad", "whiten",
 ]

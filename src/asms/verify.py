@@ -102,7 +102,7 @@ def check_gradient_critic(seed: int) -> tuple[bool, str]:
 
 def _relu_margin(params: nn.ModelParams, obs: np.ndarray) -> float:
     """Smallest |pre-activation| over both hidden layers."""
-    _, (_, z1, _, z2, _, _) = nn.forward(params, obs)
+    _, (_, z1, _, z2, _) = nn.forward(params, obs)
     return float(min(np.abs(z1).min(), np.abs(z2).min()))
 
 
@@ -399,16 +399,17 @@ def check_forward_oracle(seed: int) -> tuple[bool, str]:
 
 def check_softmax_properties(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/softmax")
-    p, lp, ent = nn.categorical_head(np.zeros(5))
+    p, lp = nn.categorical_head(np.zeros((1, 5)))
+    ent = -float((p * lp).sum())
     uniform_ok = np.abs(p - 0.2).max() < 1e-12 and abs(ent - math.log(5)) < 1e-12
-    p2, _, _ = nn.categorical_head(np.array([1000.0, 0.0]))
-    stable_ok = np.isfinite(p2).all() and abs(p2[0] - 1.0) < 1e-12
+    p2, _ = nn.categorical_head(np.array([[1000.0, 0.0]]))
+    stable_ok = np.isfinite(p2).all() and abs(p2[0, 0] - 1.0) < 1e-12
     worst = 0.0
     for _ in range(100):
-        logits = rng.uniform(-30, 30, size=7)
-        p3, lp3, _ = nn.categorical_head(logits)
+        logits = rng.uniform(-30, 30, size=7)[None, :]
+        p3, lp3 = nn.categorical_head(logits)
         worst = max(worst, float(np.abs(np.exp(lp3) - p3).max()))
-        p4, _, _ = nn.categorical_head(logits + 123.456)
+        p4, _ = nn.categorical_head(logits + 123.456)
         worst = max(worst, float(np.abs(p4 - p3).max()))
     ok = uniform_ok and stable_ok and worst < 1e-12
     return ok, (f"uniform/overflow cases ok; exp(logp)=p and shift "

@@ -179,7 +179,7 @@ class TestBackward:
         params = tiny_net(seed=2)
         x = np.ones(6)
         _, cache = nn.forward(params, x)
-        grad = nn.backward(params, cache, np.zeros(3))
+        grad = nn.backward(params, cache, np.zeros((1, 3)))
         assert np.all(grad == 0.0)
 
     def test_linear_path_closed_form(self):
@@ -190,7 +190,7 @@ class TestBackward:
                                 activation="relu")
         x = np.array([2.5])
         out, cache = nn.forward(params, x)
-        grad = nn.backward(params, cache, np.array([1.0]))
+        grad = nn.backward(params, cache, np.array([[1.0]]))
         assert grad[0] == pytest.approx(2.5)   # dW1 = x * downstream (=1*1)
         assert grad[2] == pytest.approx(2.5)   # dW2 = a1 = 2.5
         assert grad[4] == pytest.approx(2.5)   # dW3 = a2 = 2.5
@@ -222,9 +222,8 @@ class TestBackward:
 def backward_concatenated(params, cache, grad_out):
     """The gradient arithmetic of backward() as it was before it wrote into
     per-layer views: fresh layer products, joined by one concatenate."""
-    batch, z1, a1, z2, a2, single = cache
+    batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    g = g[None, :] if single else g
     (w1, b1), (w2, b2), (w3, b3) = params.layers()
     act_grad = ((lambda z, a: 1.0 - a * a) if params.activation == "tanh"
                 else (lambda z, a: (z > 0).astype(np.float64)))
@@ -258,11 +257,18 @@ class TestBackwardInto:
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
 
     def test_single_input_gradient_is_bit_equal_to_the_fresh_one(self):
+        # a 1-D forward caches a batch of one, so backward takes a (1, K)
+        # upstream gradient: what the single-input branch lifted 1-D ones to
         params = tiny_net(seed=3, hidden=16, out=5)
-        _, cache = nn.forward(params, np.linspace(-1, 1, 6))
-        grad_out = np.linspace(-0.5, 0.5, 5)
+        x = np.linspace(-1, 1, 6)
+        _, cache = nn.forward(params, x)
+        grad_out = np.linspace(-0.5, 0.5, 5)[None, :]
         written = nn.backward(params, cache, grad_out, np.full(params.theta.size, np.nan))
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
+        _, row_cache = nn.forward(params, x[None, :])
+        assert written.tobytes() == nn.backward(params, row_cache, grad_out).tobytes()
+        with pytest.raises(ValueError, match="does not match cached batch"):
+            nn.backward(params, cache, grad_out[0])
 
     def test_calls_without_out_return_distinct_arrays(self):
         params = tiny_net(seed=5)
@@ -276,7 +282,7 @@ class TestBackwardInto:
         params = tiny_net()
         _, cache = nn.forward(params, np.ones(6))
         with pytest.raises(ValueError, match="out must be"):
-            nn.backward(params, cache, np.zeros(3), np.empty(params.theta.size - 1))
+            nn.backward(params, cache, np.zeros((1, 3)), np.empty(params.theta.size - 1))
 
 
 def functional_adam(theta, m, v, step, grad, lr, grad_clip):
@@ -433,50 +439,49 @@ def categorical_head_reference(logits):
     """categorical_head's arithmetic through ndarray.max and ndarray.sum,
     as it ran before it called the ufunc reductions directly."""
     z = np.asarray(logits, dtype=np.float64)
-    zz = z[None, :] if z.ndim == 1 else z
-    shifted = zz - zz.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1, keepdims=True)
-    probs = exp / total
-    logp = shifted - np.log(total)
-    entropy = -(probs * logp).sum(axis=1)
-    if z.ndim == 1:
-        return probs[0], logp[0], float(entropy[0])
-    return probs, logp, entropy
+    return exp / total, shifted - np.log(total)
 
 
 class TestCategoricalHead:
     def test_equals_the_method_reductions_bit_for_bit(self):
         rng = RngStream(4, "head")
         blocks = [rng.uniform(-30, 30, size=k * 5).reshape(k, 5) for k in (1, 2, 24, 40)]
-        blocks += [rng.uniform(-3, 3, size=5), np.array([[1000.0, 0.0, -1000.0]]),
+        blocks += [rng.uniform(-3, 3, size=5)[None, :], np.array([[1000.0, 0.0, -1000.0]]),
                    np.array([[np.inf, 0.0], [np.nan, 1.0]])]
         with np.errstate(invalid="ignore"):
             for logits in blocks:
                 got, want = nn.categorical_head(logits), categorical_head_reference(logits)
+                assert len(got) == 2
                 for a, b in zip(got, want):
-                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                    assert a.shape == logits.shape and a.tobytes() == b.tobytes()
+
+    def test_takes_only_batches(self):
+        with pytest.raises(ValueError):
+            nn.categorical_head(np.zeros(5))
 
     def test_uniform_logits(self):
-        p, lp, ent = nn.categorical_head(np.zeros(5))
+        p, lp = nn.categorical_head(np.zeros((1, 5)))
         np.testing.assert_allclose(p, 0.2, atol=1e-15)
-        assert ent == pytest.approx(math.log(5))
+        assert -float((p * lp).sum()) == pytest.approx(math.log(5))
 
     def test_extreme_logits_stable(self):
-        p, lp, ent = nn.categorical_head(np.array([1000.0, 0.0]))
+        p, lp = nn.categorical_head(np.array([[1000.0, 0.0]]))
         assert np.all(np.isfinite(p)) and np.all(np.isfinite(lp))
-        assert p[0] == pytest.approx(1.0)
+        assert p[0, 0] == pytest.approx(1.0)
 
     def test_exp_logp_consistency(self):
-        logits = RngStream(1, "c").uniform(-20, 20, size=9)
-        p, lp, _ = nn.categorical_head(logits)
+        logits = RngStream(1, "c").uniform(-20, 20, size=9)[None, :]
+        p, lp = nn.categorical_head(logits)
         np.testing.assert_allclose(np.exp(lp), p, atol=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_invariance(self):
-        logits = RngStream(2, "c").uniform(-5, 5, size=7)
-        p1, _, _ = nn.categorical_head(logits)
-        p2, _, _ = nn.categorical_head(logits + 42.0)
+        logits = RngStream(2, "c").uniform(-5, 5, size=7)[None, :]
+        p1, _ = nn.categorical_head(logits)
+        p2, _ = nn.categorical_head(logits + 42.0)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,26 +45,26 @@ class TestNormalizeObs:
 
 def select_action_reference(policy, obs_vec, rng):
     """The per-agent stochastic pick that run_episode made one agent at a
-    time: (index, log-prob, entropy)."""
+    time: (index, log-prob)."""
     logits, _ = nn.forward(policy, obs_vec)
-    probs, logp, entropy = nn.categorical_head(logits)
+    probs, logp = nn.categorical_head(logits[None, :])
     u = rng.uniform()
-    idx = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), probs.size - 1)
-    return idx, float(logp[idx]), entropy
+    idx = min(int(np.searchsorted(np.cumsum(probs[0]), u, side="right")), probs.shape[1] - 1)
+    return idx, float(logp[0, idx])
 
 
 def greedy_action_reference(policy, obs_vec):
     """The per-agent greedy pick: (index, log-prob)."""
     logits, _ = nn.forward(policy, obs_vec)
-    _, logp, _ = nn.categorical_head(logits)
+    _, logp = nn.categorical_head(logits[None, :])
     idx = int(np.argmax(logits))
-    return idx, float(logp[idx])
+    return idx, float(logp[0, idx])
 
 
 def pick_actions_reference(logits, rng):
     """pick_actions' arithmetic through np.argmax, np.cumsum and
     ndarray.sum, as it ran before it called the ufuncs directly."""
-    probs, logp, _ = nn.categorical_head(logits)
+    probs, logp = nn.categorical_head(logits)
     if rng is None:
         idx = np.argmax(logits, axis=1)
     else:
@@ -98,16 +99,15 @@ class TestSelectAction:
     @pytest.mark.parametrize("n", [1, 6, 24])
     def test_head_rows_equal_the_single_row_head(self, n):
         logits = np.concatenate([logits_block(n, n), 30.0 * logits_block(n, n + 1)])
-        probs, logp, entropy = nn.categorical_head(logits)
+        probs, logp = nn.categorical_head(logits)
         for i, row in enumerate(logits):
-            p1, lp1, ent1 = nn.categorical_head(row)
-            assert np.array_equal(probs[i], p1) and np.array_equal(logp[i], lp1)
-            assert entropy[i] == ent1
+            p1, lp1 = nn.categorical_head(row[None, :])
+            assert np.array_equal(probs[i], p1[0]) and np.array_equal(logp[i], lp1[0])
 
     @pytest.mark.parametrize("n", [1, 6, 24])
     def test_stochastic_pick_equals_scalar_searchsorted(self, n):
         logits = logits_block(n, 10 + n)
-        probs, logp, _ = nn.categorical_head(logits)
+        probs, logp = nn.categorical_head(logits)
         cums = np.cumsum(probs, axis=1)
         below_one = np.nextafter(1.0, 0.0)
         u_sets = [RngStream(n, "u").uniform(size=n), np.full(n, below_one),
@@ -125,7 +125,7 @@ class TestSelectAction:
     @pytest.mark.parametrize("n", [1, 6, 24])
     def test_greedy_pick_is_the_row_argmax(self, n):
         logits = logits_block(n, 20 + n)
-        _, logp, _ = nn.categorical_head(logits)
+        _, logp = nn.categorical_head(logits)
         idx, lp = rl.pick_actions(logits, None)
         assert idx.tolist() == [int(np.argmax(row)) for row in logits]
         assert lp.tolist() == [logp[i, k] for i, k in enumerate(idx)]
@@ -178,8 +178,8 @@ class TestSelectAction:
         actor = nn.init_mlp(6, 8, 5, "tanh", RngStream(3, "a"))
         logits, _ = nn.forward(actor, np.full((1, 6), 0.3))
         (idx,), (lp,) = rl.pick_actions(logits, RngStream(4, "s"))
-        _, logp, _ = nn.categorical_head(logits[0])
-        assert lp == pytest.approx(float(logp[idx]))
+        _, logp = nn.categorical_head(logits)
+        assert lp == pytest.approx(float(logp[0, idx]))
 
     def test_block_equals_per_agent_reference_picks(self):
         rng = RngStream(5, "agents")
@@ -286,7 +286,7 @@ def synthetic_batch(seed=0, n=40):
     obs = rng.uniform(0, 1.5, size=n * 6).reshape(n, 6)
     actions = rng.integers(5, size=n)
     logits, _ = nn.forward(actor, obs)
-    _, logp, _ = nn.categorical_head(logits)
+    _, logp = nn.categorical_head(logits)
     old_lp = logp[np.arange(n), actions]
     batch = rl.TrainBatch(observations=obs, actions=actions, old_log_probs=old_lp,
                           advantages=rl.whiten(rng.uniform(-2, 2, size=n)),
@@ -307,7 +307,7 @@ class TestPpoUpdate:
         actor, _, _ = synthetic_batch(seed=3)
         obs = np.full((1, 6), 0.5)
         logits, _ = nn.forward(actor, obs)
-        _, logp, _ = nn.categorical_head(logits)
+        _, logp = nn.categorical_head(logits)
         action = np.array([2])
         # behavior log-prob far below current: ratio = 3.0 > 1+eps, adv > 0
         old_lp = logp[0, 2] - math.log(3.0)
@@ -320,7 +320,7 @@ class TestPpoUpdate:
         actor, _, _ = synthetic_batch(seed=3)
         obs = np.full((1, 6), 0.5)
         logits, _ = nn.forward(actor, obs)
-        _, logp, _ = nn.categorical_head(logits)
+        _, logp = nn.categorical_head(logits)
         _, grad, _ = rl.policy_loss_and_grad(
             actor, obs, np.array([2]), np.array([logp[0, 2]]),
             np.array([1.0]), 0.2, 0.0)
@@ -331,7 +331,7 @@ class TestPpoUpdate:
         actor, critic, _ = synthetic_batch(seed=4)
         obs = np.full((1, 6), 0.4)
         logits, _ = nn.forward(actor, obs)
-        _, logp_before, _ = nn.categorical_head(logits)
+        _, logp_before = nn.categorical_head(logits)
         action = np.array([1])
         batch = rl.TrainBatch(observations=obs, actions=action,
                               old_log_probs=np.array([float(logp_before[0, 1])]),
@@ -340,7 +340,7 @@ class TestPpoUpdate:
         agent = rl.PPOAgent(actor=actor, critic=critic)
         rl.ppo_update(agent, batch, hp, RngStream(0, "u"))
         logits2, _ = nn.forward(agent.actor, obs)
-        _, logp_after, _ = nn.categorical_head(logits2)
+        _, logp_after = nn.categorical_head(logits2)
         assert float(logp_after[0, 1]) > float(logp_before[0, 1])
 
     def test_value_loss_strictly_decreases_over_epochs(self):
@@ -409,6 +409,32 @@ class TestPpoUpdate:
         vloss2, vwritten = rl.value_loss_and_grad(critic, batch.observations,
                                                   batch.returns, 2.0, vbuf)
         assert vwritten is vbuf and (vloss2, vwritten.tobytes()) == (vloss, vfresh.tobytes())
+
+    def test_entropy_equals_the_old_heads_bit_for_bit(self):
+        # the per-row entropy -sum(p * logp) that categorical_head returned
+        # beside its probabilities, and the loss and gradient built on it
+        actor, _, batch = synthetic_batch(seed=9)
+        n = len(batch)
+        logits, cache = nn.forward(actor, batch.observations)
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        total = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+        probs, logp = np.exp(shifted) / total, shifted - np.log(total)
+        entropy = -np.add.reduce(probs * logp, axis=1)
+        rows = np.arange(n)
+        objective, unclipped, ratio = rl.clipped_objective(
+            logp[rows, batch.actions], batch.old_log_probs, batch.advantages, 0.2)
+        for coef in (0.0, 0.01, 0.5):
+            loss, grad, stats = rl.policy_loss_and_grad(
+                actor, batch.observations, batch.actions, batch.old_log_probs,
+                batch.advantages, 0.2, coef)
+            mean_entropy = float(entropy.sum() / n)
+            assert stats["entropy"] == mean_entropy
+            assert loss == -float(objective.sum() / n) - coef * mean_entropy
+            dlp = -(ratio * batch.advantages * unclipped) / n
+            dlogits = dlp[:, None] * (-probs)
+            dlogits[rows, batch.actions] += dlp
+            dlogits += (coef / n) * probs * (logp + entropy[:, None])
+            assert grad.tobytes() == nn.backward(actor, cache, dlogits).tobytes()
 
     def test_empty_batch_rejected(self):
         actor, critic, _ = synthetic_batch()
@@ -485,13 +511,11 @@ class TestRunEpisode:
         agents = make_agents(3)
         traj = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
         episode = traj.episode
-        assert traj.observations.shape == episode.rows.shape == (41, 3, 6)
+        assert episode.rows.shape == (41, 3, 6)
         assert traj.actions.shape == traj.log_probs.shape == (40, 3)
         assert episode.frame_rate.shape == episode.agent_qoe.shape == (40, 3)
         assert episode.rewards.shape == (40,)
         np.testing.assert_array_equal(episode.rewards, episode.agent_qoe.sum(axis=1) / 3)
-        np.testing.assert_array_equal(traj.observations,
-                                      rl.normalize_obs(episode.rows, cfg.y_max))
         # samples are counted where training happens, not here
         assert all(agent.sample_count == 0 for agent in agents)
 
@@ -511,7 +535,7 @@ class TestRunEpisode:
         def choose(t, rows):
             feats = rl.normalize_obs(rows, cfg.y_max)
             picks.append([greedy_action_reference(a.actor, f) if greedy
-                          else select_action_reference(a.actor, f, act_rng)[:2]
+                          else select_action_reference(a.actor, f, act_rng)
                           for a, f in zip(agents, feats)])
             return table[[idx for idx, _ in picks[-1]]]
 
@@ -550,7 +574,7 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 30, RngStream(4, "env"))
         traj = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(4, "act"))
-        targets = traj.observations[..., 0] * cfg.y_max
+        targets = traj.episode.rows[..., OBS_TARGET]
         assert targets.min() >= cfg.y_min - 1e-9
         assert targets.max() <= cfg.y_max + 1e-9
 
@@ -567,3 +591,55 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="6 inputs to 5 actions.*3 actions"):
             rl.run_episode(sim, make_agents(2), HyperParams(episode_len=5),
                            QoECoefficients(), RngStream(0, "act"))
+
+
+class TestTrajectory:
+    def test_rejects_records_that_disagree_with_the_rows(self):
+        cfg = SimConfig(n_agents=3, x_init=10.0)
+        hp = HyperParams(episode_len=5, hidden_width=8)
+        traj = rl.run_episode(BottleneckSim(STEADY, cfg, 5, RngStream(0, "env")),
+                              make_agents(3), hp, QoECoefficients(), RngStream(0, "act"))
+        episode, actions, log_probs = traj.episode, traj.actions, traj.log_probs
+        rl.Trajectory(episode, actions, log_probs)
+        with pytest.raises(ValueError, match="rewards must have length 5"):
+            rl.Trajectory(dataclasses.replace(episode, rewards=episode.rewards[:-1]),
+                          actions, log_probs)
+        with pytest.raises(ValueError, match=r"actions must have shape \(5, 3\)"):
+            rl.Trajectory(episode, actions[:, :2], log_probs)
+        with pytest.raises(ValueError, match=r"log_probs must have shape \(5, 3\)"):
+            rl.Trajectory(episode, actions, log_probs[:-1])
+        with pytest.raises(ValueError, match="log-probs must be <= 0"):
+            rl.Trajectory(episode, actions, np.abs(log_probs) + 0.1)
+        with pytest.raises(ValueError, match="episode rows must have shape"):
+            rl.Trajectory(dataclasses.replace(episode, rows=episode.rows[..., :5]),
+                          actions, log_probs)
+
+
+def build_batch_reference(traj, i, critic, y_max, hp):
+    """build_batch as it ran when run_episode stored the normalized features
+    of the whole (T+1, N, 6) episode and the critic valued agent i's column
+    of them."""
+    obs = rl.normalize_obs(traj.episode.rows, y_max)[:, i]
+    rewards = traj.episode.rewards
+    values = nn.forward_rows(critic, obs)[:, 0] * hp.value_scale
+    adv = rl.compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
+    return rl.TrainBatch(observations=obs[:-1], actions=traj.actions[:, i],
+                         old_log_probs=traj.log_probs[:, i], advantages=rl.whiten(adv),
+                         returns=rl.compute_returns(rewards, values[-1], hp.gamma_discount))
+
+
+class TestBuildBatch:
+    @pytest.mark.parametrize("n", [1, 2, 6, 24])
+    def test_equals_the_stored_features_arithmetic_bit_for_bit(self, n):
+        cfg = SimConfig(n_agents=n)
+        hp = HyperParams(episode_len=40, hidden_width=8)
+        agents = make_agents(n, seed=n)
+        sim = BottleneckSim(scenario_by_name("s5"), cfg, 40, RngStream(n, "env"))
+        traj = rl.run_episode(sim, agents, hp, QoECoefficients(), RngStream(n, "act"))
+        for i, agent in enumerate(agents):
+            got = rl.build_batch(traj, i, agent.critic, cfg.y_max, hp)
+            want = build_batch_reference(traj, i, agent.critic, cfg.y_max, hp)
+            for field in dataclasses.fields(rl.TrainBatch):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                assert a.tobytes() == b.tobytes(), field.name

@@ -253,41 +253,49 @@ class TestEvaluation:
 
 class TestCriticUse:
     def test_only_build_batch_runs_the_critic(self, monkeypatch):
-        calls = []
-        real = rl.critic_value
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(rl, "critic_value", counting)
         agents, _ = training.make_agents(CFG, HP, RngStream(0, "init"))
+        critics = [agent.critic for agent in agents]
+        row_calls, critic_forwards = [], []
+        real_rows, real_forward = nn.forward_rows, nn.forward
+
+        def counting_rows(params, rows):
+            row_calls.append((params, rows))
+            return real_rows(params, rows)
+
+        def watching_forward(params, x):
+            critic_forwards.extend(c for c in critics if c is params)
+            return real_forward(params, x)
+
+        monkeypatch.setattr(nn, "forward_rows", counting_rows)
+        monkeypatch.setattr(nn, "forward", watching_forward)
         training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
         sim = BottleneckSim(scenario_by_name("s1"), CFG, HP.episode_len,
                             RngStream(1, "env"))
         traj = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
         rewards = traj.episode.rewards
-        assert calls == []
-        batch = rl.build_batch(traj, 1, agents[1].critic, HP)
-        assert len(calls) == 1
-        critic, obs, value_scale = calls[0]
-        assert critic is agents[1].critic and value_scale == HP.value_scale
-        assert obs.shape == (HP.episode_len + 1, 6)
-        np.testing.assert_array_equal(obs, traj.observations[:, 1])
-        # each value equals its row's own batch-1 forward, bit for bit
-        values = np.array([float(nn.forward(critic, row)[0][0]) * HP.value_scale
-                           for row in obs])
-        np.testing.assert_array_equal(real(critic, obs, HP.value_scale), values)
-        np.testing.assert_array_equal(batch.observations, traj.observations[:-1, 1])
-        bootstrap = values[-1]
-        assert batch.returns[-1] == rewards[-1] + HP.gamma_discount * bootstrap
-        np.testing.assert_array_equal(
-            batch.returns, rl.compute_returns(rewards, bootstrap, HP.gamma_discount))
-        np.testing.assert_array_equal(
-            batch.advantages,
-            rl.whiten(rl.compute_gae(rewards, values[:-1], bootstrap,
-                                     HP.gamma_discount, HP.gae_lambda)))
+        assert row_calls == [] and critic_forwards == []
+        for i, critic in enumerate(critics):
+            batch = rl.build_batch(traj, i, critic, CFG.y_max, HP)
+            assert len(row_calls) == 1 and critic_forwards == []
+            params, obs = row_calls.pop()
+            assert params is critic and obs.shape == (HP.episode_len + 1, 6)
+            np.testing.assert_array_equal(obs, rl.normalize_obs(traj.episode.rows[:, i],
+                                                                 CFG.y_max))
+            # each value equals its row's own batch-1 forward, bit for bit
+            values = np.array([float(real_forward(critic, row)[0][0]) * HP.value_scale
+                               for row in obs])
+            np.testing.assert_array_equal(real_rows(critic, obs)[:, 0] * HP.value_scale,
+                                          values)
+            np.testing.assert_array_equal(batch.observations, obs[:-1])
+            bootstrap = values[-1]
+            assert batch.returns[-1] == rewards[-1] + HP.gamma_discount * bootstrap
+            np.testing.assert_array_equal(
+                batch.returns, rl.compute_returns(rewards, bootstrap, HP.gamma_discount))
+            np.testing.assert_array_equal(
+                batch.advantages,
+                rl.whiten(rl.compute_gae(rewards, values[:-1], bootstrap,
+                                         HP.gamma_discount, HP.gae_lambda)))
 
 
 class TestControllerEpisode:
@@ -352,8 +360,8 @@ class TestParameterOwnership:
             trajectory = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
             for i, agent in enumerate(agents):
                 agent.sample_count += hp.episode_len
-                rl.ppo_update(agent, rl.build_batch(trajectory, i, agent.critic, hp), hp,
-                              rng_upd)
+                rl.ppo_update(agent, rl.build_batch(trajectory, i, agent.critic, CFG.y_max, hp),
+                              hp, rng_upd)
 
         train_episode()
         result = fed.fed_round(agents, model, hp, RngStream(0, "fed"))
