@@ -248,7 +248,8 @@ def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
                rng: RngStream) -> UpdateDiagnostics:
     """Several epochs of shuffled minibatch ascent on the clipped surrogate
     (plus entropy bonus) and descent on the value MSE, written in place into
-    the agent's parameters and Adam states.
+    the agent's parameters and Adam states; the agent's ``sample_count``
+    grows by the batch's length, the steps FedAvg weights it by.
 
     Each minibatch's gradients go into one actor and one critic buffer held
     for this call only.
@@ -277,6 +278,7 @@ def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
             nn.adam_step(agent.critic, agent.critic_adam, vgrad, hp.lr, hp.grad_clip)
             per_batch.append((ploss, vloss, stats["entropy"], stats["clip_fraction"],
                               stats["mean_ratio"]))
+    agent.sample_count += n
     # left to right from 0.0: np.mean adds 8 or more values in partial sums,
     # and the builtin sum is compensated from Python 3.12 on
     return UpdateDiagnostics(*(functools.reduce(operator.add, col, 0.0) / len(per_batch)

@@ -128,7 +128,6 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
         curve.append(row)
 
         for i, agent in enumerate(agents):
-            agent.sample_count += hp.episode_len   # FedAvg weights by steps trained on
             diag = ppo_update(agent, build_batch(trajectory, i, agent.critic, cfg.y_max, hp),
                               hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})

@@ -383,6 +383,14 @@ class TestPpoUpdate:
                              RngStream(1, "u"))
         assert diag.policy_loss == 0.0
 
+    def test_counts_the_samples_it_trains_on(self):
+        actor, critic, batch = synthetic_batch(seed=6, n=30)
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        hp = HyperParams(minibatch=8, epochs=3)
+        for k in (1, 2):
+            rl.ppo_update(agent, batch, hp, RngStream(k, "u"))
+            assert agent.sample_count == 30 * k   # once per batch, not per epoch
+
     def test_update_writes_into_the_agents_own_arrays(self):
         actor, critic, batch = synthetic_batch(seed=7)
         agent = rl.PPOAgent(actor=actor, critic=critic)

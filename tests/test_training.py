@@ -359,7 +359,6 @@ class TestParameterOwnership:
             sim = BottleneckSim(scenario_by_name("s1"), CFG, hp.episode_len, rng_env)
             trajectory = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
             for i, agent in enumerate(agents):
-                agent.sample_count += hp.episode_len
                 rl.ppo_update(agent, rl.build_batch(trajectory, i, agent.critic, CFG.y_max, hp),
                               hp, rng_upd)
 
