@@ -208,7 +208,9 @@ def _write_run_artifacts(result: TrainResult, cfg: SimConfig, hp: HyperParams,
     _write_csv(out / DIAGNOSTICS_FILE, result.diagnostics, list(result.diagnostics[0]))
     if result.method == "fmappo":
         _write_csv(out / OVERHEAD_FILE, result.overhead, OVERHEAD_COLUMNS)
-    (out / CONFIG_SNAPSHOT_FILE).write_text(serialize_config(cfg, hp, coeffs),
+    # the episode count this run ran, so --config repeats the same run
+    ran = dataclasses.replace(hp, episodes=result.episodes)
+    (out / CONFIG_SNAPSHOT_FILE).write_text(serialize_config(cfg, ran, coeffs),
                                             encoding="utf-8")
     manifest = {
         "format": 1,

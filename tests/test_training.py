@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from asms import fed, nn, rl, training
-from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig,
+from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig, load_config,
                        scenario_by_name)
 from asms.netsim import BottleneckSim
 
@@ -94,6 +95,13 @@ class TestTrainLoop:
         overhead = (out / training.OVERHEAD_FILE).read_text().splitlines()
         assert overhead[0] == "round,episode,bytes_up_total,bytes_down_total,agents"
         assert len(overhead) == 1 + 20 // HP.fedavg_freq
+
+    def test_config_snapshot_records_the_episodes_run(self, tmp_path):
+        out = tmp_path / "run"
+        tiny_train(out_dir=out, episodes=2)
+        cfg, hp, coeffs = load_config(str(out / training.CONFIG_SNAPSHOT_FILE))
+        assert hp.episodes == 2 != HP.episodes
+        assert (cfg, dataclasses.replace(hp, episodes=HP.episodes), coeffs) == (CFG, HP, COEFFS)
 
     def test_run_shorter_than_fedavg_freq_writes_header_only_overhead(self, tmp_path):
         out = tmp_path / "run"
