@@ -491,37 +491,30 @@ class RngStream:
             return u01   # 0.0 + 1.0 * u01 is u01 itself
         return low + (high - low) * u01
 
-    def integers(self, n_exclusive: int, size: int | None = None):
+    def integers(self, n_exclusive: int, size: int) -> np.ndarray:
         """Uniform integers in [0, n_exclusive)."""
         if n_exclusive < 1:
             raise ValueError(f"n_exclusive must be >= 1, got {n_exclusive}")
-        n = 1 if size is None else size
-        out = (self.raw(n) % _UINT(n_exclusive)).astype(np.int64)
-        return int(out[0]) if size is None else out
+        return (self.raw(size) % _UINT(n_exclusive)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n) via random-key sort."""
         return np.argsort(self.raw(n), kind="stable")
 
-    def normal(self, size: int | None = None):
+    def normal(self, size: int) -> np.ndarray:
         """Standard normal draws (Box-Muller); consumes 2 uniforms each."""
-        n = 1 if size is None else size
-        u = self.uniform(size=2 * n)
-        r = np.sqrt(-2.0 * np.log(np.maximum(u[:n], 2.0 ** -53)))
-        out = r * np.cos(2.0 * np.pi * u[n:])
-        return float(out[0]) if size is None else out
+        u = self.uniform(size=2 * size)
+        r = np.sqrt(-2.0 * np.log(np.maximum(u[:size], 2.0 ** -53)))
+        return r * np.cos(2.0 * np.pi * u[size:])
 
-    def laplace(self, scale: float, size: int | None = None):
+    def laplace(self, scale: float, size: int) -> np.ndarray:
         """Zero-mean Laplace draws with the given scale b (variance 2 b^2)."""
         if scale < 0:
             raise ValueError("scale must be >= 0")
-        n = 1 if size is None else size
         if scale == 0.0:
-            out = np.zeros(n)
-        else:
-            v = self.uniform(size=n) - 0.5
-            out = -scale * np.sign(v) * np.log(np.maximum(1.0 - 2.0 * np.abs(v), 2.0 ** -53))
-        return float(out[0]) if size is None else out
+            return np.zeros(size)
+        v = self.uniform(size=size) - 0.5
+        return -scale * np.sign(v) * np.log(np.maximum(1.0 - 2.0 * np.abs(v), 2.0 ** -53))
 
     def binomial(self, n, p: float):
         """Number of successes in n Bernoulli(p) trials, for an int n or for

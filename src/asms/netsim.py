@@ -90,8 +90,6 @@ def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
     y_i = min(x_i, water level) with sum(y) = min(sum(x), capacity).
     """
     demands = np.asarray(targets, dtype=np.float64)
-    if demands.size == 0:
-        return demands.copy()
     if np.any(demands < 0) or capacity < 0:
         raise ValueError("targets and capacity must be >= 0")
     if demands.sum() <= capacity:

@@ -55,19 +55,21 @@ def quality(received_mbps, y_min: float) -> np.ndarray:
     return _libm(math.log, np.where(below, y_min, received_mbps) / y_min)
 
 
-def qoe_features(rows, frame_rate, next_received_mbps, users,
-                 c: QoECoefficients) -> np.ndarray:
-    """Signed per-term features, (..., 5), of a (..., 6) block of observation
-    rows, so that features . weights == compute_qoe.
+def qoe_features(rows, frame_rate, users, c: QoECoefficients) -> np.ndarray:
+    """Signed per-term features, (T, ..., 5), of a trace of (T, ..., 6)
+    observation rows, time on axis 0, so that features . weights == compute_qoe.
 
-    ``frame_rate``, ``next_received_mbps`` and ``users`` broadcast against
-    the rows' leading shape. Order matches QoECoefficients.weights(): (alpha,
-    beta, gamma, delta1, delta2). Penalty terms are negated here.
+    ``frame_rate`` and ``users`` broadcast against the rows' leading shape.
+    Fluctuation compares each step's quality with the next step's; the final
+    step compares against itself. Order matches QoECoefficients.weights():
+    (alpha, beta, gamma, delta1, delta2). Penalty terms are negated here.
     """
     rows = check_obs_rows(rows)
+    if rows.ndim < 2:
+        raise ValueError(f"a trace needs shape (T, ..., 6), got {rows.shape}")
     received = rows[..., OBS_RECEIVED]
     q_now = quality(received, c.y_min)
-    q_next = quality(next_received_mbps, c.y_min)
+    q_next = np.concatenate([q_now[1:], q_now[-1:]])
     terms = (q_now * _libm(math.exp, -users / c.u_max),
              -np.abs(frame_rate - c.f_target),
              -rows[..., OBS_LATENCY] / (received + c.eps_small),
@@ -76,9 +78,8 @@ def qoe_features(rows, frame_rate, next_received_mbps, users,
     return np.stack(np.broadcast_arrays(*terms), axis=-1)
 
 
-def compute_qoe(rows, frame_rate, next_received_mbps, users,
-                c: QoECoefficients) -> np.ndarray:
-    """Experience score of each observation row, shape rows.shape[:-1].
+def compute_qoe(rows, frame_rate, users, c: QoECoefficients) -> np.ndarray:
+    """Experience score of each step of a trace, shape rows.shape[:-1].
 
     Scene quality (damped by user density) minus penalties for frame-rate
     mismatch, latency per unit throughput, quality fluctuation versus the
@@ -86,8 +87,7 @@ def compute_qoe(rows, frame_rate, next_received_mbps, users,
     of a per-row ``weights @ features``; ``@``, ``einsum`` and a product sum
     do not.
     """
-    return np.vecdot(qoe_features(rows, frame_rate, next_received_mbps, users, c),
-                     c.weights())
+    return np.vecdot(qoe_features(rows, frame_rate, users, c), c.weights())
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +130,8 @@ def _check_rates_users(frame_rate: np.ndarray, users: np.ndarray) -> None:
 
 
 def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
-    """Trace-mean feature vector; next-step bitrate at the trace end reuses
-    the final step (no fluctuation penalty there)."""
-    received = record.rows[:, OBS_RECEIVED]
-    nxt = np.concatenate([received[1:], received[-1:]])
-    feats = qoe_features(record.rows, record.frame_rate, nxt, record.users, base)
+    """Trace-mean feature vector."""
+    feats = qoe_features(record.rows, record.frame_rate, record.users, base)
     return feats.sum(axis=0) / len(feats)
 
 

@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn
-from .core import (OBS_DIM, OBS_RECEIVED, OBS_TARGET, HyperParams, QoECoefficients,
-                   RngStream)
+from .core import OBS_DIM, OBS_TARGET, HyperParams, QoECoefficients, RngStream
 from .netsim import BottleneckSim
 from .qoe import compute_qoe
 
@@ -309,16 +308,13 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
     ``rows`` is (T, N, 6) with columns ``core.OBS_*``, scored as one block
     by ``compute_qoe``; every step counts all N agents as users, and its
     reward is the mean of its N scores. The fluctuation term needs each
-    step's successor bitrate, so scoring happens after the rollout; the
-    final step compares against itself.
+    step's successor, so scoring happens after the rollout.
     """
     rows = np.asarray(rows, dtype=np.float64)
     _, n, _ = rows.shape
     if n == 0:
         raise ValueError("an episode needs at least one agent")
-    received = rows[..., OBS_RECEIVED]
-    successor = np.concatenate([received[1:], received[-1:]])
-    agent_qoe = compute_qoe(rows, frame_rate, successor, n, coeffs)
+    agent_qoe = compute_qoe(rows, frame_rate, n, coeffs)
     return agent_qoe.sum(axis=1) / n, agent_qoe
 
 
@@ -350,9 +346,7 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
     identical pooled reward.
 
     Only the actors run, and the agents are left as they were;
-    ``build_batch`` values the states at update time. The fluctuation term
-    of the final step's score reuses that step's own bitrate (no look-ahead
-    exists past the episode).
+    ``build_batch`` values the states at update time.
     """
     cfg = sim.cfg
     n = cfg.n_agents

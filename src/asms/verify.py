@@ -514,26 +514,26 @@ def check_qoe_values(seed: int) -> tuple[bool, str]:
     worst = max(worst, abs(qoe.quality(50, 1) - math.log(50)))
     # all-terms-zero anchor
     obs0 = (c.y_min, c.y_min, 0.0, 0.0, 0.0, 0.0)
-    worst = max(worst, abs(qoe.compute_qoe(obs0, c.f_target, c.y_min, 0, c)))
+    worst = max(worst, abs(qoe.compute_qoe([obs0], c.f_target, 0, c)[0]))
     # lone disruption term
     obs1 = (c.y_min, c.y_min, 0.0, 0.0, c.p_threshold + 4, c.p_threshold + 4)
-    worst = max(worst, abs(qoe.compute_qoe(obs1, c.f_target, c.y_min, 0, c) + 2.0))
-    # straight-line oracle on a fixed input vector
+    worst = max(worst, abs(qoe.compute_qoe([obs1], c.f_target, 0, c)[0] + 2.0))
+    # straight-line oracle on a fixed input vector, its successor receiving 20 Mbps
     obs2 = (40.0, 32.0, 55.0, 4.0, 24.0, 24.0)
-    got = qoe.compute_qoe(obs2, 48.0, 20.0, 4, c)
+    got = qoe.compute_qoe([obs2, (20.0, 20.0, 0.0, 0.0, 0.0, 0.0)], 48.0, 4, c)[0]
     q_now, q_next = math.log(32.0), math.log(20.0)
     want = (1.0 * q_now * math.exp(-4 / 6) - 0.4 * abs(48.0 - 60.0)
             - 0.2 * 55.0 / (32.0 + 1e-6) - 0.6 * abs(q_next - q_now)
             - 0.5 * max(0.0, 24.0 - 10.0))
     worst = max(worst, abs(got - want))
-    # monotonicity sweeps, 25 rows each, scored as one block: up in bitrate,
+    # monotonicity sweeps, 25 rows each, scored as one step: up in bitrate,
     # down in latency and in loss
     sweeps = np.tile([50.0, 50.0, 10.0, 0.0, 0.0, 0.0], (3, 25, 1))
     sweeps[0, :, OBS_TARGET], sweeps[0, :, OBS_LATENCY] = 100.0, 0.0
     sweeps[0, :, OBS_RECEIVED] = np.linspace(1.0, 100.0, 25)
     sweeps[1, :, OBS_LATENCY] = np.linspace(0.0, 300.0, 25)
     sweeps[2, :, OBS_LOST] = sweeps[2, :, OBS_NACKS] = np.linspace(0.0, 200.0, 25)
-    bitrate, latency, loss = qoe.compute_qoe(sweeps, c.f_target, sweeps[..., OBS_RECEIVED], 1, c)
+    bitrate, latency, loss = qoe.compute_qoe(sweeps[None], c.f_target, 1, c)[0]
     mono_ok = bool(np.all(bitrate[1:] >= bitrate[:-1] - 1e-12)
                    and all(np.all(s[1:] <= s[:-1] + 1e-12) for s in (latency, loss)))
     ok = worst < 1e-9 and mono_ok

@@ -282,10 +282,10 @@ class TestRngStream:
         r = RngStream(3, "x")
         parts = np.concatenate([r.uniform(size=k) for k in (1, 7, 30, 82)])
         assert np.array_equal(whole, parts)
-        # one block of N integers equals N scalar draws (the random controller)
+        # one block of N integers equals N single draws (the random controller)
         block = RngStream(4, "rand").integers(5, size=24)
         r = RngStream(4, "rand")
-        assert block.tolist() == [r.integers(5) for _ in range(24)]
+        assert block.tolist() == [int(r.integers(5, size=1)[0]) for _ in range(24)]
 
     def test_uniform_bounds(self):
         draws = RngStream(1, "u").uniform(2.0, 5.0, size=1000)
@@ -337,7 +337,7 @@ class TestRngStream:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_exclusive"):
-                r.integers(bound)
+                r.integers(bound, size=3)
         assert r._counter == 0
 
 

@@ -221,6 +221,12 @@ class TestAllocateMaxMin:
         with pytest.raises(ValueError):
             allocate_max_min([-1.0, 5.0], 10)
 
+    def test_empty_demand(self):
+        got = allocate_max_min([], 5.0)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        with pytest.raises(ValueError, match="capacity must be >= 0"):
+            allocate_max_min([], -1.0)
+
     @pytest.mark.parametrize("n", [1, 6, 24, 100])
     def test_equals_the_numpy_fill_bit_for_bit(self, n):
         rng = RngStream(n, "alloc")

@@ -14,14 +14,11 @@ from ratings_io import write_ratings_csv
 C = QoECoefficients()
 
 
-def qoe_features_reference(row, frame_rate, next_received_mbps, users, c, clamps):
+def qoe_features_reference(row, frame_rate, next_received_mbps, users, c):
     """The scalar per-row features that scored one agent-step at a time,
-    with libm logs; ``clamps`` is a one-entry list counting floor clamps."""
+    with libm logs."""
     def quality(y):
-        if y < c.y_min:
-            clamps[0] += 1
-            y = c.y_min
-        return math.log(y / c.y_min)
+        return math.log(max(y, c.y_min) / c.y_min)
 
     q_now, q_next = quality(row[OBS_RECEIVED]), quality(next_received_mbps)
     return np.array([
@@ -36,17 +33,17 @@ def qoe_features_reference(row, frame_rate, next_received_mbps, users, c, clamps
 def score_episode_reference(rows, frame_rate, c):
     """The nested loop that scored a (T, N, 6) episode: each agent-step's
     weights @ features, then each step's scores summed and divided by N.
-    Returns (rewards, agent_qoe, clamp count)."""
+    Returns (rewards, agent_qoe)."""
     t_len, n, _ = rows.shape
-    steps, rates, clamps = rows.tolist(), frame_rate.tolist(), [0]
+    steps, rates = rows.tolist(), frame_rate.tolist()
     agent_qoe, rewards = np.zeros((t_len, n)), np.zeros(t_len)
     for t in range(t_len):
         successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
             agent_qoe[t, i] = float(c.weights() @ qoe_features_reference(
-                steps[t][i], rates[t][i], successor[i][OBS_RECEIVED], n, c, clamps))
+                steps[t][i], rates[t][i], successor[i][OBS_RECEIVED], n, c))
         rewards[t] = float(np.sum(agent_qoe[t])) / n
-    return rewards, agent_qoe, clamps[0]
+    return rewards, agent_qoe
 
 
 def record_features_reference(record, c):
@@ -54,7 +51,7 @@ def record_features_reference(record, c):
     Returns (per-row features, their mean)."""
     rows, rates, users = record.rows.tolist(), record.frame_rate.tolist(), record.users.tolist()
     per_row = [qoe_features_reference(row, rates[i], rows[min(i + 1, len(rows) - 1)][OBS_RECEIVED],
-                                      users[i], c, [0]) for i, row in enumerate(rows)]
+                                      users[i], c) for i, row in enumerate(rows)]
     feats = np.zeros(5)
     for f in per_row:
         feats += f
@@ -101,8 +98,7 @@ class TestDisruptionPenalty:
 
     @staticmethod
     def penalty(lost):
-        return -qoe.qoe_features((50.0, 50.0, 10.0, 0.0, lost, lost), C.f_target, 50.0, 1,
-                                 C)[4]
+        return -qoe.qoe_features([(50.0, 50.0, 10.0, 0.0, lost, lost)], C.f_target, 1, C)[0, 4]
 
     def test_boundary(self):
         assert self.penalty(C.p_threshold) == 0.0
@@ -115,28 +111,33 @@ class TestDisruptionPenalty:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            qoe.qoe_features((50.0, 50.0, 10.0, 0.0, -1.0, 0.0), C.f_target, 50.0, 1, C)
+            qoe.qoe_features([(50.0, 50.0, 10.0, 0.0, -1.0, 0.0)], C.f_target, 1, C)
 
     def test_column_of_a_block(self):
         rows = np.tile([50.0, 50.0, 10.0, 0.0, 0.0, 0.0], (2, 3, 1))
         rows[..., OBS_LOST] = [[0.0, 10.0, 11.0], [14.0, 2.0, 30.0]]
-        feats = qoe.qoe_features(rows, C.f_target, 50.0, 1, C)
+        feats = qoe.qoe_features(rows, C.f_target, 1, C)
         assert feats.shape == (2, 3, 5)
         assert (-feats[..., 4]).tolist() == [[0.0, 0.0, 1.0], [4.0, 0.0, 20.0]]
+
+    def test_lone_row_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("got (6,)")):
+            qoe.qoe_features((50.0, 50.0, 10.0, 0.0, 0.0, 0.0), C.f_target, 1, C)
 
 
 class TestComputeQoe:
     def test_all_terms_vanish(self):
         obs = (C.y_min, C.y_min, 0.0, 0.0, 0.0, 0.0)
-        assert qoe.compute_qoe(obs, C.f_target, C.y_min, 0, C) == pytest.approx(0.0)
+        assert qoe.compute_qoe([obs], C.f_target, 0, C)[0] == pytest.approx(0.0)
 
     def test_lone_disruption_term(self):
         obs = (C.y_min, C.y_min, 0.0, 0.0, C.p_threshold + 4, C.p_threshold + 4)
-        assert qoe.compute_qoe(obs, C.f_target, C.y_min, 0, C) == pytest.approx(-2.0)
+        assert qoe.compute_qoe([obs], C.f_target, 0, C)[0] == pytest.approx(-2.0)
 
     def test_against_straight_line_oracle(self):
         obs = (60.0, 45.0, 80.0, 6.0, 30.0, 30.0)
-        got = qoe.compute_qoe(obs, 45.0, 15.0, 5, C)
+        successor = (15.0, 15.0, 0.0, 0.0, 0.0, 0.0)
+        got = qoe.compute_qoe([obs, successor], 45.0, 5, C)[0]
         q_now = math.log(45.0 / 1.0)
         q_next = math.log(15.0 / 1.0)
         want = (1.0 * q_now * math.exp(-5 / 6)
@@ -147,26 +148,25 @@ class TestComputeQoe:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_monotone_in_bitrate(self):
-        vals = [qoe.compute_qoe((150.0, y, 0.0, 0.0, 0.0, 0.0),
-                                C.f_target, y, 1, C)
+        vals = [qoe.compute_qoe([(150.0, y, 0.0, 0.0, 0.0, 0.0)], C.f_target, 1, C)[0]
                 for y in np.linspace(1, 150, 30)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_down_in_density(self):
         obs = (50.0, 50.0, 0.0, 0.0, 0.0, 0.0)
-        vals = [qoe.compute_qoe(obs, C.f_target, 50.0, u, C) for u in range(0, 8)]
+        vals = [qoe.compute_qoe([obs], C.f_target, u, C)[0] for u in range(0, 8)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_down_in_frame_mismatch(self):
         obs = (50.0, 50.0, 10.0, 0.0, 0.0, 0.0)
-        vals = [qoe.compute_qoe(obs, C.f_target - d, 50.0, 1, C) for d in (0, 5, 10, 20)]
+        vals = [qoe.compute_qoe([obs], C.f_target - d, 1, C)[0] for d in (0, 5, 10, 20)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_stability_term_symmetry(self):
         a = (50.0, 40.0, 10.0, 0.0, 0.0, 0.0)
         b = (50.0, 20.0, 10.0, 0.0, 0.0, 0.0)
-        pen_ab = qoe.qoe_features(a, C.f_target, 20.0, 1, C)[3]
-        pen_ba = qoe.qoe_features(b, C.f_target, 40.0, 1, C)[3]
+        pen_ab = qoe.qoe_features([a, b], C.f_target, 1, C)[0, 3]
+        pen_ba = qoe.qoe_features([b, a], C.f_target, 1, C)[0, 3]
         assert pen_ab == pytest.approx(pen_ba)
 
 
@@ -207,6 +207,16 @@ class TestGlobalReward:
             rl.score_episode(np.zeros((4, 0, 6)), np.zeros((4, 0)), C)
 
 
+class TestClampCount:
+    @pytest.mark.parametrize("starved", [0, 1, 2])
+    def test_one_clamped_agent_step_counts_once(self, starved):
+        rows = np.tile([5.0, 5.0, 10.0, 0.0, 0.0, 0.0], (3, 1, 1))
+        rows[starved, 0, OBS_RECEIVED] = 0.5 * C.y_min
+        before = qoe.quality_clamp_count()
+        rl.score_episode(rows, np.full((3, 1), C.f_target), C)
+        assert qoe.quality_clamp_count() - before == 1
+
+
 class TestKernelMatchesScalarReference:
     """The array kernel reproduces the scalar scoring loops bit for bit."""
 
@@ -215,13 +225,14 @@ class TestKernelMatchesScalarReference:
         below = 0
         for scenario in ("s1", "s2", "s3", "s4", "s5", "s6"):
             rows, frame_rate, episode = random_rollout(scenario, n, seed=n)
-            rewards, agent_qoe, clamps = score_episode_reference(rows, frame_rate, C)
+            rewards, agent_qoe = score_episode_reference(rows, frame_rate, C)
             before = qoe.quality_clamp_count()
             got_rewards, got_qoe = rl.score_episode(rows, frame_rate, C)
-            assert qoe.quality_clamp_count() - before == clamps
+            clamped = int((rows[..., OBS_RECEIVED] < C.y_min).sum())
+            assert qoe.quality_clamp_count() - before == clamped
             assert got_qoe.tobytes() == agent_qoe.tobytes() == episode.agent_qoe.tobytes()
             assert got_rewards.tobytes() == rewards.tobytes() == episode.rewards.tobytes()
-            below += int((rows[..., OBS_RECEIVED] < C.y_min).sum())
+            below += clamped
         if n >= 24:
             assert below > 0   # the crowded link starves some streams below y_min
 
@@ -240,9 +251,7 @@ class TestKernelMatchesScalarReference:
         for record in records:
             varied = dataclasses.replace(record, users=rng.integers(201, size=len(record.users)))
             want_rows, want = record_features_reference(varied, C)
-            received = varied.rows[:, OBS_RECEIVED]
-            got_rows = qoe.qoe_features(varied.rows, varied.frame_rate,
-                                        np.append(received[1:], received[-1]), varied.users, C)
+            got_rows = qoe.qoe_features(varied.rows, varied.frame_rate, varied.users, C)
             assert got_rows.tobytes() == want_rows.tobytes()
             assert qoe.record_features(varied, C).tobytes() == want.tobytes()
 

@@ -469,8 +469,9 @@ class TestScoreEpisode:
         rows[4, :, OBS_RECEIVED] = 6.0
         frame_rate = np.full((5, 4), 48.0)
         rewards, agent_qoe = rl.score_episode(rows, frame_rate, coeffs)
-        assert agent_qoe[3, 1] == qoe.compute_qoe(rows[3, 1].tolist(), 48.0, 6.0, 4, coeffs)
-        assert agent_qoe[4, 1] == qoe.compute_qoe(rows[4, 1].tolist(), 48.0, 6.0, 4, coeffs)
+        last_two = qoe.compute_qoe(rows[3:, 1].tolist(), 48.0, 4, coeffs)
+        assert agent_qoe[3, 1] == last_two[0]
+        assert agent_qoe[4, 1] == last_two[1]
         np.testing.assert_array_equal(rewards, agent_qoe.mean(axis=1))
         rows[2, 3, OBS_RECEIVED] = 10.5
         with pytest.raises(ValueError, match="received bitrate exceeds"):
@@ -486,9 +487,8 @@ class TestScoreEpisode:
         frame_rate = np.full((3, 2), 60.0)
         _, agent_qoe = rl.score_episode(rows, frame_rate, coeffs)
         for users, same in ((2, True), (1, False), (3, False)):
-            want = [[qoe.compute_qoe(rows[t, i].tolist(), 60.0,
-                                     rows[min(t + 1, 2), i, OBS_RECEIVED], users, coeffs)
-                     for i in range(2)] for t in range(3)]
+            want = np.stack([qoe.compute_qoe(rows[:, i].tolist(), 60.0, users, coeffs)
+                             for i in range(2)], axis=1).tolist()
             assert (agent_qoe.tolist() == want) is same
 
 
