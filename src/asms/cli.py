@@ -205,29 +205,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fit_qoe(args) -> int:
-    if args.grid:
-        try:
-            start, stop, step = (float(v) for v in args.grid.split(":"))
-        except ValueError:
-            raise ConfigError(f"--grid must be start:stop:step, got {args.grid!r}")
-        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0:
-            raise ConfigError(f"--grid needs finite values and a step > 0, got {args.grid!r}")
-        steps = (stop - start) / step + 1e-9   # slack for rounding; inf past a float's range
-        n_axis = max(0, math.floor(steps) + 1) if math.isfinite(steps) else math.inf
-        if n_axis ** 5 > qoe.FIT_MAX_CANDIDATES:
-            raise ConfigError(f"--grid {args.grid!r} gives {n_axis ** 5} candidates; "
-                              f"at most {qoe.FIT_MAX_CANDIDATES} can be searched")
-        axis = [round(start + k * step, 10) for k in range(n_axis)]
-        grid = tuple(tuple(axis) for _ in range(5))
-    else:
-        grid = qoe.DEFAULT_GRID
     records = qoe.load_ratings_csv(args.ratings)
-    fit = qoe.fit_coefficients(records, grid)
+    fit = qoe.fit_coefficients(records)
     sens = qoe.coefficient_sensitivity(fit.coefficients, records)
 
     report = {
         "records": len(records),
-        "grid": [list(axis) for axis in fit.grid],
+        "normalization": qoe.FIT_NORMALIZATION,
         "coefficients": {k: getattr(fit.coefficients, k)
                          for k in ("alpha", "beta", "gamma", "delta1", "delta2")},
         "rmse": fit.rmse,
@@ -249,8 +233,8 @@ def cmd_fit_qoe(args) -> int:
         (out / "qoe_fit.json").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'qoe_fit.json'}")
     c = fit.coefficients
-    print(f"fitted weights: alpha={c.alpha} beta={c.beta} gamma={c.gamma} "
-          f"delta1={c.delta1} delta2={c.delta2}")
+    print(f"fitted weights ({qoe.FIT_NORMALIZATION}): alpha={c.alpha} beta={c.beta} "
+          f"gamma={c.gamma} delta1={c.delta1} delta2={c.delta2}")
     print(f"rmse={fit.rmse:.4f} r_squared={fit.r_squared:.4f}")
     if sens.mean_rel_change is not None:
         print(f"sensitivity: mean |rmse change| at +/-20% = "
@@ -306,9 +290,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("fit-qoe", help="grid-search QoE weights against ratings")
+    p = sub.add_parser("fit-qoe", help="fit QoE weights to ratings by non-negative "
+                       f"least squares ({qoe.FIT_NORMALIZATION})")
     p.add_argument("--ratings", required=True, help="ratings CSV")
-    p.add_argument("--grid", help="start:stop:step applied to all five weights")
     p.add_argument("--out", help="directory for the fit report")
     p.set_defaults(func=cmd_fit_qoe)
 

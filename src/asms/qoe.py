@@ -1,10 +1,11 @@
-"""Quality-of-experience scoring of observation rows, and the grid-search
+"""Quality-of-experience scoring of observation rows, and the closed-form
 calibration of the score's weights against opinion ratings.
 
 The score is linear in its five weights, which the fitting code exploits:
-each trace reduces to one 5-dim feature vector and each block of grid
-candidates is then a single matrix product. Scores and traces read
-observation rows, columns ``core.OBS_*``.
+each trace reduces to one 5-dim feature vector, and the weights are one
+non-negative least-squares solve over those vectors, normalized so the
+largest weight is 1 and rounded to 0.1. Scores and traces read observation
+rows, columns ``core.OBS_*``.
 """
 
 from __future__ import annotations
@@ -135,29 +136,51 @@ def record_features(record: RatingsRecord, base: QoECoefficients) -> np.ndarray:
     return feats.sum(axis=0) / len(feats)
 
 
-DEFAULT_GRID: tuple[tuple[float, ...], ...] = tuple(
-    tuple(round(0.1 * k, 1) for k in range(11)) for _ in range(5))
-FIT_BLOCK_ROWS = 4096   # candidates per product: bounds the fit's memory
-FIT_MAX_CANDIDATES = 21 ** 5   # a 0.05 step on [0, 1]: bounds the fit's time
+FIT_NORMALIZATION = "largest weight 1, each weight rounded to 0.1"
 
 
-def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-candidate least-squares alignment a*pred+b onto the rating scale.
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson and Hanson's active-set solution of min |a @ x - b| over x >= 0."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)   # the columns solved without their bound
+    tol = 10 * max(a.shape) * np.finfo(float).eps * np.abs(a).sum(axis=0).max()
+    for _ in range(3 * n):   # rounding could otherwise cycle the loop
+        grad = a.T @ (b - a @ x)
+        if free.all() or grad[~free].max() <= tol:
+            break
+        free[np.argmax(np.where(free, -np.inf, grad))] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            hit = free & (z <= 0)
+            if not hit.any():
+                break
+            # step from x toward z until the first weight reaches 0, then bind it
+            idx = np.flatnonzero(hit)
+            ratio = x[idx] / np.maximum(x[idx] - z[idx], np.finfo(float).tiny)
+            x += ratio.min() * (z - x)
+            x[idx[np.argmin(ratio)]] = 0.0
+            free &= x > 0
+            x[~free] = 0.0
+        x = z
+    return x
 
-    predicted: (n_candidates, n_records). Returns (rmse, a, b). Candidates
-    with constant predictions fall back to a=0, b=mean(mos).
+
+def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares alignment a*pred+b onto the rating scale, with a >= 0:
+    a score that falls as ratings rise gets a=0.
+
+    Returns (rmse, a, b). Constant predictions fall back to a=0, b=mean(mos).
     """
-    p_mean = predicted.mean(axis=1)
+    p_mean = float(predicted.mean())
     m_mean = float(mos.mean())
-    p_centered = predicted - p_mean[:, None]
-    var = (p_centered ** 2).mean(axis=1)
-    cov = (p_centered * (mos - m_mean)).mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(var > 1e-18, cov / np.where(var > 1e-18, var, 1.0), 0.0)
+    p_centered = predicted - p_mean
+    var = float((p_centered ** 2).mean())
+    cov = float((p_centered * (mos - m_mean)).mean())
+    a = max(cov, 0.0) / var if var > 1e-18 else 0.0
     b = m_mean - a * p_mean
-    resid = a[:, None] * predicted + b[:, None] - mos
-    rmse = np.sqrt((resid ** 2).mean(axis=1))
-    return rmse, a, b
+    return math.sqrt(float(((a * predicted + b - mos) ** 2).mean())), a, b
 
 
 @dataclass(frozen=True)
@@ -167,59 +190,38 @@ class FitResult:
     r_squared: float
     scale: float      # fitted a of a*score+b -> MOS
     offset: float     # fitted b
-    grid: tuple[tuple[float, ...], ...]
 
 
-def fit_coefficients(records: Sequence[RatingsRecord],
-                     grid: Sequence[Sequence[float]] = DEFAULT_GRID) -> FitResult:
-    """Exhaustive grid search minimizing RMSE against the MOS ratings.
+def fit_coefficients(records: Sequence[RatingsRecord]) -> FitResult:
+    """Non-negative least-squares weights against the MOS ratings.
 
-    Model scores and the 1-5 rating scale differ in units, so each candidate
-    is first aligned by least-squares a*score+b before its RMSE is taken.
-    Ties break to the first candidate in lexicographic grid order. The
-    non-weight terms are the defaults of ``QoECoefficients``.
+    Model scores and the 1-5 rating scale differ in units, so the fit regresses
+    the centred ratings on the centred trace-mean features, which fixes the
+    weights up to a positive factor. ``FIT_NORMALIZATION`` fixes that factor.
+    The normalized weights are then aligned by least-squares a*score+b for
+    the RMSE. All-zero weights (flat ratings, say) stay zero, with a=0 and
+    b=mean(mos). The non-weight terms are the defaults of ``QoECoefficients``.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 ratings records")
-    grids = [tuple(float(v) for v in axis) for axis in grid]
-    if len(grids) != 5 or any(len(axis) == 0 for axis in grids):
-        raise ValueError("grid must provide a non-empty axis for each of the 5 weights")
-    shape = tuple(len(axis) for axis in grids)
-    n_candidates = math.prod(shape)
-    if n_candidates > FIT_MAX_CANDIDATES:
-        raise ValueError(f"grid has {n_candidates} candidates; at most "
-                         f"{FIT_MAX_CANDIDATES} can be searched")
     base = QoECoefficients()
-
     feats = np.stack([record_features(r, base) for r in records])   # (R, 5)
     mos = np.array([r.mos for r in records])
-    axes = [np.array(axis) for axis in grids]
-    for start in range(0, n_candidates, FIT_BLOCK_ROWS):
-        # candidates in lexicographic grid order, built a block at a time
-        index = np.unravel_index(np.arange(start, min(start + FIT_BLOCK_ROWS, n_candidates)),
-                                 shape)
-        candidates = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)  # (block, 5)
-        predicted = candidates @ feats.T   # (block, R)
-        rmse, a, b = _affine_rmse(predicted, mos)
-        k = int(np.argmin(rmse))   # the first minimum: lexicographic tie-break
-        if start == 0 or rmse[k] < best_rmse:
-            best, best_rmse, scale, offset = start + k, rmse[k], a[k], b[k]
-            aligned = a[k] * predicted[k] + b[k]   # a recomputed row differs in the last bits
-
-    ss_res = float(((aligned - mos) ** 2).sum())
-    ss_tot = float(((mos - mos.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    w = [axis[i] for axis, i in zip(axes, np.unravel_index(best, shape))]
-    coeffs = dataclasses.replace(base, alpha=w[0], beta=w[1], gamma=w[2],
-                                 delta1=w[3], delta2=w[4])
-    return FitResult(coefficients=coeffs, rmse=float(best_rmse), r_squared=r2,
-                     scale=float(scale), offset=float(offset), grid=tuple(grids))
+    w = _nnls(feats - feats.mean(axis=0), mos - mos.mean())
+    if w.max() > 0:
+        w = np.round(w / w.max(), 1)
+    rmse, scale, offset = _affine_rmse(feats @ w, mos)
+    spread = float(mos.std())
+    r2 = 1.0 - (rmse / spread) ** 2 if spread > 0 else 1.0
+    alpha, beta, gamma, delta1, delta2 = w.tolist()
+    coeffs = dataclasses.replace(base, alpha=alpha, beta=beta, gamma=gamma,
+                                 delta1=delta1, delta2=delta2)
+    return FitResult(coefficients=coeffs, rmse=rmse, r_squared=r2,
+                     scale=scale, offset=offset)
 
 
 def _rmse_of(coeffs: QoECoefficients, feats: np.ndarray, mos: np.ndarray) -> float:
-    predicted = (coeffs.weights() @ feats.T)[None, :]
-    rmse, _, _ = _affine_rmse(predicted, mos)
-    return float(rmse[0])
+    return _affine_rmse(feats @ coeffs.weights(), mos)[0]
 
 
 @dataclass(frozen=True)
@@ -377,7 +379,7 @@ def synthetic_ratings(truth: QoECoefficients, rng: RngStream, n_records: int = 9
 
 
 __all__ = [
-    "DEFAULT_GRID", "FitResult", "RATINGS_HEADER", "RatingsRecord",
+    "FIT_NORMALIZATION", "FitResult", "RATINGS_HEADER", "RatingsRecord",
     "SensitivityResult", "coefficient_sensitivity", "compute_qoe", "fit_coefficients",
     "load_ratings_csv", "qoe_features", "quality", "quality_clamp_count",
     "record_features", "synthetic_ratings",

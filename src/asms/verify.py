@@ -542,8 +542,8 @@ def check_qoe_values(seed: int) -> tuple[bool, str]:
 
 
 def check_fit_recovery(seed: int) -> tuple[bool, str]:
-    """Criterion: noiseless synthetic ratings recover their generating grid
-    point exactly; sigma=0.2 noise stays within one grid step per weight."""
+    """Criterion: noiseless synthetic ratings recover their generating
+    weights exactly; sigma=0.2 noise stays within 0.1 per weight."""
     truth = QoECoefficients(alpha=1.0, beta=0.4, gamma=0.2, delta1=0.6, delta2=0.5)
     rng = RngStream(seed, "verify/fit")
     clean = qoe.synthetic_ratings(truth, rng.spawn("clean"))
@@ -557,7 +557,7 @@ def check_fit_recovery(seed: int) -> tuple[bool, str]:
     optimum = all(r >= sens.baseline_rmse - 1e-12
                   for pair in sens.perturbed.values() for r in pair)
     ok = exact and step_ok and optimum
-    return ok, (f"noiseless exact: {exact}; sigma=0.2 within one grid step: "
+    return ok, (f"noiseless exact: {exact}; sigma=0.2 within 0.1: "
                 f"{step_ok} (got {','.join(f'{v:.1f}' for v in got)}); "
                 f"perturbations never beat the optimum: {optimum}")
 

@@ -377,51 +377,16 @@ class TestFitQoe:
             "alpha": 1.0, "beta": 0.4, "gamma": 0.2, "delta1": 0.6, "delta2": 0.5}
         # CSV serialization quantizes at 6 significant digits
         assert report["rmse"] < 1e-4
-        # report echoes the searched grid
-        assert len(report["grid"]) == 5
-        assert report["grid"][0][:3] == [0.0, 0.1, 0.2]
+        # report and stdout state the normalization that fixes the weights' scale
+        assert report["normalization"] == qoe.FIT_NORMALIZATION
+        assert "grid" not in report
+        assert qoe.FIT_NORMALIZATION in capsys.readouterr().out
 
     def test_empty_csv_exits_2_naming_file(self, tmp_path, capsys):
         ratings = tmp_path / "empty.csv"
         ratings.write_text("")
         assert run_cli("fit-qoe", "--ratings", str(ratings)) == 2
         assert "empty.csv" in capsys.readouterr().err
-
-    def test_custom_grid(self, tmp_path):
-        truth = QoECoefficients(alpha=0.5, beta=0.25, gamma=0.25, delta1=0.5,
-                                delta2=0.25)
-        records = qoe.synthetic_ratings(truth, RngStream(1, "fixture"), n_records=40)
-        ratings = tmp_path / "ratings.csv"
-        write_ratings_csv(str(ratings), records)
-        code = run_cli("fit-qoe", "--ratings", str(ratings), "--grid", "0:1:0.25",
-                       "--out", str(tmp_path / "fit"))
-        assert code == 0
-        report = json.loads((tmp_path / "fit" / "qoe_fit.json").read_text())
-        assert report["coefficients"]["beta"] == 0.25
-
-
-    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "0:inf:0.5"])
-    def test_grid_needs_finite_values_and_positive_step(self, tmp_path, capsys, grid):
-        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
-                                        n_records=4, trace_len=3)
-        ratings = tmp_path / "ratings.csv"
-        write_ratings_csv(str(ratings), records)
-        assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
-        assert "step > 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("grid, count", [("0:1:0.01", str(101 ** 5)),
-                                             ("0:1e9:1e-9", str((10 ** 18 + 1) ** 5)),
-                                             ("0:1e300:1e-300", "inf"),
-                                             ("0:1.05:0.05", str(22 ** 5))])
-    def test_grid_too_large_to_search_exits_2_naming_the_count(self, tmp_path, capsys,
-                                                              grid, count):
-        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
-                                        n_records=4, trace_len=3)
-        ratings = tmp_path / "ratings.csv"
-        write_ratings_csv(str(ratings), records)
-        assert run_cli("fit-qoe", "--ratings", str(ratings), "--grid", grid) == 2
-        assert f"gives {count} candidates; at most 4084101" in capsys.readouterr().err
-
 
     @pytest.mark.parametrize("column,value", [(8, "nan"), (9, "-40"), (9, "2.5")])
     def test_bad_frame_rate_or_user_count_exits_2_naming_line(self, tmp_path, capsys,
@@ -485,6 +450,11 @@ class TestVerify:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
         import bench
         assert tuple(verify.ORACLE_CHECKS.values()) == bench.VERIFY_CHECKS
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fit_recovery_passes(self, seed):
+        passed, detail = verify.check_fit_recovery(seed)
+        assert passed, detail
 
     # Seeds at which finite differences once crossed a ReLU kink.
     @pytest.mark.parametrize("seed", [29, 57, 59, 86, 99, 309])

@@ -279,37 +279,32 @@ class TestFitting:
         with pytest.raises(ValueError):
             qoe.fit_coefficients(records)
 
-    def test_empty_grid_rejected(self):
-        records = qoe.synthetic_ratings(TRUTH, RngStream(0, "fit"), n_records=4)
-        with pytest.raises(ValueError):
-            qoe.fit_coefficients(records, grid=((), (), (), (), ()))
+    @pytest.mark.parametrize("factor", [1.0, 0.5])
+    def test_scale_is_stated_by_the_normalization(self, factor):
+        # any positive multiple of the weights gives the same ratings, so the
+        # fit reports the multiple whose largest weight is 1
+        weights = dict(alpha=1.0, beta=0.4, gamma=0.2, delta1=0.6, delta2=0.4)
+        truth = dataclasses.replace(TRUTH, **{k: factor * v for k, v in weights.items()})
+        records = qoe.synthetic_ratings(truth, RngStream(0, "fit"), n_records=40)
+        fit = qoe.fit_coefficients(records)
+        assert {k: getattr(fit.coefficients, k) for k in weights} == weights
+        assert fit.rmse < 1e-9
 
-    def test_grid_past_the_candidate_bound_rejected(self):
-        records = qoe.synthetic_ratings(TRUTH, RngStream(0, "fit"), n_records=4)
-        axis = tuple(0.05 * k for k in range(22))
-        with pytest.raises(ValueError, match="grid has 5153632 candidates; at most 4084101"):
-            qoe.fit_coefficients(records, grid=(axis,) * 5)
+    def test_flipped_ratings_never_fit_a_falling_score(self):
+        records = qoe.synthetic_ratings(TRUTH, RngStream(0, "fit"), n_records=40)
+        flipped = [dataclasses.replace(r, mos=6.0 - r.mos) for r in records]
+        fit = qoe.fit_coefficients(flipped)
+        assert fit.scale >= 0
+        assert np.all(fit.coefficients.weights() >= 0)
+        assert fit.rmse > 0.5   # an honestly poor fit, not the truth's exact one
 
-    def test_tie_break_lexicographic(self):
-        # constant ratings make every candidate equal-RMSE; first grid point wins
+    def test_flat_ratings_fit_zero_weights(self):
         records = qoe.synthetic_ratings(TRUTH, RngStream(2, "fit"), n_records=6)
         flat = [dataclasses.replace(r, mos=3.0) for r in records]
-        fit = qoe.fit_coefficients(flat, grid=((0.3, 0.1), (0.2,), (0.2,), (0.2,), (0.2,)))
-        assert fit.coefficients.alpha == 0.3
-
-    def test_blocks_give_the_unblocked_fit(self, monkeypatch):
-        records = qoe.synthetic_ratings(TRUTH, RngStream(1, "fit"), n_records=24,
-                                        noise_sigma=0.2)
-        grid = ((0.2, 0.6, 1.0),) + ((0.0, 0.2, 0.4, 0.6),) * 4
-        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 10 ** 9)
-        whole = qoe.fit_coefficients(records, grid)
-        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 7)
-        assert qoe.fit_coefficients(records, grid) == whole
-        # a tie across blocks still breaks to the first candidate
-        monkeypatch.setattr(qoe, "FIT_BLOCK_ROWS", 1)
-        flat = [dataclasses.replace(r, mos=3.0) for r in records]
-        fit = qoe.fit_coefficients(flat, grid=((0.3, 0.1), (0.2,), (0.2,), (0.2,), (0.2,)))
-        assert fit.coefficients.alpha == 0.3
+        with np.errstate(all="raise"):
+            fit = qoe.fit_coefficients(flat)
+        assert fit.coefficients.weights().tolist() == [0.0] * 5
+        assert (fit.scale, fit.offset, fit.rmse, fit.r_squared) == (0.0, 3.0, 0.0, 1.0)
 
 
 class TestRatingsRecord:
@@ -340,6 +335,14 @@ class TestSensitivity:
         for lo, hi in result.perturbed.values():
             assert lo >= result.baseline_rmse - 1e-12
             assert hi >= result.baseline_rmse - 1e-12
+
+    def test_a_score_that_falls_as_ratings_rise_gets_no_alignment(self):
+        # the alignment keeps a >= 0, so the score's exact reversal fits no
+        # better than the ratings' mean
+        records = qoe.synthetic_ratings(TRUTH, RngStream(4, "s"), n_records=24)
+        flipped = [dataclasses.replace(r, mos=6.0 - r.mos) for r in records]
+        result = qoe.coefficient_sensitivity(TRUTH, flipped)
+        assert result.baseline_rmse == pytest.approx(np.std([r.mos for r in flipped]))
 
     def test_reports_all_five_weights(self):
         records = qoe.synthetic_ratings(TRUTH, RngStream(5, "s"), n_records=8,
