@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, baselines, qoe, svgplot, training, verify
-from .core import (ConfigError, builtin_scenarios, default_hyperparams,
-                   default_qoe_coefficients, default_sim_config, load_config)
+from .core import (ConfigError, default_hyperparams, default_qoe_coefficients,
+                   default_sim_config, load_config, scenario_by_name)
 from .netsim import TraceWriter
 from .rl import NonFiniteLossError
 
@@ -39,11 +39,7 @@ def _load_config_arg(path: str | None):
 
 
 def _scenario_list(arg: str) -> list[str]:
-    names = [s.strip().lower() for s in arg.split(",") if s.strip()]
-    known = {s.name for s in builtin_scenarios()}
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown scenario {name!r} (expected s1..s6)")
+    names = [scenario_by_name(s.strip()).name for s in arg.split(",") if s.strip()]
     if not names:
         raise ConfigError("empty scenario list")
     return names
@@ -235,7 +231,8 @@ def cmd_fit_qoe(args) -> int:
     c = fit.coefficients
     print(f"fitted weights ({qoe.FIT_NORMALIZATION}): alpha={c.alpha} beta={c.beta} "
           f"gamma={c.gamma} delta1={c.delta1} delta2={c.delta2}")
-    print(f"rmse={fit.rmse:.4f} r_squared={fit.r_squared:.4f}")
+    r2 = "undefined" if fit.r_squared is None else f"{fit.r_squared:.4f}"
+    print(f"rmse={fit.rmse:.4f} r_squared={r2}")
     if sens.mean_rel_change is not None:
         print(f"sensitivity: mean |rmse change| at +/-20% = "
               f"{100 * sens.mean_rel_change:.1f}% of baseline")

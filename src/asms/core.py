@@ -169,7 +169,7 @@ def scenario_by_name(name: str) -> ScenarioSpec:
     for spec in builtin_scenarios():
         if spec.name == name.lower():
             return spec
-    raise KeyError(f"unknown scenario {name!r} (expected s1..s6)")
+    raise ConfigError(f"unknown scenario {name!r} (expected s1..s6)")
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +317,34 @@ def default_sim_config() -> SimConfig:
 _CONFIG_STRUCTS = (SimConfig, HyperParams, QoECoefficients)
 
 
-def _field_map() -> dict[str, tuple[type, dataclasses.Field]]:
-    out: dict[str, tuple[type, dataclasses.Field]] = {}
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+# A field's (parse, render) pair, chosen by the type of its default.
+_CODECS = {
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    int: (int, str),
+    float: (float, repr),
+    tuple: (lambda raw: tuple(float(p) for p in raw.replace(",", " ").split()),
+            lambda v: ",".join(repr(x) for x in v)),
+}
+
+
+def _field_map() -> dict[str, dataclasses.Field]:
+    """Every config key's field, in file order. y_min and f_target
+    intentionally appear in both SimConfig and QoECoefficients; one key feeds
+    both."""
+    out: dict[str, dataclasses.Field] = {}
     for struct in _CONFIG_STRUCTS:
         for f in dataclasses.fields(struct):
-            # y_min and f_target intentionally appear in both SimConfig and
-            # QoECoefficients; one key feeds both.
-            out.setdefault(f.name, (struct, f))
+            out.setdefault(f.name, f)
     return out
-
-
-def _parse_value(raw: str, f: dataclasses.Field, key: str, lineno: int):
-    raw = raw.strip()
-    ftype = str(f.type)
-    try:
-        if "bool" in ftype:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError("expected a boolean")
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        if "tuple" in ftype:
-            return tuple(float(p) for p in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    raise ConfigError(f"line {lineno}: unsupported type for {key!r}")
 
 
 def parse_config_text(text: str) -> tuple[SimConfig, HyperParams, QoECoefficients]:
@@ -363,7 +361,11 @@ def parse_config_text(text: str) -> tuple[SimConfig, HyperParams, QoECoefficient
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        overrides[key] = _parse_value(raw, fields[key][1], key, lineno)
+        parse, _ = _CODECS[type(fields[key].default)]
+        try:
+            overrides[key] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
     def build(struct):
         names = {f.name for f in dataclasses.fields(struct)}
@@ -390,24 +392,18 @@ def load_config(path: str) -> tuple[SimConfig, HyperParams, QoECoefficients]:
 
 
 def serialize_config(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients) -> str:
-    """Render a config that parses back to equal values."""
+    """Render a config that parses back to equal values. A key shared by two
+    structs must hold one value in both, since one line sets both."""
+    objs = (cfg, hp, coeffs)
     lines: list[str] = []
-    seen: set[str] = set()
-    for struct, obj in ((SimConfig, cfg), (HyperParams, hp), (QoECoefficients, coeffs)):
-        for f in dataclasses.fields(struct):
-            if f.name in seen:
-                continue
-            seen.add(f.name)
-            value = getattr(obj, f.name)
-            if isinstance(value, tuple):
-                rendered = ",".join(repr(v) for v in value)
-            elif isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{f.name} = {rendered}")
+    for key, f in _field_map().items():
+        owners = [obj for obj in objs if key in obj.__dataclass_fields__]
+        values = [getattr(obj, key) for obj in owners]
+        if any(v != values[0] for v in values):
+            pairs = ", ".join(f"{type(o).__name__}.{key} = {v!r}"
+                              for o, v in zip(owners, values))
+            raise ConfigError(f"{pairs}: one config key sets both, so they must agree")
+        lines.append(f"{key} = {_CODECS[type(f.default)][1](values[0])}")
     return "\n".join(lines) + "\n"
 
 
@@ -594,9 +590,7 @@ class RngStream:
         pos = 0
         while True:
             chunk = max(16, int((n - pos) * p * 1.3) + 16)
-            u = self.uniform(size=chunk)
-            skips = np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1
-            positions = pos + np.cumsum(skips)
+            positions = pos + self._skip_positions(chunk, log_q)
             inside = int(np.searchsorted(positions, n, side="right"))
             if inside < chunk:
                 return successes + inside

@@ -187,7 +187,7 @@ def _affine_rmse(predicted: np.ndarray, mos: np.ndarray) -> tuple[float, float, 
 class FitResult:
     coefficients: QoECoefficients
     rmse: float
-    r_squared: float
+    r_squared: float | None   # None when every rating is equal: R² is undefined
     scale: float      # fitted a of a*score+b -> MOS
     offset: float     # fitted b
 
@@ -200,7 +200,8 @@ def fit_coefficients(records: Sequence[RatingsRecord]) -> FitResult:
     weights up to a positive factor. ``FIT_NORMALIZATION`` fixes that factor.
     The normalized weights are then aligned by least-squares a*score+b for
     the RMSE. All-zero weights (flat ratings, say) stay zero, with a=0 and
-    b=mean(mos). The non-weight terms are the defaults of ``QoECoefficients``.
+    b=mean(mos). Flat ratings leave R² undefined, so ``r_squared`` is None.
+    The non-weight terms are the defaults of ``QoECoefficients``.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 ratings records")
@@ -212,7 +213,7 @@ def fit_coefficients(records: Sequence[RatingsRecord]) -> FitResult:
         w = np.round(w / w.max(), 1)
     rmse, scale, offset = _affine_rmse(feats @ w, mos)
     spread = float(mos.std())
-    r2 = 1.0 - (rmse / spread) ** 2 if spread > 0 else 1.0
+    r2 = 1.0 - (rmse / spread) ** 2 if spread > 0 else None
     alpha, beta, gamma, delta1, delta2 = w.tolist()
     coeffs = dataclasses.replace(base, alpha=alpha, beta=beta, gamma=gamma,
                                  delta1=delta1, delta2=delta2)

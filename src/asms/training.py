@@ -100,6 +100,10 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None and out_path.exists() and any(out_path.iterdir()):
         raise ValueError(f"run directory {out_path} is not empty; use a new or empty one")
+    # rendered before any work, so a config that cannot be snapshot fails
+    # first; it records the episode count this run runs, so --config repeats it
+    snapshot = (serialize_config(cfg, dataclasses.replace(hp, episodes=n_episodes), coeffs)
+                if out_path is not None else None)
 
     rng_init = RngStream(seed, "init")
     rng_env = RngStream(seed, "env")
@@ -150,7 +154,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     if out_path is not None:
         _save_checkpoint(out_path / CHECKPOINT_DIR / "final", agents,
                          model if federate else None)
-        _write_run_artifacts(result, cfg, hp, coeffs)
+        _write_run_artifacts(result, snapshot)
     return result
 
 
@@ -198,8 +202,7 @@ def _write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
                              for c in columns])
 
 
-def _write_run_artifacts(result: TrainResult, cfg: SimConfig, hp: HyperParams,
-                         coeffs: QoECoefficients) -> None:
+def _write_run_artifacts(result: TrainResult, snapshot: str) -> None:
     out = result.out_dir
     assert out is not None
     # episodes >= 1 and N >= 1, so both tables have a first row to name them
@@ -208,10 +211,7 @@ def _write_run_artifacts(result: TrainResult, cfg: SimConfig, hp: HyperParams,
     _write_csv(out / DIAGNOSTICS_FILE, result.diagnostics, list(result.diagnostics[0]))
     if result.method == "fmappo":
         _write_csv(out / OVERHEAD_FILE, result.overhead, OVERHEAD_COLUMNS)
-    # the episode count this run ran, so --config repeats the same run
-    ran = dataclasses.replace(hp, episodes=result.episodes)
-    (out / CONFIG_SNAPSHOT_FILE).write_text(serialize_config(cfg, ran, coeffs),
-                                            encoding="utf-8")
+    (out / CONFIG_SNAPSHOT_FILE).write_text(snapshot, encoding="utf-8")
     manifest = {
         "format": 1,
         "tool": "asms",

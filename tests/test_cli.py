@@ -382,6 +382,17 @@ class TestFitQoe:
         assert "grid" not in report
         assert qoe.FIT_NORMALIZATION in capsys.readouterr().out
 
+    def test_flat_ratings_report_r_squared_as_undefined(self, tmp_path, capsys):
+        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
+                                        n_records=6)
+        ratings = tmp_path / "flat.csv"
+        write_ratings_csv(str(ratings), [dataclasses.replace(r, mos=3.0) for r in records])
+        out = tmp_path / "fit"
+        assert run_cli("fit-qoe", "--ratings", str(ratings), "--out", str(out)) == 0
+        report = json.loads((out / "qoe_fit.json").read_text())
+        assert report["r_squared"] is None and report["rmse"] == 0.0
+        assert "rmse=0.0000 r_squared=undefined" in capsys.readouterr().out
+
     def test_empty_csv_exits_2_naming_file(self, tmp_path, capsys):
         ratings = tmp_path / "empty.csv"
         ratings.write_text("")

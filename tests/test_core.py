@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -144,7 +145,7 @@ class TestScenarios:
                 assert ch.start.hi <= 1.0 and ch.end.hi <= 1.0
 
     def test_unknown_scenario(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown scenario 's9'"):
             scenario_by_name("s9")
 
 
@@ -161,6 +162,33 @@ class TestQoECoefficients:
     def test_y_min_positive(self):
         with pytest.raises(ValueError):
             QoECoefficients(y_min=0.0)
+
+
+# every config key but the unused ones; y_min and f_target once each
+CONFIG_KEYS = list(dict.fromkeys(f.name for struct in core._CONFIG_STRUCTS
+                                 for f in dataclasses.fields(struct)
+                                 if f.name not in core._UNUSED_KEYS))
+
+
+def non_default(value):
+    """A valid value of the default's type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 3
+    if isinstance(value, tuple):
+        return tuple(v / 3 for v in value)
+    pytest.fail(f"no non-default value for a {type(value).__name__} field")
+
+
+def with_key(key, value):
+    """The default (SimConfig, HyperParams, QoECoefficients) with key set to
+    value in every struct that has it."""
+    return tuple(dataclasses.replace(obj, **{key: value})
+                 if key in {f.name for f in dataclasses.fields(obj)} else obj
+                 for obj in (struct() for struct in core._CONFIG_STRUCTS))
 
 
 class TestConfigParsing:
@@ -259,6 +287,23 @@ class TestConfigParsing:
     def test_default_round_trip(self):
         trio = (default_sim_config(), default_hyperparams(), default_qoe_coefficients())
         assert parse_config_text(serialize_config(*trio)) == trio
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_every_key_round_trips_at_a_non_default_value(self, key):
+        default = core._field_map()[key].default
+        trio = with_key(key, non_default(default))
+        assert trio != with_key(key, default)
+        parsed = parse_config_text(serialize_config(*trio))
+        assert parsed == trio
+        assert {type(getattr(o, key)) for o in parsed if hasattr(o, key)} == {type(default)}
+
+    @pytest.mark.parametrize("sim, qoe_coeffs, key", [
+        (SimConfig(y_min=2.0), QoECoefficients(f_target=30.0), "y_min"),
+        (SimConfig(), QoECoefficients(f_target=30.0), "f_target")])
+    def test_shared_keys_that_disagree_are_not_serialized(self, sim, qoe_coeffs, key):
+        with pytest.raises(ConfigError, match=f"SimConfig.{key} = .*QoECoefficients.{key} = "
+                                              "[^:]*: one config key sets both"):
+            serialize_config(sim, HyperParams(), qoe_coeffs)
 
 
 class TestRngStream:

@@ -304,7 +304,7 @@ class TestFitting:
         with np.errstate(all="raise"):
             fit = qoe.fit_coefficients(flat)
         assert fit.coefficients.weights().tolist() == [0.0] * 5
-        assert (fit.scale, fit.offset, fit.rmse, fit.r_squared) == (0.0, 3.0, 0.0, 1.0)
+        assert (fit.scale, fit.offset, fit.rmse, fit.r_squared) == (0, 3, 0, None)
 
 
 class TestRatingsRecord:

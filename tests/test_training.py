@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from asms import fed, nn, rl, training
-from asms.core import (HyperParams, QoECoefficients, RngStream, SimConfig, load_config,
-                       scenario_by_name)
+from asms.core import (ConfigError, HyperParams, QoECoefficients, RngStream, SimConfig,
+                       load_config, scenario_by_name)
 from asms.netsim import BottleneckSim
 
 CFG = SimConfig(n_agents=2)
@@ -55,6 +55,21 @@ class TestTrainLoop:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             tiny_train(method="sac")
+
+    def test_config_that_cannot_be_snapshot_fails_before_any_episode(self, tmp_path,
+                                                                    monkeypatch):
+        # config.cfg has one y_min line for both structs, so a run whose
+        # structs disagree could not be repeated from its snapshot
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(training, "run_episode", no_episode)
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="SimConfig.y_min = 2.0"):
+            training.train(SimConfig(n_agents=2, y_min=2.0), HP,
+                           QoECoefficients(f_target=30.0), "fmappo", ["s1"], seed=0,
+                           out_dir=out, episodes=1)
+        assert not out.exists()
 
     def test_deterministic_artifacts(self, tmp_path):
         out_a = tmp_path / "a"
