@@ -134,24 +134,6 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     return (out[0] if arr.ndim == 1 else out), (batch, z1, a1, z2, a2)
 
 
-def forward_rows(params: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Outputs (R, out_dim) of R input rows (R, in_dim), each bit-equal to
-    that row's own batch-1 forward().
-
-    Every row passes the layers as a stack of (1, in) @ (in, out) products
-    (np.matmul over x[:, None, :]); a plain (R, in) @ W product and einsum
-    sum in a different order and differ in the last bits.
-    """
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != params.in_dim:
-        raise ValueError(f"input shape {arr.shape} incompatible with in_dim {params.in_dim}")
-    (w1, b1), (w2, b2), (w3, b3) = params.layers()
-    x = arr[:, None, :]
-    a1 = _act(np.matmul(x, w1) + b1, params.activation)
-    a2 = _act(np.matmul(a1, w2) + b2, params.activation)
-    return (np.matmul(a2, w3) + b3)[:, 0, :]
-
-
 def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
@@ -383,6 +365,6 @@ __all__ = [
     "ACTIVATIONS", "ADAM_BETA1", "ADAM_BETA2", "ADAM_EPS", "AdamReport", "AdamState",
     "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION", "CheckpointError",
     "ModelParams", "adam_step", "backward", "categorical_head",
-    "flat_size", "forward", "forward_rows", "grad_check", "init_mlp", "load_params",
+    "flat_size", "forward", "grad_check", "init_mlp", "load_params",
     "params_from_bytes", "params_to_bytes", "save_params", "serialized_size",
 ]

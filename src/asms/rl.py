@@ -162,14 +162,14 @@ def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams, y_max: float,
 
     Agent i's T+1 rows are normalized here; ``normalize_obs`` is elementwise,
     so these are the features its actor saw. The critic values them in one
-    stacked pass, each row bit-equal to its own batch-1 forward, and its
-    scaled output is returned to reward units. Advantages and returns are
-    per-agent 1-D recursions for speed: a (T, N) recursion over all agents
-    gives the same bits but is slower at these agent counts.
+    batch forward, and its scaled output is returned to reward units.
+    Advantages and returns are per-agent 1-D recursions for speed: a (T, N)
+    recursion over all agents gives the same bits but is slower at these
+    agent counts.
     """
     obs = normalize_obs(traj.episode.rows[:, i], y_max)
     rewards = traj.episode.rewards
-    values = nn.forward_rows(critic, obs)[:, 0] * hp.value_scale
+    values = nn.forward(critic, obs)[0][:, 0] * hp.value_scale
     adv = compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
     return TrainBatch(
         observations=obs[:-1],

@@ -136,44 +136,6 @@ class TestForward:
             nn.forward(tiny_net(), np.ones(5))
 
 
-def _row_mismatches(rows_forward, n_out, activation):
-    """Outputs of ``rows_forward(params, rows)`` that differ from per-row
-    batch-1 forward() at R in {1, 6, 24, 41}, over five hidden-128 nets."""
-    rng = RngStream(11, f"rows/{n_out}/{activation}")
-    mismatches = 0
-    for k in range(5):
-        params = nn.init_mlp(6, 128, n_out, activation, rng.spawn(f"net{k}"))
-        # nonzero biases, so every layer's add is exercised
-        params = params.with_theta(params.theta + rng.uniform(-0.1, 0.1, size=params.theta.size))
-        for r in (1, 6, 24, 41):
-            rows = rng.uniform(-2, 2, size=r * 6).reshape(r, 6)
-            want = np.array([nn.forward(params, row)[0] for row in rows])
-            got = rows_forward(params, rows)
-            assert got.shape == want.shape == (r, n_out)
-            mismatches += int((got != want).sum())
-    return mismatches
-
-
-class TestForwardRows:
-    @pytest.mark.parametrize("n_out, activation", [(5, "tanh"), (1, "relu"),
-                                                   (5, "relu"), (1, "tanh")])
-    def test_each_row_bit_equals_its_batch1_forward(self, n_out, activation):
-        assert _row_mismatches(nn.forward_rows, n_out, activation) == 0
-
-    def test_the_comparison_catches_a_plain_batched_forward(self):
-        # one (R, in) @ W product sums in another order: the test must see it
-        def plain(params, rows):
-            return nn.forward(params, rows)[0]
-
-        assert _row_mismatches(plain, 5, "tanh") > 0
-        assert _row_mismatches(plain, 1, "relu") > 0
-
-    @pytest.mark.parametrize("shape", [(6,), (3, 5), (2, 3, 6)])
-    def test_rejects_anything_but_rows_of_in_dim(self, shape):
-        with pytest.raises(ValueError, match="incompatible with in_dim 6"):
-            nn.forward_rows(tiny_net(), np.ones(shape))
-
-
 class TestBackward:
     def test_zero_upstream_gradient(self):
         params = tiny_net(seed=2)

@@ -629,7 +629,7 @@ def build_batch_reference(traj, i, critic, y_max, hp):
     of them."""
     obs = rl.normalize_obs(traj.episode.rows, y_max)[:, i]
     rewards = traj.episode.rewards
-    values = nn.forward_rows(critic, obs)[:, 0] * hp.value_scale
+    values = nn.forward(critic, obs)[0][:, 0] * hp.value_scale
     adv = rl.compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
     return rl.TrainBatch(observations=obs[:-1], actions=traj.actions[:, i],
                          old_log_probs=traj.log_probs[:, i], advantages=rl.whiten(adv),

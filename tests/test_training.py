@@ -278,18 +278,14 @@ class TestCriticUse:
     def test_only_build_batch_runs_the_critic(self, monkeypatch):
         agents, _ = training.make_agents(CFG, HP, RngStream(0, "init"))
         critics = [agent.critic for agent in agents]
-        row_calls, critic_forwards = [], []
-        real_rows, real_forward = nn.forward_rows, nn.forward
-
-        def counting_rows(params, rows):
-            row_calls.append((params, rows))
-            return real_rows(params, rows)
+        critic_calls = []
+        real_forward = nn.forward
 
         def watching_forward(params, x):
-            critic_forwards.extend(c for c in critics if c is params)
+            if any(c is params for c in critics):
+                critic_calls.append((params, x))
             return real_forward(params, x)
 
-        monkeypatch.setattr(nn, "forward_rows", counting_rows)
         monkeypatch.setattr(nn, "forward", watching_forward)
         training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
@@ -297,19 +293,16 @@ class TestCriticUse:
                             RngStream(1, "env"))
         traj = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
         rewards = traj.episode.rewards
-        assert row_calls == [] and critic_forwards == []
+        assert critic_calls == []
         for i, critic in enumerate(critics):
             batch = rl.build_batch(traj, i, critic, CFG.y_max, HP)
-            assert len(row_calls) == 1 and critic_forwards == []
-            params, obs = row_calls.pop()
+            # one batch forward of agent i's T+1 normalized rows
+            assert len(critic_calls) == 1
+            params, obs = critic_calls.pop()
             assert params is critic and obs.shape == (HP.episode_len + 1, 6)
             np.testing.assert_array_equal(obs, rl.normalize_obs(traj.episode.rows[:, i],
                                                                  CFG.y_max))
-            # each value equals its row's own batch-1 forward, bit for bit
-            values = np.array([float(real_forward(critic, row)[0][0]) * HP.value_scale
-                               for row in obs])
-            np.testing.assert_array_equal(real_rows(critic, obs)[:, 0] * HP.value_scale,
-                                          values)
+            values = real_forward(critic, obs)[0][:, 0] * HP.value_scale
             np.testing.assert_array_equal(batch.observations, obs[:-1])
             bootstrap = values[-1]
             assert batch.returns[-1] == rewards[-1] + HP.gamma_discount * bootstrap
