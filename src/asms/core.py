@@ -394,10 +394,9 @@ def load_config(path: str) -> tuple[SimConfig, HyperParams, QoECoefficients]:
 def serialize_config(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients) -> str:
     """Render a config that parses back to equal values. A key shared by two
     structs must hold one value in both, since one line sets both."""
-    objs = (cfg, hp, coeffs)
     lines: list[str] = []
     for key, f in _field_map().items():
-        owners = [obj for obj in objs if key in obj.__dataclass_fields__]
+        owners = [obj for obj in (cfg, hp, coeffs) if key in obj.__dataclass_fields__]
         values = [getattr(obj, key) for obj in owners]
         if any(v != values[0] for v in values):
             pairs = ", ".join(f"{type(o).__name__}.{key} = {v!r}"

@@ -164,10 +164,10 @@ class TestQoECoefficients:
             QoECoefficients(y_min=0.0)
 
 
-# every config key but the unused ones; y_min and f_target once each
-CONFIG_KEYS = list(dict.fromkeys(f.name for struct in core._CONFIG_STRUCTS
-                                 for f in dataclasses.fields(struct)
-                                 if f.name not in core._UNUSED_KEYS))
+# every config key but the unused ones, with its default; y_min and f_target
+# once each (their defaults agree)
+CONFIG_DEFAULTS = {f.name: f.default for struct in core._CONFIG_STRUCTS
+                   for f in dataclasses.fields(struct) if f.name not in core._UNUSED_KEYS}
 
 
 def non_default(value):
@@ -288,9 +288,9 @@ class TestConfigParsing:
         trio = (default_sim_config(), default_hyperparams(), default_qoe_coefficients())
         assert parse_config_text(serialize_config(*trio)) == trio
 
-    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))
     def test_every_key_round_trips_at_a_non_default_value(self, key):
-        default = core._field_map()[key].default
+        default = CONFIG_DEFAULTS[key]
         trio = with_key(key, non_default(default))
         assert trio != with_key(key, default)
         parsed = parse_config_text(serialize_config(*trio))
@@ -299,7 +299,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("sim, qoe_coeffs, key", [
         (SimConfig(y_min=2.0), QoECoefficients(f_target=30.0), "y_min"),
-        (SimConfig(), QoECoefficients(f_target=30.0), "f_target")])
+        (SimConfig(), QoECoefficients(f_target=30.0), "f_target")], ids=["y_min", "f_target"])
     def test_shared_keys_that_disagree_are_not_serialized(self, sim, qoe_coeffs, key):
         with pytest.raises(ConfigError, match=f"SimConfig.{key} = .*QoECoefficients.{key} = "
                                               "[^:]*: one config key sets both"):
