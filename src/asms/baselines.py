@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_DELTA_TABLE, OBS_LATENCY, OBS_LOST, OBS_RECEIVED,
-                   OBS_TARGET)
+from .core import OBS_LATENCY, OBS_LOST, OBS_RECEIVED, OBS_TARGET
 
 LATENCY_EMA = 0.3
 RISE_TREND_MS = 2.0       # per-step latency growth that triggers backoff
@@ -50,10 +49,8 @@ def new_controller_state(n_agents: int) -> ControllerState:
                            window=np.zeros((0, n_agents)))
 
 
-def delay_gradient_controller(state: ControllerState, rows: np.ndarray,
-                              table: Sequence[float] = DEFAULT_DELTA_TABLE,
-                              p_threshold: float = 10.0,
-                              ) -> tuple[np.ndarray, ControllerState]:
+def delay_gradient_controller(state: ControllerState, rows: np.ndarray, table: Sequence[float],
+                              p_threshold: float) -> tuple[np.ndarray, ControllerState]:
     """Latency-trend rate control (simplified stand-in for delay-based CC).
 
     Backs off hard when smoothed latency climbs or losses cross the
@@ -77,10 +74,8 @@ def delay_gradient_controller(state: ControllerState, rows: np.ndarray,
                                       steps=state.steps + 1)
 
 
-def bandwidth_probe_controller(state: ControllerState, rows: np.ndarray,
-                               table: Sequence[float] = DEFAULT_DELTA_TABLE,
-                               p_threshold: float = 10.0,
-                               ) -> tuple[np.ndarray, ControllerState]:
+def bandwidth_probe_controller(state: ControllerState, rows: np.ndarray, table: Sequence[float],
+                               p_threshold: float) -> tuple[np.ndarray, ControllerState]:
     """Probe-and-drain rate control (simplified stand-in for model-based CC).
 
     Tracks the delivered-bitrate maximum over an 8-step window as the
@@ -115,8 +110,8 @@ CONTROLLER_NAMES = ("delay", "probe")
 
 
 def controller_step(name: str, state: ControllerState, rows: np.ndarray,
-                    table: Sequence[float] = DEFAULT_DELTA_TABLE,
-                    p_threshold: float = 10.0) -> tuple[np.ndarray, ControllerState]:
+                    table: Sequence[float], p_threshold: float,
+                    ) -> tuple[np.ndarray, ControllerState]:
     if name == "delay":
         return delay_gradient_controller(state, rows, table, p_threshold)
     if name == "probe":

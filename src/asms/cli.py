@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, baselines, qoe, svgplot, training, verify
-from .core import (ConfigError, default_hyperparams, default_qoe_coefficients,
-                   default_sim_config, load_config, scenario_by_name)
+from .core import (ConfigError, QoECoefficients, builtin_scenarios, load_config,
+                   parse_config_text, scenario_by_name)
 from .netsim import TraceWriter
 from .rl import NonFiniteLossError
 
@@ -33,9 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_arg(path: str | None):
-    if path is None:
-        return default_sim_config(), default_hyperparams(), default_qoe_coefficients()
-    return load_config(path)
+    return parse_config_text("") if path is None else load_config(path)
 
 
 def _scenario_list(arg: str) -> list[str]:
@@ -208,8 +206,7 @@ def cmd_fit_qoe(args) -> int:
     report = {
         "records": len(records),
         "normalization": qoe.FIT_NORMALIZATION,
-        "coefficients": {k: getattr(fit.coefficients, k)
-                         for k in ("alpha", "beta", "gamma", "delta1", "delta2")},
+        "coefficients": {k: getattr(fit.coefficients, k) for k in QoECoefficients.WEIGHTS},
         "rmse": fit.rmse,
         "r_squared": fit.r_squared,
         "mos_scale": fit.scale,
@@ -228,9 +225,8 @@ def cmd_fit_qoe(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "qoe_fit.json").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'qoe_fit.json'}")
-    c = fit.coefficients
-    print(f"fitted weights ({qoe.FIT_NORMALIZATION}): alpha={c.alpha} beta={c.beta} "
-          f"gamma={c.gamma} delta1={c.delta1} delta2={c.delta2}")
+    weights = " ".join(f"{k}={v}" for k, v in report["coefficients"].items())
+    print(f"fitted weights ({qoe.FIT_NORMALIZATION}): {weights}")
     r2 = "undefined" if fit.r_squared is None else f"{fit.r_squared:.4f}"
     print(f"rmse={fit.rmse:.4f} r_squared={r2}")
     if sens.mean_rel_change is not None:
@@ -245,7 +241,7 @@ def cmd_verify(args) -> int:
     def report(result: verify.CheckResult) -> None:
         print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
 
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else args.only.split(",")
     results = verify.run_checks(seed=args.seed, full=args.full, only=only,
                                 report=report)
     passed = sum(r.passed for r in results)
@@ -261,7 +257,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="run a training experiment")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--method", choices=training.METHODS, default="fmappo")
-    p.add_argument("--scenarios", default="s1,s2,s3,s4,s5,s6",
+    p.add_argument("--scenarios", default=",".join(s.name for s in builtin_scenarios()),
                    help="comma-separated scenario names (default all six)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--episodes", type=int, help="override the configured episode count")

@@ -20,7 +20,7 @@ import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -180,6 +180,9 @@ def scenario_by_name(name: str) -> ScenarioSpec:
 class QoECoefficients:
     """Weights and auxiliary constants of the per-step experience score."""
 
+    # the weight fields, in the order of weights() and of qoe_features' terms
+    WEIGHTS: ClassVar[tuple[str, ...]] = ("alpha", "beta", "gamma", "delta1", "delta2")
+
     alpha: float = 1.0        # scene quality
     beta: float = 0.4         # choppiness (frame-rate mismatch)
     gamma: float = 0.2        # latency-per-throughput
@@ -193,7 +196,7 @@ class QoECoefficients:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        for name in ("alpha", "beta", "gamma", "delta1", "delta2"):
+        for name in self.WEIGHTS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.y_min <= 0:
@@ -204,11 +207,7 @@ class QoECoefficients:
             raise ValueError("eps_small must be > 0 and p_threshold >= 0")
 
     def weights(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma, self.delta1, self.delta2])
-
-
-def default_qoe_coefficients() -> QoECoefficients:
-    return QoECoefficients()
+        return np.array([getattr(self, name) for name in self.WEIGHTS])
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +281,13 @@ class SimConfig:
     packet/queuing constants of the bottleneck model."""
 
     n_agents: int = 6
-    y_min: float = 1.0
+    y_min: float = QoECoefficients.y_min
     y_max: float = 200.0
     x_init: float = 10.0
     packet_size_bytes: int = 1200
     congestion_loss_coef: float = 0.05   # extra loss per unit of overload
     queue_delay_coef: float = 1.0        # latency factor is 1 + coef * U^2
-    f_target: float = 60.0
+    f_target: float = QoECoefficients.f_target
     delta_table: tuple[float, ...] = DEFAULT_DELTA_TABLE
 
     def __post_init__(self) -> None:
@@ -304,10 +303,6 @@ class SimConfig:
         if self.f_target <= 0:
             raise ValueError("f_target must be > 0")
         validate_delta_table(self.delta_table)
-
-
-def default_sim_config() -> SimConfig:
-    return SimConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +597,6 @@ __all__ = [
     "OBS_DIM", "OBS_JITTER", "OBS_LATENCY", "OBS_LOST", "OBS_NACKS", "OBS_RECEIVED",
     "OBS_TARGET", "QoECoefficients", "RngStream", "ScenarioSpec",
     "SimConfig", "Span", "builtin_scenarios", "check_obs_rows", "default_hyperparams",
-    "default_qoe_coefficients", "default_sim_config",
     "load_config", "parse_config_text", "scenario_by_name", "serialize_config",
     "validate_delta_table",
 ]

@@ -192,7 +192,7 @@ class AdamReport(NamedTuple):
 
 
 def adam_step(params: ModelParams, state: AdamState, grad: np.ndarray, lr: float,
-              grad_clip: float = 0.5) -> AdamReport:
+              grad_clip: float) -> AdamReport:
     """One Adam update after global-norm clipping the gradient, written in
     place into ``params.theta`` and ``state``; ``grad`` is only read.
 
@@ -284,26 +284,23 @@ def _head_tag(out_dim: int) -> int:
     return 0 if out_dim > 1 else 1   # categorical for several outputs, else scalar
 
 
+def _header(params: ModelParams) -> bytes:
+    """Everything before the payload: magic, version, tags, shapes, length."""
+    return b"".join((CHECKPOINT_MAGIC,
+                     struct.pack("<HBBH", CHECKPOINT_VERSION, ACTIVATIONS.index(params.activation),
+                                 _head_tag(params.out_dim), len(params.shapes)),
+                     *(struct.pack("<II", i, o) for i, o in params.shapes),
+                     struct.pack("<Q", params.theta.size)))
+
+
 def params_to_bytes(params: ModelParams) -> bytes:
-    header = bytearray()
-    header += CHECKPOINT_MAGIC
-    header += struct.pack("<H", CHECKPOINT_VERSION)
-    header += struct.pack("<BB", ACTIVATIONS.index(params.activation),
-                          _head_tag(params.out_dim))
-    header += struct.pack("<H", len(params.shapes))
-    for i, o in params.shapes:
-        header += struct.pack("<II", i, o)
-    header += struct.pack("<Q", params.theta.size)
-    payload = params.theta.astype("<f8").tobytes()
-    body = bytes(header) + payload
+    body = _header(params) + params.theta.astype("<f8").tobytes()
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
 def serialized_size(params: ModelParams) -> int:
-    """len(params_to_bytes(params)), computed from the shapes alone."""
-    return (len(CHECKPOINT_MAGIC) + struct.calcsize("<HBBH")
-            + struct.calcsize("<II") * len(params.shapes) + struct.calcsize("<Q")
-            + 8 * params.theta.size + struct.calcsize("<I"))
+    """len(params_to_bytes(params)), computed without the payload."""
+    return len(_header(params)) + 8 * params.theta.size + struct.calcsize("<I")
 
 
 def params_from_bytes(data: bytes) -> ModelParams:

@@ -62,8 +62,8 @@ def qoe_features(rows, frame_rate, users, c: QoECoefficients) -> np.ndarray:
 
     ``frame_rate`` and ``users`` broadcast against the rows' leading shape.
     Fluctuation compares each step's quality with the next step's; the final
-    step compares against itself. Order matches QoECoefficients.weights():
-    (alpha, beta, gamma, delta1, delta2). Penalty terms are negated here.
+    step compares against itself. Order matches ``QoECoefficients.WEIGHTS``.
+    Penalty terms are negated here.
     """
     rows = check_obs_rows(rows)
     if rows.ndim < 2:
@@ -214,9 +214,7 @@ def fit_coefficients(records: Sequence[RatingsRecord]) -> FitResult:
     rmse, scale, offset = _affine_rmse(feats @ w, mos)
     spread = float(mos.std())
     r2 = 1.0 - (rmse / spread) ** 2 if spread > 0 else None
-    alpha, beta, gamma, delta1, delta2 = w.tolist()
-    coeffs = dataclasses.replace(base, alpha=alpha, beta=beta, gamma=gamma,
-                                 delta1=delta1, delta2=delta2)
+    coeffs = dataclasses.replace(base, **dict(zip(base.WEIGHTS, w.tolist())))
     return FitResult(coefficients=coeffs, rmse=rmse, r_squared=r2,
                      scale=scale, offset=offset)
 
@@ -246,7 +244,7 @@ def coefficient_sensitivity(coeffs: QoECoefficients,
 
     perturbed: dict[str, tuple[float, float]] = {}
     deltas: list[float] = []
-    for name in ("alpha", "beta", "gamma", "delta1", "delta2"):
+    for name in coeffs.WEIGHTS:
         lo_hi = []
         for factor in (0.8, 1.2):
             trial = dataclasses.replace(coeffs, **{name: getattr(coeffs, name) * factor})

@@ -238,13 +238,10 @@ def _write_run_artifacts(result: TrainResult, snapshot: str) -> None:
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average with a growing head window."""
-    out = np.zeros(len(values))
     csum = np.cumsum(values)
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    i = np.arange(len(csum))
+    lo = np.maximum(i - window + 1, 0)
+    return (csum - np.concatenate(([0.0], csum))[lo]) / (i - lo + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -357,8 +357,7 @@ def check_episode_structure(seed: int) -> tuple[bool, str]:
     hp = dataclasses.replace(default_hyperparams(), hidden_width=8,
                              ldp_enabled=False)
     coeffs = QoECoefficients()
-    result = training.train(cfg, hp, coeffs, "fmappo",
-                            ["s1", "s2", "s3", "s4", "s5", "s6"], seed=seed)
+    result = training.train(cfg, hp, coeffs, "fmappo", ROUND_ROBIN, seed=seed)
     rounds = len(result.overhead)
     updates = len(result.diagnostics)
     round_eps = [row["episode"] for row in result.overhead[:3]]
@@ -594,7 +593,7 @@ def check_federation_identity(seed: int) -> tuple[bool, str]:
 STEADY_50 = ScenarioSpec("steady50", Channel.fixed(50), Channel.fixed(10),
                          Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
 
-ROUND_ROBIN = ("s1", "s2", "s3", "s4", "s5", "s6")
+ROUND_ROBIN = tuple(spec.name for spec in builtin_scenarios())
 
 
 def learning_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
@@ -751,9 +750,10 @@ def run_checks(seed: int = 0, full: bool = False,
     """Run the oracle checks, plus the learning checks when ``full``. With
     ``only``, a check runs when a stripped, non-empty token occurs in its
     function name or its reported name (``-`` and ``_`` alike); a token that
-    selects no check raises ValueError naming it before any check runs."""
+    selects no check, or an ``only`` without a non-empty token, raises
+    ValueError before any check runs."""
     checks = {**ORACLE_CHECKS, **(LEARNING_CHECKS if full else {})}
-    if only:
+    if only is not None:
         tokens = [t.strip() for t in only if t.strip()]
 
         def selects(token: str, fn: Callable) -> bool:

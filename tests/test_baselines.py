@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from asms import baselines, training
-from asms.core import (DEFAULT_DELTA_TABLE, HyperParams, QoECoefficients, RngStream,
-                       SimConfig)
+from asms.core import HyperParams, QoECoefficients, RngStream, SimConfig
 
-TABLE = np.array(DEFAULT_DELTA_TABLE)
+# the controllers take the action table and loss threshold from the config
+TABLE = SimConfig().delta_table
+P_THRESHOLD = QoECoefficients().p_threshold
 
 
 def obs(x=10.0, y=10.0, l=20.0, j=2.0, p=0.0):
@@ -17,7 +18,7 @@ def delta(index):
     return float(TABLE[index[0]])
 
 
-def run_controller(name, capacities, x_start, p_threshold=10.0, latency=10.0):
+def run_controller(name, capacities, x_start, latency=10.0):
     """Scripted single-sender run against a deterministic lossless link."""
     state = baselines.new_controller_state(1)
     x = x_start
@@ -28,7 +29,7 @@ def run_controller(name, capacities, x_start, p_threshold=10.0, latency=10.0):
         l = latency * (1.0 + min(1.0, x / cap) ** 2)
         lost = 2000.0 * overload   # crude congestion-loss signal
         index, state = baselines.controller_step(
-            name, state, obs(x=x, y=y, l=l, p=lost), DEFAULT_DELTA_TABLE, p_threshold)
+            name, state, obs(x=x, y=y, l=l, p=lost), TABLE, P_THRESHOLD)
         x = min(200.0, max(1.0, x + delta(index)))
         xs.append(x)
     return xs
@@ -38,26 +39,27 @@ class TestDelayGradientController:
     def test_latency_drop_with_full_delivery_probes_up(self):
         state = baselines.new_controller_state(1)
         # establish a high smoothed latency, then feed a sharp drop
-        _, state = baselines.delay_gradient_controller(state, obs(l=50.0))
-        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
+        _, state = baselines.delay_gradient_controller(state, obs(l=50.0), TABLE, P_THRESHOLD)
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0), TABLE, P_THRESHOLD)
         assert delta(index) == 1.0
 
     def test_rising_latency_backs_off_hard(self):
         state = baselines.new_controller_state(1)
-        _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        index, _ = baselines.delay_gradient_controller(state, obs(l=60.0))
+        _, state = baselines.delay_gradient_controller(state, obs(l=20.0), TABLE, P_THRESHOLD)
+        index, _ = baselines.delay_gradient_controller(state, obs(l=60.0), TABLE, P_THRESHOLD)
         assert delta(index) == -5.0
 
     def test_loss_above_threshold_backs_off(self):
         state = baselines.new_controller_state(1)
-        _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0, p=25.0))
+        _, state = baselines.delay_gradient_controller(state, obs(l=20.0), TABLE, P_THRESHOLD)
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0, p=25.0),
+                                                       TABLE, P_THRESHOLD)
         assert delta(index) == -5.0
 
     def test_flat_latency_holds(self):
         state = baselines.new_controller_state(1)
-        _, state = baselines.delay_gradient_controller(state, obs(l=20.0))
-        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0))
+        _, state = baselines.delay_gradient_controller(state, obs(l=20.0), TABLE, P_THRESHOLD)
+        index, _ = baselines.delay_gradient_controller(state, obs(l=20.0), TABLE, P_THRESHOLD)
         assert delta(index) == 0.0
 
     def test_pure_function_of_state_and_obs(self):
@@ -65,8 +67,8 @@ class TestDelayGradientController:
             smoothed_latency_ms=np.array([30.0]), probing=np.array([False]),
             probe_ref_latency=np.zeros(1), window=np.zeros((0, 1)), steps=5)
         o = obs(l=25.0)
-        a1, s1 = baselines.delay_gradient_controller(state, o)
-        a2, s2 = baselines.delay_gradient_controller(state, o)
+        a1, s1 = baselines.delay_gradient_controller(state, o, TABLE, P_THRESHOLD)
+        a2, s2 = baselines.delay_gradient_controller(state, o, TABLE, P_THRESHOLD)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(s1.smoothed_latency_ms, s2.smoothed_latency_ms)
         assert s1.steps == s2.steps == 6
@@ -84,7 +86,8 @@ class TestBandwidthProbeController:
         state = baselines.new_controller_state(1)
         deltas = []
         for _ in range(24):
-            index, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30))
+            index, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30),
+                                                                TABLE, P_THRESHOLD)
             deltas.append(delta(index))
         probe_steps = [i for i, d in enumerate(deltas) if d == 5.0]
         assert probe_steps == [7, 15, 23]
@@ -100,22 +103,24 @@ class TestBandwidthProbeController:
     def test_drains_after_probe_when_latency_rises(self):
         state = baselines.new_controller_state(1)
         for _ in range(7):
-            _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30, l=20.0))
+            _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30, l=20.0),
+                                                            TABLE, P_THRESHOLD)
         probe_index, state = baselines.bandwidth_probe_controller(
-            state, obs(x=30, y=30, l=20.0))
+            state, obs(x=30, y=30, l=20.0), TABLE, P_THRESHOLD)
         assert delta(probe_index) == 5.0
         assert state.probing[0]
         drain_index, state = baselines.bandwidth_probe_controller(
-            state, obs(x=35, y=35, l=26.0))
+            state, obs(x=35, y=35, l=26.0), TABLE, P_THRESHOLD)
         assert delta(drain_index) == -5.0
         assert not state.probing[0]
 
     def test_loss_forces_drain(self):
         state = baselines.new_controller_state(1)
         for _ in range(5):
-            _, state = baselines.bandwidth_probe_controller(state, obs(x=80, y=80))
+            _, state = baselines.bandwidth_probe_controller(state, obs(x=80, y=80),
+                                                            TABLE, P_THRESHOLD)
         index, state = baselines.bandwidth_probe_controller(
-            state, obs(x=80, y=20, p=50.0))
+            state, obs(x=80, y=20, p=50.0), TABLE, P_THRESHOLD)
         assert delta(index) == -5.0
         assert not state.probing[0]
 
@@ -135,13 +140,15 @@ class TestControllerContracts:
         rng = RngStream(3, name)
         state = baselines.new_controller_state(1)
         for _ in range(200):
-            index, state = baselines.controller_step(name, state, random_rows(rng, 1))
+            index, state = baselines.controller_step(name, state, random_rows(rng, 1),
+                                                     TABLE, P_THRESHOLD)
             assert index.shape == (1,)
-            assert 0 <= index[0] < len(DEFAULT_DELTA_TABLE)
+            assert 0 <= index[0] < len(TABLE)
 
     def test_unknown_controller(self):
         with pytest.raises(ValueError):
-            baselines.controller_step("bogus", baselines.new_controller_state(1), obs())
+            baselines.controller_step("bogus", baselines.new_controller_state(1), obs(),
+                                      TABLE, P_THRESHOLD)
 
     @pytest.mark.parametrize("name", baselines.CONTROLLER_NAMES)
     def test_agents_step_independently(self, name):
@@ -151,9 +158,10 @@ class TestControllerContracts:
         joint = baselines.new_controller_state(5)
         singles = [baselines.new_controller_state(1) for _ in range(5)]
         for rows in steps:
-            index, joint = baselines.controller_step(name, joint, rows)
+            index, joint = baselines.controller_step(name, joint, rows, TABLE, P_THRESHOLD)
             for i in range(5):
-                one, singles[i] = baselines.controller_step(name, singles[i], rows[i:i + 1])
+                one, singles[i] = baselines.controller_step(name, singles[i], rows[i:i + 1],
+                                                            TABLE, P_THRESHOLD)
                 assert one[0] == index[i]
         for i in range(5):
             for field in ("smoothed_latency_ms", "probing", "probe_ref_latency"):
@@ -161,7 +169,7 @@ class TestControllerContracts:
             np.testing.assert_array_equal(singles[i].window[:, 0], joint.window[:, i])
 
 
-def reference_step(name, st, row, table=DEFAULT_DELTA_TABLE, p_threshold=10.0):
+def reference_step(name, st, row, table=TABLE, p_threshold=P_THRESHOLD):
     """One agent's step written per agent with scalar branches: the reference
     the array controllers must match index for index."""
     x, y, lat, _, lost, _ = row
@@ -201,7 +209,7 @@ class TestAgainstScalarReference:
         refs = [dict(smoothed=0.0, phase="steady", ref=0.0, window=[], steps=0)] * 5
         for _ in range(60):
             rows = random_rows(rng, 5)
-            index, state = baselines.controller_step(name, state, rows)
+            index, state = baselines.controller_step(name, state, rows, TABLE, P_THRESHOLD)
             for i in range(5):
                 want, refs[i] = reference_step(name, refs[i], rows[i].tolist())
                 assert index[i] == want
@@ -209,8 +217,8 @@ class TestAgainstScalarReference:
     def test_steady_tie_breaks_to_the_lowest_index(self):
         # window max 30 -> steady target 28.5; from 28, holding and +1 tie
         state = baselines.new_controller_state(1)
-        _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30))
-        index, _ = baselines.bandwidth_probe_controller(state, obs(x=28, y=28))
+        _, state = baselines.bandwidth_probe_controller(state, obs(x=30, y=30), TABLE, P_THRESHOLD)
+        index, _ = baselines.bandwidth_probe_controller(state, obs(x=28, y=28), TABLE, P_THRESHOLD)
         assert delta(index) == 0.0
 
 
@@ -230,6 +238,6 @@ class TestRandomAction:
         monkeypatch.setattr(training, "rollout", spy)
         training.evaluate_controller("random", "s1", 5, 4, SimConfig(n_agents=5),
                                      HyperParams(episode_len=200), QoECoefficients())
-        counts = np.array([seen.count(d) for d in DEFAULT_DELTA_TABLE])
+        counts = np.array([seen.count(d) for d in TABLE])
         assert counts.sum() == 5000
         assert counts.min() > 800   # roughly uniform over 5 actions

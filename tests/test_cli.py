@@ -382,6 +382,21 @@ class TestFitQoe:
         assert "grid" not in report
         assert qoe.FIT_NORMALIZATION in capsys.readouterr().out
 
+    def test_report_and_printed_line_follow_the_weight_tuple(self, tmp_path, capsys):
+        records = qoe.synthetic_ratings(QoECoefficients(), RngStream(1, "fixture"),
+                                        n_records=12)
+        ratings = tmp_path / "ratings.csv"
+        write_ratings_csv(str(ratings), records)
+        out = tmp_path / "fit"
+        assert run_cli("fit-qoe", "--ratings", str(ratings), "--out", str(out)) == 0
+        fitted = json.loads((out / "qoe_fit.json").read_text())["coefficients"]
+        assert sorted(fitted) == sorted(QoECoefficients.WEIGHTS)   # the file sorts its keys
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("fitted weights"))
+        pairs = [item.split("=") for item in line.split(": ", 1)[1].split()]
+        assert [name for name, _ in pairs] == list(QoECoefficients.WEIGHTS)
+        assert {name: float(v) for name, v in pairs} == fitted
+
     def test_flat_ratings_report_r_squared_as_undefined(self, tmp_path, capsys):
         records = qoe.synthetic_ratings(QoECoefficients(), RngStream(2, "fixture"),
                                         n_records=6)
@@ -450,7 +465,7 @@ class TestVerify:
         assert "2/2 checks passed" in out
 
     @pytest.mark.parametrize("only, unmatched", [("rng,nosuch", "['nosuch']"),
-                                                 (" , ", "[' ', ' ']")])
+                                                 (" , ", "[' ', ' ']"), ("", "['']")])
     def test_only_token_selecting_nothing_exits_2_naming_it(self, capsys, only, unmatched):
         assert run_cli("verify", "--only", only) == 2
         captured = capsys.readouterr()

@@ -10,7 +10,6 @@ from asms import core
 from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        QoECoefficients, RngStream, SimConfig, Span,
                        builtin_scenarios, check_obs_rows, default_hyperparams,
-                       default_qoe_coefficients, default_sim_config,
                        load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
 from asms.netsim import link_bounds
@@ -151,7 +150,7 @@ class TestScenarios:
 
 class TestQoECoefficients:
     def test_defaults(self):
-        c = default_qoe_coefficients()
+        c = QoECoefficients()
         assert (c.alpha, c.beta, c.gamma, c.delta1, c.delta2) == (1.0, 0.4, 0.2, 0.6, 0.5)
         assert c.eps_small == 1e-6
 
@@ -192,11 +191,8 @@ def with_key(key, value):
 
 
 class TestConfigParsing:
-    def test_empty_gives_defaults(self):
-        cfg, hp, coeffs = parse_config_text("")
-        assert cfg == default_sim_config()
-        assert hp == default_hyperparams()
-        assert coeffs == default_qoe_coefficients()
+    def test_empty_gives_the_default_constructors(self):
+        assert parse_config_text("") == (SimConfig(), HyperParams(), QoECoefficients())
 
     def test_single_override(self):
         _, hp, _ = parse_config_text("lr = 0.001\n")
@@ -285,7 +281,7 @@ class TestConfigParsing:
         assert (cfg2, hp2, coeffs2) == (cfg, hp, coeffs)
 
     def test_default_round_trip(self):
-        trio = (default_sim_config(), default_hyperparams(), default_qoe_coefficients())
+        trio = (SimConfig(), HyperParams(), QoECoefficients())
         assert parse_config_text(serialize_config(*trio)) == trio
 
     @pytest.mark.parametrize("key", list(CONFIG_DEFAULTS))

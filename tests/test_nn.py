@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from asms import nn
-from asms.core import RngStream
+from asms.core import HyperParams, RngStream
+
+GRAD_CLIP = HyperParams().grad_clip
 
 
 def tiny_net(seed=0, hidden=8, out=3, activation="tanh"):
@@ -278,7 +280,7 @@ class TestAdam:
         params = tiny_net(seed=4)
         before = params.theta.copy()
         state = nn.AdamState.zeros(params.theta.size)
-        report = nn.adam_step(params, state, np.zeros_like(params.theta), 0.01)
+        report = nn.adam_step(params, state, np.zeros_like(params.theta), 0.01, GRAD_CLIP)
         assert np.array_equal(params.theta, before)
         assert state.step == 1
         assert report == (0.0, False, False)
@@ -288,7 +290,7 @@ class TestAdam:
         params = nn.ModelParams(shapes=((2, 2),), theta=theta.copy(),
                                 activation="tanh")
         grad = np.array([1e-4, -2e-4, 5e-5, 0.0, 0.0, 0.0])
-        nn.adam_step(params, nn.AdamState.zeros(6), grad, lr=0.01)
+        nn.adam_step(params, nn.AdamState.zeros(6), grad, lr=0.01, grad_clip=GRAD_CLIP)
         step = params.theta - theta
         # bias-corrected first step is ~ -lr * sign(g) wherever g != 0
         np.testing.assert_allclose(step[:3], [-0.01, 0.01, -0.01], rtol=1e-3)
@@ -300,7 +302,7 @@ class TestAdam:
         state = nn.AdamState.zeros(2)
         for _ in range(200):
             grad = np.array([2.0 * params.theta[0], 0.0])
-            nn.adam_step(params, state, grad, lr=0.1)
+            nn.adam_step(params, state, grad, lr=0.1, grad_clip=GRAD_CLIP)
         assert abs(params.theta[0]) < 1e-2
 
     def test_in_place_steps_are_bit_equal_to_the_functional_arithmetic(self):
@@ -321,7 +323,7 @@ class TestAdam:
         params = tiny_net(seed=8)
         grad = RngStream(8, "g").uniform(-5, 5, size=params.theta.size)
         kept = grad.copy()
-        nn.adam_step(params, nn.AdamState.zeros(params.theta.size), grad, 0.01)
+        nn.adam_step(params, nn.AdamState.zeros(params.theta.size), grad, 0.01, GRAD_CLIP)
         assert np.array_equal(grad, kept)
 
     @staticmethod
@@ -330,12 +332,13 @@ class TestAdam:
         state = nn.AdamState.zeros(params.theta.size)
         rng = RngStream(6, "warm")
         for _ in range(3):   # non-zero moments, so a partial write would show
-            nn.adam_step(params, state, rng.uniform(-1, 1, size=params.theta.size), 0.01)
+            nn.adam_step(params, state, rng.uniform(-1, 1, size=params.theta.size), 0.01,
+                         GRAD_CLIP)
         before = snapshot(params, state)
         bad = np.zeros_like(params.theta)
         bad[index] = bad_entry
         with caplog.at_level("WARNING"):
-            report = nn.adam_step(params, state, bad, 0.01)
+            report = nn.adam_step(params, state, bad, 0.01, GRAD_CLIP)
         assert snapshot(params, state) == before
         assert report.skipped and not report.clipped
         assert "non-finite" in caplog.text

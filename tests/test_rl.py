@@ -351,7 +351,7 @@ class TestPpoUpdate:
             loss, grad = rl.value_loss_and_grad(critic, batch.observations,
                                                 batch.returns)
             losses.append(loss)
-            nn.adam_step(critic, state, grad, 3e-4)
+            nn.adam_step(critic, state, grad, 3e-4, HyperParams().grad_clip)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_update_diagnostics_finite(self):

@@ -216,6 +216,21 @@ class TestMovingAverage:
         want = [np.mean(vals[max(0, i - 2):i + 1]) for i in range(6)]
         np.testing.assert_allclose(got, want)
 
+    def test_bit_equal_to_the_cumsum_loop(self):
+        # the per-element arithmetic learning_curve.svg was drawn with
+        def loop(values, window):
+            csum = np.cumsum(values)
+            out = np.zeros(len(values))
+            for i in range(len(values)):
+                lo = max(0, i - window + 1)
+                out[i] = (csum[i] - (csum[lo - 1] if lo > 0 else 0.0)) / (i - lo + 1)
+            return out
+
+        rng = RngStream(4, "moving-average")
+        for n, window in ((0, 3), (1, 1), (7, 20), (50, 1), (330, 20)):
+            vals = rng.normal(size=n) * 100.0
+            assert training.moving_average(vals, window).tobytes() == loop(vals, window).tobytes()
+
 
 class TestEvaluation:
     def test_eval_agents_deterministic(self):
