@@ -4,7 +4,7 @@ Two deliberately simplified rule-based congestion controllers stand in for
 full delay-based and bandwidth-probing stacks at the simulator's 1-second
 decision granularity. Outputs from the rule controllers are labeled
 "simplified" wherever they surface in reports; the uniformly random
-reference lives in ``training.evaluate_controller``.
+reference lives in ``training.run_controller_episode``.
 
 All N agents step together. Each step a controller reads the step's (N, 6)
 observation rows, one row per agent with columns ``core.OBS_*``, and

@@ -50,31 +50,10 @@ class Episode:
     produce, read by training, evaluation and the update batches alike."""
 
     rows: np.ndarray         # (T+1, N, 6) columns core.OBS_*; row 0 is the warm-up
+    actions: np.ndarray      # (T, N) int64 indices into the delta table
     frame_rate: np.ndarray   # (T, N) delivered frame rates
     agent_qoe: np.ndarray    # (T, N) per-agent-step scores
     rewards: np.ndarray      # (T,) pooled rewards, the mean of each step's N scores
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A policy episode plus the per-agent action record its updates need."""
-
-    episode: Episode
-    actions: np.ndarray         # (T, N) int indices into the delta table
-    log_probs: np.ndarray       # (T, N) behavior log-probs
-
-    def __post_init__(self) -> None:
-        rows = self.episode.rows
-        if rows.ndim != 3 or rows.shape[2] != OBS_DIM:
-            raise ValueError(f"episode rows must have shape (T+1, N, {OBS_DIM})")
-        t, n = rows.shape[0] - 1, rows.shape[1]
-        for name in ("actions", "log_probs"):
-            if getattr(self, name).shape != (t, n):
-                raise ValueError(f"{name} must have shape {(t, n)}")
-        if self.episode.rewards.shape != (t,):
-            raise ValueError(f"rewards must have length {t}")
-        if np.any(self.log_probs > 1e-9):
-            raise ValueError("log-probs must be <= 0")
 
 
 def pick_actions(logits: np.ndarray, rng: RngStream | None,
@@ -156,9 +135,10 @@ class TrainBatch:
         return self.observations.shape[0]
 
 
-def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams, y_max: float,
-                hp: HyperParams) -> TrainBatch:
-    """Agent i's update batch, with whitened advantages from its critic.
+def build_batch(episode: Episode, log_probs: np.ndarray, i: int, critic: nn.ModelParams,
+                y_max: float, hp: HyperParams) -> TrainBatch:
+    """Agent i's update batch from a policy episode and the (T, N) log-probs
+    of its actions, with whitened advantages from agent i's critic.
 
     Agent i's T+1 rows are normalized here; ``normalize_obs`` is elementwise,
     so these are the features its actor saw. The critic values them in one
@@ -167,14 +147,14 @@ def build_batch(traj: Trajectory, i: int, critic: nn.ModelParams, y_max: float,
     recursion over all agents gives the same bits but is slower at these
     agent counts.
     """
-    obs = normalize_obs(traj.episode.rows[:, i], y_max)
-    rewards = traj.episode.rewards
+    obs = normalize_obs(episode.rows[:, i], y_max)
+    rewards = episode.rewards
     values = nn.forward(critic, obs)[0][:, 0] * hp.value_scale
     adv = compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
     return TrainBatch(
         observations=obs[:-1],
-        actions=traj.actions[:, i],
-        old_log_probs=traj.log_probs[:, i],
+        actions=episode.actions[:, i],
+        old_log_probs=log_probs[:, i],
         advantages=whiten(adv),
         returns=compute_returns(rewards, values[-1], hp.gamma_discount),
     )
@@ -217,7 +197,7 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
 
 
 def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
-                        returns: np.ndarray, value_scale: float = 1.0,
+                        returns: np.ndarray, value_scale: float,
                         out: np.ndarray | None = None,
                         ) -> tuple[float, np.ndarray]:
     """Mean squared error of the value head against the return targets, and
@@ -322,28 +302,34 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
             choose: Callable[[int, np.ndarray], np.ndarray]) -> Episode:
     """Roll and score one episode of ``hp.episode_len`` steps.
 
-    Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to N
-    deltas of their ``OBS_TARGET`` column; the new targets, clamped to [y_min,
-    y_max], are applied jointly to the link.
+    Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to (N,)
+    int indices into ``cfg.delta_table``, which ``Episode.actions`` keeps.
+    Each agent's delta moves its ``OBS_TARGET`` column; the new targets,
+    clamped to [y_min, y_max], are applied jointly to the link.
     """
     cfg = sim.cfg
     t_len = hp.episode_len
+    table = np.asarray(cfg.delta_table, dtype=np.float64)
     rows = np.zeros((t_len + 1, cfg.n_agents, OBS_DIM))
+    actions = np.zeros((t_len, cfg.n_agents), dtype=np.int64)
     frame_rate = np.zeros((t_len, cfg.n_agents))
     rows[0], _ = sim.reset()
     for t in range(t_len):
-        targets = (rows[t, :, OBS_TARGET] + choose(t, rows[t])).clip(cfg.y_min, cfg.y_max)
+        actions[t] = choose(t, rows[t])
+        targets = (rows[t, :, OBS_TARGET] + table[actions[t]]).clip(cfg.y_min, cfg.y_max)
         rows[t + 1], frame_rate[t] = sim.step(targets)
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
-    return Episode(rows=rows, frame_rate=frame_rate, agent_qoe=agent_qoe, rewards=rewards)
+    return Episode(rows=rows, actions=actions, frame_rate=frame_rate, agent_qoe=agent_qoe,
+                   rewards=rewards)
 
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
                 coeffs: QoECoefficients, rng: RngStream, greedy: bool = False,
-                ) -> Trajectory:
+                ) -> tuple[Episode, np.ndarray]:
     """Roll one episode: every agent picks a bitrate delta from its own
     observation, the link applies the joint targets, and all agents log the
-    identical pooled reward.
+    identical pooled reward. Returns the episode and the (T, N) log-probs of
+    its actions.
 
     Only the actors run, and the agents are left as they were;
     ``build_batch`` values the states at update time.
@@ -352,12 +338,11 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
     n = cfg.n_agents
     if len(agents) != n:
         raise ValueError(f"need {n} agents, got {len(agents)}")
-    table = np.asarray(cfg.delta_table, dtype=np.float64)
+    n_actions = len(cfg.delta_table)
     for actor in (agent.actor for agent in agents):
-        if (actor.in_dim, actor.out_dim) != (OBS_DIM, table.size):
+        if (actor.in_dim, actor.out_dim) != (OBS_DIM, n_actions):
             raise ValueError(f"actor maps {actor.in_dim} inputs to {actor.out_dim} actions; the "
-                             f"config needs {OBS_DIM} inputs to {table.size} actions")
-    actions = np.zeros((hp.episode_len, n), dtype=np.int64)
+                             f"config needs {OBS_DIM} inputs to {n_actions} actions")
     log_probs = np.zeros((hp.episode_len, n))
 
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
@@ -365,16 +350,16 @@ def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,
         # hold a copy of every actor for the episode
         logits = np.array([nn.forward(agent.actor, vec)[0]
                            for agent, vec in zip(agents, normalize_obs(rows, cfg.y_max))])
-        actions[t], log_probs[t] = pick_actions(logits, None if greedy else rng)
-        return table[actions[t]]
+        index, log_probs[t] = pick_actions(logits, None if greedy else rng)
+        return index
 
-    return Trajectory(rollout(sim, hp, coeffs, choose), actions, log_probs)
+    return rollout(sim, hp, coeffs, choose), log_probs
 
 
 __all__ = [
-    "Episode", "NonFiniteLossError", "PPOAgent", "TrainBatch", "Trajectory",
-    "UpdateDiagnostics", "build_batch", "clipped_objective", "compute_gae",
-    "compute_returns", "normalize_obs", "pick_actions",
+    "Episode", "NonFiniteLossError", "PPOAgent", "TrainBatch", "UpdateDiagnostics",
+    "build_batch", "clipped_objective", "compute_gae", "compute_returns",
+    "normalize_obs", "pick_actions",
     "policy_loss_and_grad", "ppo_update", "rollout", "run_episode", "score_episode",
     "value_loss_and_grad", "whiten",
 ]

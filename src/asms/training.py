@@ -123,17 +123,16 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     for ep in range(n_episodes):
         spec = specs[ep % len(specs)]
         sim = BottleneckSim(spec, cfg, hp.episode_len, rng_env)
-        trajectory = run_episode(sim, agents, hp, coeffs, rng_act)
-        record = trajectory.episode
+        episode, log_probs = run_episode(sim, agents, hp, coeffs, rng_act)
         row = {"episode": ep, "scenario": spec.name,
-               "mean_reward": float(record.rewards.mean())}
+               "mean_reward": float(episode.rewards.mean())}
         for i in range(cfg.n_agents):
-            row[f"agent{i:02d}_qoe"] = float(record.agent_qoe[:, i].mean())
+            row[f"agent{i:02d}_qoe"] = float(episode.agent_qoe[:, i].mean())
         curve.append(row)
 
         for i, agent in enumerate(agents):
-            diag = ppo_update(agent, build_batch(trajectory, i, agent.critic, cfg.y_max, hp),
-                              hp, rng_upd)
+            diag = ppo_update(agent, build_batch(episode, log_probs, i, agent.critic,
+                                                 cfg.y_max, hp), hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
         if federate and (ep + 1) % hp.fedavg_freq == 0:
@@ -307,26 +306,27 @@ def evaluate_agents(agents: Sequence[PPOAgent], scenario: ScenarioSpec | str,
                     episodes: int, seed: int, cfg: SimConfig, hp: HyperParams,
                     coeffs: QoECoefficients, method: str = "fmappo",
                     greedy: bool = True, trace=None) -> EvalSummary:
-    """Greedy (argmax) rollouts of trained agents on one scenario; the
-    agents are left unchanged."""
+    """Rollouts of trained agents on one scenario, each agent's argmax
+    action when ``greedy`` and a draw from its policy otherwise; the agents
+    are left unchanged."""
     return _evaluate(method, scenario, episodes, seed, cfg, hp, trace,
                      lambda sim, rng_act: run_episode(sim, agents, hp, coeffs, rng_act,
-                                                      greedy=greedy).episode)
+                                                      greedy=greedy)[0])
 
 
 def run_controller_episode(sim: BottleneckSim, name: str, hp: HyperParams,
                            coeffs: QoECoefficients, rng_act: RngStream) -> Episode:
     """Roll one episode of the rule controller ``name`` from a fresh state,
     or of one uniform delta-table draw per agent-step for ``random``."""
-    table = np.asarray(sim.cfg.delta_table, dtype=np.float64)
+    table = sim.cfg.delta_table
     state = new_controller_state(sim.cfg.n_agents)
 
     def choose(t: int, rows: np.ndarray) -> np.ndarray:
         nonlocal state
         if name == "random":
-            return table[rng_act.integers(table.size, size=len(rows))]
+            return rng_act.integers(len(table), size=len(rows))
         index, state = controller_step(name, state, rows, table, coeffs.p_threshold)
-        return table[index]
+        return index
 
     return rollout(sim, hp, coeffs, choose)
 

@@ -95,7 +95,7 @@ def check_gradient_critic(seed: int) -> tuple[bool, str]:
         while _relu_margin(critic, obs) < 1e-3:
             obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         rets = rng.uniform(-3, 3, size=n)
-        return lambda p: rl.value_loss_and_grad(p, obs, rets)
+        return lambda p: rl.value_loss_and_grad(p, obs, rets, 1.0)
 
     return _finite_difference_check(seed, "grad-critic", "relu", 1, draw)
 
@@ -660,12 +660,8 @@ def check_convergence_shape(seed: int) -> tuple[bool, str]:
         ma = training.moving_average(result.episode_rewards, window)
         span = float(ma.max() - ma.min())
         band = 0.05 * span
-        start = (2 * len(ma)) // 3
-        running_max = -np.inf
-        worst_drop = 0.0
-        for v in ma[start:]:
-            running_max = max(running_max, v)
-            worst_drop = max(worst_drop, running_max - v)
+        tail = ma[(2 * len(ma)) // 3:]
+        worst_drop = float((np.maximum.accumulate(tail) - tail).max())
         passes.append(worst_drop <= band)
         details.append(f"seed {s}: worst drop {worst_drop:.3f} vs band {band:.3f}")
     return sum(passes) >= 4, (f"{sum(passes)}/5 seeds non-decreasing final third; "

@@ -229,11 +229,9 @@ class TestRandomAction:
         real = training.rollout
 
         def spy(sim, hp, coeffs, choose):
-            def recording(t, rows):
-                deltas = choose(t, rows)
-                seen.extend(deltas.tolist())
-                return deltas
-            return real(sim, hp, coeffs, recording)
+            episode = real(sim, hp, coeffs, choose)
+            seen.extend(np.asarray(TABLE)[episode.actions].ravel().tolist())
+            return episode
 
         monkeypatch.setattr(training, "rollout", spy)
         training.evaluate_controller("random", "s1", 5, 4, SimConfig(n_agents=5),

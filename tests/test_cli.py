@@ -549,6 +549,35 @@ class TestVerify:
                                     only=["single_agent", "convergence", "ordering"])
         assert [(r.name, r.passed, r.detail) for r in results] == LEARNING_DETAILS
 
+    def test_convergence_drawdown_equals_the_running_max_loop(self, monkeypatch):
+        # the per-element loop convergence-shape took its worst drop with
+        def loop_drop(tail):
+            running_max = -np.inf
+            worst_drop = 0.0
+            for v in tail:
+                running_max = max(running_max, v)
+                worst_drop = max(worst_drop, running_max - v)
+            return worst_drop
+
+        rng = RngStream(7, "drawdown")
+        for trial in range(40):
+            # random walks drifting down to up, so the check both passes and fails
+            series = [np.cumsum(rng.normal(size=60 + trial) + 0.5 * (k + trial % 4 - 2))
+                      * 10.0 ** (k - 2) for k in range(5)]
+            series[trial % 5][-30:] = series[trial % 5][-30]   # a flat tail drops 0
+            monkeypatch.setattr(training, "train", lambda *a, seed, **kw:
+                                types.SimpleNamespace(episode_rewards=series[seed - trial]))
+            monkeypatch.setattr(training, "moving_average", lambda values, window: values)
+            passes, details = [], []
+            for s, ma in enumerate(series):
+                drop = loop_drop(ma[(2 * len(ma)) // 3:])
+                band = 0.05 * float(ma.max() - ma.min())
+                passes.append(drop <= band)
+                details.append(f"seed {trial + s}: worst drop {drop:.3f} vs band {band:.3f}")
+            want = (sum(passes) >= 4,
+                    f"{sum(passes)}/5 seeds non-decreasing final third; " + "; ".join(details))
+            assert verify.check_convergence_shape(trial) == want
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")

@@ -64,10 +64,9 @@ def random_rollout(scenario, n, seed):
     cfg = SimConfig(n_agents=n)
     sim = BottleneckSim(scenario_by_name(scenario), cfg, 40, RngStream(seed, f"env/{scenario}"))
     pick = RngStream(seed, f"pick/{scenario}")
-    table = np.array(cfg.delta_table)
 
     def choose(t, rows):
-        return table[pick.integers(len(table), size=len(rows))]
+        return pick.integers(len(cfg.delta_table), size=len(rows))
 
     episode = rl.rollout(sim, HyperParams(episode_len=40), C, choose)
     return episode.rows[1:], episode.frame_rate, episode

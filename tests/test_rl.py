@@ -349,7 +349,7 @@ class TestPpoUpdate:
         losses = []
         for _ in range(10):
             loss, grad = rl.value_loss_and_grad(critic, batch.observations,
-                                                batch.returns)
+                                                batch.returns, 1.0)
             losses.append(loss)
             nn.adam_step(critic, state, grad, 3e-4, HyperParams().grad_clip)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -497,11 +497,13 @@ class TestRollout:
         cfg = SimConfig(n_agents=3, x_init=10.0)
         hp = HyperParams(episode_len=6)
         coeffs = QoECoefficients()
+        up = cfg.delta_table.index(1.0)
         episode = rl.rollout(BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")), hp, coeffs,
-                             lambda t, rows: np.ones(len(rows)))
+                             lambda t, rows: np.full(len(rows), up))
         warm_up, _ = BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")).reset()
         assert isinstance(episode, rl.Episode)
         assert episode.rows.shape == (7, 3, 6)
+        assert episode.actions.tolist() == [[up] * 3] * 6
         np.testing.assert_array_equal(episode.rows[0], warm_up)
         assert episode.rows[:, :, OBS_TARGET].tolist() == [[10.0 + t] * 3 for t in range(7)]
         # only the T stepped rows are scored
@@ -517,10 +519,9 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 40, RngStream(0, "env"))
         agents = make_agents(3)
-        traj = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
-        episode = traj.episode
+        episode, log_probs = rl.run_episode(sim, agents, hp, coeffs, RngStream(0, "act"))
         assert episode.rows.shape == (41, 3, 6)
-        assert traj.actions.shape == traj.log_probs.shape == (40, 3)
+        assert episode.actions.shape == log_probs.shape == (40, 3)
         assert episode.frame_rate.shape == episode.agent_qoe.shape == (40, 3)
         assert episode.rewards.shape == (40,)
         np.testing.assert_array_equal(episode.rewards, episode.agent_qoe.sum(axis=1) / 3)
@@ -534,10 +535,10 @@ class TestRunEpisode:
         coeffs = QoECoefficients()
         agents = make_agents(6)
         s5 = scenario_by_name("s5")
-        traj = rl.run_episode(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), agents, hp,
-                              coeffs, RngStream(1, "act"), greedy=greedy)
+        episode, log_probs = rl.run_episode(BottleneckSim(s5, cfg, 12, RngStream(1, "env")),
+                                            agents, hp, coeffs, RngStream(1, "act"),
+                                            greedy=greedy)
         act_rng = RngStream(1, "act")
-        table = np.asarray(cfg.delta_table)
         picks = []
 
         def choose(t, rows):
@@ -545,11 +546,11 @@ class TestRunEpisode:
             picks.append([greedy_action_reference(a.actor, f) if greedy
                           else select_action_reference(a.actor, f, act_rng)
                           for a, f in zip(agents, feats)])
-            return table[[idx for idx, _ in picks[-1]]]
+            return np.array([idx for idx, _ in picks[-1]])
 
         rl.rollout(BottleneckSim(s5, cfg, 12, RngStream(1, "env")), hp, coeffs, choose)
-        assert traj.actions.tolist() == [[idx for idx, _ in step] for step in picks]
-        assert traj.log_probs.tolist() == [[lp for _, lp in step] for step in picks]
+        assert episode.actions.tolist() == [[idx for idx, _ in step] for step in picks]
+        assert log_probs.tolist() == [[lp for _, lp in step] for step in picks]
 
     def test_seeded_determinism(self):
         cfg = SimConfig(n_agents=2, x_init=10.0)
@@ -558,8 +559,8 @@ class TestRunEpisode:
 
         def run(seed):
             sim = BottleneckSim(STEADY, cfg, 10, RngStream(seed, "env"))
-            traj = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(seed, "act"))
-            return traj.actions.tolist(), traj.episode.rewards.tolist()
+            episode, _ = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(seed, "act"))
+            return episode.actions.tolist(), episode.rewards.tolist()
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -571,9 +572,9 @@ class TestRunEpisode:
         out = []
         for act_seed in (1, 2):
             sim = BottleneckSim(STEADY, cfg, 8, RngStream(3, "env"))
-            traj = rl.run_episode(sim, make_agents(2), hp, coeffs,
-                                  RngStream(act_seed, "act"), greedy=True)
-            out.append(traj.actions.tolist())
+            episode, _ = rl.run_episode(sim, make_agents(2), hp, coeffs,
+                                        RngStream(act_seed, "act"), greedy=True)
+            out.append(episode.actions.tolist())
         assert out[0] == out[1]
 
     def test_targets_stay_in_bounds(self):
@@ -581,8 +582,8 @@ class TestRunEpisode:
         hp = HyperParams(episode_len=30, hidden_width=8)
         coeffs = QoECoefficients()
         sim = BottleneckSim(STEADY, cfg, 30, RngStream(4, "env"))
-        traj = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(4, "act"))
-        targets = traj.episode.rows[..., OBS_TARGET]
+        episode, _ = rl.run_episode(sim, make_agents(2), hp, coeffs, RngStream(4, "act"))
+        targets = episode.rows[..., OBS_TARGET]
         assert targets.min() >= cfg.y_min - 1e-9
         assert targets.max() <= cfg.y_max + 1e-9
 
@@ -601,38 +602,16 @@ class TestRunEpisode:
                            QoECoefficients(), RngStream(0, "act"))
 
 
-class TestTrajectory:
-    def test_rejects_records_that_disagree_with_the_rows(self):
-        cfg = SimConfig(n_agents=3, x_init=10.0)
-        hp = HyperParams(episode_len=5, hidden_width=8)
-        traj = rl.run_episode(BottleneckSim(STEADY, cfg, 5, RngStream(0, "env")),
-                              make_agents(3), hp, QoECoefficients(), RngStream(0, "act"))
-        episode, actions, log_probs = traj.episode, traj.actions, traj.log_probs
-        rl.Trajectory(episode, actions, log_probs)
-        with pytest.raises(ValueError, match="rewards must have length 5"):
-            rl.Trajectory(dataclasses.replace(episode, rewards=episode.rewards[:-1]),
-                          actions, log_probs)
-        with pytest.raises(ValueError, match=r"actions must have shape \(5, 3\)"):
-            rl.Trajectory(episode, actions[:, :2], log_probs)
-        with pytest.raises(ValueError, match=r"log_probs must have shape \(5, 3\)"):
-            rl.Trajectory(episode, actions, log_probs[:-1])
-        with pytest.raises(ValueError, match="log-probs must be <= 0"):
-            rl.Trajectory(episode, actions, np.abs(log_probs) + 0.1)
-        with pytest.raises(ValueError, match="episode rows must have shape"):
-            rl.Trajectory(dataclasses.replace(episode, rows=episode.rows[..., :5]),
-                          actions, log_probs)
-
-
-def build_batch_reference(traj, i, critic, y_max, hp):
+def build_batch_reference(episode, log_probs, i, critic, y_max, hp):
     """build_batch as it ran when run_episode stored the normalized features
     of the whole (T+1, N, 6) episode and the critic valued agent i's column
     of them."""
-    obs = rl.normalize_obs(traj.episode.rows, y_max)[:, i]
-    rewards = traj.episode.rewards
+    obs = rl.normalize_obs(episode.rows, y_max)[:, i]
+    rewards = episode.rewards
     values = nn.forward(critic, obs)[0][:, 0] * hp.value_scale
     adv = rl.compute_gae(rewards, values[:-1], values[-1], hp.gamma_discount, hp.gae_lambda)
-    return rl.TrainBatch(observations=obs[:-1], actions=traj.actions[:, i],
-                         old_log_probs=traj.log_probs[:, i], advantages=rl.whiten(adv),
+    return rl.TrainBatch(observations=obs[:-1], actions=episode.actions[:, i],
+                         old_log_probs=log_probs[:, i], advantages=rl.whiten(adv),
                          returns=rl.compute_returns(rewards, values[-1], hp.gamma_discount))
 
 
@@ -643,10 +622,11 @@ class TestBuildBatch:
         hp = HyperParams(episode_len=40, hidden_width=8)
         agents = make_agents(n, seed=n)
         sim = BottleneckSim(scenario_by_name("s5"), cfg, 40, RngStream(n, "env"))
-        traj = rl.run_episode(sim, agents, hp, QoECoefficients(), RngStream(n, "act"))
+        episode, log_probs = rl.run_episode(sim, agents, hp, QoECoefficients(),
+                                            RngStream(n, "act"))
         for i, agent in enumerate(agents):
-            got = rl.build_batch(traj, i, agent.critic, cfg.y_max, hp)
-            want = build_batch_reference(traj, i, agent.critic, cfg.y_max, hp)
+            got = rl.build_batch(episode, log_probs, i, agent.critic, cfg.y_max, hp)
+            want = build_batch_reference(episode, log_probs, i, agent.critic, cfg.y_max, hp)
             for field in dataclasses.fields(rl.TrainBatch):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name

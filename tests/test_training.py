@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from asms import fed, nn, rl, training
-from asms.core import (ConfigError, HyperParams, QoECoefficients, RngStream, SimConfig,
-                       load_config, scenario_by_name)
+from asms.core import (OBS_TARGET, ConfigError, HyperParams, QoECoefficients, RngStream,
+                       SimConfig, load_config, scenario_by_name)
 from asms.netsim import BottleneckSim
 
 CFG = SimConfig(n_agents=2)
@@ -22,8 +22,8 @@ def width4_agents(n):
             for i in range(n)]
 
 
-def tiny_train(method="fmappo", seed=0, out_dir=None, episodes=8, hp=HP):
-    return training.train(CFG, hp, COEFFS, method, ["s1", "s3"], seed=seed,
+def tiny_train(method="fmappo", seed=0, out_dir=None, episodes=8, hp=HP, cfg=CFG):
+    return training.train(cfg, hp, COEFFS, method, ["s1", "s3"], seed=seed,
                           out_dir=out_dir, episodes=episodes)
 
 
@@ -306,16 +306,16 @@ class TestCriticUse:
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
         sim = BottleneckSim(scenario_by_name("s1"), CFG, HP.episode_len,
                             RngStream(1, "env"))
-        traj = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
-        rewards = traj.episode.rewards
+        episode, log_probs = rl.run_episode(sim, agents, HP, COEFFS, RngStream(1, "act"))
+        rewards = episode.rewards
         assert critic_calls == []
         for i, critic in enumerate(critics):
-            batch = rl.build_batch(traj, i, critic, CFG.y_max, HP)
+            batch = rl.build_batch(episode, log_probs, i, critic, CFG.y_max, HP)
             # one batch forward of agent i's T+1 normalized rows
             assert len(critic_calls) == 1
             params, obs = critic_calls.pop()
             assert params is critic and obs.shape == (HP.episode_len + 1, 6)
-            np.testing.assert_array_equal(obs, rl.normalize_obs(traj.episode.rows[:, i],
+            np.testing.assert_array_equal(obs, rl.normalize_obs(episode.rows[:, i],
                                                                  CFG.y_max))
             values = real_forward(critic, obs)[0][:, 0] * HP.value_scale
             np.testing.assert_array_equal(batch.observations, obs[:-1])
@@ -335,19 +335,19 @@ class TestControllerEpisode:
         spec = scenario_by_name("s5")
         agents, _ = training.make_agents(cfg, HP, RngStream(0, "init"))
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
-        traj = training.run_episode(sim, agents, HP, COEFFS, RngStream(4, "act"), greedy=True)
-        deltas = np.array(cfg.delta_table)[traj.actions]
+        episode, _ = training.run_episode(sim, agents, HP, COEFFS, RngStream(4, "act"),
+                                          greedy=True)
         seen = []
 
         def choose(t, rows):
             seen.append((t, rows.shape))
-            return deltas[t]
+            return episode.actions[t]
 
         sim = BottleneckSim(spec, cfg, HP.episode_len, RngStream(4, "env"))
         got = rl.rollout(sim, HP, COEFFS, choose)
         assert seen == [(t, (3, 6)) for t in range(HP.episode_len)]
-        for name in ("rows", "frame_rate", "agent_qoe", "rewards"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(traj.episode, name),
+        for name in ("rows", "actions", "frame_rate", "agent_qoe", "rewards"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(episode, name),
                                           err_msg=name)
 
 
@@ -388,10 +388,10 @@ class TestParameterOwnership:
 
         def train_episode():
             sim = BottleneckSim(scenario_by_name("s1"), CFG, hp.episode_len, rng_env)
-            trajectory = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
+            episode, log_probs = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
             for i, agent in enumerate(agents):
-                rl.ppo_update(agent, rl.build_batch(trajectory, i, agent.critic, CFG.y_max, hp),
-                              hp, rng_upd)
+                rl.ppo_update(agent, rl.build_batch(episode, log_probs, i, agent.critic,
+                                                    CFG.y_max, hp), hp, rng_upd)
 
         train_episode()
         result = fed.fed_round(agents, model, hp, RngStream(0, "fed"))
@@ -400,3 +400,36 @@ class TestParameterOwnership:
         train_episode()
         assert agents[0].actor.theta.tobytes() != pinned[0]
         assert (result.model.actor.theta.tobytes(), result.model.critic.theta.tobytes()) == pinned
+
+
+class TestActionRecord:
+    """Every controller's episode keeps the delta-table indices it acted by."""
+
+    @pytest.mark.parametrize("controller", ["greedy", "stochastic", "delay", "probe", "random"])
+    def test_actions_replay_the_targets(self, controller):
+        cfg = SimConfig(n_agents=3, x_init=20.0)
+        table = np.asarray(cfg.delta_table)
+        sim = BottleneckSim(scenario_by_name("s5"), cfg, HP.episode_len, RngStream(2, "env"))
+        if controller in ("greedy", "stochastic"):
+            agents = tiny_train(episodes=4, cfg=cfg).agents
+            episode, log_probs = training.run_episode(sim, agents, HP, COEFFS,
+                                                      RngStream(2, "act"),
+                                                      greedy=controller == "greedy")
+        else:
+            episode = training.run_controller_episode(sim, controller, HP, COEFFS,
+                                                      RngStream(2, "act"))
+        actions = episode.actions
+        assert actions.dtype == np.int64 and actions.shape == (HP.episode_len, 3)
+        assert actions.min() >= 0 and actions.max() < table.size
+        targets = episode.rows[..., OBS_TARGET]
+        np.testing.assert_array_equal(
+            np.clip(targets[:-1] + table[actions], cfg.y_min, cfg.y_max), targets[1:])
+        if controller in ("greedy", "stochastic"):
+            for i, agent in enumerate(agents):
+                logits, _ = nn.forward(agent.actor, rl.normalize_obs(episode.rows[:-1, i],
+                                                                     cfg.y_max))
+                _, logp = nn.categorical_head(logits)
+                # a trained actor's log-probs tell its actions apart
+                assert np.ptp(logp, axis=1).min() > 1e-3
+                np.testing.assert_allclose(logp[np.arange(HP.episode_len), actions[:, i]],
+                                           log_probs[:, i], rtol=1e-12, atol=0)
