@@ -1,9 +1,9 @@
 """Domain types, defaults, config parsing, and the seeded RNG used everywhere.
 
 Everything here is a plain immutable value; simulation state lives in the
-other modules. The RNG is counter-based so that any (seed, stream, call
-sequence) triple reproduces bit-identically, including when draws are
-requested in vectorized blocks.
+other modules. The RNG is numpy's counter-based Philox, keyed by (seed,
+stream label), so that any (seed, stream, call sequence) triple reproduces
+bit-identically, including when draws are requested in vectorized blocks.
 
 An agent's observation of one 1-second step is a row of ``OBS_DIM`` floats,
 indexed by the ``OBS_*`` columns: target bitrate, received bitrate (Mbps),
@@ -16,7 +16,6 @@ triggers exactly one NACK). The simulator emits (N, 6) rows per step, and
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -402,14 +401,10 @@ def serialize_config(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients) -
 
 
 # ---------------------------------------------------------------------------
-# Counter-based RNG
+# Seeded RNG
 # ---------------------------------------------------------------------------
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_GAMMA = 0x9E3779B97F4A7C15
-_UINT = np.uint64
-_BLOCK = 1024   # words a stream computes ahead of its counter
-_FEW_ENTRIES = 4   # binomial's measured crossover from bisect to one numpy search
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -419,177 +414,79 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; operates on uint64 arrays (wrapping arithmetic)
-    z = (z ^ (z >> _UINT(30))) * _UINT(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _UINT(27))) * _UINT(0x94D049BB133111EB)
-    return z ^ (z >> _UINT(31))
-
-
 class RngStream:
-    """Deterministic counter-based random stream.
+    """Seeded random stream: numpy's Philox4x64 keyed by (seed, label).
 
-    Output i is a pure function of (seed, stream label, i), so draws are
-    identical no matter how they are chunked into vectorized requests. Streams
-    with different labels are statistically independent. Instances are
-    single-owner: never share one mutably across concurrent contexts.
+    Philox is the counter-based generator of Random123 (Salmon et al., SC
+    2011), so a (seed, stream label, call sequence) triple reproduces
+    bit-identically, and streams with different labels are independent.
+    Draws do not depend on how they are chunked into vectorized requests,
+    and ``copy.deepcopy`` of a stream is an exact peek at its next draws.
+    A negative size raises ``ValueError`` before anything is drawn.
+    numpy does not promise the same ``Generator`` streams across its
+    versions (NEP 19). Instances are single-owner: never share one mutably
+    across concurrent contexts.
     """
 
     def __init__(self, seed: int, stream: str = "root"):
         self.seed = int(seed) & _MASK64
         self.stream = stream
-        base = np.array([self.seed ^ _fnv1a64(stream.encode("utf-8"))], dtype=_UINT)
-        self._key = _mix64(base)[0]
-        self._counter = 0
-        # derived data, not state: the words at counters block_start onwards
-        self._block = np.empty(0, dtype=_UINT)
-        self._block_start = 0
+        # a uint64 array: numpy would take a list mixing words at and below
+        # 2^63 through float64, rounding the hash and overflowing seed -1
+        key = np.array([self.seed, _fnv1a64(stream.encode("utf-8"))], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def spawn(self, label: str) -> "RngStream":
         """Independent child stream; does not consume from this stream."""
         return RngStream(self.seed, f"{self.stream}/{label}")
 
-    def _words(self, start: int, n: int) -> np.ndarray:
-        idx = np.arange(start, start + n, dtype=_UINT)
-        return _mix64(self._key + idx * _UINT(_GAMMA))
-
     def raw(self, n: int) -> np.ndarray:
-        """Next n raw uint64 words, as a fresh array.
-
-        A request shorter than ``_BLOCK`` is served from a block of words
-        computed ahead, refilled at the request's counter when the rest of
-        the block cannot hold it. Word i depends on (seed, stream, i) alone,
-        so the block changes no draw.
-        """
-        if n < 0:
-            raise ValueError(f"cannot draw a negative number of words, got {n}")
-        start = self._counter
-        self._counter = start + n
-        if n >= _BLOCK:
-            return self._words(start, n)
-        off = start - self._block_start
-        if off < 0 or off + n > self._block.size:
-            self._block, self._block_start, off = self._words(start, _BLOCK), start, 0
-        return self._block[off:off + n].copy()
+        """Next n raw uint64 words."""
+        return self._gen.bit_generator.random_raw(n)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
         """Uniform draws in [low, high); scalar when size is None."""
         if size is None:   # the array path's arithmetic, in Python numbers
-            return float(low + (high - low) * ((int(self.raw(1)[0]) >> 11) * 2.0 ** -53))
-        u01 = (self.raw(size) >> _UINT(11)).astype(np.float64) * (2.0 ** -53)
-        if isinstance(low, float) and isinstance(high, float) and low == 0.0 and high == 1.0:
-            return u01   # 0.0 + 1.0 * u01 is u01 itself
-        return low + (high - low) * u01
+            return float(low + (high - low) * self._gen.random())
+        return low + (high - low) * self._gen.random(size)
 
     def integers(self, n_exclusive: int, size: int) -> np.ndarray:
         """Uniform integers in [0, n_exclusive)."""
         if n_exclusive < 1:
             raise ValueError(f"n_exclusive must be >= 1, got {n_exclusive}")
-        return (self.raw(size) % _UINT(n_exclusive)).astype(np.int64)
+        return self._gen.integers(n_exclusive, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Random permutation of range(n) via random-key sort."""
-        return np.argsort(self.raw(n), kind="stable")
+        """Random permutation of range(n)."""
+        if n < 0:   # Generator.permutation(-1) would return an empty array
+            raise ValueError(f"cannot permute a negative number of values, got {n}")
+        return self._gen.permutation(n)
 
     def normal(self, size: int) -> np.ndarray:
-        """Standard normal draws (Box-Muller); consumes 2 uniforms each."""
-        u = self.uniform(size=2 * size)
-        r = np.sqrt(-2.0 * np.log(np.maximum(u[:size], 2.0 ** -53)))
-        return r * np.cos(2.0 * np.pi * u[size:])
+        """Standard normal draws."""
+        return self._gen.standard_normal(size)
 
     def laplace(self, scale: float, size: int) -> np.ndarray:
-        """Zero-mean Laplace draws with the given scale b (variance 2 b^2)."""
+        """Zero-mean Laplace draws with the given scale b (variance 2 b^2);
+        scale 0 draws nothing."""
         if scale < 0:
             raise ValueError("scale must be >= 0")
         if scale == 0.0:
             return np.zeros(size)
-        v = self.uniform(size=size) - 0.5
-        return -scale * np.sign(v) * np.log(np.maximum(1.0 - 2.0 * np.abs(v), 2.0 ** -53))
+        return self._gen.laplace(0.0, scale, size)
 
     def binomial(self, n, p: float):
-        """Number of successes in n Bernoulli(p) trials, for an int n or for
-        each entry of an (N,) int array n (an (N,) int64 array back).
-
-        Uses geometric skips between successes, so cost scales with n*p
-        rather than n. Entry i draws its uniforms in chunks of
-        max(16, int(remaining_i * p * 1.3) + 16); an entry with n_i <= 0, and
-        any entry when p <= 0 or p >= 1, draws nothing. Draw order: results
-        and the final counter equal N scalar calls made in entry order. Every
-        entry's first chunk comes from one block draw and is resolved at
-        once; from the first entry whose successes fill its first chunk, the
-        counter rewinds to that chunk and the rest run one entry at a time.
-        """
-        counts = np.asarray(n, dtype=np.int64)
-        if counts.size <= _FEW_ENTRIES:
-            out = self._binomial_few(counts.ravel().tolist(), p)
-            return out[0] if counts.ndim == 0 else np.array(out, dtype=np.int64)
-        out = np.zeros(counts.shape, dtype=np.int64)
-        live = (counts > 0).nonzero()[0]
-        if p >= 1.0:
-            out[live] = counts[live]
-        elif p > 0.0 and live.size:
-            log_q = math.log1p(-p)
-            trials = counts[live]
-            chunks = np.maximum(16, (trials * p * 1.3).astype(np.int64) + 16)
-            ends = np.add.accumulate(chunks)
-            starts = ends - chunks
-            counter = self._counter
-            pos = self._skip_positions(int(ends[-1]), log_q)
-            # entry i's trials succeed at pos[starts[i]:ends[i]] - base[i]
-            base = pos[starts - 1]
-            base[0] = 0
-            inside = pos.searchsorted(base + trials, side="right") - starts
-            out[live] = inside
-            full = inside >= chunks
-            if full.any():
-                j = int(full.argmax())
-                self._counter = counter + int(starts[j])
-                for i in range(int(live[j]), counts.size):
-                    out[i] = self._binomial_one(int(counts[i]), p, log_q)
-        return out
-
-    def _binomial_few(self, counts: list[int], p: float) -> list[int]:
-        """``binomial`` of a few entries: the same chunks, block and rewind,
-        each entry's chunk searched with bisect over Python ints."""
-        if p >= 1.0:
-            return [max(c, 0) for c in counts]
-        out = [0] * len(counts)
-        live = [i for i, c in enumerate(counts) if c > 0]
-        if p > 0.0 and live:
-            log_q = math.log1p(-p)
-            chunks = [max(16, int(counts[i] * p * 1.3) + 16) for i in live]
-            counter = self._counter
-            pos = self._skip_positions(sum(chunks), log_q).tolist()
-            start = base = 0
-            for i, chunk in zip(live, chunks):
-                out[i] = bisect.bisect_right(pos, base + counts[i], start, start + chunk) - start
-                if out[i] == chunk:
-                    self._counter = counter + start
-                    out[i:] = [self._binomial_one(c, p, log_q) for c in counts[i:]]
-                    break
-                start += chunk
-                base = pos[start - 1]
-        return out
-
-    def _skip_positions(self, words: int, log_q: float) -> np.ndarray:
-        """Strictly increasing success positions: cumulative skips >= 1."""
-        u = self.uniform(size=words)
-        return np.add.accumulate(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
-
-    def _binomial_one(self, n: int, p: float, log_q: float) -> int:
-        """One entry of ``binomial`` for 0 < p < 1, chunk after chunk."""
-        if n <= 0:
-            return 0
-        successes = 0
-        pos = 0
-        while True:
-            chunk = max(16, int((n - pos) * p * 1.3) + 16)
-            positions = pos + self._skip_positions(chunk, log_q)
-            inside = int(np.searchsorted(positions, n, side="right"))
-            if inside < chunk:
-                return successes + inside
-            successes += chunk
-            pos = int(positions[-1])
+        """Number of successes in n Bernoulli(p) trials, for an int n (an int
+        back) or for each entry of an (N,) int array n (an (N,) int64 array
+        back). An entry with n <= 0, and every entry when p <= 0 or p >= 1,
+        draws nothing; an array call draws what its scalar calls would, in
+        entry order."""
+        counts = np.maximum(np.asarray(n, dtype=np.int64), 0)
+        if p <= 0.0:
+            counts = np.zeros_like(counts)
+        elif p < 1.0:
+            counts = self._gen.binomial(counts, p)
+        return int(counts) if np.ndim(n) == 0 else counts
 
 
 __all__ = [

@@ -59,7 +59,8 @@ def link_draws(bounds: tuple[np.ndarray, np.ndarray], steps: int | np.ndarray,
                rng: RngStream) -> np.ndarray:
     """The six uniforms within rows ``steps`` of ``link_bounds`` that draw a
     link, from one block: (6,) for an int step, and for an (n,) int array of
-    steps the (n, 6) rows of n int-step calls in order, counter included."""
+    steps the (n, 6) rows of n int-step calls in order, stream state
+    included."""
     lo, hi = bounds
     if isinstance(steps, (int, np.integer)):   # one step, checked in Python
         if not 0 <= steps < len(lo):

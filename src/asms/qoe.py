@@ -84,11 +84,16 @@ def compute_qoe(rows, frame_rate, users, c: QoECoefficients) -> np.ndarray:
 
     Scene quality (damped by user density) minus penalties for frame-rate
     mismatch, latency per unit throughput, quality fluctuation versus the
-    next step, and above-threshold packet loss. ``np.vecdot`` gives the bits
-    of a per-row ``weights @ features``; ``@``, ``einsum`` and a product sum
-    do not.
+    next step, and above-threshold packet loss. The weighted terms are
+    added left to right, in the order of ``QoECoefficients.WEIGHTS``, so
+    the score's bits do not depend on the BLAS kernel, as a dot product's
+    do.
     """
-    return np.vecdot(qoe_features(rows, frame_rate, users, c), c.weights())
+    feats = qoe_features(rows, frame_rate, users, c)
+    score = 0.0
+    for k, weight in enumerate(c.weights().tolist()):
+        score = score + feats[..., k] * weight
+    return score
 
 
 # ---------------------------------------------------------------------------

@@ -303,9 +303,11 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     """Roll and score one episode of ``hp.episode_len`` steps.
 
     Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to (N,)
-    int indices into ``cfg.delta_table``, which ``Episode.actions`` keeps.
-    Each agent's delta moves its ``OBS_TARGET`` column; the new targets,
-    clamped to [y_min, y_max], are applied jointly to the link.
+    int indices into ``cfg.delta_table``, which ``Episode.actions`` keeps;
+    a non-integer result raises ``TypeError``, and an index outside the
+    table ``ValueError``. Each agent's delta moves its ``OBS_TARGET``
+    column; the new targets, clamped to [y_min, y_max], are applied jointly
+    to the link.
     """
     cfg = sim.cfg
     t_len = hp.episode_len
@@ -315,8 +317,12 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     frame_rate = np.zeros((t_len, cfg.n_agents))
     rows[0], _ = sim.reset()
     for t in range(t_len):
-        actions[t] = choose(t, rows[t])
-        targets = (rows[t, :, OBS_TARGET] + table[actions[t]]).clip(cfg.y_min, cfg.y_max)
+        index = actions[t]
+        np.copyto(index, choose(t, rows[t]), casting="same_kind")
+        if index.min() < 0 or index.max() >= table.size:
+            raise ValueError(f"step {t}: action indices {index.tolist()} are not all "
+                             f"in [0, {table.size})")
+        targets = (rows[t, :, OBS_TARGET] + table[index]).clip(cfg.y_min, cfg.y_max)
         rows[t + 1], frame_rate[t] = sim.step(targets)
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
     return Episode(rows=rows, actions=actions, frame_rate=frame_rate, agent_qoe=agent_qoe,

@@ -70,14 +70,25 @@ def _finite_difference_check(seed: int, label: str, activation: str, n_out: int,
 
 
 def check_gradient_actor(seed: int) -> tuple[bool, str]:
-    """Analytic policy-loss gradient vs central finite differences."""
+    """Analytic policy-loss gradient vs central finite differences.
+
+    A finite difference that bumps a probability ratio across a clip bound,
+    1 +/- clip_eps, measures a different branch than the analytic gradient,
+    so a batch's old log-probabilities are redrawn while any ratio lies
+    within 1e-3 of a bound.
+    """
     def draw(actor, rng):
-        n = 6
+        n, clip_eps = 6, 0.2
         obs = rng.uniform(0, 2, size=n * 6).reshape(n, 6)
         actions = rng.integers(5, size=n)
-        old_lp = np.log(np.full(n, 0.2)) + rng.uniform(-0.3, 0.3, size=n)
+        lp_taken = nn.categorical_head(nn.forward(actor, obs)[0])[1][np.arange(n), actions]
+        margin = 0.0
+        while margin < 1e-3:   # distance of the nearest ratio from 1 +/- clip_eps
+            old_lp = np.log(np.full(n, 0.2)) + rng.uniform(-0.3, 0.3, size=n)
+            margin = np.abs(np.abs(np.exp(lp_taken - old_lp) - 1.0) - clip_eps).min()
         adv = rng.uniform(-2, 2, size=n)
-        return lambda p: rl.policy_loss_and_grad(p, obs, actions, old_lp, adv, 0.2, 0.01)[:2]
+        return lambda p: rl.policy_loss_and_grad(p, obs, actions, old_lp, adv,
+                                                 clip_eps, 0.01)[:2]
 
     return _finite_difference_check(seed, "grad-actor", "tanh", 5, draw)
 

@@ -524,7 +524,7 @@ class TestVerify:
         assert at_s1_start[0] <= float(value) <= at_s1_start[1]
 
     def test_forced_out_of_range_value_reads_as_before(self, monkeypatch):
-        # word 10,019 of the stream, past s1's 10,000 steps, is sample 3's
+        # draw 10,019 of the stream, past s1's 10,000 steps, is sample 3's
         # latency and maps to u = 1.5; the detail must equal the one the
         # per-sample loop gives
         monkeypatch.setattr(verify, "RngStream", _faulty_stream(10_019, 1.5))
@@ -534,7 +534,7 @@ class TestVerify:
         assert detail.startswith("s1 t=") and detail.endswith(" outside [10.0, 30.0]")
 
     def test_sample_breaking_link_state_invariants_is_named(self, monkeypatch):
-        # word 10,600, sample 100's capacity, maps to u = -2: capacity
+        # draw 10,600, sample 100's capacity, maps to u = -2: capacity
         # 100 - 200 < 0
         monkeypatch.setattr(verify, "RngStream", _faulty_stream(10_600, -2.0))
         passed, detail = verify.check_scenario_ranges(0)
@@ -585,12 +585,16 @@ class TestVerify:
 
 
 def _faulty_stream(position, u):
-    """An RngStream class whose word at ``position`` maps to ``u`` instead of
-    its [0, 1) value, in every ``uniform`` call that draws it."""
+    """An RngStream class whose uniform draw number ``position`` (counted
+    over its ``uniform`` calls from 0) maps to ``u`` instead of its [0, 1)
+    value."""
     class Faulty(RngStream):
+        drawn = 0
+
         def uniform(self, low=0.0, high=1.0, size=None):
-            start = self._counter
+            start = self.drawn
             out = np.atleast_1d(super().uniform(low, high, size))
+            self.drawn = start + out.size
             k = position - start
             if 0 <= k < out.size:
                 lo = np.broadcast_to(low, out.shape)[k]

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -13,6 +12,7 @@ from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
 from asms.netsim import link_bounds
+from rng_state import rng_state, untouched
 
 
 class TestObsRows:
@@ -335,9 +335,8 @@ class TestRngStream:
     def test_spawn_independent(self):
         root = RngStream(5, "root")
         child = root.spawn("sub")
-        before = root._counter
         child.uniform(size=10)
-        assert root._counter == before
+        assert untouched(root)
 
     def test_permutation(self):
         perm = RngStream(2, "p").permutation(50)
@@ -357,20 +356,28 @@ class TestRngStream:
         assert abs(float(draws.mean())) < 0.03
         assert abs(float(draws.var()) - 8.0) < 0.25
 
+    def test_laplace_scale_zero_draws_nothing(self):
+        r = RngStream(9, "l0")
+        assert r.laplace(0.0, size=5).tolist() == [0.0] * 5 and untouched(r)
+        with pytest.raises(ValueError, match="scale"):
+            r.laplace(-1.0, size=5)
+
     def test_normal_moments(self):
         draws = RngStream(9, "n").normal(size=100_000)
         assert abs(float(draws.mean())) < 0.02
         assert abs(float(draws.std()) - 1.0) < 0.02
 
     @pytest.mark.parametrize("draw", [lambda r: r.raw(-3), lambda r: r.uniform(size=-1),
-                                      lambda r: r.permutation(-1)])
+                                      lambda r: r.permutation(-1), lambda r: r.normal(-2),
+                                      lambda r: r.laplace(1.0, -2), lambda r: r.laplace(0.0, -2),
+                                      lambda r: r.integers(3, -1)])
     def test_negative_sizes_rejected_before_drawing(self, draw):
         r = RngStream(2, "neg")
-        first = r.raw(4)
+        r.raw(4)
+        before = rng_state(r)
         with pytest.raises(ValueError, match="negative"):
             draw(r)
-        assert r._counter == 4
-        assert not np.isin(r.raw(3), first).any()   # no word is handed out twice
+        assert rng_state(r) == before
 
     @pytest.mark.parametrize("bound", [0, -2])
     def test_integers_bound_below_one_rejected_before_drawing(self, bound):
@@ -379,90 +386,30 @@ class TestRngStream:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_exclusive"):
                 r.integers(bound, size=3)
-        assert r._counter == 0
+        assert untouched(r)
 
+    def test_scalar_uniform_is_the_one_value_array_draw(self):
+        bounds = [(0.0, 1.0), (-2, 2), (0, 40), (1, 300), (2.5, 80.0), (-0.3, 0.3), (5, 5)]
+        for seed in range(200):
+            for lo, hi in bounds:
+                scalar = RngStream(seed, "scalar").uniform(lo, hi)
+                block = RngStream(seed, "scalar").uniform(lo, hi, size=1)[0]
+                assert type(scalar) is float and scalar.hex() == float(block).hex()
 
-def reference_binomial(rng, n, p):
-    """One binomial draw as a scalar call made it before draws were blocked:
-    the reference the block draw must equal, results and counter."""
-    if n <= 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    log_q = math.log1p(-p)
-    successes = pos = 0
-    while True:
-        chunk = max(16, int((n - pos) * p * 1.3) + 16)
-        u = rng.uniform(size=chunk)
-        skips = np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1
-        positions = pos + np.cumsum(skips)
-        inside = int(np.searchsorted(positions, n, side="right"))
-        if inside < chunk:
-            return successes + inside
-        successes += chunk
-        pos = int(positions[-1])
-
-
-def old_unit_uniform(rng, size):
-    """``uniform(size=...)`` at bounds 0 and 1 by the general arithmetic."""
-    u01 = (rng.raw(size) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return 0.0 + (1.0 - 0.0) * u01
-
-
-def old_block_binomial(rng, n, p):
-    """``binomial`` as one numpy search over every entry, as it ran before
-    calls of a few entries were resolved in Python ints: the reference both
-    branches must equal, results and counter."""
-    counts = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    out = np.zeros(counts.shape, dtype=np.int64)
-    live = np.flatnonzero(counts > 0)
-    if p >= 1.0:
-        out[live] = counts[live]
-    elif p > 0.0 and live.size:
-        log_q = math.log1p(-p)
-        trials = counts[live]
-        chunks = np.maximum(16, (trials * p * 1.3).astype(np.int64) + 16)
-        ends = np.cumsum(chunks)
-        starts = ends - chunks
-        counter = rng._counter
-        u = old_unit_uniform(rng, int(ends[-1]))
-        pos = np.cumsum(np.floor(np.log1p(-u) / log_q).astype(np.int64) + 1)
-        base = pos[starts - 1]
-        base[0] = 0
-        inside = np.searchsorted(pos, base + trials, side="right") - starts
-        out[live] = inside
-        full = inside >= chunks
-        if full.any():
-            j = int(full.argmax())
-            rng._counter = counter + int(starts[j])
-            for i in range(int(live[j]), counts.size):
-                out[i] = reference_binomial(rng, int(counts[i]), p)
-    return int(out[0]) if np.ndim(n) == 0 else out
-
-
-class ZeroRun(RngStream):
-    """A stream whose raw words are 0 at counters in [lo, hi): those
-    uniforms are 0, so every trial they decide succeeds. Counts its draws."""
-
-    def __init__(self, seed, lo=0, hi=0):
-        super().__init__(seed, "zero-run")
-        self.lo, self.hi = lo, hi
-        self.draws = 0
-
-    def raw(self, n):
-        self.draws += 1
-        idx = np.arange(self._counter, self._counter + n)
-        words = super().raw(n)
-        words[(idx >= self.lo) & (idx < self.hi)] = 0
-        return words
-
-
-def block_and_sequential(make_rng, counts, p):
-    """(block result, sequential results, block stream, sequential stream)."""
-    block_rng, seq_rng = make_rng(), make_rng()
-    block = block_rng.binomial(np.asarray(counts), p)
-    seq = [reference_binomial(seq_rng, int(n), p) for n in counts]
-    return block, seq, block_rng, seq_rng
+    def test_deepcopy_is_an_exact_peek(self):
+        r = RngStream(5, "copy")
+        r.uniform(size=3)   # mid-way through a Philox block of four words
+        draws = (lambda s: s.uniform(size=7), lambda s: s.binomial(np.array([40, 0, 900]), 0.3),
+                 lambda s: s.laplace(0.5, size=5), lambda s: s.uniform(1.0, 9.0),
+                 lambda s: s.binomial(25, 0.6))
+        for draw in draws:
+            before = rng_state(r)
+            peek = copy.deepcopy(r)
+            seen = draw(peek)
+            assert rng_state(r) == before   # drawing from the copy leaves r where it was
+            got = draw(r)
+            assert np.asarray(got).tobytes() == np.asarray(seen).tobytes()
+            assert rng_state(r) == rng_state(peek)
 
 
 class TestBlockBinomial:
@@ -474,165 +421,22 @@ class TestBlockBinomial:
             if n_entries > 1:   # pin entries that draw nothing
                 counts[seed % n_entries] = 0
                 counts[(seed + 1) % n_entries] = -3
-            block, seq, block_rng, seq_rng = block_and_sequential(
-                lambda: ZeroRun(seed), counts, p)
+            block_rng, seq_rng = RngStream(seed, "b"), RngStream(seed, "b")
+            block = block_rng.binomial(counts, p)
+            seq = [seq_rng.binomial(int(n), p) for n in counts]
             assert block.dtype == np.int64 and block.tolist() == seq
-            assert block_rng._counter == seq_rng._counter
-            # no entry overflows here, so every entry's draws are one block
-            assert block_rng.draws == int(0 < p < 1 and np.any(counts > 0))
-
-    @pytest.mark.parametrize("n_entries", [1, 6, 24])
-    @pytest.mark.parametrize("p", [1e-4, 0.3])
-    def test_first_chunk_overflow_finishes_in_entry_order(self, n_entries, p):
-        counts = RngStream(n_entries, "counts").integers(400, size=n_entries) + 60
-        if n_entries > 2:
-            counts[1] = 0
-        first_chunks = [max(16, int(n * p * 1.3) + 16) for n in counts if n > 0]
-        starts = []
-        probe = ZeroRun(0)   # no zeros: where each entry starts drawing
-        for n in counts:
-            starts.append(probe._counter)
-            reference_binomial(probe, int(n), p)
-        for k in sorted({0, n_entries // 2, n_entries - 1}):
-            for extra in (0, 5, 100):
-                chunk = max(16, int(counts[k] * p * 1.3) + 16)
-                make = lambda: ZeroRun(0, starts[k], starts[k] + chunk + extra)
-                block, seq, block_rng, seq_rng = block_and_sequential(make, counts, p)
-                assert seq_rng._counter > sum(first_chunks)   # entry k did overflow
-                assert block.tolist() == seq and block_rng._counter == seq_rng._counter
+            assert rng_state(block_rng) == rng_state(seq_rng)
+            # p of 0 or 1, or no positive count, draws nothing
+            assert untouched(block_rng) == (not (0 < p < 1 and np.any(counts > 0)))
 
     def test_scalar_n_returns_an_int(self):
         r = RngStream(4, "b")
         for p in (0.0, 0.3, 1.0):
             assert type(r.binomial(40, p)) is int
+            assert type(r.binomial(np.int64(40), p)) is int
         assert r.binomial(-2, 1.0) == 0 and r.binomial(7, 1.0) == 7
-        before = r._counter
+        before = rng_state(r)
+        assert r.binomial(-2, 0.5) == 0
         assert r.binomial(np.array([0, -1, 5]), 0.0).tolist() == [0, 0, 0]
         assert r.binomial(np.array([0, -1]), 0.5).tolist() == [0, 0]
-        assert r._counter == before   # nothing drawn
-
-
-class TestBinomialBranches:
-    """Both branches of ``binomial`` (Python ints up to _FEW_ENTRIES
-    entries, one numpy search above) against the one-search arithmetic."""
-
-    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.3, 0.77, 0.99, 1.0, 1.5])
-    def test_equals_the_one_search_arithmetic(self, p):
-        for n_entries in range(1, 31):
-            counts = RngStream(n_entries, "counts").integers(700, size=n_entries) - 200
-            counts[n_entries // 2] = 0
-            got_rng, want_rng = RngStream(n_entries, "b"), RngStream(n_entries, "b")
-            for _ in range(3):
-                got = got_rng.binomial(counts, p)
-                want = old_block_binomial(want_rng, counts, p)
-                assert got.dtype == np.int64 and got.tolist() == want.tolist()
-                assert got_rng._counter == want_rng._counter
-        for n in (-5, 0, 1, 40, 1000, np.int64(300)):   # scalar n
-            got_rng, want_rng = RngStream(7, "s"), RngStream(7, "s")
-            got = got_rng.binomial(n, p)
-            assert type(got) is int and got == old_block_binomial(want_rng, n, p)
-            assert got_rng._counter == want_rng._counter
-
-    @pytest.mark.parametrize("offset", [0, 500, 1000, 1020])
-    @pytest.mark.parametrize("counts", [[100], [100, 50, 80], [0, 100, -4, 80],
-                                        [100, 50, 80, 7, 300, 20], [400, 9000, 30, 0, 5]])
-    def test_forced_rewinds_equal_the_one_search_arithmetic(self, offset, counts):
-        # zeros fill the first live entry's first chunk, so it rewinds there
-        got_rng, want_rng = ZeroRun(0, offset, offset + 200), ZeroRun(0, offset, offset + 200)
-        for rng in (got_rng, want_rng):
-            rng.raw(offset)
-        got = got_rng.binomial(np.array(counts), 0.3)
-        want = old_block_binomial(want_rng, np.array(counts), 0.3)
-        assert got.tolist() == want.tolist() and got_rng._counter == want_rng._counter
-        first = next(n for n in counts if n > 0)
-        assert max(got) >= int(first * 0.3 * 1.3) + 16   # a first chunk overflowed
-
-    def test_unit_uniform_is_the_general_arithmetic(self):
-        for size in (1, 2, 6, 40, 1500):
-            want = old_unit_uniform(RngStream(size, "u"), size).tobytes()
-            for bounds in ((), (0.0, 1.0), (0, 1), (np.float64(0.0), np.float64(1.0))):
-                assert RngStream(size, "u").uniform(*bounds, size=size).tobytes() == want
-
-
-def direct_words(rng, start, n):
-    """Words start..start+n-1 of ``rng``'s stream from one _mix64 evaluation:
-    the reference every block-served draw must equal."""
-    idx = np.arange(start, start + n, dtype=np.uint64)
-    return core._mix64(rng._key + idx * np.uint64(core._GAMMA))
-
-
-class DirectRaw(RngStream):
-    """A stream that computes every request directly, as raw did before it
-    served words from a block."""
-
-    def raw(self, n):
-        words = direct_words(self, self._counter, n)
-        self._counter += n
-        return words
-
-
-class DirectZeroRun(ZeroRun, DirectRaw):
-    """ZeroRun over direct words: its ``super().raw`` is DirectRaw's."""
-
-
-class TestWordBlock:
-    def test_any_chunking_equals_one_mix(self):
-        sizes = [0, 1000, 30, core._BLOCK, core._BLOCK - 1, 2, 3000, 1]
-        sizes += RngStream(11, "sizes").integers(3001, size=60).tolist()
-        sizes += RngStream(12, "sizes").integers(200, size=60).tolist()
-        for seed in range(3):
-            r = RngStream(seed, "block")
-            got = np.concatenate([r.raw(n) for n in sizes])
-            assert r._counter == sum(sizes)
-            assert np.array_equal(got, direct_words(r, 0, sum(sizes)))
-
-    @pytest.mark.parametrize("offset", [0, 500, 1000, 1020])
-    @pytest.mark.parametrize("counts", [[100, 50, 80], [400, 9000, 30]])
-    def test_binomial_rewind_keeps_results_and_counter(self, offset, counts):
-        # zeros fill entry 0's first chunk, so the block draw rewinds to it;
-        # at offset 1000 that draw straddles the block's end and refills it,
-        # and 9000 trials make a first draw of 1,024 words or more
-        make = lambda cls: cls(0, offset, offset + 200)
-        block_rng, direct_rng = make(ZeroRun), make(DirectZeroRun)
-        for rng in (block_rng, direct_rng):
-            rng.raw(offset)
-        block = block_rng.binomial(np.array(counts), 0.3)
-        direct = direct_rng.binomial(np.array(counts), 0.3)
-        assert block.tolist() == direct.tolist()
-        assert block[0] >= int(counts[0] * 0.3 * 1.3) + 16   # entry 0's first chunk overflowed
-        assert block_rng._counter == direct_rng._counter
-
-    def test_copy_mid_block_draws_the_next_words(self):
-        r = RngStream(5, "copy")
-        r.raw(300)
-        twin = copy.copy(r)
-        fresh = RngStream(5, "copy")
-        fresh._counter = 300
-        for n in (10, 20, 900, 5, 2000):
-            want = direct_words(fresh, fresh._counter, n)
-            assert np.array_equal(fresh.raw(n), want) and np.array_equal(twin.raw(n), want)
-        assert np.array_equal(r.raw(10), direct_words(r, 300, 10))   # r did not move
-
-    def test_counter_set_back_before_the_block(self):
-        r = RngStream(5, "back")
-        r.raw(1000)
-        r.raw(100)   # refills the block at counter 1000
-        r._counter = 10
-        assert np.array_equal(r.raw(5), direct_words(r, 10, 5))
-
-    def test_raw_returns_its_own_writable_array(self):
-        r = ZeroRun(6, lo=0, hi=4)
-        words = r.raw(8)
-        assert words.flags.writeable and not np.shares_memory(words, r._block)
-        assert words[:4].tolist() == [0] * 4
-        assert np.array_equal(r.raw(8), direct_words(r, 8, 8))
-        r._counter = 0
-        assert r.raw(1)[0] == 0   # the zeros went into the copy, not the block
-
-    def test_scalar_uniform_is_the_one_word_array_draw(self):
-        bounds = [(0.0, 1.0), (-2, 2), (0, 40), (1, 300), (2.5, 80.0), (-0.3, 0.3), (5, 5)]
-        for seed in range(200):
-            for lo, hi in bounds:
-                scalar = RngStream(seed, "scalar").uniform(lo, hi)
-                block = RngStream(seed, "scalar").uniform(lo, hi, size=1)[0]
-                assert type(scalar) is float and scalar.hex() == float(block).hex()
+        assert rng_state(r) == before   # nothing drawn

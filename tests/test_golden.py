@@ -17,8 +17,17 @@ Pinned (sha256 of the files' relative paths and bytes):
   ``binomial`` draws among them) are pinned too.
 
 Float results can move with the Python, numpy or BLAS build, so
-``golden.json`` records the versions it was made with. After a change that
-is meant to move seeded outputs, or on another platform, regenerate it with
+``golden.json`` records the versions it was made with, and the hash of a
+few kernel-sensitive operations on fixed inputs (``arithmetic_hash``). A
+failure says whether this host's arithmetic differs from the recorded one
+(regenerate here) or not (the code moved the keys). The eval keys score
+with a left-to-right sum and draw from numpy's C samplers, so they hold
+under every OpenBLAS kernel; a test recomputes them in child processes
+under other kernels. The train keys go through BLAS products and numpy's
+SIMD ``exp`` and ``log``, so they stay tied to the recorded hash. numpy
+does not promise the same ``Generator`` streams across its versions
+(NEP 19), so a numpy upgrade may move every key. After a change that is
+meant to move seeded outputs, or on another platform, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -27,12 +36,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from asms import training
 from asms.core import HyperParams, QoECoefficients, RngStream, SimConfig, builtin_scenarios
@@ -68,6 +80,25 @@ def platform_versions() -> dict:
             "blas": blas_version}
 
 
+def arithmetic_hash() -> str:
+    """sha256 of the bytes of operations whose last bits depend on the BLAS
+    kernel or on numpy's SIMD level, on fixed inputs: a stacked batch-1
+    ``np.matmul``, a (40, 128) @ (128, 128) product, and ``np.exp`` and
+    ``np.log`` of a fixed vector."""
+    def fixed(*shape):   # exact float arithmetic, so the same inputs on every host
+        return (np.arange(np.prod(shape)) * 0.6180339887498949 % 1.0 - 0.5).reshape(shape)
+
+    a, w, v = fixed(40, 128), fixed(128, 128), fixed(1000)
+    h = hashlib.sha256()
+    for out in (np.matmul(a[:, None, :], w), a @ w, np.exp(40.0 * v), np.log(100.0 * v + 51.0)):
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+def checkpoint_of(work: Path) -> Path:
+    return work / "fmappo" / training.CHECKPOINT_DIR / "final"
+
+
 def compute_digests(work: Path) -> dict[str, str]:
     digests = {}
     for method in training.METHODS:
@@ -75,8 +106,13 @@ def compute_digests(work: Path) -> dict[str, str]:
         training.train(CFG, HP, COEFFS, method, TRAIN_SCENARIOS, seed=0,
                        out_dir=run_dir, episodes=12)
         digests[f"train-{method}"] = tree_digest(run_dir)
-    agents = training.load_checkpoint_agents(
-        work / "fmappo" / training.CHECKPOINT_DIR / "final")
+    return {**digests, **eval_digests(work, checkpoint_of(work))}
+
+
+def eval_digests(work: Path, checkpoint: Path) -> dict[str, str]:
+    """The eval keys, with the fmappo agents of ``checkpoint``."""
+    digests = {}
+    agents = training.load_checkpoint_agents(checkpoint)
     evaluations = {
         "fmappo-greedy": lambda s: training.evaluate_agents(
             agents, s, EVAL_EPISODES, EVAL_SEED, CFG, HP, COEFFS,
@@ -113,24 +149,67 @@ def eval_digest(eval_dir: Path, label: str, summaries) -> str:
     return tree_digest(eval_dir)
 
 
-def test_seeded_outputs_match_the_golden_digests(tmp_path):
+def platform_record() -> dict:
+    return {**platform_versions(), "arithmetic": arithmetic_hash()}
+
+
+@pytest.fixture(scope="module")
+def computed(tmp_path_factory):
+    """(work directory, digests) of one pass in this process."""
+    work = tmp_path_factory.mktemp("golden")
+    return work, compute_digests(work)
+
+
+def test_seeded_outputs_match_the_golden_digests(computed):
     golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
-    digests = compute_digests(tmp_path)
+    _, digests = computed
     moved = sorted(k for k in golden["digests"] if digests.get(k) != golden["digests"][k])
+    here = platform_record()
+    if here["arithmetic"] != golden["platform"].get("arithmetic"):
+        why = ("this host's arithmetic differs from the one golden.json was made on: "
+               "regenerate here")
+    else:
+        why = "same arithmetic: the code moved these keys"
     assert not moved and digests.keys() == golden["digests"].keys(), (
-        f"seeded outputs moved: {moved}; golden.json was made on {golden['platform']}, "
-        f"this is {platform_versions()}")
+        f"seeded outputs moved: {moved}; {why}; golden.json was made on "
+        f"{golden['platform']}, this is {here}")
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_eval_keys_hold_under_another_blas_kernel(computed, coretype):
+    work, digests = computed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = json.loads(subprocess.run(
+        [sys.executable, __file__, "--eval", str(checkpoint_of(work))], env=env,
+        capture_output=True, text=True, check=True).stdout)
+    if child["arithmetic"] == arithmetic_hash():
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} left the arithmetic hash as it is, so "
+                    "the override did not take (or that kernel's bits equal the default's)")
+    assert child["digests"] == {k: v for k, v in digests.items() if k.startswith("eval-")}
 
 
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as work:
         digests = compute_digests(Path(work))
-    GOLDEN_FILE.write_text(json.dumps({"platform": platform_versions(), "digests": digests},
+    GOLDEN_FILE.write_text(json.dumps({"platform": platform_record(), "digests": digests},
                                       indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_FILE}")
 
 
+def print_eval_digests(checkpoint: str) -> None:
+    """Print the arithmetic hash and the eval keys of ``checkpoint``, as JSON."""
+    with tempfile.TemporaryDirectory() as work:
+        digests = eval_digests(Path(work), Path(checkpoint))
+    print(json.dumps({"arithmetic": arithmetic_hash(), "digests": digests}))
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    regenerate()
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--eval":
+        print_eval_digests(sys.argv[2])
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--regenerate | --eval <checkpoint-dir>")

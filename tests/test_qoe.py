@@ -32,16 +32,17 @@ def qoe_features_reference(row, frame_rate, next_received_mbps, users, c):
 
 def score_episode_reference(rows, frame_rate, c):
     """The nested loop that scored a (T, N, 6) episode: each agent-step's
-    weights @ features, then each step's scores summed and divided by N.
-    Returns (rewards, agent_qoe)."""
+    weighted features added left to right, then each step's scores summed
+    and divided by N. Returns (rewards, agent_qoe)."""
     t_len, n, _ = rows.shape
     steps, rates = rows.tolist(), frame_rate.tolist()
     agent_qoe, rewards = np.zeros((t_len, n)), np.zeros(t_len)
     for t in range(t_len):
         successor = steps[min(t + 1, t_len - 1)]
         for i in range(n):
-            agent_qoe[t, i] = float(c.weights() @ qoe_features_reference(
-                steps[t][i], rates[t][i], successor[i][OBS_RECEIVED], n, c))
+            feats = qoe_features_reference(
+                steps[t][i], rates[t][i], successor[i][OBS_RECEIVED], n, c)
+            agent_qoe[t, i] = sum(f * w for f, w in zip(feats.tolist(), c.weights().tolist()))
         rewards[t] = float(np.sum(agent_qoe[t])) / n
     return rewards, agent_qoe
 

@@ -9,6 +9,7 @@ from asms.core import (OBS_RECEIVED, OBS_TARGET, Channel, HyperParams, QoECoeffi
                        RngStream, ScenarioSpec, SimConfig, default_hyperparams,
                        scenario_by_name)
 from asms.netsim import BottleneckSim
+from rng_state import rng_state
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
                       Channel.fixed(2), Channel.fixed(0.0), Channel.fixed(0.0))
@@ -140,7 +141,7 @@ class TestSelectAction:
                 want = pick_actions_reference(logits, want_rng if stochastic else None)
                 assert [a.dtype for a in got] == [a.dtype for a in want]
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-                assert got_rng._counter == want_rng._counter
+                assert rng_state(got_rng) == rng_state(want_rng)
 
     def test_uniform_logits_frequencies(self):
         # a zero-weight net gives uniform logits over 5 actions
@@ -190,7 +191,7 @@ class TestSelectAction:
         idx, lp = rl.pick_actions(logits, block_rng)
         seq = [select_action_reference(a, row, seq_rng) for a, row in zip(actors, obs)]
         assert idx.tolist() == [s[0] for s in seq] and lp.tolist() == [s[1] for s in seq]
-        assert block_rng._counter == seq_rng._counter
+        assert rng_state(block_rng) == rng_state(seq_rng)
         idx, lp = rl.pick_actions(logits, None)
         seq = [greedy_action_reference(a, row) for a, row in zip(actors, obs)]
         assert idx.tolist() == [s[0] for s in seq] and lp.tolist() == [s[1] for s in seq]
@@ -510,6 +511,19 @@ class TestRollout:
         rewards, agent_qoe = rl.score_episode(episode.rows[1:], episode.frame_rate, coeffs)
         np.testing.assert_array_equal(episode.agent_qoe, agent_qoe)
         np.testing.assert_array_equal(episode.rewards, rewards)
+
+    # a chooser returning deltas, not indices: np.ones once moved every
+    # target by table[1] and -5.0 wrapped to table[-5], both silently
+    @pytest.mark.parametrize("result, error", [
+        (lambda n: np.ones(n), TypeError), (lambda n: np.full(n, -5.0), TypeError),
+        (lambda n: np.full(n, -1), ValueError), (lambda n: np.arange(n) + 4, ValueError)],
+        ids=["ones", "minus-five", "index-minus-one", "index-past-the-table"])
+    def test_chooser_result_outside_the_index_contract_raises(self, result, error):
+        cfg = SimConfig(n_agents=2)
+        sim = BottleneckSim(STEADY, cfg, 3, RngStream(0, "env"))
+        with pytest.raises(error):
+            rl.rollout(sim, HyperParams(episode_len=3), QoECoefficients(),
+                       lambda t, rows: result(len(rows)))
 
 
 class TestRunEpisode:
