@@ -181,9 +181,10 @@ def test_eval_keys_hold_under_another_blas_kernel(computed, coretype):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = json.loads(subprocess.run(
-        [sys.executable, __file__, "--eval", str(checkpoint_of(work))], env=env,
-        capture_output=True, text=True, check=True).stdout)
+    proc = subprocess.run([sys.executable, __file__, "--eval", str(checkpoint_of(work))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
     if child["arithmetic"] == arithmetic_hash():
         pytest.skip(f"OPENBLAS_CORETYPE={coretype} left the arithmetic hash as it is, so "
                     "the override did not take (or that kernel's bits equal the default's)")
