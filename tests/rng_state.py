@@ -6,14 +6,19 @@ import numpy as np
 from asms.core import RngStream
 
 
-def rng_state(rng):
-    """The stream's Philox state, with its arrays as lists so that two
-    states compare with ``==``."""
+def generator_state(gen):
+    """A numpy ``Generator``'s bit-generator state, with its arrays as lists
+    so that two states compare with ``==``."""
     def plain(value):
         if isinstance(value, dict):
             return {k: plain(v) for k, v in value.items()}
         return value.tolist() if isinstance(value, np.ndarray) else value
-    return plain(rng._gen.bit_generator.state)
+    return plain(gen.bit_generator.state)
+
+
+def rng_state(rng):
+    """The stream's Philox state, comparable with ``==``."""
+    return generator_state(rng._gen)
 
 
 def untouched(rng):

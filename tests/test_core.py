@@ -12,7 +12,7 @@ from asms.core import (OBS_LATENCY, ConfigError, HyperParams,
                        load_config, parse_config_text,
                        scenario_by_name, serialize_config, validate_delta_table)
 from asms.netsim import link_bounds
-from rng_state import rng_state, untouched
+from rng_state import generator_state, rng_state, untouched
 
 
 class TestObsRows:
@@ -440,3 +440,93 @@ class TestBlockBinomial:
         assert r.binomial(np.array([0, -1, 5]), 0.0).tolist() == [0, 0, 0]
         assert r.binomial(np.array([0, -1]), 0.5).tolist() == [0, 0]
         assert rng_state(r) == before   # nothing drawn
+
+
+class TestBinomialAgainstNumpy:
+    """``binomial`` is numpy's sampler behind the stream's edge contracts,
+    at any grid of p and any stream position."""
+
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.3, 0.77, 0.99, 1.0, 1.5])
+    def test_equals_numpy_on_the_clamped_counts(self, p):
+        for n_entries in range(1, 31):
+            counts = RngStream(n_entries, "counts").integers(700, size=n_entries) - 200
+            counts[n_entries // 2] = 0
+            got_rng = RngStream(n_entries, "b")
+            want_gen = copy.deepcopy(got_rng._gen)
+            for _ in range(3):
+                got = got_rng.binomial(counts, p)
+                live = np.maximum(counts, 0)
+                want = (np.zeros_like(live) if p <= 0 else live if p >= 1
+                        else want_gen.binomial(live, p))
+                assert got.dtype == np.int64 and got.shape == counts.shape
+                assert got.tolist() == want.tolist()
+                assert np.all((got >= 0) & (got <= live))
+            assert rng_state(got_rng) == generator_state(want_gen)
+        for n in (-5, 0, 1, 40, 1000, np.int64(300)):   # scalar n
+            got_rng = RngStream(7, "s")
+            want_gen = copy.deepcopy(got_rng._gen)
+            got = got_rng.binomial(n, p)
+            live = max(int(n), 0)
+            want = 0 if p <= 0 else live if p >= 1 else int(want_gen.binomial(live, p))
+            assert type(got) is int and got == want
+            assert rng_state(got_rng) == generator_state(want_gen)
+
+    @pytest.mark.parametrize("offset", [0, 1, 1000, 1022])
+    @pytest.mark.parametrize("counts", [[100], [100, 50, 80], [0, 100, -4, 80],
+                                        [100, 50, 80, 7, 300, 20], [400, 9000, 30, 0, 5]])
+    def test_any_stream_position_keeps_entry_order(self, offset, counts):
+        # offsets that are not a multiple of four start mid-way through a
+        # Philox block of four words
+        block_rng, seq_rng = RngStream(0, "pos"), RngStream(0, "pos")
+        for rng in (block_rng, seq_rng):
+            rng.uniform(size=offset)
+        block = block_rng.binomial(np.array(counts), 0.3)
+        seq = [seq_rng.binomial(n, 0.3) for n in counts]
+        assert block.tolist() == seq
+        assert rng_state(block_rng) == rng_state(seq_rng)
+
+    @pytest.mark.parametrize("n_entries", [2, 7, 24])
+    @pytest.mark.parametrize("p", [1e-4, 0.3])
+    def test_sampler_switch_keeps_entry_order(self, n_entries, p):
+        # numpy inverts the CDF when n * min(p, 1 - p) <= 30 and runs BTPE
+        # above; every other entry here is large enough to cross over
+        counts = RngStream(n_entries, "counts").integers(60, size=n_entries) + 10
+        counts[1::2] = (counts[1::2] + 50) * 10_000
+        if n_entries > 2:
+            counts[2] = 0
+        assert np.any(counts * p > 30) and np.any((counts * p <= 30) & (counts > 0))
+        for seed in range(5):
+            block_rng, seq_rng = RngStream(seed, "switch"), RngStream(seed, "switch")
+            block = block_rng.binomial(counts, p)
+            seq = [seq_rng.binomial(int(n), p) for n in counts]
+            assert block.tolist() == seq and np.all(block <= counts)
+            assert rng_state(block_rng) == rng_state(seq_rng)
+
+
+class TestDrawChunking:
+    @pytest.mark.parametrize("draw", [
+        lambda r, k: r.raw(k), lambda r, k: r.normal(k), lambda r, k: r.laplace(0.7, k),
+        lambda r, k: r.binomial(np.full(k, 150), 0.4),
+    ], ids=["raw", "normal", "laplace", "binomial"])
+    def test_any_chunking_equals_one_call(self, draw):
+        sizes = [0, 1000, 30, 1024, 1023, 2, 3000, 1]
+        sizes += RngStream(11, "sizes").integers(3001, size=20).tolist()
+        whole_rng = RngStream(3, "chunks")
+        r = RngStream(3, "chunks")
+        parts = np.concatenate([draw(r, k) for k in sizes])
+        assert parts.tobytes() == draw(whole_rng, len(parts)).tobytes()
+        assert rng_state(r) == rng_state(whole_rng)
+
+    def test_unit_uniform_bounds_spell_one_draw(self):
+        for size in (1, 2, 6, 40, 1500):
+            want = RngStream(size, "u")._gen.random(size).tobytes()
+            for bounds in ((), (0.0, 1.0), (0, 1), (np.float64(0.0), np.float64(1.0))):
+                assert RngStream(size, "u").uniform(*bounds, size=size).tobytes() == want
+
+    def test_raw_returns_its_own_writable_array(self):
+        r = RngStream(6, "raw")
+        words = r.raw(8)
+        peek = copy.deepcopy(r)
+        assert words.dtype == np.uint64 and words.flags.writeable
+        words[:] = 0
+        assert np.array_equal(r.raw(8), peek.raw(8))   # the stream did not see the write
