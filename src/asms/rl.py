@@ -317,8 +317,10 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     frame_rate = np.zeros((t_len, cfg.n_agents))
     rows[0], _ = sim.reset()
     for t in range(t_len):
-        index = actions[t]
-        np.copyto(index, choose(t, rows[t]), casting="same_kind")
+        index, chosen = actions[t], np.asarray(choose(t, rows[t]))
+        if not np.issubdtype(chosen.dtype, np.integer):   # bool casts same_kind too
+            raise TypeError(f"step {t}: action indices must be integers, got {chosen.dtype}")
+        np.copyto(index, chosen, casting="same_kind")
         if index.min() < 0 or index.max() >= table.size:
             raise ValueError(f"step {t}: action indices {index.tolist()} are not all "
                              f"in [0, {table.size})")

@@ -491,6 +491,15 @@ class TestVerify:
         passed, _ = verify.check_gradient_critic(seed)
         assert not passed
 
+    # Seed 0 once drew a probability ratio 4e-6 from the clip bound 1.2, which
+    # the finite-difference step crossed (the only such seed below 420).
+    def test_gradient_actor_near_clip_bound_seed(self, monkeypatch):
+        passed, detail = verify.check_gradient_actor(0)
+        assert passed, detail
+        monkeypatch.setenv("ASMS_VERIFY_CORRUPT_GRADIENT", "1")
+        passed, _ = verify.check_gradient_actor(0)
+        assert not passed
+
     def test_scenario_table_pins_the_builtin_channels(self, monkeypatch):
         real = verify.builtin_scenarios
 

@@ -318,6 +318,24 @@ class TestRngStream:
         b = RngStream(8, "agent").uniform(size=100)
         assert not np.array_equal(a, b)
 
+    # "root" hashes to 2^63 or more and "environment" below it; numpy sends a
+    # key list that mixes the two kinds through float64
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63])
+    @pytest.mark.parametrize("label", ["root", "environment"])
+    def test_philox_key_is_the_exact_seed_and_label_hash(self, seed, label):
+        rng = RngStream(seed, label)
+        assert (core._fnv1a64(label.encode()) >= 2**63) == (label == "root")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            key = rng_state(RngStream(seed, label))["state"]["key"]
+        assert key == [seed % 2**64, core._fnv1a64(label.encode())]
+        assert rng.seed == seed % 2**64
+
+    @pytest.mark.parametrize("label", ["root", "environment"])
+    def test_negative_seeds_differ(self, label):
+        draws = [RngStream(seed, label).uniform(size=8).tolist() for seed in (-1, -2, -1000)]
+        assert draws[0] != draws[1] != draws[2] != draws[0]
+
     def test_chunking_invariance(self):
         whole = RngStream(3, "x").uniform(size=120)
         r = RngStream(3, "x")

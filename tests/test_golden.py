@@ -22,8 +22,9 @@ few kernel-sensitive operations on fixed inputs (``arithmetic_hash``). A
 failure says whether this host's arithmetic differs from the recorded one
 (regenerate here) or not (the code moved the keys). The eval keys score
 with a left-to-right sum and draw from numpy's C samplers, so they hold
-under every OpenBLAS kernel; a test recomputes them in child processes
-under other kernels. The train keys go through BLAS products and numpy's
+under every OpenBLAS kernel and numpy SIMD level; a test recomputes them
+in child processes under two other OpenBLAS kernels and with numpy's
+AVX-512 paths disabled. The train keys go through BLAS products and numpy's
 SIMD ``exp`` and ``log``, so they stay tied to the recorded hash. numpy
 does not promise the same ``Generator`` streams across its versions
 (NEP 19), so a numpy upgrade may move every key. After a change that is
@@ -175,19 +176,24 @@ def test_seeded_outputs_match_the_golden_digests(computed):
         f"{golden['platform']}, this is {here}")
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
-def test_eval_keys_hold_under_another_blas_kernel(computed, coretype):
+# numpy ignores feature names it does not dispatch to, so on a host without
+# AVX-512 the last override changes nothing and its case skips
+@pytest.mark.parametrize("name, value", [
+    ("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Sandybridge"),
+    ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")],
+    ids=["Haswell", "Sandybridge", "no-avx512"])
+def test_eval_keys_hold_under_another_kernel(computed, name, value):
     work, digests = computed
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+    env = {**os.environ, name: value,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, __file__, "--eval", str(checkpoint_of(work))],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
     if child["arithmetic"] == arithmetic_hash():
-        pytest.skip(f"OPENBLAS_CORETYPE={coretype} left the arithmetic hash as it is, so "
-                    "the override did not take (or that kernel's bits equal the default's)")
+        pytest.skip(f"{name}={value} left the arithmetic hash as it is, so the override "
+                    "did not take (or that kernel's bits equal the default's)")
     assert child["digests"] == {k: v for k, v in digests.items() if k.startswith("eval-")}
 
 

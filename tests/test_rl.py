@@ -516,8 +516,9 @@ class TestRollout:
     # target by table[1] and -5.0 wrapped to table[-5], both silently
     @pytest.mark.parametrize("result, error", [
         (lambda n: np.ones(n), TypeError), (lambda n: np.full(n, -5.0), TypeError),
+        (lambda n: np.arange(n) % 2 == 0, TypeError),
         (lambda n: np.full(n, -1), ValueError), (lambda n: np.arange(n) + 4, ValueError)],
-        ids=["ones", "minus-five", "index-minus-one", "index-past-the-table"])
+        ids=["ones", "minus-five", "mask", "index-minus-one", "index-past-the-table"])
     def test_chooser_result_outside_the_index_contract_raises(self, result, error):
         cfg = SimConfig(n_agents=2)
         sim = BottleneckSim(STEADY, cfg, 3, RngStream(0, "env"))
