@@ -131,7 +131,9 @@ def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
     weighted by per-agent sample counts (uniform when all are zero),
     broadcast.
 
-    Agents' sample counters reset; Adam state persists across the broadcast.
+    Agents' sample counters reset. The agents hold no optimizer state, and
+    a round touches none: the Adam states a trainer keeps for its agents
+    persist across the broadcast.
     """
     uploads = [make_local_update(agent.actor, agent.critic, model, hp, rng)
                for agent in agents]

@@ -135,25 +135,26 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: ModelParams | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
 
     grad_out is (B, out_dim) for the cached batch of B inputs (B = 1 after a
     forward of one input vector); batch entries are summed (supply
     per-sample dLoss/dOutput for a mean loss already divided by the batch
-    size). The gradient is written into ``out``, a float64 vector of the
-    flat length, and returned; without one a fresh vector is allocated.
+    size). The gradient is written through the layer views of ``out``, a
+    buffer of the network's shapes such as ``params.with_theta(np.zeros(P))``,
+    and ``out.theta`` is returned; without one a fresh vector is allocated.
     """
     batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != (batch.shape[0], params.out_dim):
         raise ValueError(f"grad_out shape {grad_out.shape} does not match cached batch")
     if out is None:
-        out = np.empty(params.theta.size)
-    elif out.shape != params.theta.shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 vector of length {params.theta.size}")
+        out = params.with_theta(np.zeros(params.theta.size))
+    elif out.shapes != params.shapes:
+        raise ValueError(f"out has shapes {out.shapes}, the network {params.shapes}")
     (w1, _), (w2, _), (w3, _) = params.layers()
-    (dw1, db1), (dw2, db2), (dw3, db3) = _layer_views(out, params.shapes)
+    (dw1, db1), (dw2, db2), (dw3, db3) = out.layers()
 
     np.matmul(a2.T, g, out=dw3)
     np.add.reduce(g, axis=0, out=db3)
@@ -165,7 +166,7 @@ def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
     dz1 = da1 * _act_grad(z1, a1, params.activation)
     np.matmul(batch.T, dz1, out=dw1)
     np.add.reduce(dz1, axis=0, out=db1)
-    return out
+    return out.theta
 
 
 @dataclass

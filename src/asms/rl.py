@@ -163,11 +163,12 @@ def build_batch(episode: Episode, log_probs: np.ndarray, i: int, critic: nn.Mode
 def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.ndarray,
                          old_log_probs: np.ndarray, advantages: np.ndarray,
                          clip_eps: float, entropy_coef: float,
-                         out: np.ndarray | None = None,
+                         out: nn.ModelParams | None = None,
                          ) -> tuple[float, np.ndarray, dict]:
     """Mean clipped-surrogate loss (negated, plus entropy bonus) and its exact
-    gradient, written into ``out`` when given (as ``nn.backward`` does).
-    Samples on the clipped branch contribute no policy gradient."""
+    gradient, written into the gradient buffer ``out`` when given (as
+    ``nn.backward`` does). Samples on the clipped branch contribute no
+    policy gradient."""
     n = obs.shape[0]
     logits, cache = nn.forward(actor, obs)
     probs, logp = nn.categorical_head(logits)
@@ -198,10 +199,11 @@ def policy_loss_and_grad(actor: nn.ModelParams, obs: np.ndarray, actions: np.nda
 
 def value_loss_and_grad(critic: nn.ModelParams, obs: np.ndarray,
                         returns: np.ndarray, value_scale: float,
-                        out: np.ndarray | None = None,
+                        out: nn.ModelParams | None = None,
                         ) -> tuple[float, np.ndarray]:
     """Mean squared error of the value head against the return targets, and
-    its gradient, written into ``out`` when given (as ``nn.backward`` does).
+    its gradient, written into the gradient buffer ``out`` when given (as
+    ``nn.backward`` does).
 
     The head predicts returns / value_scale; minimizing in the scaled space
     has the same argmin but keeps gradient norms commensurate with the
@@ -223,12 +225,14 @@ class UpdateDiagnostics:
     mean_ratio: float
 
 
-def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
-               rng: RngStream) -> UpdateDiagnostics:
+def ppo_update(agent: PPOAgent, adam: tuple[nn.AdamState, nn.AdamState],
+               batch: TrainBatch, hp: HyperParams, rng: RngStream) -> UpdateDiagnostics:
     """Several epochs of shuffled minibatch ascent on the clipped surrogate
     (plus entropy bonus) and descent on the value MSE, written in place into
-    the agent's parameters and Adam states; the agent's ``sample_count``
-    grows by the batch's length, the steps FedAvg weights it by.
+    the agent's parameters and into ``adam``, the (actor, critic) pair of
+    Adam states that the trainer keeps for this agent; the agent's
+    ``sample_count`` grows by the batch's length, the steps FedAvg weights
+    it by.
 
     Each minibatch's gradients go into one actor and one critic buffer held
     for this call only.
@@ -236,8 +240,9 @@ def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
     n = len(batch)
     if n == 0:
         raise ValueError("empty batch")
-    actor_grad = np.empty(agent.actor.theta.size)
-    critic_grad = np.empty(agent.critic.theta.size)
+    actor_adam, critic_adam = adam
+    actor_grad = agent.actor.with_theta(np.zeros(agent.actor.theta.size))
+    critic_grad = agent.critic.with_theta(np.zeros(agent.critic.theta.size))
     per_batch = []   # one UpdateDiagnostics-ordered tuple per minibatch
     for _ in range(hp.epochs):
         order = rng.permutation(n)
@@ -253,8 +258,8 @@ def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
             if not (np.isfinite(ploss) and np.isfinite(vloss)):
                 raise NonFiniteLossError(
                     f"non-finite loss (policy={ploss}, value={vloss})")
-            nn.adam_step(agent.actor, agent.actor_adam, pgrad, hp.lr, hp.grad_clip)
-            nn.adam_step(agent.critic, agent.critic_adam, vgrad, hp.lr, hp.grad_clip)
+            nn.adam_step(agent.actor, actor_adam, pgrad, hp.lr, hp.grad_clip)
+            nn.adam_step(agent.critic, critic_adam, vgrad, hp.lr, hp.grad_clip)
             per_batch.append((ploss, vloss, stats["entropy"], stats["clip_fraction"],
                               stats["mean_ratio"]))
     agent.sample_count += n
@@ -266,18 +271,15 @@ def ppo_update(agent: PPOAgent, batch: TrainBatch, hp: HyperParams,
 
 @dataclass
 class PPOAgent:
-    """Actor/critic pair plus optimizer state for one streaming client;
-    ``ppo_update`` trains it in place."""
+    """Actor/critic pair of one streaming client; ``ppo_update`` trains it
+    in place. The agent holds no optimizer state: an agent that only acts
+    needs none, and the trainer keeps each agent's Adam states."""
 
     actor: nn.ModelParams
     critic: nn.ModelParams
-    actor_adam: nn.AdamState = field(init=False)
-    critic_adam: nn.AdamState = field(init=False)
     sample_count: int = field(init=False)   # steps trained on since the last aggregation
 
     def __post_init__(self) -> None:
-        self.actor_adam = nn.AdamState.zeros(self.actor.theta.size)
-        self.critic_adam = nn.AdamState.zeros(self.critic.theta.size)
         self.sample_count = 0
 
 

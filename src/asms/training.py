@@ -112,6 +112,10 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     rng_fed = RngStream(seed, "fed")
 
     agents, model = make_agents(cfg, hp, rng_init)
+    # optimizer state belongs to training: one (actor, critic) Adam pair per
+    # agent, which fed rounds leave alone, so it persists across broadcasts
+    adam = [(nn.AdamState.zeros(agent.actor.theta.size),
+             nn.AdamState.zeros(agent.critic.theta.size)) for agent in agents]
     federate = method == "fmappo"
 
     curve: list[dict] = []
@@ -131,8 +135,8 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
         curve.append(row)
 
         for i, agent in enumerate(agents):
-            diag = ppo_update(agent, build_batch(episode, log_probs, i, agent.critic,
-                                                 cfg.y_max, hp), hp, rng_upd)
+            diag = ppo_update(agent, adam[i], build_batch(episode, log_probs, i, agent.critic,
+                                                          cfg.y_max, hp), hp, rng_upd)
             diagnostics.append({"episode": ep, "agent": i, **dataclasses.asdict(diag)})
 
         if federate and (ep + 1) % hp.fedavg_freq == 0:

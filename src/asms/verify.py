@@ -188,15 +188,21 @@ def check_clip_function(seed: int) -> tuple[bool, str]:
 
 
 def waterfill_oracle(targets: np.ndarray, capacity: float) -> np.ndarray:
-    """Independent allocation oracle: bisect the water level."""
+    """Independent allocation oracle: bisect the water level for up to 200
+    halvings. Once the midpoint equals the bound it would replace, every
+    later step repeats it, so the loop stops there with the same level."""
     if targets.sum() <= capacity:
         return targets.copy()
     lo, hi = 0.0, float(targets.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.minimum(targets, mid).sum() > capacity:
+            if mid == hi:
+                break
             hi = mid
         else:
+            if mid == lo:
+                break
             lo = mid
     return np.minimum(targets, 0.5 * (lo + hi))
 
@@ -249,9 +255,16 @@ def check_fedavg_oracle(seed: int) -> tuple[bool, str]:
 
 def check_ldp_statistics(seed: int) -> tuple[bool, str]:
     rng = RngStream(seed, "verify/ldp")
-    draws = rng.laplace(1.0, size=1_000_000)
-    mean = float(draws.mean())
-    var = float(draws.var())
+    # 1e6 draws in 16 blocks, one held at a time: the mean and variance come
+    # from the blocks' summed values and summed squares
+    n, blocks = 1_000_000, 16
+    total = squares = 0.0
+    for _ in range(blocks):
+        draws = rng.laplace(1.0, size=n // blocks)
+        total += float(np.add.reduce(draws))
+        squares += float(draws.dot(draws))
+    mean = total / n
+    var = squares / n - mean * mean
     theta = rng.uniform(-1, 1, size=1000)
     noop = fed.ldp_perturb(theta, 0.0, 1.0, rng)
     exact = np.array_equal(noop, theta)

@@ -477,6 +477,51 @@ class TestVerify:
         import bench
         assert tuple(verify.ORACLE_CHECKS.values()) == bench.VERIFY_CHECKS
 
+    def test_waterfill_oracle_equals_the_full_bisection(self):
+        # the oracle stops at its fixed point; the 200 halvings it skips
+        # would each repeat the same level
+        def bisect_200(targets, capacity):
+            if targets.sum() <= capacity:
+                return targets.copy()
+            lo, hi = 0.0, float(targets.max())
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if np.minimum(targets, mid).sum() > capacity:
+                    hi = mid
+                else:
+                    lo = mid
+            return np.minimum(targets, 0.5 * (lo + hi))
+
+        rng = RngStream(11, "waterfill")
+        cases = [(np.array([70.0]), 30.0), (np.full(4, 25.0), 60.0),
+                 (np.array([40.0, 40.0, 10.0]), 50.0), (np.array([1e-300, 5.0]), 1e-300)]
+        for trial in range(400):
+            n = 1 + trial % 8
+            targets = rng.uniform(0, 100, size=n)
+            if trial % 3 == 0:
+                targets[: n // 2 + 1] = targets[0]   # tied targets
+            cases.append((targets, rng.uniform(1, 300)))
+        assert sum(t.sum() > c for t, c in cases) > 200   # most of them bisect
+        for targets, capacity in cases:
+            assert (verify.waterfill_oracle(targets, capacity).tobytes()
+                    == bisect_200(targets, capacity).tobytes())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ldp_statistics_from_blocks_read_as_from_one_array(self, seed):
+        # Philox draws do not depend on how a stream is chunked, so the
+        # blocks are the million draws one call gives, and the draw after
+        # them is the same
+        passed, detail = verify.check_ldp_statistics(seed)
+        whole = RngStream(seed, "verify/ldp")
+        draws = whole.laplace(1.0, size=1_000_000)
+        mean, var = float(draws.mean()), float(draws.var())
+        blocked = RngStream(seed, "verify/ldp")
+        parts = [blocked.laplace(1.0, size=62_500) for _ in range(16)]
+        assert np.concatenate(parts).tobytes() == draws.tobytes()
+        assert blocked.uniform(size=3).tobytes() == whole.uniform(size=3).tobytes()
+        assert passed and detail == (f"1e6 draws at b=1: mean {mean:+.4f} (|.|<0.005), "
+                                     f"var {var:.4f} (2 +/- 0.04); zero-sensitivity no-op: True")
+
     @pytest.mark.parametrize("seed", range(10))
     def test_fit_recovery_passes(self, seed):
         passed, detail = verify.check_fit_recovery(seed)

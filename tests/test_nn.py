@@ -202,6 +202,13 @@ def backward_concatenated(params, cache, grad_out):
     return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3])
 
 
+def nan_buffer(params):
+    """A gradient buffer of the network's shapes, NaN until written."""
+    buf = params.with_theta(np.zeros(params.theta.size))
+    buf.theta.fill(np.nan)
+    return buf
+
+
 class TestBackwardInto:
     @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
     @pytest.mark.parametrize("hidden", [8, 128])
@@ -213,10 +220,10 @@ class TestBackwardInto:
         x = rng.uniform(-1.5, 1.5, size=rows * 6).reshape(rows, 6)
         _, cache = nn.forward(params, x)
         grad_out = rng.uniform(-1, 1, size=rows * 5).reshape(rows, 5)
-        buf = np.full(params.theta.size, np.nan)
+        buf = nan_buffer(params)
         written = nn.backward(params, cache, grad_out, buf)
         fresh = nn.backward(params, cache, grad_out)
-        assert written is buf and fresh is not buf
+        assert written is buf.theta and fresh is not buf.theta
         assert written.tobytes() == fresh.tobytes()
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
 
@@ -227,7 +234,7 @@ class TestBackwardInto:
         x = np.linspace(-1, 1, 6)
         _, cache = nn.forward(params, x)
         grad_out = np.linspace(-0.5, 0.5, 5)[None, :]
-        written = nn.backward(params, cache, grad_out, np.full(params.theta.size, np.nan))
+        written = nn.backward(params, cache, grad_out, nan_buffer(params))
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
         _, row_cache = nn.forward(params, x[None, :])
         assert written.tobytes() == nn.backward(params, row_cache, grad_out).tobytes()
@@ -242,11 +249,25 @@ class TestBackwardInto:
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, params.theta)
 
-    def test_wrong_length_out_rejected(self):
+    def test_one_buffer_serves_every_call(self):
+        # the buffer's layer views are built once, when it is made
+        params = tiny_net(seed=6)
+        buf = nan_buffer(params)
+        views = buf.layers()
+        for rows in (1, 4, 2):
+            x = np.linspace(-1, 1, rows * 6).reshape(rows, 6)
+            _, cache = nn.forward(params, x)
+            grad_out = np.linspace(-1, 1, rows * 3).reshape(rows, 3)
+            written = nn.backward(params, cache, grad_out, buf)
+            assert written is buf.theta and buf.layers() is views
+            assert written.tobytes() == nn.backward(params, cache, grad_out).tobytes()
+
+    def test_out_of_other_shapes_rejected(self):
         params = tiny_net()
         _, cache = nn.forward(params, np.ones(6))
-        with pytest.raises(ValueError, match="out must be"):
-            nn.backward(params, cache, np.zeros((1, 3)), np.empty(params.theta.size - 1))
+        other = nan_buffer(tiny_net(hidden=5))
+        with pytest.raises(ValueError, match="out has shapes"):
+            nn.backward(params, cache, np.zeros((1, 3)), other)
 
 
 def functional_adam(theta, m, v, step, grad, lr, grad_clip):

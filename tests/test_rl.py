@@ -295,6 +295,13 @@ def synthetic_batch(seed=0, n=40):
     return actor, critic, batch
 
 
+def adam_pair(agent):
+    """A fresh (actor, critic) pair of Adam states for ``agent``, as the
+    trainer keeps one per agent."""
+    return (nn.AdamState.zeros(agent.actor.theta.size),
+            nn.AdamState.zeros(agent.critic.theta.size))
+
+
 class TestPpoUpdate:
     def test_initial_ratios_are_one(self):
         actor, critic, batch = synthetic_batch()
@@ -339,7 +346,7 @@ class TestPpoUpdate:
                               advantages=np.array([2.0]),
                               returns=np.array([0.0]))
         agent = rl.PPOAgent(actor=actor, critic=critic)
-        rl.ppo_update(agent, batch, hp, RngStream(0, "u"))
+        rl.ppo_update(agent, adam_pair(agent), batch, hp, RngStream(0, "u"))
         logits2, _ = nn.forward(agent.actor, obs)
         _, logp_after = nn.categorical_head(logits2)
         assert float(logp_after[0, 1]) > float(logp_before[0, 1])
@@ -360,13 +367,24 @@ class TestPpoUpdate:
         hp = default_hyperparams()
         before = actor.theta.copy()
         agent = rl.PPOAgent(actor=actor, critic=critic)
-        diag = rl.ppo_update(agent, batch, hp, RngStream(1, "u"))
+        adam = adam_pair(agent)
+        diag = rl.ppo_update(agent, adam, batch, hp, RngStream(1, "u"))
         for v in (diag.policy_loss, diag.value_loss, diag.entropy,
                   diag.clip_fraction, diag.mean_ratio):
             assert math.isfinite(v)
         assert not np.array_equal(agent.actor.theta, before)
         steps = -(-len(batch) // hp.minibatch) * hp.epochs
-        assert agent.actor_adam.step == agent.critic_adam.step == steps
+        assert adam[0].step == adam[1].step == steps
+        rl.ppo_update(agent, adam, batch, hp, RngStream(2, "u"))
+        assert adam[0].step == adam[1].step == 2 * steps   # the pair carries on
+
+    def test_agent_holds_no_optimizer_state(self):
+        actor, critic, batch = synthetic_batch(seed=6)
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        assert [f.name for f in dataclasses.fields(agent)] == ["actor", "critic", "sample_count"]
+        rl.ppo_update(agent, adam_pair(agent), batch, HyperParams(minibatch=16, epochs=1),
+                      RngStream(1, "u"))
+        assert set(vars(agent)) == {"actor", "critic", "sample_count"}
 
     def test_diagnostics_average_left_to_right(self, monkeypatch):
         # a compensated sum of [1e16, 1.0, -1e16] gives 1.0, so a mean of 1/3
@@ -380,26 +398,28 @@ class TestPpoUpdate:
         monkeypatch.setattr(rl, "policy_loss_and_grad", stub)
         actor, critic, batch = synthetic_batch(seed=6, n=30)
         hp = HyperParams(minibatch=10, epochs=1)
-        diag = rl.ppo_update(rl.PPOAgent(actor=actor, critic=critic), batch, hp,
-                             RngStream(1, "u"))
+        agent = rl.PPOAgent(actor=actor, critic=critic)
+        diag = rl.ppo_update(agent, adam_pair(agent), batch, hp, RngStream(1, "u"))
         assert diag.policy_loss == 0.0
 
     def test_counts_the_samples_it_trains_on(self):
         actor, critic, batch = synthetic_batch(seed=6, n=30)
         agent = rl.PPOAgent(actor=actor, critic=critic)
         hp = HyperParams(minibatch=8, epochs=3)
+        adam = adam_pair(agent)
         for k in (1, 2):
-            rl.ppo_update(agent, batch, hp, RngStream(k, "u"))
+            rl.ppo_update(agent, adam, batch, hp, RngStream(k, "u"))
             assert agent.sample_count == 30 * k   # once per batch, not per epoch
 
     def test_update_writes_into_the_agents_own_arrays(self):
         actor, critic, batch = synthetic_batch(seed=7)
         agent = rl.PPOAgent(actor=actor, critic=critic)
-        arrays = (actor.theta, critic.theta, agent.actor_adam.m, agent.critic_adam.v)
+        adam = adam_pair(agent)
+        arrays = (actor.theta, critic.theta, adam[0].m, adam[1].v)
         kept = [a.copy() for a in arrays]
-        rl.ppo_update(agent, batch, HyperParams(minibatch=16, epochs=2), RngStream(2, "u"))
+        rl.ppo_update(agent, adam, batch, HyperParams(minibatch=16, epochs=2), RngStream(2, "u"))
         assert agent.actor is actor and agent.critic is critic
-        now = (agent.actor.theta, agent.critic.theta, agent.actor_adam.m, agent.critic_adam.v)
+        now = (agent.actor.theta, agent.critic.theta, adam[0].m, adam[1].v)
         assert all(a is b for a, b in zip(now, arrays))   # the same objects ...
         assert not any(np.array_equal(a, k) for a, k in zip(arrays, kept))   # ... rewritten
 
@@ -409,15 +429,18 @@ class TestPpoUpdate:
                        batch.advantages, 0.2, 0.01)
         loss, fresh, stats = rl.policy_loss_and_grad(*policy_args)
         _, again, _ = rl.policy_loss_and_grad(*policy_args)
-        buf = np.full(actor.theta.size, np.nan)
+        buf = actor.with_theta(np.zeros(actor.theta.size))
+        buf.theta.fill(np.nan)
         loss2, written, stats2 = rl.policy_loss_and_grad(*policy_args, buf)
-        assert written is buf and not np.shares_memory(fresh, again)
+        assert written is buf.theta and not np.shares_memory(fresh, again)
         assert (loss2, written.tobytes(), stats2) == (loss, fresh.tobytes(), stats)
         vloss, vfresh = rl.value_loss_and_grad(critic, batch.observations, batch.returns, 2.0)
-        vbuf = np.full(critic.theta.size, np.nan)
+        vbuf = critic.with_theta(np.zeros(critic.theta.size))
+        vbuf.theta.fill(np.nan)
         vloss2, vwritten = rl.value_loss_and_grad(critic, batch.observations,
                                                   batch.returns, 2.0, vbuf)
-        assert vwritten is vbuf and (vloss2, vwritten.tobytes()) == (vloss, vfresh.tobytes())
+        assert vwritten is vbuf.theta
+        assert (vloss2, vwritten.tobytes()) == (vloss, vfresh.tobytes())
 
     def test_entropy_equals_the_old_heads_bit_for_bit(self):
         # the per-row entropy -sum(p * logp) that categorical_head returned
@@ -451,9 +474,10 @@ class TestPpoUpdate:
                               actions=np.zeros(0, dtype=np.int64),
                               old_log_probs=np.zeros(0), advantages=np.zeros(0),
                               returns=np.zeros(0))
+        agent = rl.PPOAgent(actor=actor, critic=critic)
         with pytest.raises(ValueError):
-            rl.ppo_update(rl.PPOAgent(actor=actor, critic=critic), empty,
-                          default_hyperparams(), RngStream(0, "u"))
+            rl.ppo_update(agent, adam_pair(agent), empty, default_hyperparams(),
+                          RngStream(0, "u"))
 
 
 def make_agents(n, seed=0, hidden=8):

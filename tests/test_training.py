@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from asms.netsim import BottleneckSim
 CFG = SimConfig(n_agents=2)
 HP = HyperParams(hidden_width=8, episodes=8, fedavg_freq=2, ldp_enabled=False)
 COEFFS = QoECoefficients()
+AGENT_FIELDS = {"actor", "critic", "sample_count"}   # no optimizer state
 
 
 def width4_agents(n):
@@ -133,6 +135,7 @@ class TestTrainLoop:
         agents = training.load_checkpoint_agents(out / "checkpoints" / "final")
         assert len(agents) == 2
         for loaded, trained in zip(agents, result.agents):
+            assert set(vars(loaded)) == AGENT_FIELDS
             assert np.array_equal(loaded.actor.theta, trained.actor.theta)
             assert np.array_equal(loaded.critic.theta, trained.critic.theta)
 
@@ -244,12 +247,12 @@ class TestEvaluation:
         agents = tiny_train(episodes=3).agents
 
         def state(agent):
-            return (agent.sample_count, agent.actor.theta.tobytes(), agent.critic.theta.tobytes(),
-                    *((adam.m.tobytes(), adam.v.tobytes(), adam.step)
-                      for adam in (agent.actor_adam, agent.critic_adam)))
+            return (set(vars(agent)), agent.sample_count, agent.actor.theta.tobytes(),
+                    agent.critic.theta.tobytes())
 
         before = [state(agent) for agent in agents]
-        assert agents[0].sample_count == HP.episode_len and agents[0].actor_adam.step > 0
+        assert agents[0].sample_count == HP.episode_len
+        assert before[0][0] == AGENT_FIELDS
         training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
         assert [state(agent) for agent in agents] == before
@@ -371,6 +374,22 @@ class TestParameterOwnership:
     """Updates write into the agents' parameters in place, so no agent may
     share an array with another agent or with a global model."""
 
+    def test_made_agents_carry_no_optimizer_memory(self):
+        # Adam's two moment vectors per network would triple what the
+        # parameters take; acting agents hold parameters only
+        tracemalloc.start()
+        try:
+            agents, model = training.make_agents(SimConfig(n_agents=24),
+                                                 HyperParams(hidden_width=128),
+                                                 RngStream(0, "init"))
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(net.theta.nbytes for owner in (*agents, model)
+                          for net in (owner.actor, owner.critic))
+        assert traced <= 1.25 * param_bytes
+        assert all(set(vars(agent)) == AGENT_FIELDS for agent in agents)
+
     def test_made_agents_share_no_memory(self):
         agents, model = training.make_agents(SimConfig(n_agents=3), HP, RngStream(0, "init"))
         arrays = [model.actor.theta, model.critic.theta]
@@ -385,13 +404,15 @@ class TestParameterOwnership:
         hp = HyperParams(hidden_width=8, ldp_enabled=ldp_enabled)
         agents, model = training.make_agents(CFG, hp, RngStream(0, "init"))
         rng_env, rng_act, rng_upd = (RngStream(0, label) for label in ("env", "act", "upd"))
+        adam = [(nn.AdamState.zeros(agent.actor.theta.size),
+                 nn.AdamState.zeros(agent.critic.theta.size)) for agent in agents]
 
         def train_episode():
             sim = BottleneckSim(scenario_by_name("s1"), CFG, hp.episode_len, rng_env)
             episode, log_probs = rl.run_episode(sim, agents, hp, COEFFS, rng_act)
             for i, agent in enumerate(agents):
-                rl.ppo_update(agent, rl.build_batch(episode, log_probs, i, agent.critic,
-                                                    CFG.y_max, hp), hp, rng_upd)
+                rl.ppo_update(agent, adam[i], rl.build_batch(episode, log_probs, i, agent.critic,
+                                                             CFG.y_max, hp), hp, rng_upd)
 
         train_episode()
         result = fed.fed_round(agents, model, hp, RngStream(0, "fed"))
