@@ -262,10 +262,12 @@ class TestBackwardInto:
             assert written is buf.theta and buf.layers() is views
             assert written.tobytes() == nn.backward(params, cache, grad_out).tobytes()
 
-    def test_out_of_other_shapes_rejected(self):
+    def test_wrong_length_out_rejected(self):
+        # a buffer of another network's shapes, and so of another length
         params = tiny_net()
         _, cache = nn.forward(params, np.ones(6))
         other = nan_buffer(tiny_net(hidden=5))
+        assert other.theta.size != params.theta.size
         with pytest.raises(ValueError, match="out has shapes"):
             nn.backward(params, cache, np.zeros((1, 3)), other)
 
