@@ -60,8 +60,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg, hp, coeffs = _load_config_arg(args.config)
     scenarios = _scenario_list(args.scenarios)
-    if args.episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {args.episodes}")
     label, origin = args.label, "--label"
     if label is None and not args.controller:
         label, origin = _method_from_manifest(args.checkpoint), "the checkpoint manifest's method"

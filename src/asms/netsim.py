@@ -74,13 +74,19 @@ def link_draws(bounds: tuple[np.ndarray, np.ndarray], steps: int | np.ndarray,
     return rng.uniform(lo.ravel(), hi.ravel(), size=lo.size).reshape(lo.shape)
 
 
-def sample_link_state(bounds: tuple[np.ndarray, np.ndarray], t: int,
-                      rng: RngStream) -> LinkState:
-    """Draw the link conditions for step t (``link_draws`` of one step)."""
-    capacity, latency, jitter, loss, burst_level, coin = link_draws(bounds, t, rng).tolist()
+def link_state(t: int, draws: np.ndarray) -> LinkState:
+    """The ``LinkState`` of step t from its six ``link_draws`` values; the
+    burst is active when the coin falls below the burst level."""
+    capacity, latency, jitter, loss, burst_level, coin = draws.tolist()
     return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
                      burst_active=coin < burst_level, burst_level=burst_level)
+
+
+def sample_link_state(bounds: tuple[np.ndarray, np.ndarray], t: int,
+                      rng: RngStream) -> LinkState:
+    """Draw the link conditions for step t (``link_draws`` of one step)."""
+    return link_state(t, link_draws(bounds, t, rng))
 
 
 def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
@@ -206,4 +212,4 @@ class TraceWriter:
 
 
 __all__ = ["BottleneckSim", "LinkState", "TraceWriter", "advance", "allocate_max_min",
-           "link_bounds", "link_draws", "sample_link_state"]
+           "link_bounds", "link_draws", "link_state", "sample_link_state"]

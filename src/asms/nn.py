@@ -46,7 +46,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        expected = sum(i * o + o for i, o in self.shapes)
+        expected = flat_size(self.shapes)
         if self.theta.shape != (expected,):
             raise ValueError(f"flat vector length {self.theta.shape} != {expected}")
         if not np.all(np.isfinite(self.theta)):

@@ -34,14 +34,8 @@ class NonFiniteLossError(RuntimeError):
 def normalize_obs(rows: np.ndarray, y_max: float) -> np.ndarray:
     """Affine-scale (..., 6) observation rows (columns ``core.OBS_*``) into
     bounded features."""
-    return (np.asarray(rows, dtype=np.float64) / _obs_scale(y_max)).clip(0.0, OBS_CLIP)
-
-
-@functools.lru_cache(maxsize=8)
-def _obs_scale(y_max: float) -> np.ndarray:
     scale = np.array([y_max, y_max, LATENCY_SCALE_MS, JITTER_SCALE_MS, PACKET_SCALE, PACKET_SCALE])
-    scale.flags.writeable = False   # one array serves every call with this y_max
-    return scale
+    return (np.asarray(rows, dtype=np.float64) / scale).clip(0.0, OBS_CLIP)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ no timestamps, so outputs diff cleanly between runs.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 WIDTH = 640
 HEIGHT = 400
@@ -52,7 +52,8 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], float, float]:
+def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], Callable[[float], float]]:
+    """The y axis's elements, and the map from a value to its y pixel."""
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
     scale = plot_h / (hi - lo)
 
@@ -70,7 +71,7 @@ def _y_axis(lo: float, hi: float, label: str) -> tuple[list[str], float, float]:
                      f'font-size="11">{_fmt(v)}</text>')
     parts.append(f'<text x="16" y="{HEIGHT / 2:.0f}" font-size="12" text-anchor="middle" '
                  f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">{_escape(label)}</text>')
-    return parts, lo, scale
+    return parts, y_of
 
 
 def bar_chart(category: str, values: Mapping[str, float | None], title: str) -> str:
@@ -78,13 +79,13 @@ def bar_chart(category: str, values: Mapping[str, float | None], title: str) -> 
     values are simply not drawn."""
     lo, hi = _axis_bounds(list(values.values()))
     parts = _header(title)
-    axis, lo, scale = _y_axis(lo, hi, "QoE")
+    axis, y_of = _y_axis(lo, hi, "QoE")
     parts += axis
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     bar_w = plot_w * 0.8 / max(1, len(values))
     cx = MARGIN_L + plot_w * 0.5
-    y_zero = HEIGHT - MARGIN_B - (0.0 - lo) * scale
+    y_zero = y_of(0.0)
 
     parts.append(f'<line x1="{MARGIN_L}" y1="{_fmt(y_zero)}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{_fmt(y_zero)}" stroke="black"/>')
@@ -94,7 +95,7 @@ def bar_chart(category: str, values: Mapping[str, float | None], title: str) -> 
         if v is None or not math.isfinite(v):
             continue
         x = cx - plot_w * 0.4 + si * bar_w
-        y_v = HEIGHT - MARGIN_B - (v - lo) * scale
+        y_v = y_of(v)
         top, height = (y_v, y_zero - y_v) if v >= 0 else (y_zero, y_v - y_zero)
         parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(top)}" width="{_fmt(bar_w * 0.92)}" '
                      f'height="{_fmt(height)}" fill="{PALETTE[si % len(PALETTE)]}"/>')
@@ -112,7 +113,7 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str) -> str:
     all_vals = [v for vals in series.values() for v in vals if math.isfinite(v)]
     lo, hi = _axis_bounds(all_vals)
     parts = _header(title)
-    axis, lo, scale = _y_axis(lo, hi, "reward")
+    axis, y_of = _y_axis(lo, hi, "reward")
     parts += axis
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -125,8 +126,7 @@ def line_chart(series: Mapping[str, Sequence[float]], title: str) -> str:
         pts = []
         for i, v in enumerate(vals):
             x = MARGIN_L + plot_w * i / (n - 1)
-            y = HEIGHT - MARGIN_B - (v - lo) * scale
-            pts.append(f"{_fmt(x)},{_fmt(y)}")
+            pts.append(f"{_fmt(x)},{_fmt(y_of(v))}")
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="{PALETTE[si % len(PALETTE)]}" stroke-width="1.5"/>')
         x = MARGIN_L + 10 + si * 150

@@ -80,13 +80,16 @@ def make_agents(cfg: SimConfig, hp: HyperParams, rng_init: RngStream,
 def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
           scenarios: Sequence[ScenarioSpec | str], seed: int,
           out_dir: str | Path | None = None, episodes: int | None = None) -> TrainResult:
-    """Run the full training loop into ``out_dir``, which must be new or empty.
+    """Run the full training loop, writing a run directory into ``out_dir``
+    (which must be new or empty) when one is given.
 
     Scenarios (names or specs) cycle round-robin per episode; one
     policy/value update per agent per episode; for ``fmappo``, aggregation
     every hp.fedavg_freq episodes (``ippo`` never aggregates). No step reads
     the episode count, so a k-episode run is the first k episodes of any
-    longer run at the same seed.
+    longer run at the same seed. Every run, with or without ``out_dir``,
+    renders its config snapshot first, so structs that ``serialize_config``
+    rejects (``y_min`` or ``f_target`` disagreeing) raise before any episode.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -102,8 +105,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
         raise ValueError(f"run directory {out_path} is not empty; use a new or empty one")
     # rendered before any work, so a config that cannot be snapshot fails
     # first; it records the episode count this run runs, so --config repeats it
-    snapshot = (serialize_config(cfg, dataclasses.replace(hp, episodes=n_episodes), coeffs)
-                if out_path is not None else None)
+    snapshot = serialize_config(cfg, dataclasses.replace(hp, episodes=n_episodes), coeffs)
 
     rng_init = RngStream(seed, "init")
     rng_env = RngStream(seed, "env")

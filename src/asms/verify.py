@@ -2,7 +2,9 @@
 and the seeded learning-behavior checks.
 
 Every check is deterministic under its seed and returns ``(passed, detail)``,
-where the detail carries the measured value so failures are diagnosable. The
+where the detail carries the measured value so failures are diagnosable.
+Details and verdicts carry seeded values only, so two runs at one seed print
+the same lines; how long a check takes is the benchmark's to measure. The
 ``ORACLE_CHECKS`` and ``LEARNING_CHECKS`` tables name each check, in run
 order; ``run_checks`` selects from them and builds the ``CheckResult``s. The
 gradient checks honor the ASMS_VERIFY_CORRUPT_GRADIENT environment hook
@@ -12,11 +14,9 @@ exercised.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -26,7 +26,7 @@ import numpy as np
 from . import fed, netsim, nn, qoe, rl, training
 from .core import (OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED, OBS_TARGET, Channel,
                    HyperParams, QoECoefficients, RngStream, ScenarioSpec, SimConfig,
-                   builtin_scenarios, default_hyperparams)
+                   builtin_scenarios)
 
 CORRUPT_GRADIENT_ENV = "ASMS_VERIFY_CORRUPT_GRADIENT"
 
@@ -53,7 +53,6 @@ def _finite_difference_check(seed: int, label: str, activation: str, n_out: int,
     rng = RngStream(seed, f"verify/{label}")
     corrupt = _corruption_factor()
     worst = 0.0
-    t0 = time.time()
     for k in range(20):
         hidden = 8 + int(rng.uniform(0, 12))
         net = nn.init_mlp(6, hidden, n_out, activation, rng.spawn(f"net{k}"))
@@ -64,9 +63,7 @@ def _finite_difference_check(seed: int, label: str, activation: str, n_out: int,
             return l, g * corrupt
 
         worst = max(worst, nn.grad_check(net, loss, rng.spawn(f"fd{k}"), n_coords=60))
-    dt = time.time() - t0
-    return (worst < 1e-4 and dt < 30,
-            f"max rel err {worst:.3e} (limit 1e-4), {dt:.1f}s over 20 nets")
+    return worst < 1e-4, f"max rel err {worst:.3e} (limit 1e-4) over 20 nets"
 
 
 def check_gradient_actor(seed: int) -> tuple[bool, str]:
@@ -310,7 +307,7 @@ REFERENCE_SCENARIOS = {
 
 
 def check_hyperparam_table(seed: int) -> tuple[bool, str]:
-    hp = default_hyperparams()
+    hp = HyperParams()
     bad = [k for k, v in REFERENCE_HYPERPARAMS.items() if getattr(hp, k) != v]
     return not bad, f"mismatched: {bad}" if bad else "all reference rows match"
 
@@ -319,11 +316,8 @@ def _sample_failure(name: str, bounds: tuple[np.ndarray, np.ndarray], t: int,
                     row: np.ndarray) -> str:
     """Why one drawn sample fails: LinkState's own invariant message, or its
     first channel outside row t of its scenario's ``netsim.link_bounds``."""
-    capacity, latency, jitter, loss, burst_level, coin = row.tolist()
     try:
-        netsim.LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
-                         base_jitter_ms=jitter, loss_rate=loss,
-                         burst_active=coin < burst_level, burst_level=burst_level)
+        netsim.link_state(t, row)
     except ValueError as err:
         return f"{name} t={t}: {err}"
     value, low, high = next((value, low, high) for value, low, high in
@@ -378,8 +372,7 @@ def check_episode_structure(seed: int) -> tuple[bool, str]:
     """A real (downsized) 330-episode run: 40-step trajectories, one update
     per agent per episode, aggregation every 4 episodes -> 82 rounds."""
     cfg = SimConfig(n_agents=2)
-    hp = dataclasses.replace(default_hyperparams(), hidden_width=8,
-                             ldp_enabled=False)
+    hp = HyperParams(hidden_width=8, ldp_enabled=False)
     coeffs = QoECoefficients()
     result = training.train(cfg, hp, coeffs, "fmappo", ROUND_ROBIN, seed=seed)
     rounds = len(result.overhead)
@@ -589,8 +582,7 @@ def check_federation_identity(seed: int) -> tuple[bool, str]:
     """Criterion: N=1 with LDP off runs byte-identically to independent
     training (same seed): learning curve, diagnostics, and final weights."""
     cfg = SimConfig(n_agents=1)
-    hp = dataclasses.replace(default_hyperparams(), hidden_width=32,
-                             ldp_enabled=False)
+    hp = HyperParams(hidden_width=32, ldp_enabled=False)
     coeffs = QoECoefficients()
     with tempfile.TemporaryDirectory() as tmp:
         out_a = Path(tmp) / "fmappo"
@@ -627,8 +619,7 @@ def learning_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
     episodes are not dominated by burst-loss cliffs, and a slightly larger
     entropy bonus so policies stay hedged at this training budget."""
     cfg = SimConfig(n_agents=6, x_init=5.0)
-    hp = dataclasses.replace(default_hyperparams(), ldp_eps=100.0,
-                             entropy_coef=0.02)
+    hp = HyperParams(ldp_eps=100.0, entropy_coef=0.02)
     return cfg, hp, QoECoefficients()
 
 
@@ -644,7 +635,7 @@ def single_agent_config() -> tuple[SimConfig, HyperParams, QoECoefficients]:
     """The scripted single-agent sanity config (federation degenerates to
     identity, so LDP is off)."""
     cfg = SimConfig(n_agents=1)
-    hp = dataclasses.replace(default_hyperparams(), ldp_enabled=False)
+    hp = HyperParams(ldp_enabled=False)
     return cfg, hp, QoECoefficients()
 
 

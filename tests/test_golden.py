@@ -14,7 +14,9 @@ Pinned (sha256 of the files' relative paths and bytes):
 - ``eval_n24.csv`` at N=24 (hidden width 8): stochastic ``evaluate_agents``
   of freshly made agents and the ``delay`` controller, on s1 and s5 with 1
   episode each, so that the large-N paths (an overloaded link's high-loss
-  ``binomial`` draws among them) are pinned too.
+  ``binomial`` draws among them) are pinned too;
+- the 21 ``name|passed|detail`` lines of ``asms verify --seed 0`` (the
+  ``verify-seed0`` key), so every oracle check's seeded detail is pinned.
 
 Float results can move with the Python, numpy or BLAS build, so
 ``golden.json`` records the versions it was made with, and the hash of a
@@ -25,7 +27,8 @@ with a left-to-right sum and draw from numpy's C samplers, so they hold
 under every OpenBLAS kernel and numpy SIMD level; a test recomputes them
 in child processes under two other OpenBLAS kernels and with numpy's
 AVX-512 paths disabled. The train keys go through BLAS products and numpy's
-SIMD ``exp`` and ``log``, so they stay tied to the recorded hash. numpy
+SIMD ``exp`` and ``log``, so they stay tied to the recorded hash, and so does
+the verify key, whose checks run the same products and more. numpy
 does not promise the same ``Generator`` streams across its versions
 (NEP 19), so a numpy upgrade may move every key. After a change that is
 meant to move seeded outputs, or on another platform, regenerate with
@@ -47,7 +50,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asms import training
+from asms import training, verify
 from asms.core import HyperParams, QoECoefficients, RngStream, SimConfig, builtin_scenarios
 
 GOLDEN_FILE = Path(__file__).with_name("golden.json")
@@ -107,7 +110,14 @@ def compute_digests(work: Path) -> dict[str, str]:
         training.train(CFG, HP, COEFFS, method, TRAIN_SCENARIOS, seed=0,
                        out_dir=run_dir, episodes=12)
         digests[f"train-{method}"] = tree_digest(run_dir)
+    digests["verify-seed0"] = verify_digest(0)
     return {**digests, **eval_digests(work, checkpoint_of(work))}
+
+
+def verify_digest(seed: int) -> str:
+    """sha256 of the ``name|passed|detail`` lines of the oracle checks."""
+    lines = "".join(f"{r.name}|{r.passed}|{r.detail}\n" for r in verify.run_checks(seed))
+    return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def eval_digests(work: Path, checkpoint: Path) -> dict[str, str]:

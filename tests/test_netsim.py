@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from asms import netsim
 from asms.core import (OBS_JITTER, OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED,
                        OBS_TARGET, Channel, RngStream, ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
-                         allocate_max_min, link_bounds, link_draws,
+                         allocate_max_min, link_bounds, link_draws, link_state,
                          sample_link_state)
 from rng_state import rng_state, untouched
 
@@ -170,6 +171,23 @@ class TestSampleLinkState:
             want = link_draws(bounds, t, a).tobytes()
             assert link_draws(bounds, np.int64(t), b).tobytes() == want
             assert link_draws(bounds, np.array([t]), c)[0].tobytes() == want
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_link_state_of_the_draws_is_the_sampled_state(self, name):
+        bounds = link_bounds(scenario_by_name(name), 40)
+        rng = RngStream(11, name)
+        for t in (0, 17, 39):
+            twin = copy.deepcopy(rng)
+            assert link_state(t, link_draws(bounds, t, twin)) == sample_link_state(bounds, t, rng)
+            assert rng_state(twin) == rng_state(rng)
+
+    def test_coin_at_the_burst_level_is_no_burst(self):
+        level = 0.25
+        draws = np.array([100.0, 10.0, 2.0, 0.01, level, level])
+        state = link_state(3, draws)
+        assert state == LinkState(3, 100.0, 10.0, 2.0, 0.01, False, level)
+        draws[5] = np.nextafter(level, 0.0)
+        assert link_state(3, draws).burst_active
 
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):

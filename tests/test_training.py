@@ -61,17 +61,19 @@ class TestTrainLoop:
     def test_config_that_cannot_be_snapshot_fails_before_any_episode(self, tmp_path,
                                                                     monkeypatch):
         # config.cfg has one y_min line for both structs, so a run whose
-        # structs disagree could not be repeated from its snapshot
+        # structs disagree could not be repeated from its snapshot; a run
+        # without a directory meets the same rule, so no run trains with the
+        # simulator and the score flooring quality at different rates
         def no_episode(*args, **kwargs):
             raise AssertionError("an episode ran")
 
         monkeypatch.setattr(training, "run_episode", no_episode)
-        out = tmp_path / "run"
-        with pytest.raises(ConfigError, match="SimConfig.y_min = 2.0"):
-            training.train(SimConfig(n_agents=2, y_min=2.0), HP,
-                           QoECoefficients(f_target=30.0), "fmappo", ["s1"], seed=0,
-                           out_dir=out, episodes=1)
-        assert not out.exists()
+        for out in (tmp_path / "run", None):
+            with pytest.raises(ConfigError, match="SimConfig.y_min = 2.0"):
+                training.train(SimConfig(n_agents=2, y_min=2.0), HP,
+                               QoECoefficients(f_target=30.0), "fmappo", ["s1"], seed=0,
+                               out_dir=out, episodes=1)
+            assert out is None or not out.exists()
 
     def test_deterministic_artifacts(self, tmp_path):
         out_a = tmp_path / "a"
