@@ -11,8 +11,9 @@ part by part, and ``fed_round`` wraps the averaged parts in the next
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,8 +43,10 @@ def clip_update(params_new: np.ndarray, params_old: np.ndarray,
         raise ValueError("parameter vectors must have equal length")
     if clip_bound <= 0:
         raise ValueError("clip bound must be > 0")
-    delta = np.clip(params_new - params_old, -clip_bound, clip_bound)
-    return params_old + delta
+    delta = params_new - params_old
+    np.clip(delta, -clip_bound, clip_bound, out=delta)
+    delta += params_old
+    return delta
 
 
 def ldp_perturb(theta: np.ndarray, sensitivity: float, privacy_eps: float,
@@ -58,35 +61,42 @@ def ldp_perturb(theta: np.ndarray, sensitivity: float, privacy_eps: float,
         raise ValueError("sensitivity must be >= 0")
     if sensitivity == 0.0:
         return theta.copy()
-    return theta + rng.laplace(sensitivity / privacy_eps, size=theta.size)
+    noise = rng.laplace(sensitivity / privacy_eps, size=theta.size)
+    noise += theta
+    return noise
 
 
-def fedavg(uploads: Sequence[Sequence[np.ndarray]],
+def fedavg(uploads: Iterable[Sequence[np.ndarray]],
            weights: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """Weight-normalized coordinate-wise average of the uploads, part by part."""
-    if len(uploads) == 0:
-        raise ValueError("no updates to aggregate")
-    if len(weights) != len(uploads):
-        raise ValueError("one weight per update required")
+    """Weight-normalized coordinate-wise average of the uploads, part by part.
+
+    The uploads are consumed one at a time, in order, each folded into
+    running sums of its weighted drift from the first upload, so a generator
+    of uploads is held one upload at a time (besides the first).
+    """
     w = np.asarray(weights, dtype=np.float64)
+    it = iter(uploads)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("no updates to aggregate")
     if np.any(w < 0):
         raise ValueError("weights must be >= 0")
     if w.sum() <= 0:
         raise ValueError("weights must not all be zero")
-    first = uploads[0]
-    for up in uploads[1:]:
+    norm = w / w.sum()
+    # Baseline-shifted accumulation: identical inputs return bit-identical
+    # output regardless of the weights.
+    acc = [np.zeros_like(base) for base in first]
+    for i, up in enumerate(itertools.chain((first,), it)):
+        if i == norm.size:
+            raise ValueError("one weight per update required")
         if len(up) != len(first) or any(p.shape != q.shape for p, q in zip(up, first)):
             raise ValueError("update shapes do not match")
-    norm = w / w.sum()
-    averaged = []
-    for k, base in enumerate(first):
-        # Baseline-shifted accumulation: identical inputs return bit-identical
-        # output regardless of the weights.
-        acc = np.zeros_like(base)
-        for wi, up in zip(norm, uploads):
-            acc += wi * (up[k] - base)
-        averaged.append(base + acc)
-    return tuple(averaged)
+        for a, part, base in zip(acc, up, first):
+            a += norm[i] * (part - base)
+    if i + 1 != norm.size:
+        raise ValueError("one weight per update required")
+    return tuple(base + a for base, a in zip(first, acc))
 
 
 def make_local_update(actor: nn.ModelParams, critic: nn.ModelParams,
@@ -135,8 +145,9 @@ def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
     a round touches none: the Adam states a trainer keeps for its agents
     persist across the broadcast.
     """
-    uploads = [make_local_update(agent.actor, agent.critic, model, hp, rng)
-               for agent in agents]
+    # a generator: the server holds one upload at a time
+    uploads = (make_local_update(agent.actor, agent.critic, model, hp, rng)
+               for agent in agents)
     counts = np.array([agent.sample_count for agent in agents], dtype=np.float64)
     actor_theta, critic_theta = fedavg(
         uploads, counts if counts.sum() > 0 else np.ones(len(agents)))

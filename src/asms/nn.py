@@ -3,7 +3,8 @@
 Parameters live in one flat float64 vector (per layer: weights then biases)
 so models can be averaged, perturbed, serialized, and finite-difference
 checked without touching layer structure. ``forward`` takes a single
-input vector or a batch; ``backward`` and the categorical head take batches.
+input vector or a batch; ``backward`` takes the cache of either, and the
+categorical head takes batches.
 """
 
 from __future__ import annotations
@@ -118,33 +119,41 @@ def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Network output and the activation cache needed by backward().
 
-    Accepts one input vector (in_dim,) or a batch (B, in_dim); the output
-    mirrors the input's batching, and the cache always holds a batch.
+    Accepts one input vector (in_dim,) or a batch (B, in_dim) and runs the
+    same arithmetic on either: per layer ``z = x @ W``, then ``z += b``,
+    then the activation. The output and every cache entry keep the input's
+    rank, so a vector gives a cache of vectors; a 1-D product equals the
+    batch-of-one product bit for bit.
     """
     arr = np.asarray(x, dtype=np.float64)
-    batch = arr[None, :] if arr.ndim == 1 else arr
-    if batch.ndim != 2 or batch.shape[1] != params.in_dim:
+    if arr.ndim not in (1, 2) or arr.shape[-1] != params.in_dim:
         raise ValueError(f"input shape {arr.shape} incompatible with in_dim {params.in_dim}")
     (w1, b1), (w2, b2), (w3, b3) = params.layers()
-    z1 = batch @ w1 + b1
+    z1 = arr @ w1
+    z1 += b1
     a1 = _act(z1, params.activation)
-    z2 = a1 @ w2 + b2
+    z2 = a1 @ w2
+    z2 += b2
     a2 = _act(z2, params.activation)
-    out = a2 @ w3 + b3
-    return (out[0] if arr.ndim == 1 else out), (batch, z1, a1, z2, a2)
+    out = a2 @ w3
+    out += b3
+    return out, (arr, z1, a1, z2, a2)
 
 
 def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
              out: ModelParams | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
 
-    grad_out is (B, out_dim) for the cached batch of B inputs (B = 1 after a
-    forward of one input vector); batch entries are summed (supply
-    per-sample dLoss/dOutput for a mean loss already divided by the batch
-    size). The gradient is written through the layer views of ``out``, a
-    buffer of the network's shapes such as ``params.with_theta(np.zeros(P))``,
-    and ``out.theta`` is returned; without one a fresh vector is allocated.
+    grad_out is (B, out_dim) for the cached batch of B inputs; the cache of
+    a forward of one input vector is taken as a batch of one, so it needs a
+    (1, out_dim) grad_out. Batch entries are summed (supply per-sample
+    dLoss/dOutput for a mean loss already divided by the batch size). The
+    gradient is written through the layer views of ``out``, a buffer of the
+    network's shapes such as ``params.with_theta(np.zeros(P))``, and
+    ``out.theta`` is returned; without one a fresh vector is allocated.
     """
+    if cache[0].ndim == 1:
+        cache = tuple(a[None, :] for a in cache)
     batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != (batch.shape[0], params.out_dim):

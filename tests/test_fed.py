@@ -148,6 +148,25 @@ class TestFedavg:
         with pytest.raises(ValueError):
             fed.fedavg([a, b], [1.0, 1.0])
 
+    def test_generator_of_uploads_equals_the_list(self):
+        ups = [small_update(s, agent_id=s) for s in range(5)]
+        w = np.array([1.0, 2.0, 0.5, 3.0, 1.5])
+        from_list = fed.fedavg(ups, w)
+        from_generator = fed.fedavg((up for up in ups), w)
+        assert [p.tobytes() for p in from_generator] == [p.tobytes() for p in from_list]
+
+    def test_generator_checks_each_upload_as_it_arrives(self):
+        a = small_update(0)
+        b = small_update(1, 1, shapes=((4, 2), (2, 2)))
+        with pytest.raises(ValueError, match="update shapes do not match"):
+            fed.fedavg((up for up in (a, b)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="one weight per update required"):
+            fed.fedavg((a for _ in range(3)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="one weight per update required"):
+            fed.fedavg((a for _ in range(1)), [1.0, 1.0])
+        with pytest.raises(ValueError, match="no updates to aggregate"):
+            fed.fedavg(iter(()), [1.0])
+
 
 class TestMakeLocalUpdate:
     def drifted(self):

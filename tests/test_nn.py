@@ -126,16 +126,30 @@ class TestForward:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_batch_matches_single(self):
-        params = tiny_net(seed=7)
+        # a vector runs the batch arithmetic: output and cache equal row 0
+        # of the forward of x[None] byte for byte, and keep the vector's rank
         xs = RngStream(8, "b").uniform(-1, 1, size=18).reshape(3, 6)
-        batch_out, _ = nn.forward(params, xs)
-        for i in range(3):
-            single, _ = nn.forward(params, xs[i])
-            np.testing.assert_allclose(batch_out[i], single, atol=1e-15)
+        for activation in nn.ACTIVATIONS:
+            for hidden in (8, 128):
+                params = tiny_net(seed=7, hidden=hidden, activation=activation)
+                batch_out, _ = nn.forward(params, xs)
+                for x, batch_row in zip(xs, batch_out):
+                    single, cache = nn.forward(params, x)
+                    row_out, row_cache = nn.forward(params, x[None])
+                    assert single.shape == (3,)
+                    assert single.tobytes() == row_out[0].tobytes()
+                    np.testing.assert_allclose(batch_row, single, atol=1e-15)
+                    assert len(cache) == len(row_cache) == 5
+                    for entry, row_entry in zip(cache, row_cache):
+                        assert entry.ndim == 1
+                        assert entry.tobytes() == row_entry[0].tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             nn.forward(tiny_net(), np.ones(5))
+        for bad in (np.ones((2, 5)), np.ones((1, 1, 6)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="incompatible with in_dim"):
+                nn.forward(tiny_net(), bad)
 
 
 class TestBackward:
@@ -185,8 +199,9 @@ class TestBackward:
 
 def backward_concatenated(params, cache, grad_out):
     """The gradient arithmetic of backward() as it was before it wrote into
-    per-layer views: fresh layer products, joined by one concatenate."""
-    batch, z1, a1, z2, a2 = cache
+    per-layer views: fresh layer products, joined by one concatenate. The
+    cache of a vector forward is lifted to a batch of one."""
+    batch, z1, a1, z2, a2 = (np.atleast_2d(entry) for entry in cache)
     g = np.asarray(grad_out, dtype=np.float64)
     (w1, b1), (w2, b2), (w3, b3) = params.layers()
     act_grad = ((lambda z, a: 1.0 - a * a) if params.activation == "tanh"
@@ -228,8 +243,8 @@ class TestBackwardInto:
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
 
     def test_single_input_gradient_is_bit_equal_to_the_fresh_one(self):
-        # a 1-D forward caches a batch of one, so backward takes a (1, K)
-        # upstream gradient: what the single-input branch lifted 1-D ones to
+        # backward takes the vector cache of a 1-D forward as a batch of one,
+        # so it needs a (1, K) upstream gradient
         params = tiny_net(seed=3, hidden=16, out=5)
         x = np.linspace(-1, 1, 6)
         _, cache = nn.forward(params, x)

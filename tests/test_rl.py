@@ -551,6 +551,17 @@ class TestRollout:
                        lambda t, rows: result(len(rows)))
 
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
+    def test_narrow_integer_chooser_results_are_kept(self, dtype):
+        cfg = SimConfig(n_agents=3, x_init=10.0)
+        hp = HyperParams(episode_len=4)
+        picks = np.arange(12).reshape(4, 3) % len(cfg.delta_table)
+        episode = rl.rollout(BottleneckSim(STEADY, cfg, 4, RngStream(3, "env")), hp,
+                             QoECoefficients(), lambda t, rows: picks[t].astype(dtype))
+        assert episode.actions.dtype == np.int64
+        assert episode.actions.tolist() == picks.tolist()
+
+
 class TestRunEpisode:
     def test_trajectory_lengths_and_shared_rewards(self):
         cfg = SimConfig(n_agents=3, x_init=10.0)
