@@ -1,12 +1,14 @@
 """Federated coordination: bounded, noise-perturbed uploads of local model
-updates, weighted server-side averaging, and byte accounting per round.
+updates, server-side averaging, and byte accounting per round.
 
 An upload is one device's ``(actor_theta, critic_theta)`` vector pair. With
 LDP on, each part is the device's parameters with their drift from the last
 broadcast global model clipped per coordinate, so the Laplace perturbation
 added to it has a well-defined sensitivity. ``fedavg`` averages the uploads
 part by part, and ``fed_round`` wraps the averaged parts in the next
-``GlobalModel``.
+``GlobalModel``. Uploads weigh equally: every device trains on
+``episode_len`` samples per episode, so FedAvg's sample-count weights are
+equal, and equal weights normalize to the same bits whatever their value.
 """
 
 from __future__ import annotations
@@ -53,14 +55,12 @@ def ldp_perturb(theta: np.ndarray, sensitivity: float, privacy_eps: float,
                 rng: RngStream) -> np.ndarray:
     """Add per-coordinate Laplace(sensitivity/privacy_eps) noise.
 
-    Zero sensitivity is an exact no-op (consumes no randomness).
+    ``RngStream.laplace`` owns the scale rules: zero sensitivity adds zeros
+    and draws nothing, so the result equals ``theta`` under ``==`` (a -0.0
+    entry comes back as +0.0), and a negative one raises.
     """
     if privacy_eps <= 0:
         raise ValueError("privacy budget must be > 0")
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be >= 0")
-    if sensitivity == 0.0:
-        return theta.copy()
     noise = rng.laplace(sensitivity / privacy_eps, size=theta.size)
     noise += theta
     return noise
@@ -138,25 +138,20 @@ class FedRoundResult:
 def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
               rng: RngStream) -> FedRoundResult:
     """One synchronous aggregation: upload perturbed updates, average them
-    weighted by per-agent sample counts (uniform when all are zero),
-    broadcast.
+    with equal weights, as FedAvg's sample counts are (every device trains
+    on ``episode_len`` samples per episode), and broadcast.
 
-    Agents' sample counters reset. The agents hold no optimizer state, and
-    a round touches none: the Adam states a trainer keeps for its agents
-    persist across the broadcast.
+    The broadcast is the only change a round makes to the agents. They hold
+    no optimizer state; a trainer's Adam states persist across it.
     """
     # a generator: the server holds one upload at a time
     uploads = (make_local_update(agent.actor, agent.critic, model, hp, rng)
                for agent in agents)
-    counts = np.array([agent.sample_count for agent in agents], dtype=np.float64)
-    actor_theta, critic_theta = fedavg(
-        uploads, counts if counts.sum() > 0 else np.ones(len(agents)))
+    actor_theta, critic_theta = fedavg(uploads, np.ones(len(agents)))
     new_model = GlobalModel(round_index=model.round_index + 1,
                             actor=model.actor.with_theta(actor_theta),
                             critic=model.critic.with_theta(critic_theta))
     broadcast(new_model, agents)
-    for agent in agents:
-        agent.sample_count = 0
     # every device sends and receives one actor and one critic of these shapes
     total = update_upload_bytes(model.actor, model.critic) * len(agents)
     return FedRoundResult(model=new_model, bytes_up=total, bytes_down=total)

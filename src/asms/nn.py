@@ -3,8 +3,8 @@
 Parameters live in one flat float64 vector (per layer: weights then biases)
 so models can be averaged, perturbed, serialized, and finite-difference
 checked without touching layer structure. ``forward`` takes a single
-input vector or a batch; ``backward`` takes the cache of either, and the
-categorical head takes batches.
+input vector or a batch; ``backward`` and the categorical head take
+batches, so ``backward`` needs a batch's cache.
 """
 
 from __future__ import annotations
@@ -144,16 +144,14 @@ def backward(params: ModelParams, cache: tuple, grad_out: np.ndarray,
              out: ModelParams | None = None) -> np.ndarray:
     """Exact gradient of sum(grad_out * output) w.r.t. the flat vector.
 
-    grad_out is (B, out_dim) for the cached batch of B inputs; the cache of
-    a forward of one input vector is taken as a batch of one, so it needs a
-    (1, out_dim) grad_out. Batch entries are summed (supply per-sample
-    dLoss/dOutput for a mean loss already divided by the batch size). The
-    gradient is written through the layer views of ``out``, a buffer of the
-    network's shapes such as ``params.with_theta(np.zeros(P))``, and
-    ``out.theta`` is returned; without one a fresh vector is allocated.
+    ``cache`` is that of a forward of a (B, in_dim) batch, and grad_out is
+    (B, out_dim); one input goes through as a batch of one. Batch entries
+    are summed (supply per-sample dLoss/dOutput for a mean loss already
+    divided by the batch size). The gradient is written through the layer
+    views of ``out``, a buffer of the network's shapes such as
+    ``params.with_theta(np.zeros(P))``, and ``out.theta`` is returned;
+    without one a fresh vector is allocated.
     """
-    if cache[0].ndim == 1:
-        cache = tuple(a[None, :] for a in cache)
     batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != (batch.shape[0], params.out_dim):

@@ -225,8 +225,7 @@ def ppo_update(agent: PPOAgent, adam: tuple[nn.AdamState, nn.AdamState],
     (plus entropy bonus) and descent on the value MSE, written in place into
     the agent's parameters and into ``adam``, the (actor, critic) pair of
     Adam states that the trainer keeps for this agent; the agent's
-    ``sample_count`` grows by the batch's length, the steps FedAvg weights
-    it by.
+    ``sample_count`` grows by the batch's length.
 
     Each minibatch's gradients go into one actor and one critic buffer held
     for this call only.
@@ -271,7 +270,7 @@ class PPOAgent:
 
     actor: nn.ModelParams
     critic: nn.ModelParams
-    sample_count: int = field(init=False)   # steps trained on since the last aggregation
+    sample_count: int = field(init=False)   # read only by benchmarks/tracer.py (item 24)
 
     def __post_init__(self) -> None:
         self.sample_count = 0

@@ -5,6 +5,7 @@ import pytest
 from asms import fed, nn
 from asms.core import HyperParams, RngStream
 from asms.rl import PPOAgent
+from rng_state import rng_state
 
 
 def small_update(seed, agent_id=0, shapes=((4, 3), (3, 2))):
@@ -69,9 +70,11 @@ class TestLdpPerturb:
     def test_zero_sensitivity_is_noop(self):
         rng = RngStream(0, "ldp")
         theta = rng.uniform(-1, 1, size=50)
+        state = rng_state(rng)
         out = fed.ldp_perturb(theta, 0.0, 1.0, rng)
         assert np.array_equal(out, theta)
         assert out is not theta
+        assert rng_state(rng) == state   # drew nothing
 
     def test_seeded_determinism(self):
         theta = np.zeros(100)
@@ -132,6 +135,16 @@ class TestFedavg:
             stack = np.stack([u[k] for u in ups])
             assert np.all(out[k] >= stack.min(axis=0) - 1e-12)
             assert np.all(out[k] <= stack.max(axis=0) + 1e-12)
+
+    def test_equal_weights_normalize_to_the_same_bits(self):
+        # fed_round passes weights of 1 where FedAvg's equal sample counts
+        # would stand: any common value normalizes to the same quotients
+        ups = [small_update(s, agent_id=s) for s in range(256)]
+        for n in range(1, 257):
+            want = [p.tobytes() for p in fed.fedavg(ups[:n], np.ones(n))]
+            for c in (1, 40, 160, 13200):
+                got = fed.fedavg(ups[:n], [c] * n)
+                assert [p.tobytes() for p in got] == want, (n, c)
 
     def test_rejects_bad_weights(self):
         ups = [small_update(0), small_update(1, 1)]
@@ -230,7 +243,26 @@ class TestFedRound:
             assert np.array_equal(agent.actor.theta, agents[0].actor.theta)
             assert np.array_equal(agent.critic.theta, agents[0].critic.theta)
         assert result.model.round_index == 1
-        assert all(agent.sample_count == 0 for agent in agents)
+        # the broadcast is the only change a round makes to the agents
+        assert all(agent.sample_count == 160 for agent in agents)
+
+    def test_round_ignores_sample_counts(self):
+        hp = HyperParams(ldp_eps=2.0, ldp_clip=0.05)
+        model = fed.init_global(6, 8, 5, RngStream(1, "g"))
+
+        def run(counts):
+            agents = make_agents(model, len(counts))
+            rng = RngStream(3, "drift")
+            for agent, count in zip(agents, counts):
+                agent.actor = agent.actor.with_theta(
+                    agent.actor.theta + rng.uniform(-0.2, 0.2, size=agent.actor.theta.size))
+                agent.sample_count = count
+            result = fed.fed_round(agents, model, hp, RngStream(4, "fed"))
+            return ([result.model.actor.theta.tobytes(), result.model.critic.theta.tobytes()],
+                    [(agent.actor.theta.tobytes(), agent.critic.theta.tobytes())
+                     for agent in agents])
+
+        assert run((0, 40, 120, 7)) == run((40, 40, 40, 40))
 
     def test_clipping_bounds_upload_drift(self):
         hp = HyperParams(ldp_eps=1e9, ldp_clip=0.01)   # negligible noise
@@ -238,7 +270,6 @@ class TestFedRound:
         agents = make_agents(model, 1)
         big = np.full(agents[0].actor.theta.size, 5.0)
         agents[0].actor = agents[0].actor.with_theta(model.actor.theta + big)
-        agents[0].sample_count = 40
         result = fed.fed_round(agents, model, hp, RngStream(5, "fed"))
         drift = result.model.actor.theta - model.actor.theta
         assert np.abs(drift).max() <= 0.01 + 1e-6

@@ -155,7 +155,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gradient(self):
         params = tiny_net(seed=2)
-        x = np.ones(6)
+        x = np.ones((1, 6))
         _, cache = nn.forward(params, x)
         grad = nn.backward(params, cache, np.zeros((1, 3)))
         assert np.all(grad == 0.0)
@@ -166,7 +166,7 @@ class TestBackward:
         shapes = ((1, 1), (1, 1), (1, 1))
         params = nn.ModelParams(shapes=shapes, theta=np.array([1.0, 0.0] * 3),
                                 activation="relu")
-        x = np.array([2.5])
+        x = np.array([[2.5]])
         out, cache = nn.forward(params, x)
         grad = nn.backward(params, cache, np.array([[1.0]]))
         assert grad[0] == pytest.approx(2.5)   # dW1 = x * downstream (=1*1)
@@ -192,16 +192,15 @@ class TestBackward:
 
     def test_stale_cache_rejected(self):
         params = tiny_net()
-        _, cache = nn.forward(params, np.ones(6))
+        _, cache = nn.forward(params, np.ones((1, 6)))
         with pytest.raises(ValueError):
             nn.backward(params, cache, np.zeros((4, 3)))
 
 
 def backward_concatenated(params, cache, grad_out):
     """The gradient arithmetic of backward() as it was before it wrote into
-    per-layer views: fresh layer products, joined by one concatenate. The
-    cache of a vector forward is lifted to a batch of one."""
-    batch, z1, a1, z2, a2 = (np.atleast_2d(entry) for entry in cache)
+    per-layer views: fresh layer products, joined by one concatenate."""
+    batch, z1, a1, z2, a2 = cache
     g = np.asarray(grad_out, dtype=np.float64)
     (w1, b1), (w2, b2), (w3, b3) = params.layers()
     act_grad = ((lambda z, a: 1.0 - a * a) if params.activation == "tanh"
@@ -243,18 +242,20 @@ class TestBackwardInto:
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
 
     def test_single_input_gradient_is_bit_equal_to_the_fresh_one(self):
-        # backward takes the vector cache of a 1-D forward as a batch of one,
-        # so it needs a (1, K) upstream gradient
+        # one input goes through backward as a batch of one, with a (1, K)
+        # upstream gradient; the cache of a vector forward is not a batch's
         params = tiny_net(seed=3, hidden=16, out=5)
         x = np.linspace(-1, 1, 6)
-        _, cache = nn.forward(params, x)
+        _, cache = nn.forward(params, x[None])
         grad_out = np.linspace(-0.5, 0.5, 5)[None, :]
         written = nn.backward(params, cache, grad_out, nan_buffer(params))
         assert written.tobytes() == backward_concatenated(params, cache, grad_out).tobytes()
-        _, row_cache = nn.forward(params, x[None, :])
-        assert written.tobytes() == nn.backward(params, row_cache, grad_out).tobytes()
+        assert written.tobytes() == nn.backward(params, cache, grad_out).tobytes()
         with pytest.raises(ValueError, match="does not match cached batch"):
             nn.backward(params, cache, grad_out[0])
+        _, vector_cache = nn.forward(params, x)
+        with pytest.raises(ValueError, match="does not match cached batch"):
+            nn.backward(params, vector_cache, grad_out)
 
     def test_calls_without_out_return_distinct_arrays(self):
         params = tiny_net(seed=5)
@@ -280,7 +281,7 @@ class TestBackwardInto:
     def test_wrong_length_out_rejected(self):
         # a buffer of another network's shapes, and so of another length
         params = tiny_net()
-        _, cache = nn.forward(params, np.ones(6))
+        _, cache = nn.forward(params, np.ones((1, 6)))
         other = nan_buffer(tiny_net(hidden=5))
         assert other.theta.size != params.theta.size
         with pytest.raises(ValueError, match="out has shapes"):

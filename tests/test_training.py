@@ -185,10 +185,10 @@ class TestTrainLoop:
         assert not out.exists()
 
     def test_samples_counted_once_per_trained_episode(self):
-        # HP aggregates every 2 episodes: the round after episode 4 resets
-        # the counts, and episode 5 adds its T steps
+        # each of the 5 episodes adds its T steps; fed rounds leave the
+        # counts alone
         result = tiny_train(episodes=5)
-        assert [agent.sample_count for agent in result.agents] == [HP.episode_len] * 2
+        assert [agent.sample_count for agent in result.agents] == [5 * HP.episode_len] * 2
 
     def test_empty_out_dir_accepted(self, tmp_path):
         out = tmp_path / "run"
@@ -253,7 +253,7 @@ class TestEvaluation:
                     agent.critic.theta.tobytes())
 
         before = [state(agent) for agent in agents]
-        assert agents[0].sample_count == HP.episode_len
+        assert agents[0].sample_count == 3 * HP.episode_len
         assert before[0][0] == AGENT_FIELDS
         training.evaluate_agents(agents, "s1", 2, 7, CFG, HP, COEFFS)
         training.evaluate_agents(agents, "s1", 1, 7, CFG, HP, COEFFS, greedy=False)
