@@ -174,17 +174,14 @@ def cmd_compare(args) -> int:
         raise ValueError("no comparable rows found")
     methods = sorted({m for m, _ in cells})
     scenarios = sorted({s for _, s in cells})
+    if "method" in scenarios:   # the name of the row-label column
+        raise ValueError("a scenario named 'method' would share the method column's name")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     matrix_path = out / "comparison.csv"
-    with open(matrix_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method"] + scenarios)
-        for method in methods:
-            writer.writerow([method] + [
-                repr(cells[(method, s)]) if (method, s) in cells else ""
-                for s in scenarios])
+    rows = [{"method": m, **{s: cells.get((m, s), "") for s in scenarios}} for m in methods]
+    training.write_csv(matrix_path, rows, ["method"] + scenarios)
     print(f"wrote {matrix_path} ({len(methods)} methods x {len(scenarios)} scenarios)")
 
     for scen in scenarios:

@@ -445,9 +445,7 @@ class RngStream:
         return self._gen.bit_generator.random_raw(n)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
-        """Uniform draws in [low, high); scalar when size is None."""
-        if size is None:   # the array path's arithmetic, in Python numbers
-            return float(low + (high - low) * self._gen.random())
+        """Uniform draws in [low, high); a float when size is None, as ``Generator.random``."""
         return low + (high - low) * self._gen.random(size)
 
     def integers(self, n_exclusive: int, size: int) -> np.ndarray:

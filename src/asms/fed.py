@@ -25,17 +25,16 @@ from .core import HyperParams, RngStream
 
 @dataclass(frozen=True)
 class GlobalModel:
-    round_index: int
     actor: nn.ModelParams
     critic: nn.ModelParams
 
 
 def init_global(obs_dim: int, hidden: int, action_count: int,
                 rng: RngStream) -> GlobalModel:
-    """Fresh actor (tanh, categorical) and critic (relu, scalar) at round 0."""
+    """Fresh actor (tanh, categorical) and critic (relu, scalar)."""
     actor = nn.init_mlp(obs_dim, hidden, action_count, "tanh", rng)
     critic = nn.init_mlp(obs_dim, hidden, 1, "relu", rng)
-    return GlobalModel(round_index=0, actor=actor, critic=critic)
+    return GlobalModel(actor=actor, critic=critic)
 
 
 def clip_update(params_new: np.ndarray, params_old: np.ndarray,
@@ -148,8 +147,7 @@ def fed_round(agents: Sequence, model: GlobalModel, hp: HyperParams,
     uploads = (make_local_update(agent.actor, agent.critic, model, hp, rng)
                for agent in agents)
     actor_theta, critic_theta = fedavg(uploads, np.ones(len(agents)))
-    new_model = GlobalModel(round_index=model.round_index + 1,
-                            actor=model.actor.with_theta(actor_theta),
+    new_model = GlobalModel(actor=model.actor.with_theta(actor_theta),
                             critic=model.critic.with_theta(critic_theta))
     broadcast(new_model, agents)
     # every device sends and receives one actor and one critic of these shapes

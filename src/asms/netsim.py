@@ -161,40 +161,39 @@ class BottleneckSim:
     """
 
     def __init__(self, spec: ScenarioSpec, cfg: SimConfig, episode_len: int,
-                 rng: RngStream, trace: "TraceWriter | None" = None):
+                 rng: RngStream):
         self.spec = spec
         self.cfg = cfg
         self.episode_len = episode_len
         self.rng = rng
-        self.trace = trace
         self.bounds = link_bounds(spec, episode_len)
         self.t = 0
+        self.link: LinkState | None = None   # the last step's drawn link
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         """Start an episode: a warmup step at t=0 with every target at x_init
         produces the first rows and frame rates."""
         self.t = 0
-        state = sample_link_state(self.bounds, 0, self.rng)
-        return advance(state, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
+        self.link = sample_link_state(self.bounds, 0, self.rng)
+        return advance(self.link, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
 
     def step(self, targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Apply the targets at the next step; returns its rows and frame
-        rates."""
+        rates, and keeps the step's link as ``link``."""
         if len(targets) != self.cfg.n_agents:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
         if self.t >= self.episode_len:
             raise RuntimeError("episode exhausted; call reset()")
-        state = sample_link_state(self.bounds, self.t, self.rng)
-        rows, frame_rate = advance(state, targets, self.cfg, self.rng)
-        if self.trace is not None:
-            self.trace.record(state, rows, frame_rate)
+        self.link = sample_link_state(self.bounds, self.t, self.rng)
+        rows, frame_rate = advance(self.link, targets, self.cfg, self.rng)
         self.t += 1
         return rows, frame_rate
 
 
 class TraceWriter:
-    """Optional per-step CSV trace: one row per (step, agent); every agent
-    counts as a user, so ``u`` is the row count."""
+    """Per-step CSV trace: ``write`` appends a finished episode's (T, N, 6)
+    scored rows, (T, N) frame rates and (T,) link capacities as one row per
+    (step, agent); every agent counts as a user, so ``u`` is N."""
 
     HEADER = ["t", "agent", "x", "y", "l", "j", "p", "n", "f", "capacity", "u"]
 
@@ -202,13 +201,13 @@ class TraceWriter:
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(self.HEADER)
 
-    def record(self, state: LinkState, rows: np.ndarray, frame_rate: np.ndarray) -> None:
-        for i, (x, y, l, j, p, n) in enumerate(rows.tolist()):
-            self._writer.writerow([
-                state.t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
-                int(p), int(n), f"{frame_rate[i]:.6g}", f"{state.capacity_mbps:.6g}",
-                len(rows),
-            ])
+    def write(self, rows: np.ndarray, frame_rate: np.ndarray, capacity: np.ndarray) -> None:
+        for t, step in enumerate(rows.tolist()):
+            for i, (x, y, l, j, p, n) in enumerate(step):
+                self._writer.writerow([
+                    t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
+                    int(p), int(n), f"{frame_rate[t, i]:.6g}", f"{capacity[t]:.6g}", len(step),
+                ])
 
 
 __all__ = ["BottleneckSim", "LinkState", "TraceWriter", "advance", "allocate_max_min",

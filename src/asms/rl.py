@@ -41,13 +41,15 @@ def normalize_obs(rows: np.ndarray, y_max: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Episode:
     """One finished episode of N users on one link: the only record rollouts
-    produce, read by training, evaluation and the update batches alike."""
+    produce, read by training, evaluation, the update batches and the per-step
+    trace alike (``netsim.TraceWriter.write`` takes its rows and ``capacity``)."""
 
     rows: np.ndarray         # (T+1, N, 6) columns core.OBS_*; row 0 is the warm-up
     actions: np.ndarray      # (T, N) int64 indices into the delta table
     frame_rate: np.ndarray   # (T, N) delivered frame rates
     agent_qoe: np.ndarray    # (T, N) per-agent-step scores
     rewards: np.ndarray      # (T,) pooled rewards, the mean of each step's N scores
+    capacity: np.ndarray     # (T,) link capacity in Mbps the simulator drew each step
 
 
 def pick_actions(logits: np.ndarray, rng: RngStream | None,
@@ -67,28 +69,28 @@ def pick_actions(logits: np.ndarray, rng: RngStream | None,
     return idx, logp[np.arange(idx.size), idx]
 
 
+def _backward_recursion(x: np.ndarray, c: float, start: float) -> np.ndarray:
+    """out_t = x_t + c*out_{t+1} for t = T-1 down to 0, from out_T = start."""
+    out = np.zeros(x.size)
+    running = start
+    for t in range(x.size - 1, -1, -1):
+        running = x[t] + c * running
+        out[t] = running
+    return out
+
+
 def compute_gae(rewards: np.ndarray, values: np.ndarray, bootstrap: float,
                 gamma: float, lam: float) -> np.ndarray:
     """Advantages by the backward recursion adv_t = delta_t + gamma*lam*adv_{t+1},
     with delta_t = r_t + gamma*V(s_{t+1}) - V(s_t) bootstrapped at the end."""
     values_ext = np.append(values, bootstrap)
     deltas = rewards + gamma * values_ext[1:] - values_ext[:-1]
-    adv = np.zeros(rewards.size)
-    running = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        running = deltas[t] + gamma * lam * running
-        adv[t] = running
-    return adv
+    return _backward_recursion(deltas, gamma * lam, 0.0)
 
 
 def compute_returns(rewards: np.ndarray, bootstrap: float, gamma: float) -> np.ndarray:
     """Discounted reward-to-go with a gamma^(T-t)-weighted terminal bootstrap."""
-    returns = np.zeros(rewards.size)
-    running = float(bootstrap)
-    for t in range(rewards.size - 1, -1, -1):
-        running = rewards[t] + gamma * running
-        returns[t] = running
-    return returns
+    return _backward_recursion(rewards, gamma, float(bootstrap))
 
 
 def clipped_objective(new_log_prob: np.ndarray, old_log_prob: np.ndarray,
@@ -302,7 +304,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     a non-integer result raises ``TypeError``, and an index outside the
     table ``ValueError``. Each agent's delta moves its ``OBS_TARGET``
     column; the new targets, clamped to [y_min, y_max], are applied jointly
-    to the link.
+    to the link, whose drawn capacity ``Episode.capacity`` keeps.
     """
     cfg = sim.cfg
     t_len = hp.episode_len
@@ -310,6 +312,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     rows = np.zeros((t_len + 1, cfg.n_agents, OBS_DIM))
     actions = np.zeros((t_len, cfg.n_agents), dtype=np.int64)
     frame_rate = np.zeros((t_len, cfg.n_agents))
+    capacity = np.zeros(t_len)
     rows[0], _ = sim.reset()
     for t in range(t_len):
         index, chosen = actions[t], np.asarray(choose(t, rows[t]))
@@ -321,9 +324,10 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
                              f"in [0, {table.size})")
         targets = (rows[t, :, OBS_TARGET] + table[index]).clip(cfg.y_min, cfg.y_max)
         rows[t + 1], frame_rate[t] = sim.step(targets)
+        capacity[t] = sim.link.capacity_mbps
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
     return Episode(rows=rows, actions=actions, frame_rate=frame_rate, agent_qoe=agent_qoe,
-                   rewards=rewards)
+                   rewards=rewards, capacity=capacity)
 
 
 def run_episode(sim: BottleneckSim, agents: Sequence[PPOAgent], hp: HyperParams,

@@ -145,7 +145,7 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
             result = fed.fed_round(agents, model, hp, rng_fed)
             model = result.model
             overhead.append(dict(zip(OVERHEAD_COLUMNS, (
-                model.round_index, ep, result.bytes_up, result.bytes_down,
+                len(overhead) + 1, ep, result.bytes_up, result.bytes_down,
                 cfg.n_agents))))
 
         if out_path is not None and (ep + 1) % CHECKPOINT_EVERY == 0:
@@ -198,7 +198,8 @@ def load_checkpoint_agents(path: str | Path) -> list[PPOAgent]:
     return agents
 
 
-def _write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
+def write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
+    """A header of ``columns``, then each row's cells in that order, floats by ``_f``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -211,11 +212,10 @@ def _write_run_artifacts(result: TrainResult, snapshot: str) -> None:
     out = result.out_dir
     assert out is not None
     # episodes >= 1 and N >= 1, so both tables have a first row to name them
-    _write_csv(out / LEARNING_CURVE_FILE, result.learning_curve,
-               list(result.learning_curve[0]))
-    _write_csv(out / DIAGNOSTICS_FILE, result.diagnostics, list(result.diagnostics[0]))
+    write_csv(out / LEARNING_CURVE_FILE, result.learning_curve, list(result.learning_curve[0]))
+    write_csv(out / DIAGNOSTICS_FILE, result.diagnostics, list(result.diagnostics[0]))
     if result.method == "fmappo":
-        _write_csv(out / OVERHEAD_FILE, result.overhead, OVERHEAD_COLUMNS)
+        write_csv(out / OVERHEAD_FILE, result.overhead, OVERHEAD_COLUMNS)
     (out / CONFIG_SNAPSHOT_FILE).write_text(snapshot, encoding="utf-8")
     manifest = {
         "format": 1,
@@ -295,16 +295,20 @@ def _summarize(method: str, scenario: str, episodes: list[Episode]) -> EvalSumma
 
 
 def _evaluate(label: str, scenario: ScenarioSpec | str, episodes: int, seed: int,
-              cfg: SimConfig, hp: HyperParams, trace,
+              cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, trace,
               episode: Callable[[BottleneckSim, RngStream], Episode]) -> EvalSummary:
-    """The loop both evaluations share: ``episode(sim, rng_act)`` per episode."""
+    """The loop both evaluations share: ``episode(sim, rng_act)`` per episode, each written to
+    the ``netsim.TraceWriter`` ``trace`` if given; as in ``train``, bad structs raise first."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
+    serialize_config(cfg, hp, coeffs)
     spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
     rng_env = RngStream(seed, f"eval-env/{spec.name}")
     rng_act = RngStream(seed, f"eval-act/{spec.name}")
-    done = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env, trace=trace), rng_act)
+    done = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env), rng_act)
             for _ in range(episodes)]
+    for finished in done if trace is not None else ():
+        trace.write(finished.rows[1:], finished.frame_rate, finished.capacity)
     return _summarize(label, spec.name, done)
 
 
@@ -315,7 +319,7 @@ def evaluate_agents(agents: Sequence[PPOAgent], scenario: ScenarioSpec | str,
     """Rollouts of trained agents on one scenario, each agent's argmax
     action when ``greedy`` and a draw from its policy otherwise; the agents
     are left unchanged."""
-    return _evaluate(method, scenario, episodes, seed, cfg, hp, trace,
+    return _evaluate(method, scenario, episodes, seed, cfg, hp, coeffs, trace,
                      lambda sim, rng_act: run_episode(sim, agents, hp, coeffs, rng_act,
                                                       greedy=greedy)[0])
 
@@ -343,14 +347,13 @@ def evaluate_controller(name: str, scenario: ScenarioSpec | str, episodes: int,
     """Rule-based or random controller rollouts; label marks the rule
     controllers as simplified stand-ins."""
     label = name if name == "random" else f"{name}-simplified"
-    return _evaluate(label, scenario, episodes, seed, cfg, hp, trace,
+    return _evaluate(label, scenario, episodes, seed, cfg, hp, coeffs, trace,
                      lambda sim, rng_act: run_controller_episode(sim, name, hp, coeffs,
                                                                  rng_act))
 
 
 def write_eval_csv(path: str | Path, summaries: Sequence[EvalSummary]) -> None:
-    rows = [s.row() for s in summaries]
-    _write_csv(Path(path), rows, EVAL_COLUMNS)
+    write_csv(Path(path), [s.row() for s in summaries], EVAL_COLUMNS)
 
 
 __all__ = [
@@ -359,5 +362,5 @@ __all__ = [
     "MANIFEST_FILE", "METHODS", "OVERHEAD_COLUMNS", "OVERHEAD_FILE", "TrainResult",
     "evaluate_agents", "evaluate_controller", "load_checkpoint_agents",
     "make_agents", "moving_average", "run_controller_episode", "train",
-    "write_eval_csv",
+    "write_csv", "write_eval_csv",
 ]

@@ -357,6 +357,23 @@ class TestCompare:
         root = ElementTree.parse(out / "compare_s1.svg").getroot()
         assert "R&D<x>" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
+    def test_comparison_csv_text(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("method,scenario,qoe_mean\nm1,s1,0.1\nm1,s2,-12.5\n")
+        b.write_text("method,scenario,qoe_mean\nm2,S2,0.30000000000000004\n")
+        assert run_cli("compare", str(a), str(b), "--out", str(tmp_path / "c")) == 0
+        assert (tmp_path / "c" / "comparison.csv").read_text() == (
+            "method,s1,s2\n"
+            "m1,0.1,-12.5\n"
+            "m2,,0.30000000000000004\n")
+
+    def test_scenario_named_like_the_method_column_rejected(self, tmp_path, capsys):
+        src = tmp_path / "one.csv"
+        src.write_text("method,scenario,qoe_mean\nm1,s1,0.5\nm1,Method,0.25\n")
+        assert run_cli("compare", str(src), str(src), "--out", str(tmp_path / "c")) == 2
+        assert "method column" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_single_source_rejected(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
         src.write_text("method,scenario,qoe_mean,qoe_std\nm1,s1,0.5,0.1\n")

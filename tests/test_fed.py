@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from asms import fed, nn
-from asms.core import HyperParams, RngStream
+from asms import fed, nn, training
+from asms.core import HyperParams, QoECoefficients, RngStream, SimConfig
 from asms.rl import PPOAgent
 from rng_state import rng_state
 
@@ -24,7 +24,6 @@ def make_agents(model, n):
 class TestInitGlobal:
     def test_round_zero_and_broadcast_identity(self):
         model = fed.init_global(6, 16, 5, RngStream(0, "g"))
-        assert model.round_index == 0
         agents = make_agents(model, 4)
         fed.broadcast(model, agents)
         for agent in agents:
@@ -212,11 +211,12 @@ class TestMakeLocalUpdate:
 
 class TestFedRound:
     def test_round_index_increments(self):
-        model = fed.init_global(6, 8, 5, RngStream(0, "g"))
-        model = fed.GlobalModel(6, model.actor, model.critic)
-        result = fed.fed_round(make_agents(model, 2), model, HyperParams(),
-                               RngStream(1, "fed"))
-        assert result.model.round_index == 7
+        # a round is numbered by the overhead rows before it; the model keeps no count
+        hp = HyperParams(hidden_width=8, fedavg_freq=1, episode_len=5)
+        result = training.train(SimConfig(n_agents=2), hp, QoECoefficients(), "fmappo",
+                                ["s1"], seed=0, episodes=3)
+        assert [row["round"] for row in result.overhead] == [1, 2, 3]
+        assert [row["episode"] for row in result.overhead] == [0, 1, 2]
 
     def test_single_agent_no_noise_identity(self):
         hp = HyperParams(ldp_enabled=False)
@@ -242,7 +242,7 @@ class TestFedRound:
         for agent in agents[1:]:
             assert np.array_equal(agent.actor.theta, agents[0].actor.theta)
             assert np.array_equal(agent.critic.theta, agents[0].critic.theta)
-        assert result.model.round_index == 1
+        assert np.array_equal(agents[0].actor.theta, result.model.actor.theta)
         # the broadcast is the only change a round makes to the agents
         assert all(agent.sample_count == 160 for agent in agents)
 

@@ -6,10 +6,12 @@ import pytest
 
 from asms import netsim
 from asms.core import (OBS_JITTER, OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RECEIVED,
-                       OBS_TARGET, Channel, RngStream, ScenarioSpec, SimConfig, scenario_by_name)
+                       OBS_TARGET, Channel, HyperParams, QoECoefficients, RngStream,
+                       ScenarioSpec, SimConfig, scenario_by_name)
 from asms.netsim import (BottleneckSim, LinkState, TraceWriter, advance,
                          allocate_max_min, link_bounds, link_draws, link_state,
                          sample_link_state)
+from asms.rl import rollout
 from rng_state import rng_state, untouched
 
 CLEAN = ScenarioSpec("clean", Channel.fixed(100), Channel.fixed(10),
@@ -35,6 +37,17 @@ def channels(spec):
 def draw(spec, t, rng, episode_len=40):
     """One step's link from a fresh table of the scenario."""
     return sample_link_state(link_bounds(spec, episode_len), t, rng)
+
+
+def traced_episode(fh, n_agents, episode_len, scenario=CLEAN):
+    """Roll one episode holding every target and write it to a trace."""
+    cfg = SimConfig(n_agents=n_agents)
+    hold = cfg.delta_table.index(0.0)
+    episode = rollout(BottleneckSim(scenario, cfg, episode_len, RngStream(0, "env")),
+                      HyperParams(episode_len=episode_len), QoECoefficients(),
+                      lambda t, rows: np.full(len(rows), hold))
+    TraceWriter(fh).write(episode.rows[1:], episode.frame_rate, episode.capacity)
+    return episode
 
 
 def water_level_oracle(targets, capacity):
@@ -424,23 +437,29 @@ class TestBottleneckSim:
     def test_every_step_counts_the_agents_as_users(self, tmp_path):
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
-            sim = BottleneckSim(CLEAN, SimConfig(n_agents=3), 4, RngStream(0, "env"),
-                                trace=TraceWriter(fh))
-            sim.reset()
-            for _ in range(4):
-                sim.step([10.0] * 3)
+            traced_episode(fh, n_agents=3, episode_len=4)
         lines = path.read_text().splitlines()
         assert [line.split(",")[-1] for line in lines] == ["u"] + ["3"] * 12
 
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
-            trace = TraceWriter(fh)
-            sim = BottleneckSim(CLEAN, SimConfig(n_agents=2), 3,
-                                RngStream(0, "env"), trace=trace)
-            sim.reset()
-            for _ in range(3):
-                sim.step([10.0, 20.0])
+            traced_episode(fh, n_agents=2, episode_len=3)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,agent,x,y,l,j,p,n,f,capacity,u"
         assert len(lines) == 1 + 3 * 2
+
+    def test_trace_rows_are_the_episode_record(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with open(path, "w", newline="") as fh:
+            episode = traced_episode(fh, n_agents=2, episode_len=5,
+                                     scenario=scenario_by_name("s5"))
+        cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(int(c[0]), int(c[1])) for c in cells] == [(t, i) for t in range(5)
+                                                           for i in range(2)]
+        assert [c[3] for c in cells] == [f"{y:.6g}" for y in
+                                         episode.rows[1:, :, OBS_RECEIVED].ravel()]
+        assert [c[8] for c in cells] == [f"{f:.6g}" for f in episode.frame_rate.ravel()]
+        assert [c[9] for c in cells] == [f"{cap:.6g}" for cap in episode.capacity
+                                         for _ in range(2)]
+        assert len(set(episode.capacity.tolist())) == 5   # s5's link varies per step

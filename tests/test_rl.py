@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from asms import nn, qoe, rl
+from asms import netsim, nn, qoe, rl
 from asms.core import (OBS_RECEIVED, OBS_TARGET, Channel, HyperParams, QoECoefficients,
                        RngStream, ScenarioSpec, SimConfig, default_hyperparams,
                        scenario_by_name)
-from asms.netsim import BottleneckSim
+from asms.netsim import BottleneckSim, sample_link_state
 from rng_state import rng_state
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
@@ -225,6 +225,42 @@ class TestGae:
                 sum((0.95 * 0.95) ** l * deltas[t + l] for l in range(t_len - t))
                 for t in range(t_len)])
             np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+
+def gae_own_loop(rewards, values, bootstrap, gamma, lam):
+    """Advantages by a loop of their own, the reference compute_gae must match."""
+    values_ext = np.append(values, bootstrap)
+    deltas = rewards + gamma * values_ext[1:] - values_ext[:-1]
+    adv = np.zeros(rewards.size)
+    running = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        running = deltas[t] + gamma * lam * running
+        adv[t] = running
+    return adv
+
+
+def returns_own_loop(rewards, bootstrap, gamma):
+    """Reward-to-go by a loop of its own, the reference compute_returns must match."""
+    returns = np.zeros(rewards.size)
+    running = float(bootstrap)
+    for t in range(rewards.size - 1, -1, -1):
+        running = rewards[t] + gamma * running
+        returns[t] = running
+    return returns
+
+
+@pytest.mark.parametrize("t_len", [1, 5, 40])
+def test_gae_and_returns_equal_their_own_loops_bit_for_bit(t_len):
+    rng = RngStream(t_len, "recursion")
+    hp = HyperParams()
+    for gamma, lam in ((hp.gamma_discount, hp.gae_lambda), (0.9, 0.0), (1.0, 1.0), (0.37, 0.81)):
+        r = rng.uniform(-50, 50, size=t_len)
+        v = rng.uniform(-50, 50, size=t_len)
+        boot = rng.uniform(-50, 50)
+        assert (rl.compute_gae(r, v, boot, gamma, lam).tobytes()
+                == gae_own_loop(r, v, boot, gamma, lam).tobytes())
+        assert (rl.compute_returns(r, boot, gamma).tobytes()
+                == returns_own_loop(r, boot, gamma).tobytes())
 
 
 class TestReturns:
@@ -535,6 +571,24 @@ class TestRollout:
         rewards, agent_qoe = rl.score_episode(episode.rows[1:], episode.frame_rate, coeffs)
         np.testing.assert_array_equal(episode.agent_qoe, agent_qoe)
         np.testing.assert_array_equal(episode.rewards, rewards)
+
+    def test_capacity_is_what_the_simulator_drew(self, monkeypatch):
+        drawn = []
+
+        def recording(*args):
+            drawn.append(sample_link_state(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(netsim, "sample_link_state", recording)
+        cfg = SimConfig(n_agents=2)
+        hold = cfg.delta_table.index(0.0)
+        episode = rl.rollout(BottleneckSim(scenario_by_name("s5"), cfg, 6, RngStream(4, "env")),
+                             HyperParams(episode_len=6), QoECoefficients(),
+                             lambda t, rows: np.full(len(rows), hold))
+        # the warm-up draws first; each of the T steps draws one link after it
+        assert [link.t for link in drawn] == [0, 0, 1, 2, 3, 4, 5]
+        assert episode.capacity.shape == (6,)
+        assert episode.capacity.tolist() == [link.capacity_mbps for link in drawn[1:]]
 
     # a chooser returning deltas, not indices: np.ones once moved every
     # target by table[1] and -5.0 wrapped to table[-5], both silently

@@ -283,6 +283,23 @@ class TestEvaluation:
                             "frame_rate_mean,received_mbps_mean,episodes,steps")
         assert lines[1].startswith("probe-simplified,s4,")
 
+    @pytest.mark.parametrize("cfg, match", [
+        (SimConfig(n_agents=2, y_min=2.0), "SimConfig.y_min = 2.0"),
+        (SimConfig(n_agents=2, f_target=30.0), "SimConfig.f_target = 30.0")])
+    def test_structs_that_disagree_raise_before_any_episode(self, monkeypatch, cfg, match):
+        # one config line sets both structs' key, as in train: an evaluation
+        # whose simulator and score disagree would clamp and score at two rates
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(training, "rollout", no_episode)
+        monkeypatch.setattr(rl, "rollout", no_episode)
+        agents, _ = training.make_agents(cfg, HP, RngStream(0, "init"))
+        with pytest.raises(ConfigError, match=match):
+            training.evaluate_agents(agents, "s1", 1, 0, cfg, HP, COEFFS)
+        with pytest.raises(ConfigError, match=match):
+            training.evaluate_controller("delay", "s1", 1, 0, cfg, HP, COEFFS)
+
     def test_untrained_policy_near_random(self):
         # before any training the policy is a fresh Glorot net: its behavior
         # should sit in the same band as the random controller, far from a
