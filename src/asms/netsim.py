@@ -4,7 +4,9 @@ N senders share one link at a 1-second step granularity. Each step the link's
 conditions are drawn from a scenario profile, the joint target bitrates are
 reduced to received bitrates by max-min fair sharing, and per-sender loss,
 latency, and delivered frame rate are derived from the load. A step yields
-(N, 6) observation rows (columns ``core.OBS_*``) and (N,) frame rates.
+(N, 6) observation rows (columns ``core.OBS_*``), (N,) frame rates and the
+drawn link; ``BottleneckSim.step(t, targets)`` works it out from t, the
+targets and the simulator's stream alone, so the caller keeps the clock.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (OBS_DIM, OBS_JITTER, OBS_LATENCY, OBS_LOST, OBS_NACKS, OBS_RE
 class LinkState:
     """Link conditions drawn for one step."""
 
-    t: int
     capacity_mbps: float
     base_latency_ms: float
     base_jitter_ms: float
@@ -74,11 +75,11 @@ def link_draws(bounds: tuple[np.ndarray, np.ndarray], steps: int | np.ndarray,
     return rng.uniform(lo.ravel(), hi.ravel(), size=lo.size).reshape(lo.shape)
 
 
-def link_state(t: int, draws: np.ndarray) -> LinkState:
-    """The ``LinkState`` of step t from its six ``link_draws`` values; the
-    burst is active when the coin falls below the burst level."""
+def link_state(draws: np.ndarray) -> LinkState:
+    """The ``LinkState`` of six ``link_draws`` values; the burst is active
+    when the coin falls below the burst level."""
     capacity, latency, jitter, loss, burst_level, coin = draws.tolist()
-    return LinkState(t=t, capacity_mbps=capacity, base_latency_ms=latency,
+    return LinkState(capacity_mbps=capacity, base_latency_ms=latency,
                      base_jitter_ms=jitter, loss_rate=loss,
                      burst_active=coin < burst_level, burst_level=burst_level)
 
@@ -86,7 +87,7 @@ def link_state(t: int, draws: np.ndarray) -> LinkState:
 def sample_link_state(bounds: tuple[np.ndarray, np.ndarray], t: int,
                       rng: RngStream) -> LinkState:
     """Draw the link conditions for step t (``link_draws`` of one step)."""
-    return link_state(t, link_draws(bounds, t, rng))
+    return link_state(link_draws(bounds, t, rng))
 
 
 def allocate_max_min(targets: Sequence[float], capacity: float) -> np.ndarray:
@@ -154,58 +155,46 @@ def advance(state: LinkState, targets: Sequence[float], cfg: SimConfig,
 
 
 class BottleneckSim:
-    """Steps one scenario episode: draws link states, applies joint targets.
-
-    Single-owner object; run independent instances (distinct RngStreams) for
-    parallel episodes.
+    """One scenario's link: ``step(t, targets)`` draws step t's link from the
+    stream and applies the joint targets to it. It keeps no step state, so
+    the caller owns the clock; a step outside [0, episode_len) raises
+    ``ValueError`` before any draw. Single-owner object; run independent
+    instances (distinct RngStreams) for parallel episodes.
     """
 
     def __init__(self, spec: ScenarioSpec, cfg: SimConfig, episode_len: int,
                  rng: RngStream):
-        self.spec = spec
         self.cfg = cfg
-        self.episode_len = episode_len
         self.rng = rng
         self.bounds = link_bounds(spec, episode_len)
-        self.t = 0
-        self.link: LinkState | None = None   # the last step's drawn link
 
-    def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start an episode: a warmup step at t=0 with every target at x_init
-        produces the first rows and frame rates."""
-        self.t = 0
-        self.link = sample_link_state(self.bounds, 0, self.rng)
-        return advance(self.link, [self.cfg.x_init] * self.cfg.n_agents, self.cfg, self.rng)
-
-    def step(self, targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Apply the targets at the next step; returns its rows and frame
-        rates, and keeps the step's link as ``link``."""
+    def step(self, t: int, targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray, LinkState]:
+        """Step t's (N, 6) rows, (N,) frame rates and drawn link."""
         if len(targets) != self.cfg.n_agents:
             raise ValueError(f"expected {self.cfg.n_agents} targets, got {len(targets)}")
-        if self.t >= self.episode_len:
-            raise RuntimeError("episode exhausted; call reset()")
-        self.link = sample_link_state(self.bounds, self.t, self.rng)
-        rows, frame_rate = advance(self.link, targets, self.cfg, self.rng)
-        self.t += 1
-        return rows, frame_rate
+        link = sample_link_state(self.bounds, t, self.rng)
+        return (*advance(link, targets, self.cfg, self.rng), link)
 
 
 class TraceWriter:
     """Per-step CSV trace: ``write`` appends a finished episode's (T, N, 6)
     scored rows, (T, N) frame rates and (T,) link capacities as one row per
-    (step, agent); every agent counts as a user, so ``u`` is N."""
+    (step, agent), named by its scenario and episode; every agent counts as
+    a user, so ``u`` is N."""
 
-    HEADER = ["t", "agent", "x", "y", "l", "j", "p", "n", "f", "capacity", "u"]
+    HEADER = ["scenario", "episode", "t", "agent", "x", "y", "l", "j", "p", "n", "f",
+              "capacity", "u"]
 
     def __init__(self, fh: IO[str]):
         self._writer = csv.writer(fh, lineterminator="\n")
         self._writer.writerow(self.HEADER)
 
-    def write(self, rows: np.ndarray, frame_rate: np.ndarray, capacity: np.ndarray) -> None:
+    def write(self, scenario: str, episode: int, rows: np.ndarray, frame_rate: np.ndarray,
+              capacity: np.ndarray) -> None:
         for t, step in enumerate(rows.tolist()):
             for i, (x, y, l, j, p, n) in enumerate(step):
                 self._writer.writerow([
-                    t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
+                    scenario, episode, t, i, f"{x:.6g}", f"{y:.6g}", f"{l:.6g}", f"{j:.6g}",
                     int(p), int(n), f"{frame_rate[t, i]:.6g}", f"{capacity[t]:.6g}", len(step),
                 ])
 

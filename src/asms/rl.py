@@ -297,9 +297,10 @@ def score_episode(rows: np.ndarray, frame_rate: np.ndarray,
 
 def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
             choose: Callable[[int, np.ndarray], np.ndarray]) -> Episode:
-    """Roll and score one episode of ``hp.episode_len`` steps.
+    """Roll and score one episode of ``hp.episode_len`` steps, after a warm-up
+    ``sim.step(0, ...)`` with every target at ``x_init``.
 
-    Each step, ``choose(t, rows)`` maps the (N, 6) observation rows to (N,)
+    Each step t, ``choose(t, rows)`` maps the (N, 6) observation rows to (N,)
     int indices into ``cfg.delta_table``, which ``Episode.actions`` keeps;
     a non-integer result raises ``TypeError``, and an index outside the
     table ``ValueError``. Each agent's delta moves its ``OBS_TARGET``
@@ -313,7 +314,7 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
     actions = np.zeros((t_len, cfg.n_agents), dtype=np.int64)
     frame_rate = np.zeros((t_len, cfg.n_agents))
     capacity = np.zeros(t_len)
-    rows[0], _ = sim.reset()
+    rows[0], _, _ = sim.step(0, [cfg.x_init] * cfg.n_agents)
     for t in range(t_len):
         index, chosen = actions[t], np.asarray(choose(t, rows[t]))
         if chosen.dtype.kind not in "iu":   # bool casts same_kind too
@@ -323,8 +324,8 @@ def rollout(sim: BottleneckSim, hp: HyperParams, coeffs: QoECoefficients,
             raise ValueError(f"step {t}: action indices {index.tolist()} are not all "
                              f"in [0, {table.size})")
         targets = (rows[t, :, OBS_TARGET] + table[index]).clip(cfg.y_min, cfg.y_max)
-        rows[t + 1], frame_rate[t] = sim.step(targets)
-        capacity[t] = sim.link.capacity_mbps
+        rows[t + 1], frame_rate[t], link = sim.step(t, targets)
+        capacity[t] = link.capacity_mbps
     rewards, agent_qoe = score_episode(rows[1:], frame_rate, coeffs)
     return Episode(rows=rows, actions=actions, frame_rate=frame_rate, agent_qoe=agent_qoe,
                    rewards=rewards, capacity=capacity)

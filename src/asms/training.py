@@ -163,12 +163,19 @@ def train(cfg: SimConfig, hp: HyperParams, coeffs: QoECoefficients, method: str,
     return result
 
 
+def agent_files(path: Path, agent: int | str) -> tuple[Path, Path]:
+    """Agent i's actor and critic files in a checkpoint directory; a str
+    index such as ``"*"`` is used as is, to make glob patterns."""
+    index = agent if isinstance(agent, str) else f"{agent:02d}"
+    return path / f"agent{index}.actor.fmap", path / f"agent{index}.critic.fmap"
+
+
 def _save_checkpoint(path: Path, agents: Sequence[PPOAgent],
                      model: fed.GlobalModel | None) -> None:
     path.mkdir(parents=True, exist_ok=True)
     for i, agent in enumerate(agents):
-        nn.save_params(str(path / f"agent{i:02d}.actor.fmap"), agent.actor)
-        nn.save_params(str(path / f"agent{i:02d}.critic.fmap"), agent.critic)
+        for file, params in zip(agent_files(path, i), (agent.actor, agent.critic)):
+            nn.save_params(str(file), params)
     if model is not None:
         nn.save_params(str(path / "global.actor.fmap"), model.actor)
         nn.save_params(str(path / "global.critic.fmap"), model.critic)
@@ -177,17 +184,16 @@ def _save_checkpoint(path: Path, agents: Sequence[PPOAgent],
 def load_checkpoint_agents(path: str | Path) -> list[PPOAgent]:
     """Rebuild agents from a checkpoint directory's actor/critic files.
 
-    Agent i is read from ``agent{i:02d}.actor.fmap`` and its critic file; the
-    N actor files must be agents 0..N-1, each with a critic.
+    Agent i is read from its ``agent_files``; the N actor files must be
+    agents 0..N-1, each with a critic.
     """
     path = Path(path)
-    actors = {f.name for f in path.glob("agent*.actor.fmap")}
+    actors = {f.name for f in path.glob(agent_files(path, "*")[0].name)}
     if not actors:
         raise FileNotFoundError(f"no agent checkpoints under {path}")
     agents = []
     for i in range(len(actors)):
-        actor_file = path / f"agent{i:02d}.actor.fmap"
-        critic_file = path / f"agent{i:02d}.critic.fmap"
+        actor_file, critic_file = agent_files(path, i)
         if actor_file.name not in actors:
             raise ValueError(f"checkpoint {path} has {len(actors)} actor files but "
                              f"agent {i} is missing: no {actor_file.name}")
@@ -303,12 +309,12 @@ def _evaluate(label: str, scenario: ScenarioSpec | str, episodes: int, seed: int
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     serialize_config(cfg, hp, coeffs)
     spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
-    rng_env = RngStream(seed, f"eval-env/{spec.name}")
     rng_act = RngStream(seed, f"eval-act/{spec.name}")
-    done = [episode(BottleneckSim(spec, cfg, hp.episode_len, rng_env), rng_act)
-            for _ in range(episodes)]
-    for finished in done if trace is not None else ():
-        trace.write(finished.rows[1:], finished.frame_rate, finished.capacity)
+    sim = BottleneckSim(spec, cfg, hp.episode_len, RngStream(seed, f"eval-env/{spec.name}"))
+    done = [episode(sim, rng_act) for _ in range(episodes)]
+    if trace is not None:
+        for index, e in enumerate(done):
+            trace.write(spec.name, index, e.rows[1:], e.frame_rate, e.capacity)
     return _summarize(label, spec.name, done)
 
 
@@ -360,7 +366,7 @@ __all__ = [
     "CHECKPOINT_DIR", "CHECKPOINT_EVERY", "CONFIG_SNAPSHOT_FILE",
     "DIAGNOSTICS_FILE", "EVAL_COLUMNS", "EvalSummary", "LEARNING_CURVE_FILE",
     "MANIFEST_FILE", "METHODS", "OVERHEAD_COLUMNS", "OVERHEAD_FILE", "TrainResult",
-    "evaluate_agents", "evaluate_controller", "load_checkpoint_agents",
+    "agent_files", "evaluate_agents", "evaluate_controller", "load_checkpoint_agents",
     "make_agents", "moving_average", "run_controller_episode", "train",
     "write_csv", "write_eval_csv",
 ]

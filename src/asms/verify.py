@@ -317,7 +317,7 @@ def _sample_failure(name: str, bounds: tuple[np.ndarray, np.ndarray], t: int,
     """Why one drawn sample fails: LinkState's own invariant message, or its
     first channel outside row t of its scenario's ``netsim.link_bounds``."""
     try:
-        netsim.link_state(t, row)
+        netsim.link_state(row)
     except ValueError as err:
         return f"{name} t={t}: {err}"
     value, low, high = next((value, low, high) for value, low, high in
@@ -591,11 +591,10 @@ def check_federation_identity(seed: int) -> tuple[bool, str]:
                        out_dir=out_a, episodes=24)
         training.train(cfg, hp, coeffs, "ippo", ["s1", "s3"], seed=seed,
                        out_dir=out_b, episodes=24)
-        final = f"{training.CHECKPOINT_DIR}/final/agent00"
+        actor, critic = training.agent_files(Path(training.CHECKPOINT_DIR) / "final", 0)
         files = [(training.LEARNING_CURVE_FILE, training.LEARNING_CURVE_FILE),
                  (training.DIAGNOSTICS_FILE, training.DIAGNOSTICS_FILE),
-                 ("final-actor", f"{final}.actor.fmap"),
-                 ("final-critic", f"{final}.critic.fmap")]
+                 ("final-actor", actor), ("final-critic", critic)]
         same = {label: (out_a / name).read_bytes() == (out_b / name).read_bytes()
                 for label, name in files}
     return all(same.values()), "byte-identical: " + ", ".join(

@@ -147,7 +147,19 @@ class TestEval:
                        "--trace", str(trace))
         assert code == 0
         header = trace.read_text().splitlines()[0]
-        assert header == "t,agent,x,y,l,j,p,n,f,capacity,u"
+        assert header == "scenario,episode,t,agent,x,y,l,j,p,n,f,capacity,u"
+
+    def test_trace_names_each_row_once_by_scenario_episode_step_and_agent(self, tmp_path):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("n_agents = 2\nepisode_len = 3\n")
+        trace = tmp_path / "trace.csv"
+        code = run_cli("eval", "--controller", "delay", "--config", str(cfg),
+                       "--scenarios", "s1,s3", "--episodes", "2", "--trace", str(trace))
+        assert code == 0
+        keys = [tuple(line.split(",")[:4]) for line in trace.read_text().splitlines()[1:]]
+        assert sorted(keys) == sorted(set(keys))
+        assert set(keys) == {(s, str(e), str(t), str(i)) for s in ("s1", "s3")
+                             for e in range(2) for t in range(3) for i in range(2)}
 
     def test_controller_eval_takes_the_label(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "eval"

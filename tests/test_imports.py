@@ -4,7 +4,9 @@ Every name the package defines at module level is loaded by the package or
 the benchmark, so no product code exists that only tests call. Every
 default-valued parameter of a package function is passed by some call in
 the package, the tests or the benchmark, so no parameter is fixed at its
-default everywhere.
+default everywhere. Every attribute a package method assigns on ``self`` is
+loaded by the package or the benchmark, so no instance keeps a value nothing
+reads.
 
 No linter is part of the toolchain, so this walks the syntax trees itself.
 An import counts as used when it is read anywhere in the module, appears in
@@ -282,3 +284,54 @@ def test_every_default_parameter_is_passed_somewhere():
              for path in PACKAGE
              for line, name in unpassed_defaults(path.read_text(encoding="utf-8"), callers)]
     assert not found, "default parameters no call passes:\n" + "\n".join(found)
+
+
+def instance_attributes(source):
+    """(line, "Class.name") of each attribute a method assigns on its first
+    parameter (``self.name = ...``, annotated or augmented too)."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+                continue
+            owner = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                found += [(n.lineno, f"{cls.name}.{n.attr}")
+                          for target in targets for n in ast.walk(target)
+                          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name) and n.value.id == owner]
+    return found
+
+
+def loaded_attributes(source):
+    """Names the module reads as attributes (``.name``)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_attribute_checker_flags_only_unread_attributes():
+    source = ("class A:\n    def __init__(self, x):\n        self.a = x\n"
+              "        self.b: int = 0\n        self.c, self.d = x, x\n        x.e = 1\n"
+              "    def f(me):\n        me.g += me.a\n        return me.c\n"
+              "    @staticmethod\n    def h():\n        pass\nprint(b, d.e)\n")
+    loaded = loaded_attributes(source)
+    assert [(line, name) for line, name in instance_attributes(source)
+            if name.split(".")[1] not in loaded] == [(4, "A.b"), (5, "A.d"), (8, "A.g")]
+
+
+def test_every_instance_attribute_is_read_outside_tests():
+    loaded = set().union(*(loaded_attributes(path.read_text(encoding="utf-8"))
+                           for path in LOADERS))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in instance_attributes(path.read_text(encoding="utf-8"))
+             if name.split(".")[1] not in loaded]
+    assert not found, "instance attributes nothing reads:\n" + "\n".join(found)

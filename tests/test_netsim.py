@@ -39,14 +39,15 @@ def draw(spec, t, rng, episode_len=40):
     return sample_link_state(link_bounds(spec, episode_len), t, rng)
 
 
-def traced_episode(fh, n_agents, episode_len, scenario=CLEAN):
+def traced_episode(fh, n_agents, episode_len, scenario=CLEAN, episode_index=0):
     """Roll one episode holding every target and write it to a trace."""
     cfg = SimConfig(n_agents=n_agents)
     hold = cfg.delta_table.index(0.0)
     episode = rollout(BottleneckSim(scenario, cfg, episode_len, RngStream(0, "env")),
                       HyperParams(episode_len=episode_len), QoECoefficients(),
                       lambda t, rows: np.full(len(rows), hold))
-    TraceWriter(fh).write(episode.rows[1:], episode.frame_rate, episode.capacity)
+    TraceWriter(fh).write(scenario.name, episode_index, episode.rows[1:], episode.frame_rate,
+                          episode.capacity)
     return episode
 
 
@@ -132,7 +133,7 @@ class TestSampleLinkState:
             burst_active = rng.uniform() < burst_level
             block = RngStream(3, "env")
             state = draw(s5, t, block)
-            assert state == LinkState(t, capacity, latency, jitter, loss,
+            assert state == LinkState(capacity, latency, jitter, loss,
                                       burst_active, burst_level)
             assert type(state.capacity_mbps) is float
             assert block.uniform() == rng.uniform()
@@ -191,20 +192,20 @@ class TestSampleLinkState:
         rng = RngStream(11, name)
         for t in (0, 17, 39):
             twin = copy.deepcopy(rng)
-            assert link_state(t, link_draws(bounds, t, twin)) == sample_link_state(bounds, t, rng)
+            assert link_state(link_draws(bounds, t, twin)) == sample_link_state(bounds, t, rng)
             assert rng_state(twin) == rng_state(rng)
 
     def test_coin_at_the_burst_level_is_no_burst(self):
         level = 0.25
         draws = np.array([100.0, 10.0, 2.0, 0.01, level, level])
-        state = link_state(3, draws)
-        assert state == LinkState(3, 100.0, 10.0, 2.0, 0.01, False, level)
+        state = link_state(draws)
+        assert state == LinkState(100.0, 10.0, 2.0, 0.01, False, level)
         draws[5] = np.nextafter(level, 0.0)
-        assert link_state(3, draws).burst_active
+        assert link_state(draws).burst_active
 
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):
-            LinkState(0, 100.0, 10.0, 2.0, 1.5, False, 0.0)
+            LinkState(100.0, 10.0, 2.0, 1.5, False, 0.0)
 
 
 def numpy_fill(demands, capacity):
@@ -315,7 +316,7 @@ class TestAdvance:
             assert rng_state(rng) == rng_state(ref)
 
     def test_negative_target_rejected_on_an_underloaded_link(self):
-        state = LinkState(0, 100.0, 10.0, 2.0, 0.01, False, 0.0)
+        state = LinkState(100.0, 10.0, 2.0, 0.01, False, 0.0)
         for targets in ([-1.0, 5.0], [np.nan, -1.0], [-np.inf, 3.0]):
             rng = RngStream(0, "neg")
             with pytest.raises(ValueError, match="must be >= 0"):
@@ -363,7 +364,7 @@ class TestAdvance:
     @pytest.mark.parametrize("capacity", [2000.0, 300.0])   # uncongested, overloaded
     def test_losses_equal_one_scalar_draw_per_sender(self, capacity):
         cfg = SimConfig(n_agents=24)
-        state = LinkState(0, capacity, 20.0, 3.0, 0.05, False, 0.0)
+        state = LinkState(capacity, 20.0, 3.0, 0.05, False, 0.0)
         targets = RngStream(3, "x").uniform(1, 40, size=24)
         targets[[4, 9]] = 0.0   # senders with no packets draw nothing
         rng, ref = RngStream(8, "loss"), RngStream(8, "loss")
@@ -382,7 +383,7 @@ class TestAdvance:
         cfg = SimConfig(n_agents=1)
         state = draw(spec, 0, RngStream(1, "e"))
         calm, _ = advance(state, [40.0], cfg, RngStream(5, "x"))
-        bursty_state = LinkState(state.t, state.capacity_mbps, state.base_latency_ms,
+        bursty_state = LinkState(state.capacity_mbps, state.base_latency_ms,
                                  state.base_jitter_ms, state.loss_rate, True, 0.2)
         bursty, _ = advance(bursty_state, [40.0], cfg, RngStream(5, "x"))
         assert bursty[0, OBS_LOST] > calm[0, OBS_LOST]
@@ -398,15 +399,14 @@ class TestBottleneckSim:
         cfg = SimConfig(n_agents=3)
         spec = scenario_by_name("s2")
 
-        def as_lists(rows, frame_rate):
-            return [rows.tolist(), frame_rate.tolist()]
+        def as_lists(rows, frame_rate, link):
+            return [rows.tolist(), frame_rate.tolist(), link]
 
         def run(seed):
             sim = BottleneckSim(spec, cfg, 40, RngStream(seed, "env"))
-            steps = [as_lists(*sim.reset())]
+            steps = [as_lists(*sim.step(0, [cfg.x_init] * 3))]
             for t in range(40):
-                rows, frame_rate = sim.step([10.0 + t, 20.0, 30.0])
-                steps.append(as_lists(rows, frame_rate))
+                steps.append(as_lists(*sim.step(t, [10.0 + t, 20.0, 30.0])))
             return steps
 
         assert run(11) == run(11)
@@ -419,20 +419,38 @@ class TestBottleneckSim:
                             lambda *args: built.append(args) or link_bounds(*args))
         sim = BottleneckSim(spec, SimConfig(n_agents=2), 40, RngStream(0, "env"))
         for _ in range(2):
-            sim.reset()
-            for _ in range(40):
-                sim.step([10.0, 20.0])
+            for t in (0, *range(40)):
+                sim.step(t, [10.0, 20.0])
         assert built == [(spec, 40)]
         for got, want in zip(sim.bounds, link_bounds(spec, 40)):
             assert got.tobytes() == want.tobytes()
 
     def test_episode_exhaustion(self):
-        sim = BottleneckSim(CLEAN, SimConfig(n_agents=1), 2, RngStream(0, "env"))
-        sim.reset()
-        sim.step([10.0])
-        sim.step([10.0])
-        with pytest.raises(RuntimeError):
-            sim.step([10.0])
+        rng = RngStream(0, "env")
+        sim = BottleneckSim(CLEAN, SimConfig(n_agents=1), 2, rng)
+        with pytest.raises(ValueError, match=r"step 2 outside \[0, 2\)"):
+            sim.step(2, [10.0])
+        assert untouched(rng)
+
+    def test_streams_in_equal_states_give_the_same_step_whatever_came_before(self):
+        spec, cfg = scenario_by_name("s5"), SimConfig(n_agents=3)
+        sim = BottleneckSim(spec, cfg, 40, RngStream(6, "env"))
+        other = BottleneckSim(spec, cfg, 40, RngStream(9, "other"))
+        for t in range(7):
+            sim.step(t, [10.0 + t, 20.0, 30.0])
+        for t in (39, 3, 0):
+            other.step(t, [5.0, 5.0, 5.0])
+        other.rng = copy.deepcopy(sim.rng)
+        fresh = BottleneckSim(spec, cfg, 40, copy.deepcopy(sim.rng))
+        for t in (7, 7, 21, 0):
+            targets = [12.0, 40.0 - t, 3.0]
+            want_rows, want_rate, want_link = sim.step(t, targets)
+            for twin in (other, fresh):
+                rows, rate, link = twin.step(t, targets)
+                assert rows.tobytes() == want_rows.tobytes()
+                assert rate.tobytes() == want_rate.tobytes()
+                assert link == want_link
+                assert rng_state(twin.rng) == rng_state(sim.rng)
 
     def test_every_step_counts_the_agents_as_users(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -446,20 +464,20 @@ class TestBottleneckSim:
         with open(path, "w", newline="") as fh:
             traced_episode(fh, n_agents=2, episode_len=3)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,agent,x,y,l,j,p,n,f,capacity,u"
+        assert lines[0] == "scenario,episode,t,agent,x,y,l,j,p,n,f,capacity,u"
         assert len(lines) == 1 + 3 * 2
 
     def test_trace_rows_are_the_episode_record(self, tmp_path):
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
             episode = traced_episode(fh, n_agents=2, episode_len=5,
-                                     scenario=scenario_by_name("s5"))
+                                     scenario=scenario_by_name("s5"), episode_index=3)
         cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        assert [(int(c[0]), int(c[1])) for c in cells] == [(t, i) for t in range(5)
-                                                           for i in range(2)]
-        assert [c[3] for c in cells] == [f"{y:.6g}" for y in
+        assert [(c[0], int(c[1]), int(c[2]), int(c[3])) for c in cells] == [
+            ("s5", 3, t, i) for t in range(5) for i in range(2)]
+        assert [c[5] for c in cells] == [f"{y:.6g}" for y in
                                          episode.rows[1:, :, OBS_RECEIVED].ravel()]
-        assert [c[8] for c in cells] == [f"{f:.6g}" for f in episode.frame_rate.ravel()]
-        assert [c[9] for c in cells] == [f"{cap:.6g}" for cap in episode.capacity
-                                         for _ in range(2)]
+        assert [c[10] for c in cells] == [f"{f:.6g}" for f in episode.frame_rate.ravel()]
+        assert [c[11] for c in cells] == [f"{cap:.6g}" for cap in episode.capacity
+                                          for _ in range(2)]
         assert len(set(episode.capacity.tolist())) == 5   # s5's link varies per step

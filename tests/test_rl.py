@@ -8,7 +8,7 @@ from asms import netsim, nn, qoe, rl
 from asms.core import (OBS_RECEIVED, OBS_TARGET, Channel, HyperParams, QoECoefficients,
                        RngStream, ScenarioSpec, SimConfig, default_hyperparams,
                        scenario_by_name)
-from asms.netsim import BottleneckSim, sample_link_state
+from asms.netsim import BottleneckSim, advance, link_bounds, sample_link_state
 from rng_state import rng_state
 
 STEADY = ScenarioSpec("steady", Channel.fixed(80), Channel.fixed(10),
@@ -561,7 +561,7 @@ class TestRollout:
         up = cfg.delta_table.index(1.0)
         episode = rl.rollout(BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")), hp, coeffs,
                              lambda t, rows: np.full(len(rows), up))
-        warm_up, _ = BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")).reset()
+        warm_up, _, _ = BottleneckSim(STEADY, cfg, 6, RngStream(2, "env")).step(0, [10.0] * 3)
         assert isinstance(episode, rl.Episode)
         assert episode.rows.shape == (7, 3, 6)
         assert episode.actions.tolist() == [[up] * 3] * 6
@@ -573,10 +573,11 @@ class TestRollout:
         np.testing.assert_array_equal(episode.rewards, rewards)
 
     def test_capacity_is_what_the_simulator_drew(self, monkeypatch):
-        drawn = []
+        drawn, steps = [], []
 
-        def recording(*args):
-            drawn.append(sample_link_state(*args))
+        def recording(bounds, t, rng):
+            steps.append(t)
+            drawn.append(sample_link_state(bounds, t, rng))
             return drawn[-1]
 
         monkeypatch.setattr(netsim, "sample_link_state", recording)
@@ -586,9 +587,21 @@ class TestRollout:
                              HyperParams(episode_len=6), QoECoefficients(),
                              lambda t, rows: np.full(len(rows), hold))
         # the warm-up draws first; each of the T steps draws one link after it
-        assert [link.t for link in drawn] == [0, 0, 1, 2, 3, 4, 5]
+        assert steps == [0, 0, 1, 2, 3, 4, 5]
         assert episode.capacity.shape == (6,)
         assert episode.capacity.tolist() == [link.capacity_mbps for link in drawn[1:]]
+
+    def test_warm_up_row_is_a_link_draw_at_step_0_advanced_at_x_init(self):
+        cfg = SimConfig(n_agents=3, x_init=12.0)
+        spec = scenario_by_name("s5")
+        hold = cfg.delta_table.index(0.0)
+        episode = rl.rollout(BottleneckSim(spec, cfg, 6, RngStream(7, "env")),
+                             HyperParams(episode_len=6), QoECoefficients(),
+                             lambda t, rows: np.full(len(rows), hold))
+        twin = RngStream(7, "env")
+        state = sample_link_state(link_bounds(spec, 6), 0, twin)
+        warm_up, _ = advance(state, [cfg.x_init] * 3, cfg, twin)
+        assert episode.rows[0].tobytes() == warm_up.tobytes()
 
     # a chooser returning deltas, not indices: np.ones once moved every
     # target by table[1] and -5.0 wrapped to table[-5], both silently

@@ -150,6 +150,14 @@ class TestTrainLoop:
             assert np.array_equal(got.actor.theta, want.actor.theta)
             assert np.array_equal(got.critic.theta, want.critic.theta)
 
+    def test_agent_files_name_every_saved_agent_file(self, tmp_path):
+        training._save_checkpoint(tmp_path, width4_agents(3), None)
+        named = [f for i in range(3) for f in training.agent_files(tmp_path, i)]
+        assert sorted(tmp_path.iterdir()) == sorted(named)
+        assert named[:2] == [tmp_path / "agent00.actor.fmap", tmp_path / "agent00.critic.fmap"]
+        actors = tmp_path.glob(training.agent_files(tmp_path, "*")[0].name)
+        assert sorted(actors) == named[::2]
+
     @pytest.mark.parametrize("gone, message", [
         ("agent05.actor.fmap", "agent 5 is missing: no agent05.actor.fmap"),
         ("agent02.critic.fmap", "missing agent02.critic.fmap")])
